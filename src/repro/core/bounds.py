@@ -23,7 +23,7 @@ import numpy as np
 
 from repro.core.properties import InputRegion
 from repro.errors import EncodingError
-from repro.milp.scipy_backend import solve_lp
+from repro.milp.scipy_backend import HighsSession
 from repro.milp.status import SolveStatus
 from repro.nn.network import FeedForwardNetwork
 from repro.tolerances import BOUND_CROSS_TOL, FEASIBILITY_TOL
@@ -195,13 +195,18 @@ def lp_tightened_bounds(
 
         new_lo = bounds[li].lower.copy()
         new_hi = bounds[li].upper.copy()
-        A_ub = pad(rows_ub, num_cols)
-        b_ub = np.array(rhs_ub) if rhs_ub else None
+        # One warm HiGHS model per layer LP; each probe swaps the objective.
+        session = HighsSession(
+            np.zeros(num_cols),
+            pad(rows_ub, num_cols),
+            np.array(rhs_ub) if rhs_ub else None,
+            bounds=col_bounds,
+        )
         for j in range(fan_out):
             c = pre_rows[j]
             base = float(layer.bias[j])
-            res_min = solve_lp(c, A_ub, b_ub, bounds=col_bounds)
-            res_max = solve_lp(-c, A_ub, b_ub, bounds=col_bounds)
+            res_min = session.solve(c=c)
+            res_max = session.solve(c=-c)
             if res_min.status is SolveStatus.OPTIMAL:
                 new_lo[j] = max(new_lo[j], res_min.objective + base)
             if res_max.status is SolveStatus.OPTIMAL:

@@ -10,7 +10,8 @@ solver stack for that encoding:
   scratch (the cold-start reference path);
 * :mod:`repro.milp.revised_simplex` — bounded-variable revised simplex with
   dual-simplex warm starting from a caller-supplied basis;
-* :mod:`repro.milp.scipy_backend` — HiGHS LP backend with the same contract;
+* :mod:`repro.milp.scipy_backend` — HiGHS LP backend with the same contract,
+  plus a persistent session that re-solves one LP warm after edits;
 * :mod:`repro.milp.presolve` — bound propagation;
 * :mod:`repro.milp.cuts` — Gomory mixed-integer and ReLU triangle cut
   separation with a managed (deduplicated, scored, aged) cut pool;

@@ -69,9 +69,10 @@ class MILPOptions:
     """Tunables for :func:`solve_milp`.
 
     Attributes:
-        lp_backend: ``"highs"`` (SciPy), ``"simplex"`` (cold two-phase
-            tableau) or ``"revised"`` (bounded-variable revised simplex
-            with basis-reuse warm starts).
+        lp_backend: ``"highs"`` (SciPy's compiled HiGHS, one persistent
+            model per search re-solved warm at each node), ``"simplex"``
+            (cold two-phase tableau) or ``"revised"`` (bounded-variable
+            revised simplex with basis-reuse warm starts).
         time_limit: Wall-clock budget in seconds.
         node_limit: Maximum branch-and-bound nodes to process.
         int_tol: Integrality tolerance.
@@ -275,6 +276,16 @@ class _Search:
             if options.lp_backend in _WARM_BACKENDS
             else None
         )
+        #: The ``"highs"`` backend keeps one compiled model for the whole
+        #: search; each node only resets the column box, and HiGHS
+        #: re-solves from the basis its previous node left behind.
+        self.session: Optional[scipy_backend.HighsSession] = (
+            scipy_backend.HighsSession(
+                self.c, self.A_ub, self.b_ub, self.A_eq, self.b_eq, bounds,
+            )
+            if options.lp_backend == "highs"
+            else None
+        )
         self.pseudocosts = _Pseudocosts(self.n)
         self.incumbent_x: Optional[np.ndarray] = None
         self.incumbent_obj = math.inf  # internal minimisation objective
@@ -378,6 +389,8 @@ class _Search:
             self.last_warm = "cold" if self.warm else "off"
         if self.std is not None:
             return revised_simplex.cold_solve(self.std, node.lb, node.ub)
+        if self.session is not None:
+            return self.session.solve(lb=node.lb, ub=node.ub)
         return self.lp_solve(
             self.c, self.A_ub, self.b_ub, self.A_eq, self.b_eq,
             bounds=list(zip(node.lb, node.ub)),

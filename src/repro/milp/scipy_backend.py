@@ -1,10 +1,19 @@
-"""LP backend delegating to SciPy's HiGHS solver.
+"""LP backend on SciPy's compiled HiGHS bindings.
 
-Branch-and-bound issues many LP relaxations; HiGHS (via
-:func:`scipy.optimize.linprog`) is the fast default, while
-:mod:`repro.milp.simplex` is the self-contained reference implementation.
-Both expose the same ``solve_lp`` signature so the MILP engine can swap them
-freely, and the test suite cross-checks them against each other.
+Branch-and-bound and LP bound tightening issue many LPs that share one
+constraint matrix and differ only in their objective or column box.
+:class:`HighsSession` passes that matrix to a persistent HiGHS model
+*once*; each :meth:`HighsSession.solve` edits the costs and bounds in
+place and re-runs, so HiGHS warm-starts from the basis it kept from the
+previous solve instead of rebuilding and presolving a fresh model.
+:func:`solve_lp` is a one-shot session with the same signature as the
+pure-Python backends (:mod:`repro.milp.simplex`,
+:mod:`repro.milp.revised_simplex`), so the MILP engine can swap them
+freely and the test suite cross-checks them against each other.
+
+The bindings (``scipy.optimize._highspy._core``, the same ones SciPy's
+own ``method="highs"`` LP solver drives) ship with SciPy 1.15 and later;
+an older SciPy fails at import with one clear error.
 """
 
 from __future__ import annotations
@@ -13,18 +22,146 @@ import math
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import linprog
+from scipy.sparse import csc_array
+
+try:
+    from scipy.optimize._highspy import _core as _highs
+except ImportError as exc:  # pragma: no cover - depends on the SciPy install
+    raise ImportError(
+        "repro needs SciPy >= 1.15 for its compiled HiGHS bindings "
+        "(scipy.optimize._highspy._core)"
+    ) from exc
 
 from repro.milp.solution import LPResult
 from repro.milp.status import SolveStatus
 
+_MODEL_STATUS = _highs.HighsModelStatus
+#: HiGHS model status -> solver status.  Anything unlisted (iteration or
+#: time limit, "unbounded or infeasible", model or solver errors) is
+#: ERROR.
 _STATUS_MAP = {
-    0: SolveStatus.OPTIMAL,
-    1: SolveStatus.ERROR,       # iteration limit
-    2: SolveStatus.INFEASIBLE,
-    3: SolveStatus.UNBOUNDED,
-    4: SolveStatus.ERROR,
+    _MODEL_STATUS.kOptimal: SolveStatus.OPTIMAL,
+    _MODEL_STATUS.kInfeasible: SolveStatus.INFEASIBLE,
+    _MODEL_STATUS.kUnbounded: SolveStatus.UNBOUNDED,
 }
+
+
+class HighsSession:
+    """One LP held in a persistent HiGHS model, re-solved after edits.
+
+    The constraint rows are fixed at construction; :meth:`solve` may
+    replace the objective and/or the column box before each run.  Every
+    edit overwrites the whole vector, so a solve's answer depends only
+    on the arguments in effect, never on which earlier solves the
+    session ran (only the starting basis, hence the speed, does).
+    """
+
+    def __init__(
+        self,
+        c: np.ndarray,
+        A_ub: Optional[np.ndarray] = None,
+        b_ub: Optional[np.ndarray] = None,
+        A_eq: Optional[np.ndarray] = None,
+        b_eq: Optional[np.ndarray] = None,
+        bounds: Optional[Sequence[Tuple[float, float]]] = None,
+    ) -> None:
+        c = np.asarray(c, dtype=float)
+        n = c.shape[0]
+        blocks, lhs, rhs = [], [], []
+        if A_ub is not None and len(A_ub):
+            b = np.asarray(b_ub, dtype=float)
+            blocks.append(np.asarray(A_ub, dtype=float).reshape(len(b), n))
+            lhs.append(np.full(len(b), -math.inf))
+            rhs.append(b)
+        if A_eq is not None and len(A_eq):
+            b = np.asarray(b_eq, dtype=float)
+            blocks.append(np.asarray(A_eq, dtype=float).reshape(len(b), n))
+            lhs.append(b)
+            rhs.append(b)
+        A = np.vstack(blocks) if blocks else np.zeros((0, n))
+        if bounds is None:
+            lb, ub = np.zeros(n), np.full(n, math.inf)
+        else:
+            box = np.asarray(bounds, dtype=float).reshape(n, 2)
+            lb, ub = box[:, 0].copy(), box[:, 1].copy()
+        row_lhs = np.concatenate(lhs) if lhs else np.zeros(0)
+        row_rhs = np.concatenate(rhs) if rhs else np.zeros(0)
+        if not (np.isfinite(c).all() and np.isfinite(A).all()) or any(
+            np.isnan(v).any() for v in (row_rhs, lb, ub)
+        ):
+            raise ValueError("LP data contains NaN or infinite coefficients")
+        self.num_vars = n
+        self._cols = np.arange(n, dtype=np.int32)
+        self._lb, self._ub = lb, ub
+        self._crossed = bool(np.any(lb > ub))
+        A_csc = csc_array(A)
+        lp = _highs.HighsLp()
+        lp.num_col_ = n
+        lp.num_row_ = A.shape[0]
+        lp.col_cost_ = c
+        lp.col_lower_ = lb
+        lp.col_upper_ = ub
+        lp.row_lower_ = row_lhs
+        lp.row_upper_ = row_rhs
+        lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
+        lp.a_matrix_.num_col_ = n
+        lp.a_matrix_.num_row_ = A.shape[0]
+        lp.a_matrix_.start_ = A_csc.indptr
+        lp.a_matrix_.index_ = A_csc.indices
+        lp.a_matrix_.value_ = A_csc.data
+        self._h = _highs._Highs()
+        self._h.setOptionValue("output_flag", False)
+        if self._h.passModel(lp) == _highs.HighsStatus.kError:
+            raise ValueError("HiGHS rejected the LP data")
+
+    def solve(
+        self,
+        c: Optional[np.ndarray] = None,
+        lb: Optional[np.ndarray] = None,
+        ub: Optional[np.ndarray] = None,
+    ) -> LPResult:
+        """Minimise after replacing the objective and/or column bounds.
+
+        ``None`` keeps the current vector.  While the box is crossed
+        (some ``lb > ub``) every solve is infeasible without calling the
+        solver; HiGHS sees the box again once an edit uncrosses it.
+        """
+        h = self._h
+        n = self.num_vars
+        if c is not None:
+            c = np.asarray(c, dtype=float)
+            if not np.isfinite(c).all():
+                raise ValueError("LP objective contains NaN or infinite entries")
+            h.changeColsCost(n, self._cols, c)
+        if lb is not None or ub is not None:
+            if lb is not None:
+                self._lb = np.array(lb, dtype=float)
+            if ub is not None:
+                self._ub = np.array(ub, dtype=float)
+            self._crossed = bool(np.any(self._lb > self._ub))
+            if not self._crossed:
+                h.changeColsBounds(n, self._cols, self._lb, self._ub)
+        if self._crossed:
+            return LPResult(SolveStatus.INFEASIBLE)
+        h.run()
+        iterations = int(h.getInfo().simplex_iteration_count or 0)
+        if h.getModelStatus() not in _STATUS_MAP:
+            # A warm start can stall undecided (kUnknown or "unbounded
+            # or infeasible") where a presolved cold solve decides:
+            # drop the basis and retry once before reporting ERROR.
+            h.clearSolver()
+            h.run()
+            iterations += int(h.getInfo().simplex_iteration_count or 0)
+        status = _STATUS_MAP.get(h.getModelStatus(), SolveStatus.ERROR)
+        info = h.getInfo()
+        if status is SolveStatus.OPTIMAL:
+            return LPResult(
+                status,
+                x=np.asarray(h.getSolution().col_value, dtype=float),
+                objective=float(info.objective_function_value),
+                iterations=iterations,
+            )
+        return LPResult(status, iterations=iterations)
 
 
 def solve_lp(
@@ -41,29 +178,4 @@ def solve_lp(
     ``max_iter`` is accepted for interface parity and ignored (HiGHS has its
     own internal limits).
     """
-    n = len(c)
-    if bounds is None:
-        bounds = [(0.0, math.inf)] * n
-    highs_bounds = [
-        (None if lb == -math.inf else lb, None if ub == math.inf else ub)
-        for lb, ub in bounds
-    ]
-    res = linprog(
-        c,
-        A_ub=A_ub,
-        b_ub=b_ub,
-        A_eq=A_eq,
-        b_eq=b_eq,
-        bounds=highs_bounds,
-        method="highs",
-    )
-    status = _STATUS_MAP.get(res.status, SolveStatus.ERROR)
-    iterations = int(getattr(res, "nit", 0) or 0)
-    if status is SolveStatus.OPTIMAL:
-        return LPResult(
-            status,
-            x=np.asarray(res.x, dtype=float),
-            objective=float(res.fun),
-            iterations=iterations,
-        )
-    return LPResult(status, iterations=iterations)
+    return HighsSession(c, A_ub, b_ub, A_eq, b_eq, bounds).solve()

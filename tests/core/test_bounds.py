@@ -5,6 +5,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core import bounds as bounds_mod
 from repro.core.bounds import (
     interval_bounds,
     lp_tightened_bounds,
@@ -12,6 +13,9 @@ from repro.core.bounds import (
 )
 from repro.core.properties import InputRegion
 from repro.errors import EncodingError
+from repro.milp import revised_simplex
+from repro.milp.solution import LPResult
+from repro.milp.status import SolveStatus
 from repro.nn import FeedForwardNetwork
 
 
@@ -133,6 +137,110 @@ class TestLPTightenedBounds:
         )
         with pytest.raises(EncodingError):
             lp_tightened_bounds(net, unit_region(3))
+
+
+class _ColdRevisedSession:
+    """Stand-in for ``HighsSession``: every probe is a cold, from-scratch
+    revised-simplex solve of the same layer LP."""
+
+    def __init__(self, c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
+                 bounds=None):
+        self.lp = (A_ub, b_ub, A_eq, b_eq, bounds)
+
+    def solve(self, c=None, lb=None, ub=None):
+        return revised_simplex.solve_lp(c, *self.lp)
+
+
+def _with_random_constraints(region, rng, count=2):
+    """Add ``count`` linear input constraints ``a @ x <= rhs`` that keep
+    the box centre feasible."""
+    from repro.core.properties import LinearInputConstraint
+
+    for _ in range(count):
+        coeffs = rng.normal(size=region.dim)
+        rhs = float(rng.uniform(0.1, 0.5))
+        constraint = LinearInputConstraint({}, rhs=rhs)
+        constraint.as_indexed = (
+            lambda a=coeffs, r=rhs: ({i: float(v) for i, v in enumerate(a)}, r)
+        )
+        region.add_constraint(constraint)
+    return region
+
+
+class TestSessionTightening:
+    """The warm per-layer HiGHS session must give exactly the bounds of
+    independent per-neuron cold solves, and never tighten on a
+    non-optimal answer."""
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    @pytest.mark.parametrize("seed", range(4))
+    def test_matches_cold_revised_probes(self, seed, constrained, monkeypatch):
+        rng = np.random.default_rng(seed)
+        net = FeedForwardNetwork.mlp(4, [6, 6], 2, rng=rng)
+        region = unit_region(4)
+        if constrained:
+            _with_random_constraints(region, rng)
+        warm = lp_tightened_bounds(net, region)
+        monkeypatch.setattr(bounds_mod, "HighsSession", _ColdRevisedSession)
+        cold = lp_tightened_bounds(net, region)
+        for w, c in zip(warm, cold):
+            np.testing.assert_allclose(w.lower, c.lower, rtol=0, atol=1e-9)
+            np.testing.assert_allclose(w.upper, c.upper, rtol=0, atol=1e-9)
+
+    @staticmethod
+    def _failing_session(status, fail_max):
+        """A real session whose min probes (and, with ``fail_max``, max
+        probes) report ``status`` instead of their optimum.  The failed
+        result still carries a slightly-too-good objective, so a caller
+        that read it without checking the status would tighten."""
+
+        class Failing(bounds_mod.HighsSession):
+            calls = 0
+
+            def solve(self, c=None, lb=None, ub=None):
+                result = super().solve(c=c, lb=lb, ub=ub)
+                Failing.calls += 1
+                # Probes alternate min, max per neuron.
+                is_min = Failing.calls % 2 == 1
+                if not (is_min or fail_max):
+                    return result
+                return LPResult(status, objective=result.objective + 1e-3)
+
+        return Failing
+
+    @pytest.mark.parametrize(
+        "status", [SolveStatus.ERROR, SolveStatus.INFEASIBLE,
+                   SolveStatus.UNBOUNDED],
+    )
+    def test_non_optimal_probes_keep_seed_bounds(self, status, monkeypatch):
+        net = FeedForwardNetwork.mlp(4, [6, 6], 2, rng=np.random.default_rng(5))
+        region = unit_region(4)
+        seed = interval_bounds(net, region)
+        failing = self._failing_session(status, fail_max=True)
+        monkeypatch.setattr(bounds_mod, "HighsSession", failing)
+        tight = lp_tightened_bounds(net, region)
+        assert failing.calls > 0
+        for t, s in zip(tight, seed):
+            np.testing.assert_array_equal(t.lower, s.lower)
+            np.testing.assert_array_equal(t.upper, s.upper)
+
+    def test_failed_min_probes_still_tighten_upper(self, monkeypatch):
+        """Only the failed side keeps its seed; the hidden lower bounds
+        move by at most rounding, through the interval refresh."""
+        net = FeedForwardNetwork.mlp(4, [6, 6], 2, rng=np.random.default_rng(5))
+        region = unit_region(4)
+        seed = interval_bounds(net, region)
+        monkeypatch.setattr(
+            bounds_mod, "HighsSession",
+            self._failing_session(SolveStatus.ERROR, fail_max=False),
+        )
+        tight = lp_tightened_bounds(net, region)
+        for li in (0, 1):
+            np.testing.assert_allclose(
+                tight[li].lower, seed[li].lower, rtol=0, atol=1e-12
+            )
+            assert np.all(tight[li].upper <= seed[li].upper)
+        assert np.any(tight[1].upper < seed[1].upper - 1e-9)
 
 
 class TestBoundsCache:

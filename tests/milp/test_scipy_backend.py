@@ -1,11 +1,16 @@
-"""HiGHS backend wrapper tests: status mapping and bounds conversion."""
+"""HiGHS backend tests: status mapping, bounds conversion and the
+persistent session's warm re-solves."""
 
 import math
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
-from repro.milp.scipy_backend import solve_lp
+from repro.milp import revised_simplex
+from repro.milp.scipy_backend import HighsSession, solve_lp
 from repro.milp.status import SolveStatus
 
 
@@ -65,3 +70,144 @@ class TestBoundsConversion:
         )
         assert res.status is SolveStatus.OPTIMAL
         assert res.iterations >= 0
+
+
+def _session_lp(rng, n=6, m=5):
+    """A feasible seeded LP with one row that a box can make infeasible
+    and one column that a box can make unbounded.
+
+    Rows hold at the interior point ``x0``; the last column enters the
+    ``<=`` rows with nonpositive coefficients only, so with a negative
+    cost and no upper bound the LP is unbounded.  Row 0 caps
+    ``x[0] + x[1]`` just above ``x0``, so lifting both lower bounds past
+    it is infeasible.
+    """
+    x0 = rng.uniform(0.2, 0.8, n)
+    A_ub = rng.normal(size=(m, n))
+    A_ub[:, -1] = -np.abs(A_ub[:, -1])
+    A_ub[0] = 0.0
+    A_ub[0, :2] = 1.0
+    b_ub = A_ub @ x0 + rng.uniform(0.1, 0.5, m)
+    A_eq = np.zeros((1, n))
+    A_eq[0, 2:-1] = rng.normal(size=n - 3)
+    b_eq = A_eq @ x0
+    c = rng.normal(size=n)
+    lb = x0 - rng.uniform(0.2, 1.0, n)
+    ub = x0 + rng.uniform(0.2, 1.0, n)
+    return x0, c, A_ub, b_ub, A_eq, b_eq, lb, ub
+
+
+def _edit(rng, kind, x0, c, lb, ub):
+    """One session edit of the given kind: new (c, lb, ub)."""
+    n = len(c)
+    c, lb, ub = c.copy(), lb.copy(), ub.copy()
+    if kind == "cost":
+        c = rng.normal(size=n)
+    elif kind == "box":
+        lb = x0 - rng.uniform(-0.3, 1.0, n)
+        ub = np.maximum(lb, x0 + rng.uniform(-0.3, 1.0, n))
+    elif kind == "infeasible":
+        lb[:2] = 3.0
+        ub[:2] = np.maximum(ub[:2], 3.0)
+    elif kind == "crossed":
+        lb[0], ub[0] = 1.0, 0.0
+    elif kind == "unbounded":
+        c[-1] = -1.0
+        ub[-1] = math.inf
+    else:  # "restore": a box around x0 with finite bounds
+        lb = x0 - rng.uniform(0.2, 1.0, n)
+        ub = x0 + rng.uniform(0.2, 1.0, n)
+    return c, lb, ub
+
+
+class TestSession:
+    """A long-lived session must answer exactly like a fresh model."""
+
+    KINDS = ("cost", "box", "infeasible", "crossed", "unbounded", "restore")
+
+    def _run(self, seed, steps=60):
+        rng = np.random.default_rng(seed)
+        x0, c, A_ub, b_ub, A_eq, b_eq, lb, ub = _session_lp(rng)
+        session = HighsSession(c, A_ub, b_ub, A_eq, b_eq, list(zip(lb, ub)))
+        seen = []
+        for _ in range(steps):
+            kind = self.KINDS[int(rng.integers(len(self.KINDS)))]
+            c, lb, ub = _edit(rng, kind, x0, c, lb, ub)
+            # Edit only what changed, as the bound and node loops do.
+            warm = session.solve(c=c, lb=lb, ub=ub) if kind != "cost" \
+                else session.solve(c=c)
+            box = list(zip(lb, ub))
+            fresh = HighsSession(c, A_ub, b_ub, A_eq, b_eq, box).solve()
+            cold = revised_simplex.solve_lp(c, A_ub, b_ub, A_eq, b_eq, box)
+            assert warm.status is fresh.status is cold.status, kind
+            if warm.status is SolveStatus.OPTIMAL:
+                assert warm.objective == pytest.approx(fresh.objective, abs=1e-9)
+                assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
+                assert np.all(warm.x >= lb - 1e-9) and np.all(warm.x <= ub + 1e-9)
+            seen.append((kind, warm.status))
+        return seen
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_mixed_edits_match_fresh_and_cold(self, seed):
+        self._run(seed)
+
+    def test_edit_run_crosses_every_status(self):
+        """The edit mix really visits infeasible and unbounded LPs and
+        comes back to optimal from each."""
+        transitions = set()
+        for seed in range(8):
+            seen = self._run(seed)
+            for (_, before), (_, after) in zip(seen, seen[1:]):
+                transitions.add((before, after))
+        for status in (SolveStatus.INFEASIBLE, SolveStatus.UNBOUNDED):
+            assert (status, SolveStatus.OPTIMAL) in transitions
+            assert (SolveStatus.OPTIMAL, status) in transitions
+
+    def test_crossed_box_is_infeasible_until_uncrossed(self):
+        session = HighsSession(
+            np.array([1.0, 1.0]), bounds=[(0.0, 1.0), (0.0, 1.0)]
+        )
+        crossed = session.solve(lb=np.array([2.0, 0.0]), ub=np.array([1.0, 1.0]))
+        assert crossed.status is SolveStatus.INFEASIBLE
+        res = session.solve(c=np.array([-1.0, -1.0]))
+        assert res.status is SolveStatus.INFEASIBLE
+        res = session.solve(lb=np.array([0.0, 0.0]))
+        assert res.status is SolveStatus.OPTIMAL
+        assert res.objective == pytest.approx(-2.0)
+
+    def test_cost_only_edit_keeps_box(self):
+        session = HighsSession(np.array([1.0]), bounds=[(0.0, 5.0)])
+        session.solve(lb=np.array([2.0]), ub=np.array([3.0]))
+        res = session.solve(c=np.array([-1.0]))
+        assert res.objective == pytest.approx(-3.0)
+
+    def test_nan_data_rejected(self):
+        with pytest.raises(ValueError):
+            HighsSession(np.array([math.nan]), bounds=[(0.0, 1.0)])
+        with pytest.raises(ValueError):
+            HighsSession(np.array([1.0]), bounds=[(0.0, 1.0)]).solve(
+                c=np.array([math.nan])
+            )
+        with pytest.raises(ValueError):
+            HighsSession(
+                np.array([1.0]), A_ub=np.array([[math.nan]]),
+                b_ub=np.array([1.0]), bounds=[(0.0, 1.0)],
+            )
+
+
+def test_missing_bindings_name_the_scipy_floor():
+    """Without the compiled HiGHS bindings the import fails once, clearly."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "sys.modules['scipy.optimize._highspy._core'] = None; "
+        "import repro.milp.scipy_backend"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode != 0
+    assert "ImportError: repro needs SciPy >= 1.15" in proc.stderr

@@ -1,16 +1,16 @@
 """Ablation benches for the verifier's design choices (DESIGN.md Sec. 5).
 
-1. bound tightening: LP-tightened vs plain interval bounds — binary count
-   and end-to-end verification time;
-2. LP backend: from-scratch simplex vs HiGHS inside branch-and-bound —
-   identical answers, different cost;
-3. branching rule: most-fractional vs first-index vs random.
+1. bound tightening: LP-tightened vs symbolic vs plain interval bounds —
+   binary count and end-to-end verification time;
+2. LP backend: from-scratch revised simplex vs HiGHS inside
+   branch-and-bound — identical answers, different cost.
 """
 
 import numpy as np
 import pytest
 
 from repro import casestudy
+from repro.analysis.symbolic import symbolic_bounds
 from repro.core.bounds import interval_bounds, lp_tightened_bounds, total_ambiguous
 from repro.core.encoder import EncoderOptions
 from repro.core.properties import OutputObjective
@@ -40,29 +40,25 @@ class TestBoundTighteningAblation:
         assert tight <= loose
 
     def test_bound_engine_ordering(self, subject, emit):
-        """interval ⊒ crown ⊒ lp in ambiguous-neuron count."""
-        from repro.core.crown import crown_bounds
-
+        """interval ⊒ symbolic ⊒ lp in ambiguous-neuron count."""
         network, region = subject
         counts = {
             "interval": total_ambiguous(
                 interval_bounds(network, region), network
             ),
-            "crown": total_ambiguous(
-                crown_bounds(network, region), network
+            "symbolic": total_ambiguous(
+                symbolic_bounds(network, region), network
             ),
             "lp": total_ambiguous(
                 lp_tightened_bounds(network, region), network
             ),
         }
         emit(f"\nambiguous ReLUs by bound engine: {counts}")
-        assert counts["lp"] <= counts["crown"] <= counts["interval"]
+        assert counts["lp"] <= counts["symbolic"] <= counts["interval"]
 
-    def test_bench_crown_bound_pass(self, benchmark, subject):
-        from repro.core.crown import crown_bounds
-
+    def test_bench_symbolic_bound_pass(self, benchmark, subject):
         network, region = subject
-        bounds = benchmark(crown_bounds, network, region)
+        bounds = benchmark(symbolic_bounds, network, region)
         assert len(bounds) == len(network.layers)
 
     def test_same_answer_both_modes(self, subject, study):
@@ -109,7 +105,7 @@ class TestLPBackendAblation:
 
         def run_both():
             rows = []
-            for backend in ("highs", "simplex"):
+            for backend in ("highs", "revised"):
                 verifier = Verifier(
                     network,
                     EncoderOptions(bound_mode="lp"),
@@ -147,7 +143,7 @@ class TestLPBackendAblation:
         )
         rows = []
         values = {}
-        for backend in ("highs", "simplex"):
+        for backend in ("highs", "revised"):
             verifier = Verifier(
                 network,
                 EncoderOptions(bound_mode="lp"),
@@ -177,30 +173,6 @@ class TestLPBackendAblation:
         )
         if len(values) == 2:
             assert values["highs"] == pytest.approx(
-                values["simplex"], abs=1e-4
+                values["revised"], abs=1e-4
             )
 
-
-_BRANCHING_VALUES = {}
-
-
-class TestBranchingAblation:
-    @pytest.mark.parametrize(
-        "rule", ["most_fractional", "first", "random"]
-    )
-    def test_rules_agree(self, subject, study, rule):
-        network, region = subject
-        objective = OutputObjective.single(
-            mu_lat_indices(study.config.num_components)[0]
-        )
-        verifier = Verifier(
-            network,
-            EncoderOptions(bound_mode="lp"),
-            MILPOptions(time_limit=TIME_LIMIT, branching=rule),
-        )
-        result = verifier.maximize(region, objective)
-        assert result.verdict in (Verdict.MAX_FOUND, Verdict.TIMEOUT)
-        if result.verdict is Verdict.MAX_FOUND:
-            _BRANCHING_VALUES[rule] = result.value
-            reference = next(iter(_BRANCHING_VALUES.values()))
-            assert result.value == pytest.approx(reference, abs=1e-4)

@@ -1,15 +1,14 @@
 """Bench: warm-started node LPs vs cold re-solves on the Table II family.
 
-The branch-and-bound solver can run every node LP from scratch (the
-``simplex`` tableau backend) or reuse the parent node's basis through the
-bounded-variable revised simplex (``revised`` backend, dual-simplex
-reoptimisation).  Two claims are asserted:
+The bounded-variable revised simplex (``revised`` backend) can solve
+every node LP from scratch (``warm_start=False``) or reuse the parent
+node's basis (dual-simplex reoptimisation).  Both legs run with cuts off,
+so the comparison isolates warm starting.  Two claims are asserted:
 
 1. **Equivalence** — on every Table II network the warm-started search
    reaches the same verdict and the same maximum (within 1e-6) as the
-   cold reference backend when the reference completes; when the cold
-   tableau times out (it does on the widest network at laptop scale),
-   the warm result is checked against compiled HiGHS instead.
+   cold search when the cold search completes; when it times out, the
+   warm result is checked against compiled HiGHS instead.
 2. **Work reduction** — on the widest (deepest-tree) network's max query
    the warm-started search performs at most half the node-LP simplex
    iterations of the cold search (per node when the cold run was
@@ -44,7 +43,8 @@ def _run_query(study, network, backend, warm):
         network,
         EncoderOptions(bound_mode="lp"),
         MILPOptions(
-            time_limit=TIME_LIMIT, lp_backend=backend, warm_start=warm
+            time_limit=TIME_LIMIT, lp_backend=backend, warm_start=warm,
+            cuts=False,
         ),
     )
     return verifier.max_lateral_velocity(
@@ -54,11 +54,11 @@ def _run_query(study, network, backend, warm):
 
 @pytest.fixture(scope="module")
 def paired_results(study, family):
-    """HiGHS reference, cold simplex and warm revised runs, per width."""
+    """HiGHS reference, cold and warm revised runs, per width."""
     triples = {}
     for width in TABLE_II_WIDTHS:
         ref = _run_query(study, family[width], "highs", warm=False)
-        cold = _run_query(study, family[width], "simplex", warm=False)
+        cold = _run_query(study, family[width], "revised", warm=False)
         warm = _run_query(study, family[width], "revised", warm=True)
         triples[width] = (ref, cold, warm)
     return triples
@@ -75,8 +75,8 @@ class TestWarmStartEquivalence:
                     cold.value, abs=1e-6
                 ), f"I4x{width}"
             else:
-                # Cold tableau timed out; warm may finish (that is the
-                # point) but must then match compiled HiGHS.
+                # The cold search timed out; warm may finish (that is
+                # the point) but must then match compiled HiGHS.
                 assert warm.verdict in (
                     Verdict.MAX_FOUND, Verdict.TIMEOUT
                 ), f"I4x{width}"
@@ -112,7 +112,7 @@ class TestWarmStartReduction:
     ):
         """>=2x fewer node-LP iterations on the deepest network.
 
-        When the cold tableau run was truncated by its time limit the
+        When the cold run was truncated by its time limit the
         totals are not comparable (cold did *less* work than a full
         solve); the per-node average is compared instead.
         """
@@ -129,7 +129,7 @@ class TestWarmStartReduction:
             f"{warm.warm_start_hit_rate:.0%}, "
             f"{'timed out' if warm.timed_out else 'completed'})"
         )
-        for label, res in (("cold_simplex", cold), ("warm_revised", warm)):
+        for label, res in (("cold_revised", cold), ("warm_revised", warm)):
             bench_record(
                 "milp", f"I4x{width}_{label}",
                 wall_time=res.wall_time,
@@ -187,12 +187,13 @@ class TestKnapsackReduction:
         for seed in range(3):
             cold = solve_milp(
                 _deep_knapsack(16, seed),
-                MILPOptions(lp_backend="simplex", presolve=False),
+                MILPOptions(lp_backend="revised", warm_start=False,
+                            presolve=False, cuts=False),
             )
             warm = solve_milp(
                 _deep_knapsack(16, seed),
                 MILPOptions(lp_backend="revised", warm_start=True,
-                            presolve=False),
+                            presolve=False, cuts=False),
             )
             assert cold.status is SolveStatus.OPTIMAL
             assert warm.status is SolveStatus.OPTIMAL
@@ -208,7 +209,7 @@ class TestKnapsackReduction:
             f"{warm_total} ({cold_total / max(warm_total, 1):.1f}x)"
         )
         bench_record(
-            "milp", "knapsack16_x3_cold_simplex",
+            "milp", "knapsack16_x3_cold_revised",
             wall_time=cold_wall, lp_iterations=cold_total,
             warm_start_hit_rate=0.0,
         )

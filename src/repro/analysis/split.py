@@ -115,7 +115,7 @@ def input_sensitivity(
             network, slopes, post_boxes, (input_lo, input_hi),
             seed.copy(), seed_bias.copy(), seed.copy(), seed_bias.copy(),
             start=len(network.layers) - 2,
-            lower_slope_fn=area, upper_slope_fn=area, anytime=True,
+            lower_slope_fn=area, upper_slope_fn=area,
         )
     return np.maximum(np.abs(lo_coef), np.abs(up_coef)).max(axis=0)
 

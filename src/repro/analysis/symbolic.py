@@ -1,7 +1,7 @@
 """Optimised symbolic bound propagation for ReLU networks.
 
 One backward linear-relaxation engine with pluggable lower-slope
-policies serves three bound modes:
+policies serves two bound modes:
 
 * ``symbolic_bounds`` — DeepPoly-style anytime back-substitution
   (Singh et al.; cf. Wang et al., "Efficient Formal Safety Analysis of
@@ -23,10 +23,6 @@ policies serves three bound modes:
   no autodiff framework involved), every iterate is itself a sound
   bound, and the result is intersected with the fixed-policy bounds so
   it **provably dominates** ``symbolic_bounds`` elementwise.
-
-* ``crown_bounds`` — the historical CROWN variant (area policy, one
-  concretisation at the input box, intersected with running interval
-  bounds), kept bit-for-bit compatible for ``bound_mode="crown"``.
 
 Relaxation slopes are computed once per layer and shared across every
 target layer, policy and gradient iteration via :class:`_SlopeCache`,
@@ -70,7 +66,6 @@ __all__ = [
     "alpha_bounds",
     "alpha_objective_bounds",
     "alpha_objective_bounds_batch",
-    "crown_bounds",
     "symbolic_bounds",
     "symbolic_objective_bounds",
     "symbolic_objective_bounds_batch",
@@ -270,7 +265,6 @@ def _run_backward(
     start: int,
     lower_slope_fn: _SlopeFn,
     upper_slope_fn: _SlopeFn,
-    anytime: bool = True,
     record: Optional[Dict[int, Tuple[np.ndarray, np.ndarray]]] = None,
 ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
            np.ndarray]:
@@ -286,22 +280,18 @@ def _run_backward(
     lets one code path serve the fixed policies, the stacked-policy
     batch and the per-row optimised alphas.
 
-    With ``anytime`` the forms are concretised at every stop (the first
-    equals interval propagation) and the elementwise best is returned;
-    otherwise only the input-box stop is evaluated (CROWN behaviour).
-    ``record`` captures the pre-relaxation coefficient matrices per
-    ReLU layer for the closed-form gradient sweep.
+    The forms are concretised at every stop (the first equals interval
+    propagation) and the elementwise best is returned.  ``record``
+    captures the pre-relaxation coefficient matrices per ReLU layer for
+    the closed-form gradient sweep.
 
     Returns ``(best_lo, best_hi, lower_coef, lower_bias, upper_coef,
     upper_bias)`` with the coefficients fully substituted to the input.
     """
     input_lo, input_hi = input_box
-    best_lo: Optional[np.ndarray] = None
-    best_hi: Optional[np.ndarray] = None
-    if anytime:
-        box_lo, box_hi = post_boxes[start]
-        best_hi = _concretize_hi(upper_coef, upper_bias, box_lo, box_hi)
-        best_lo = _concretize_lo(lower_coef, lower_bias, box_lo, box_hi)
+    box_lo, box_hi = post_boxes[start]
+    best_hi = _concretize_hi(upper_coef, upper_bias, box_lo, box_hi)
+    best_lo = _concretize_lo(lower_coef, lower_bias, box_lo, box_hi)
 
     for k in range(start, -1, -1):
         layer_k = network.layers[k]
@@ -333,16 +323,13 @@ def _run_backward(
         lower_coef = lower_coef @ wk.T
 
         if k > 0:
-            if not anytime:
-                continue
             box_lo, box_hi = post_boxes[k - 1]
         else:
             box_lo, box_hi = input_lo, input_hi
         hi_k = _concretize_hi(upper_coef, upper_bias, box_lo, box_hi)
         lo_k = _concretize_lo(lower_coef, lower_bias, box_lo, box_hi)
-        best_hi = hi_k if best_hi is None else np.minimum(best_hi, hi_k)
-        best_lo = lo_k if best_lo is None else np.maximum(best_lo, lo_k)
-    assert best_lo is not None and best_hi is not None
+        best_hi = np.minimum(best_hi, hi_k)
+        best_lo = np.maximum(best_lo, lo_k)
     return best_lo, best_hi, lower_coef, lower_bias, upper_coef, upper_bias
 
 
@@ -396,7 +383,7 @@ def _policy_backsubstitute(
     lo_all, hi_all, _, _, _, _ = _run_backward(
         network, slopes, post_boxes, input_box,
         stacked_coef, stacked_bias, stacked_coef.copy(),
-        stacked_bias.copy(), start, slope_fn, slope_fn, anytime=True,
+        stacked_bias.copy(), start, slope_fn, slope_fn,
     )
     per_lo = lo_all.reshape(p, m)
     per_hi = hi_all.reshape(p, m)
@@ -549,7 +536,7 @@ def _alpha_refine(
             network, slopes, post_boxes, input_box,
             coef.copy(), bias.copy(), coef.copy(), bias.copy(), start,
             lambda k: alpha_lo[k], lambda k: alpha_up[k],
-            anytime=True, record=record,
+            record=record,
         )
         np.maximum(best_lo, lo_t, out=best_lo)
         np.minimum(best_hi, hi_t, out=best_hi)
@@ -578,7 +565,7 @@ def _alpha_refine(
     lo_t, hi_t, _, _, _, _ = _run_backward(
         network, slopes, post_boxes, input_box,
         coef.copy(), bias.copy(), coef.copy(), bias.copy(), start,
-        lambda k: alpha_lo[k], lambda k: alpha_up[k], anytime=True,
+        lambda k: alpha_lo[k], lambda k: alpha_up[k],
     )
     np.maximum(best_lo, lo_t, out=best_lo)
     np.minimum(best_hi, hi_t, out=best_hi)
@@ -824,68 +811,3 @@ def alpha_objective_bounds(
         stats=stats,
     )
     return float(lo[0]), float(hi[0])
-
-
-def crown_bounds(
-    network: FeedForwardNetwork, region: InputRegion
-) -> List[LayerBounds]:
-    """Pre-activation bounds via CROWN-style backward propagation.
-
-    The historical third engine between interval arithmetic and
-    per-neuron LPs (Zhang et al.'s CROWN recipe, specialised to dense
-    ReLU networks): the area-adaptive lower slope, one concretisation
-    at the input box, intersected with plain interval bounds so the
-    result is never worse than interval propagation.  Only the box part
-    of the region is used (its linear constraints are ignored, which is
-    sound).  Kept bit-for-bit compatible with the former
-    ``repro.core.crown`` implementation; new code should prefer
-    :func:`symbolic_bounds` or :func:`alpha_bounds`, which dominate it.
-    """
-    for layer in network.layers[:-1]:
-        if layer.activation != "relu":
-            raise EncodingError(
-                "CROWN bounds support ReLU hidden layers only "
-                f"(got {layer.activation!r})"
-            )
-    if region.dim != network.input_dim:
-        raise EncodingError(
-            f"region dim {region.dim} != network input {network.input_dim}"
-        )
-    input_lo = region.bounds[:, 0].copy()
-    input_hi = region.bounds[:, 1].copy()
-
-    computed: List[LayerBounds] = []
-    slopes = _SlopeCache(computed)
-    no_boxes: List[Tuple[np.ndarray, np.ndarray]] = []
-    lo_post = input_lo
-    hi_post = input_hi
-    for index, layer in enumerate(network.layers):
-        # Interval estimate from the running post-activation box.
-        int_lo, int_hi = _interval_affine(
-            lo_post, hi_post, layer.weights, layer.bias
-        )
-        if index == 0:
-            lo, hi = int_lo, int_hi
-        else:
-            def area(k: int) -> np.ndarray:
-                return slopes.lower(k, "area")
-
-            back_lo, back_hi, _, _, _, _ = _run_backward(
-                network, slopes, no_boxes, (input_lo, input_hi),
-                layer.weights.T.copy(), layer.bias.copy(),
-                layer.weights.T.copy(), layer.bias.copy(),
-                start=index - 1, lower_slope_fn=area,
-                upper_slope_fn=area, anytime=False,
-            )
-            lo = np.maximum(int_lo, back_lo)
-            hi = np.minimum(int_hi, back_hi)
-            crossed = lo > hi  # numerical safety
-            lo[crossed] = int_lo[crossed]
-            hi[crossed] = int_hi[crossed]
-        computed.append(LayerBounds(lo, hi))
-        if layer.activation == "relu":
-            lo_post = np.maximum(lo, 0.0)
-            hi_post = np.maximum(hi, 0.0)
-        else:
-            lo_post, hi_post = lo, hi
-    return computed

@@ -35,6 +35,7 @@ from typing import List, Optional
 
 from repro import casestudy
 from repro.core.certification import render_table_i
+from repro.core.encoder import BOUND_MODES
 from repro.data.dataset import DrivingDataset
 from repro.data.provenance import ProvenanceLog
 from repro.data.sanitize import sanitize
@@ -47,6 +48,7 @@ from repro.highway import (
     generate_expert_dataset,
     overtaking_scene,
 )
+from repro.milp.branch_and_bound import LP_BACKENDS
 from repro.nn.mdn import mixture_from_raw
 from repro.nn.serialization import load_network, save_network
 from repro.nn.training import TrainingConfig
@@ -59,13 +61,13 @@ logger = get_logger("cli")
 def _add_solver_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--lp-backend", default="highs",
-        choices=("highs", "simplex", "revised"),
+        choices=LP_BACKENDS,
         help="LP engine for node relaxations (cuts need 'revised')",
     )
     parser.add_argument(
         "--cuts", dest="cuts", action="store_true", default=None,
         help="force the cutting-plane loop on (default: automatic, on "
-        "for tableau-exposing backends)",
+        "for the 'revised' backend)",
     )
     parser.add_argument(
         "--no-cuts", dest="cuts", action="store_false",
@@ -204,7 +206,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     verify.add_argument(
         "--bound-mode", default="lp",
-        choices=("interval", "crown", "symbolic", "alpha", "lp"),
+        choices=BOUND_MODES,
     )
     verify.add_argument(
         "--alpha-iters", type=int, default=None, metavar="N",
@@ -243,7 +245,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     campaign.add_argument(
         "--bound-mode", default="lp",
-        choices=("interval", "crown", "symbolic", "alpha", "lp"),
+        choices=BOUND_MODES,
     )
     campaign.add_argument(
         "--alpha-iters", type=int, default=None, metavar="N",
@@ -290,7 +292,7 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     serve.add_argument(
         "--bound-mode", default="lp",
-        choices=("interval", "crown", "symbolic", "alpha", "lp"),
+        choices=BOUND_MODES,
     )
     serve.add_argument(
         "--alpha-iters", type=int, default=None, metavar="N",
@@ -319,7 +321,7 @@ def _build_parser() -> argparse.ArgumentParser:
     audit.add_argument("--components", type=int, default=2)
     audit.add_argument(
         "--bound-mode", default="symbolic",
-        choices=("interval", "crown", "symbolic", "alpha", "lp"),
+        choices=BOUND_MODES,
         help="bound engine for the audited encoding (encoding audits "
         "check big-M rows against these certified bounds)",
     )

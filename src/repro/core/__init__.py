@@ -38,7 +38,6 @@ from repro.core.certification import (
     render_table_i,
     table_i_rows,
 )
-from repro.core.crown import crown_bounds
 from repro.core.coverage import (
     CoverageReport,
     MCDCCensus,
@@ -139,7 +138,6 @@ __all__ = [
     "component_lateral_objectives",
     "compute_bounds",
     "coverage_argument_table",
-    "crown_bounds",
     "deconvnet",
     "encode_network",
     "encode_quantized",

@@ -43,19 +43,21 @@ from repro.tolerances import BOUND_MARGIN, SPLIT_MIN_WIDTH
 #: a good fit for the pool's default worker count.
 DEFAULT_SPLIT_DEPTH = 4
 
+#: Every accepted ``EncoderOptions.bound_mode``, loosest to tightest.
+BOUND_MODES = ("interval", "symbolic", "alpha", "lp")
+
 
 @dataclasses.dataclass
 class EncoderOptions:
     """Encoding tunables."""
 
-    #: "interval" (cheap), "crown" (backward linear relaxation — tighter
-    #: than interval at a fraction of the LP cost), "symbolic" (DeepPoly
-    #: back-substitution with anytime concretisation, provably no looser
-    #: than interval), "alpha" (symbolic with per-(row, neuron) lower
-    #: slopes refined by projected gradient ascent — provably dominates
-    #: symbolic) or "lp" (tightest; per-neuron LPs seeded from symbolic
-    #: bounds — interval → symbolic → LP; recommended, the paper-scale
-    #: instances are intractable without it).
+    #: "interval" (cheap), "symbolic" (DeepPoly back-substitution with
+    #: anytime concretisation, provably no looser than interval), "alpha"
+    #: (symbolic with per-(row, neuron) lower slopes refined by projected
+    #: gradient ascent — provably dominates symbolic) or "lp" (tightest;
+    #: per-neuron LPs seeded from symbolic bounds — interval → symbolic →
+    #: LP; recommended, the paper-scale instances are intractable without
+    #: it).  :data:`BOUND_MODES` lists them.
     bound_mode: str = "lp"
     #: Extra slack added to every big-M bound for numerical safety.
     bound_margin: float = BOUND_MARGIN
@@ -129,10 +131,6 @@ def compute_bounds(
     ) as span:
         if options.bound_mode == "interval":
             bounds = interval_bounds(network, region)
-        elif options.bound_mode == "crown":
-            from repro.core.crown import crown_bounds
-
-            bounds = crown_bounds(network, region)
         elif options.bound_mode == "symbolic":
             from repro.analysis.symbolic import symbolic_bounds
 
@@ -157,8 +155,8 @@ def compute_bounds(
             )
         else:
             raise EncodingError(
-                f"unknown bound_mode {options.bound_mode!r} (expected "
-                "'interval', 'crown', 'symbolic', 'alpha' or 'lp')"
+                f"unknown bound_mode {options.bound_mode!r} "
+                f"(expected one of {BOUND_MODES})"
             )
         span.set(binaries_needed=total_ambiguous(bounds, network))
         return bounds

@@ -6,18 +6,18 @@ solver stack for that encoding:
 
 * :mod:`repro.milp.expr` / :mod:`repro.milp.model` — algebraic modelling
   layer (variables, linear expressions, constraints, objective);
-* :mod:`repro.milp.simplex` — two-phase dense tableau simplex, written from
-  scratch (the cold-start reference path);
-* :mod:`repro.milp.revised_simplex` — bounded-variable revised simplex with
-  dual-simplex warm starting from a caller-supplied basis;
+* :mod:`repro.milp.revised_simplex` — bounded-variable revised simplex,
+  written from scratch, with dual-simplex warm starting from a
+  caller-supplied basis (the certified path);
 * :mod:`repro.milp.scipy_backend` — HiGHS LP backend with the same contract,
-  plus a persistent session that re-solves one LP warm after edits;
+  plus a persistent session that re-solves one LP warm after edits (the
+  default path and the cross-check oracle);
 * :mod:`repro.milp.presolve` — bound propagation;
 * :mod:`repro.milp.cuts` — Gomory mixed-integer and ReLU triangle cut
   separation with a managed (deduplicated, scored, aged) cut pool;
 * :mod:`repro.milp.branch_and_bound` — best-first/plunging MILP search with
-  pseudocost branching, basis-reuse warm starts, cutting planes, rounding
-  heuristics, node/time budgets and proven dual bounds.
+  pseudocost branching, basis-reuse warm starts, root cutting planes, a
+  rounding heuristic, node/time budgets and proven dual bounds.
 """
 
 from repro.milp.branch_and_bound import MILPOptions, solve_milp

@@ -9,9 +9,10 @@ reoptimisation speed:
   :class:`~repro.milp.revised_simplex.Basis` and the child LP is solved by
   **dual-simplex reoptimisation** after the single bound change, falling
   back to a cold solve only when the warm start is rejected;
-* **pseudocost branching** (the default) learns per-column objective
-  degradations from every solved child and steers branching toward
-  columns that move the bound; the classic rules remain selectable;
+* **pseudocost branching** learns per-column objective degradations
+  from every solved child and steers branching toward columns that move
+  the bound, falling back to the most fractional column until the first
+  child has been solved;
 * node selection is a **best-first/plunging hybrid**: after branching the
   search dives on the most promising child to find incumbents early,
   returning to the global best-bound node when a dive is pruned;
@@ -21,8 +22,9 @@ reoptimisation speed:
 
 Wall-clock and node budgets make ``time-out`` a first-class answer,
 matching the paper's Table II where the widest network exhausts its
-budget.  Warm-start telemetry (attempts, hits, rejections, estimated
-iterations saved) is recorded in a
+budget.  A node LP that fails numerically ends the search as ``error``:
+it is never pruned as if it were infeasible.  Warm-start telemetry
+(attempts, hits, rejections, estimated iterations saved) is recorded in a
 :class:`repro.obs.metrics.MetricsRegistry` and snapshotted onto every
 :class:`MILPResult`; with a :class:`repro.obs.Tracer` attached the
 search additionally emits one ``node`` event per processed node (depth,
@@ -38,7 +40,7 @@ import heapq
 import itertools
 import math
 import time
-from typing import Callable, List, Optional, Tuple
+from typing import List, Optional, Tuple
 
 import numpy as np
 
@@ -47,21 +49,13 @@ from repro.milp.model import Model
 from repro.tolerances import GAP_TOL, INTEGRALITY_TOL
 from repro.milp import cuts as cuts_mod
 from repro.milp import presolve as presolve_mod
-from repro.milp import revised_simplex, scipy_backend, simplex
+from repro.milp import revised_simplex, scipy_backend
 from repro.milp.solution import LPResult, MILPResult
 from repro.milp.status import SolveStatus
 from repro.obs.metrics import MetricsRegistry
 
-LPBackend = Callable[..., LPResult]
-
-_BACKENDS = {
-    "highs": scipy_backend.solve_lp,
-    "simplex": simplex.solve_lp,
-    "revised": revised_simplex.solve_lp,
-}
-
-#: Backends whose node LPs can restart from a parent basis.
-_WARM_BACKENDS = frozenset({"revised"})
+#: Every accepted ``MILPOptions.lp_backend``.
+LP_BACKENDS = ("highs", "revised")
 
 
 @dataclasses.dataclass
@@ -70,44 +64,30 @@ class MILPOptions:
 
     Attributes:
         lp_backend: ``"highs"`` (SciPy's compiled HiGHS, one persistent
-            model per search re-solved warm at each node), ``"simplex"``
-            (cold two-phase tableau) or ``"revised"`` (bounded-variable
-            revised simplex with basis-reuse warm starts).
+            model per search re-solved warm at each node) or
+            ``"revised"`` (bounded-variable revised simplex with
+            basis-reuse warm starts).
         time_limit: Wall-clock budget in seconds.
         node_limit: Maximum branch-and-bound nodes to process.
-        int_tol: Integrality tolerance.
-        gap_tol: Absolute bound-vs-incumbent gap at which to stop.
-        branching: ``"pseudocost"`` (default), ``"most_fractional"``,
-            ``"first"`` or ``"random"``.
-        node_selection: ``"hybrid"`` (best-first with plunging dives,
-            default) or ``"best_first"`` (pure best-bound order).
         warm_start: Reuse the parent basis at child nodes (only effective
             with a warm-capable backend; see ``lp_backend``).
         rc_fixing: Reduced-cost bound fixing at the root once an
             incumbent exists (needs root reduced costs, i.e. the
             ``"revised"`` backend).
         presolve: Run bound propagation before the search.
-        rounding_heuristic: Try rounding each node's LP point into an
-            incumbent.
         cuts: Cutting planes (Gomory mixed-integer + ReLU triangle /
             implied-bound rows from a managed pool).  ``None`` (the
             default) enables them automatically for the warm-capable
             ``"revised"`` backend; ``True`` with any other backend is an
             error because separation reads the revised-simplex tableau.
-        cut_rounds: Maximum root separation rounds.
+        cut_rounds: Maximum root separation rounds (cuts are separated
+            at the root only).
         cut_min_binaries: Adaptive activation threshold: skip cut
             separation entirely when the model has fewer binaries than
             this (the search tree is small enough that separation
             overhead outweighs the node savings).  Applies even with an
             explicit ``cuts=True``; ``0`` disables the threshold.
             Skipped solves report ``cuts_skipped_adaptive`` in metrics.
-        max_cuts_per_round: Cap on rows added per separation round.
-        cut_node_depth: Also separate one round at tree nodes up to this
-            depth (0 = root only).
-        cut_pool_size: Cut-pool capacity (dedup index size).
-        cut_age_limit: Separation rounds an active cut may stay slack
-            before the root loop evicts it.
-        seed: RNG seed for the ``"random"`` branching rule.
         record_proof: Record a leaf-cover infeasibility proof on the
             result (:attr:`repro.milp.solution.MILPResult.proof`): per
             pruned leaf, the fixed integer columns and the LP
@@ -123,27 +103,13 @@ class MILPOptions:
     lp_backend: str = "highs"
     time_limit: float = math.inf
     node_limit: int = 200000
-    int_tol: float = INTEGRALITY_TOL
-    gap_tol: float = GAP_TOL
-    branching: str = "pseudocost"
-    node_selection: str = "hybrid"
     warm_start: bool = True
     rc_fixing: bool = True
     presolve: bool = True
-    rounding_heuristic: bool = True
     cuts: Optional[bool] = None
     cut_min_binaries: int = 16
     cut_rounds: int = 6
-    max_cuts_per_round: int = 8
-    cut_node_depth: int = 0
-    cut_pool_size: int = 500
-    cut_age_limit: int = 8
-    seed: int = 0
     record_proof: bool = False
-
-
-_BRANCH_RULES = ("pseudocost", "most_fractional", "first", "random")
-_NODE_SELECTIONS = ("hybrid", "best_first")
 
 
 @dataclasses.dataclass(order=True)
@@ -214,26 +180,18 @@ class _Pseudocosts:
 
 
 def _pick_branch_var(
-    fractional: List[Tuple[int, float]],
-    rule: str,
-    rng: np.random.Generator,
-    pseudocosts: Optional[_Pseudocosts] = None,
+    fractional: List[Tuple[int, float]], pseudocosts: _Pseudocosts
 ) -> int:
     """Choose the column to branch on among fractional integer columns."""
-    if rule == "first":
-        return fractional[0][0]
-    if rule == "random":
-        return fractional[int(rng.integers(len(fractional)))][0]
-    if rule == "pseudocost" and pseudocosts is not None \
-            and pseudocosts.initialised():
+    if pseudocosts.initialised():
         return max(
             fractional,
             key=lambda item: pseudocosts.score(
                 item[0], item[1] - math.floor(item[1])
             ),
         )[0]
-    # most_fractional (also the pseudocost rule's cold-start fallback):
-    # largest distance to the nearest integer.
+    # Cold start: the most fractional column (largest distance to the
+    # nearest integer).
     return max(
         fractional,
         key=lambda item: min(item[1] - math.floor(item[1]),
@@ -262,18 +220,14 @@ class _Search:
         self.int_idx = np.array(work.integer_indices, dtype=int)
         self.root_lb = np.array([b[0] for b in bounds])
         self.root_ub = np.array([b[1] for b in bounds])
-        self.rng = np.random.default_rng(options.seed)
-        self.lp_solve = _BACKENDS[options.lp_backend]
-        self.warm = (
-            options.warm_start
-            and options.lp_backend in _WARM_BACKENDS
-        )
+        revised = options.lp_backend == "revised"
+        self.warm = options.warm_start and revised
         self.std: Optional[revised_simplex.StandardLP] = (
             revised_simplex.standardize(
                 self.c, self.A_ub, self.b_ub, self.A_eq, self.b_eq,
                 bounds,
             )
-            if options.lp_backend in _WARM_BACKENDS
+            if revised
             else None
         )
         #: The ``"highs"`` backend keeps one compiled model for the whole
@@ -303,9 +257,7 @@ class _Search:
         # -- cutting planes -------------------------------------------------
         self.relu_neurons = list(relu_neurons or [])
         cuts_requested = (
-            options.cuts
-            if options.cuts is not None
-            else options.lp_backend in _WARM_BACKENDS
+            options.cuts if options.cuts is not None else revised
         )
         # Adaptive activation: below the binary-count threshold the
         # enumeration tree is small enough that separation overhead
@@ -316,7 +268,7 @@ class _Search:
             and 0 < self.int_idx.size < options.cut_min_binaries
         )
         self.pool: Optional[cuts_mod.CutPool] = (
-            cuts_mod.CutPool(options.cut_pool_size, options.cut_age_limit)
+            cuts_mod.CutPool()
             if cuts_requested and not adaptive_skip
             and self.std is not None and self.int_idx.size
             else None
@@ -389,12 +341,7 @@ class _Search:
             self.last_warm = "cold" if self.warm else "off"
         if self.std is not None:
             return revised_simplex.cold_solve(self.std, node.lb, node.ub)
-        if self.session is not None:
-            return self.session.solve(lb=node.lb, ub=node.ub)
-        return self.lp_solve(
-            self.c, self.A_ub, self.b_ub, self.A_eq, self.b_eq,
-            bounds=list(zip(node.lb, node.ub)),
-        )
+        return self.session.solve(lb=node.lb, ub=node.ub)
 
     def _try_incumbent(self, x: np.ndarray) -> None:
         obj = float(self.c @ x)
@@ -409,7 +356,7 @@ class _Search:
                 )
 
     def _rounding_candidates(self, x: np.ndarray) -> None:
-        if not self.options.rounding_heuristic or self.int_idx.size == 0:
+        if self.int_idx.size == 0:
             return
         rounded = x.copy()
         rounded[self.int_idx] = np.round(rounded[self.int_idx])
@@ -430,7 +377,7 @@ class _Search:
             or not math.isfinite(self.incumbent_obj)
         ):
             return 0
-        slack = self.incumbent_obj - self.options.gap_tol - root.objective
+        slack = self.incumbent_obj - GAP_TOL - root.objective
         if slack < 0.0:
             return 0
         d = root.reduced_costs
@@ -445,14 +392,14 @@ class _Search:
             if d[j] > 1e-9 and abs(x[j] - self.root_lb[j]) <= 1e-7:
                 limit = self.root_lb[j] + slack / d[j]
                 if is_int[j]:
-                    limit = math.floor(limit + self.options.int_tol)
+                    limit = math.floor(limit + INTEGRALITY_TOL)
                 if limit < self.root_ub[j] - 1e-9:
                     self.root_ub[j] = max(limit, self.root_lb[j])
                     fixes += 1
             elif d[j] < -1e-9 and abs(x[j] - self.root_ub[j]) <= 1e-7:
                 limit = self.root_ub[j] + slack / d[j]
                 if is_int[j]:
-                    limit = math.ceil(limit - self.options.int_tol)
+                    limit = math.ceil(limit - INTEGRALITY_TOL)
                 if limit > self.root_lb[j] + 1e-9:
                     self.root_lb[j] = min(limit, self.root_ub[j])
                     fixes += 1
@@ -508,34 +455,30 @@ class _Search:
 
     def _fractional(self, x: np.ndarray) -> List[Tuple[int, float]]:
         """Integer columns whose LP value is fractional at ``x``."""
-        tol = self.options.int_tol
         return [
             (int(j), float(x[j]))
             for j in self.int_idx
-            if abs(x[j] - round(x[j])) > tol
+            if abs(x[j] - round(x[j])) > INTEGRALITY_TOL
         ]
 
     # -- cutting planes ----------------------------------------------------
-    def _separate_cuts(
-        self, result: LPResult,
-        lb: Optional[np.ndarray], ub: Optional[np.ndarray],
-    ) -> int:
-        """Offer fresh Gomory + ReLU cuts at ``result`` to the pool."""
+    def _separate_cuts(self, result: LPResult) -> int:
+        """Offer fresh Gomory + ReLU cuts at root ``result`` to the pool."""
         t0 = time.perf_counter()
         found: List[cuts_mod.Cut] = []
         if result.basis is not None:
             view = revised_simplex.tableau_view(
-                self.std, result.basis, lb, ub
+                self.std, result.basis, self.root_lb, self.root_ub
             )
             if view is not None:
                 found.extend(cuts_mod.separate_gomory(
                     view, self.int_idx, self.cut_lb, self.cut_ub,
-                    max_cuts=self.options.max_cuts_per_round,
+                    max_cuts=cuts_mod.MAX_CUTS_PER_ROUND,
                 ))
         if self.relu_neurons:
             found.extend(cuts_mod.separate_relu(
                 self.relu_neurons, result.x, self.cut_lb, self.cut_ub,
-                max_cuts=self.options.max_cuts_per_round,
+                max_cuts=cuts_mod.MAX_CUTS_PER_ROUND,
             ))
         offered = sum(1 for cut in found if self.pool.offer(cut))
         self.cut_sep_time_c.inc(time.perf_counter() - t0)
@@ -555,10 +498,8 @@ class _Search:
             else:
                 self.relu_cuts_c.inc()
 
-    def _resolve_after_cuts(
-        self, basis, lb: np.ndarray, ub: np.ndarray
-    ) -> LPResult:
-        """Re-optimise the grown LP from an extended pre-cut basis.
+    def _resolve_after_cuts(self, basis) -> LPResult:
+        """Re-optimise the grown root LP from an extended pre-cut basis.
 
         The widened basis (new slacks basic) stays dual feasible, so the
         dual simplex usually restores primal feasibility in a few
@@ -572,11 +513,13 @@ class _Search:
                 ext = None
             if ext is not None:
                 result = revised_simplex.reoptimize(
-                    self.std, ext, lb, ub,
+                    self.std, ext, self.root_lb, self.root_ub,
                     max_iter=max(2000, 4 * self.root_cold_iterations),
                 )
         if result is None:
-            result = revised_simplex.cold_solve(self.std, lb, ub)
+            result = revised_simplex.cold_solve(
+                self.std, self.root_lb, self.root_ub
+            )
         return result
 
     def _cut_event(self, rnd: int, added: List[cuts_mod.Cut],
@@ -597,9 +540,8 @@ class _Search:
     def _run_cut_rounds(self, root: LPResult) -> LPResult:
         """Root cutting-plane loop; returns the final root relaxation.
 
-        Eviction (and the LP rebuild it forces) happens only here, while
-        no child basis exists yet; mid-search separation is append-only
-        so every outstanding basis stays lazily extendable.
+        Eviction (and the LP rebuild it forces) is safe here because no
+        child basis exists yet.
         """
         options = self.options
         best = root
@@ -608,14 +550,12 @@ class _Search:
             if self._timed_out() or not self._fractional(best.x):
                 break
             sep_before = self.cut_sep_time_c.value
-            self._separate_cuts(best, self.root_lb, self.root_ub)
-            chosen = self.pool.select(best.x, options.max_cuts_per_round)
+            self._separate_cuts(best)
+            chosen = self.pool.select(best.x, cuts_mod.MAX_CUTS_PER_ROUND)
             if not chosen:
                 break
             self._apply_cuts(chosen)
-            result = self._resolve_after_cuts(
-                best.basis, self.root_lb, self.root_ub
-            )
+            result = self._resolve_after_cuts(best.basis)
             self.lp_iterations += result.iterations
             self.cut_rounds_c.inc()
             if result.status is SolveStatus.INFEASIBLE:
@@ -674,34 +614,6 @@ class _Search:
             return best  # stale basis; _node_lp cold-falls-back safely
         return result
 
-    def _node_cut_round(
-        self, node: _Node, result: LPResult
-    ) -> Optional[LPResult]:
-        """One append-only separation round at a shallow tree node.
-
-        Returns the (possibly tightened) node relaxation, or ``None``
-        when the cut LP proves the node integer-infeasible.
-        """
-        sep_before = self.cut_sep_time_c.value
-        self._separate_cuts(result, node.lb, node.ub)
-        chosen = self.pool.select(result.x, self.options.max_cuts_per_round)
-        if not chosen:
-            return result
-        self._apply_cuts(chosen)
-        new = self._resolve_after_cuts(result.basis, node.lb, node.ub)
-        self.lp_iterations += new.iterations
-        self.cut_rounds_c.inc()
-        if new.status is SolveStatus.INFEASIBLE:
-            return None
-        if new.status is not SolveStatus.OPTIMAL:
-            return result  # keep the valid pre-cut relaxation
-        self._cut_event(
-            node.depth, chosen, 0,
-            self.cut_sep_time_c.value - sep_before,
-            float(new.objective),
-        )
-        return new
-
     def _push_children(self, node: _Node, result: LPResult, j: int) -> None:
         """Branch on column ``j``; dive on the more promising child."""
         xj = float(result.x[j])
@@ -732,11 +644,7 @@ class _Search:
             self.proof_incomplete = True
         if not children:
             return
-        if self.options.node_selection == "best_first":
-            for child in children:
-                heapq.heappush(self.heap, child)
-            return
-        # Hybrid: dive on the child the LP point leans toward (the
+        # Dive on the child the LP point leans toward (the
         # rounding direction) — it is the cheapest route to an incumbent.
         dive_dir = -1 if frac < 0.5 else +1
         dive = max(
@@ -824,9 +732,7 @@ class _Search:
             if self._reduced_cost_fix(root):
                 self.proof_incomplete = True
         if fractional:
-            j = _pick_branch_var(
-                fractional, options.branching, self.rng, self.pseudocosts
-            )
+            j = _pick_branch_var(fractional, self.pseudocosts)
             self._push_children(root_node, root, j)
 
         best_open_bound = root.objective
@@ -840,12 +746,12 @@ class _Search:
                 break
             if self.dive_stack:
                 node = self.dive_stack.pop()
-                if node.bound >= self.incumbent_obj - options.gap_tol:
+                if node.bound >= self.incumbent_obj - GAP_TOL:
                     continue
             else:
                 node = heapq.heappop(self.heap)
                 best_open_bound = node.bound
-                if node.bound >= self.incumbent_obj - options.gap_tol:
+                if node.bound >= self.incumbent_obj - GAP_TOL:
                     # Best-first order: every remaining node is at least
                     # as bad (the dive stack is empty here by construction).
                     best_open_bound = self.incumbent_obj
@@ -856,32 +762,22 @@ class _Search:
             self.lp_iterations += result.iterations
             if self.trace is not None:  # sole tracing cost when disabled
                 self._node_event(node, result)
-            if result.status is not SolveStatus.OPTIMAL:
-                # Infeasible child (or numerical failure): prune.
+            if result.status is SolveStatus.INFEASIBLE:
                 self._record_leaf(node.lb, node.ub, result)
                 continue
-            if (
-                options.branching == "pseudocost"
-                and node.branch_var >= 0
-                and math.isfinite(node.parent_obj)
-            ):
+            if result.status is not SolveStatus.OPTIMAL:
+                # A failed LP proves nothing about its node: pruning it
+                # could turn a solver error into a false proof.
+                self.proof_incomplete = True
+                status = SolveStatus.ERROR
+                break
+            if node.branch_var >= 0 and math.isfinite(node.parent_obj):
                 self.pseudocosts.update(
                     node.branch_var, node.branch_dir,
                     node.parent_obj, result.objective, node.branch_frac,
                 )
-            if result.objective >= self.incumbent_obj - options.gap_tol:
+            if result.objective >= self.incumbent_obj - GAP_TOL:
                 continue
-            if (
-                self.pool is not None
-                and 0 < node.depth <= options.cut_node_depth
-                and self._fractional(result.x)
-            ):
-                tightened = self._node_cut_round(node, result)
-                if tightened is None:
-                    continue  # the cut LP proved the node empty
-                result = tightened
-                if result.objective >= self.incumbent_obj - options.gap_tol:
-                    continue
             x = result.x
             assert x is not None
             fractional = self._fractional(x)
@@ -892,9 +788,7 @@ class _Search:
                 self._try_incumbent(x)
                 continue
             self._rounding_candidates(x)
-            j = _pick_branch_var(
-                fractional, options.branching, self.rng, self.pseudocosts
-            )
+            j = _pick_branch_var(fractional, self.pseudocosts)
             self._push_children(node, result, j)
 
         return self._finish(status, sign, objective_constant,
@@ -970,25 +864,15 @@ def solve_milp(
     cut separator on top of the generic Gomory cuts.
     """
     options = options or MILPOptions()
-    if options.lp_backend not in _BACKENDS:
+    if options.lp_backend not in LP_BACKENDS:
         raise ValueError(
             f"unknown lp_backend {options.lp_backend!r}; "
-            f"expected one of {sorted(_BACKENDS)}"
+            f"expected one of {LP_BACKENDS}"
         )
-    if options.cuts and options.lp_backend not in _WARM_BACKENDS:
+    if options.cuts and options.lp_backend != "revised":
         raise ValueError(
-            "cuts=True needs a tableau-exposing backend "
-            f"({sorted(_WARM_BACKENDS)}); got {options.lp_backend!r}"
-        )
-    if options.branching not in _BRANCH_RULES:
-        raise ValueError(
-            f"unknown branching rule {options.branching!r}; "
-            f"expected one of {_BRANCH_RULES}"
-        )
-    if options.node_selection not in _NODE_SELECTIONS:
-        raise ValueError(
-            f"unknown node_selection {options.node_selection!r}; "
-            f"expected one of {_NODE_SELECTIONS}"
+            "cuts=True needs the 'revised' backend (separation reads its "
+            f"tableau); got {options.lp_backend!r}"
         )
     start = time.monotonic()
 

@@ -58,6 +58,12 @@ MIN_VIOLATION = 1e-5
 MIN_FRACTION = 5e-3
 #: Reject cuts whose nonzero coefficients span more than this ratio.
 MAX_DYNAMISM = 1e7
+#: Rows branch-and-bound adds per root separation round.
+MAX_CUTS_PER_ROUND = 8
+#: Pool capacity (dedup index size).
+CUT_POOL_SIZE = 500
+#: Separation rounds an active cut may stay slack before eviction.
+CUT_AGE_LIMIT = 8
 #: Coefficients below ``max|coef| * _DROP_REL`` are folded into the rhs.
 _DROP_REL = 1e-10
 #: Integrality tolerance for shift bounds (bound values, not incumbent
@@ -119,7 +125,9 @@ def _cut_key(coeffs: np.ndarray, rhs: float) -> int:
 class CutPool:
     """Managed cut store: dedup, efficacy scoring, aging and eviction."""
 
-    def __init__(self, max_size: int = 500, age_limit: int = 3) -> None:
+    def __init__(
+        self, max_size: int = CUT_POOL_SIZE, age_limit: int = CUT_AGE_LIMIT
+    ) -> None:
         self.max_size = max_size
         self.age_limit = age_limit
         self._by_key: Dict[int, Cut] = {}

@@ -1,9 +1,9 @@
 """Bounded-variable revised simplex with dual-simplex warm starting.
 
-The tableau solver in :mod:`repro.milp.simplex` reduces every LP to
-``A y = b, y >= 0`` by shifting, mirroring and *splitting* variables and by
-inflating finite upper bounds into explicit rows.  That is robust but wasteful
-inside branch-and-bound, where the verification encodings are dominated by box
+A textbook tableau simplex reduces every LP to ``A y = b, y >= 0`` by
+shifting, mirroring and *splitting* variables and by inflating finite upper
+bounds into explicit rows.  That is robust but wasteful inside
+branch-and-bound, where the verification encodings are dominated by box
 bounds and every node differs from its parent by a single bound change.
 
 This module keeps box bounds *native*:
@@ -25,7 +25,7 @@ This module keeps box bounds *native*:
 
 The implementation is dense NumPy: ``B^{-1}`` is maintained explicitly with
 product-form pivot updates and periodic refactorisation.  Per-iteration cost
-matches the dense tableau; the win is the *iteration count* on warm starts.
+matches a dense tableau; the win is the *iteration count* on warm starts.
 """
 
 from __future__ import annotations

@@ -7,9 +7,8 @@ constraint matrix and differ only in their objective or column box.
 place and re-runs, so HiGHS warm-starts from the basis it kept from the
 previous solve instead of rebuilding and presolving a fresh model.
 :func:`solve_lp` is a one-shot session with the same signature as the
-pure-Python backends (:mod:`repro.milp.simplex`,
-:mod:`repro.milp.revised_simplex`), so the MILP engine can swap them
-freely and the test suite cross-checks them against each other.
+pure-Python :func:`repro.milp.revised_simplex.solve_lp`, so the test
+suite cross-checks the two against each other.
 
 The bindings (``scipy.optimize._highspy._core``, the same ones SciPy's
 own ``method="highs"`` LP solver drives) ship with SciPy 1.15 and later;
@@ -173,7 +172,7 @@ def solve_lp(
     bounds: Optional[Sequence[Tuple[float, float]]] = None,
     max_iter: int = 0,
 ) -> LPResult:
-    """Minimise ``c @ x`` with HiGHS.  Same contract as the simplex backend.
+    """Minimise ``c @ x`` with HiGHS.  Same contract as the revised simplex.
 
     ``max_iter`` is accepted for interface parity and ignored (HiGHS has its
     own internal limits).

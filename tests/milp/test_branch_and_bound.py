@@ -8,14 +8,21 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.core.encoder import EncoderOptions
+from repro.core.properties import InputRegion, OutputObjective, SafetyProperty
+from repro.core.verifier import Verdict, Verifier
 from repro.milp import (
+    LPResult,
     MILPOptions,
     Model,
     Sense,
     SolveStatus,
     VarType,
+    revised_simplex,
+    scipy_backend,
     solve_milp,
 )
+from repro.nn import FeedForwardNetwork
 
 
 def knapsack(values, weights, capacity) -> Model:
@@ -42,12 +49,18 @@ def brute_force_knapsack(values, weights, capacity) -> float:
 
 
 class TestKnapsackCorrectness:
-    @pytest.mark.parametrize("backend", ["highs", "simplex"])
-    def test_small_knapsack(self, backend):
+    @pytest.mark.parametrize("options", [
+        pytest.param(MILPOptions(lp_backend="highs"), id="highs"),
+        pytest.param(
+            MILPOptions(lp_backend="revised", warm_start=False),
+            id="revised_cold",
+        ),
+    ])
+    def test_small_knapsack(self, options):
         values = [10, 13, 18, 31, 7, 15]
         weights = [1, 2, 3, 4, 5, 6]
         model = knapsack(values, weights, 10)
-        res = solve_milp(model, MILPOptions(lp_backend=backend))
+        res = solve_milp(model, options)
         assert res.status is SolveStatus.OPTIMAL
         assert res.objective == pytest.approx(
             brute_force_knapsack(values, weights, 10)
@@ -147,18 +160,6 @@ class TestInfeasibleAndBudgets:
 
 
 class TestOptions:
-    @pytest.mark.parametrize(
-        "branching", ["most_fractional", "first", "random"]
-    )
-    def test_branching_rules_agree(self, branching):
-        values = [4, 9, 3, 8, 7]
-        weights = [2, 3, 1, 4, 2]
-        model = knapsack(values, weights, 6)
-        res = solve_milp(model, MILPOptions(branching=branching))
-        assert res.objective == pytest.approx(
-            brute_force_knapsack(values, weights, 6)
-        )
-
     def test_unknown_backend_rejected(self):
         model = knapsack([1], [1], 1)
         with pytest.raises(ValueError):
@@ -181,27 +182,10 @@ class TestOptions:
         assert res.objective == pytest.approx(4.0)
         assert res.nodes <= 1
 
-    @pytest.mark.parametrize(
-        "selection", ["best_first", "hybrid"]
-    )
-    def test_node_selection_rules_agree(self, selection):
-        values = [4, 9, 3, 8, 7]
-        weights = [2, 3, 1, 4, 2]
-        model = knapsack(values, weights, 6)
-        res = solve_milp(model, MILPOptions(node_selection=selection))
-        assert res.objective == pytest.approx(
-            brute_force_knapsack(values, weights, 6)
-        )
-
-    def test_unknown_branching_rejected(self):
+    def test_removed_tableau_backend_rejected(self):
         model = knapsack([1], [1], 1)
-        with pytest.raises(ValueError):
-            solve_milp(model, MILPOptions(branching="strong"))
-
-    def test_unknown_node_selection_rejected(self):
-        model = knapsack([1], [1], 1)
-        with pytest.raises(ValueError):
-            solve_milp(model, MILPOptions(node_selection="dfs"))
+        with pytest.raises(ValueError, match="'highs', 'revised'"):
+            solve_milp(model, MILPOptions(lp_backend="simplex"))
 
     @pytest.mark.parametrize("sense", [Sense.MAXIMIZE, Sense.MINIMIZE])
     def test_objective_constant_reported(self, sense):
@@ -242,7 +226,7 @@ class TestWarmStartedSearch:
             )
             cold = solve_milp(
                 knapsack(values, weights, capacity),
-                MILPOptions(lp_backend="simplex"),
+                MILPOptions(lp_backend="revised", warm_start=False),
             )
             assert warm.status is SolveStatus.OPTIMAL
             assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
@@ -287,11 +271,12 @@ class TestWarmStartedSearch:
         warm = solve_milp(
             model_w,
             MILPOptions(lp_backend="revised", warm_start=True,
-                        presolve=False),
+                        presolve=False, cuts=False),
         )
         cold = solve_milp(
             model_c,
-            MILPOptions(lp_backend="simplex", presolve=False),
+            MILPOptions(lp_backend="revised", warm_start=False,
+                        presolve=False, cuts=False),
         )
         assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
         if warm.nodes > 3:
@@ -316,8 +301,82 @@ class TestWarmStartedSearch:
         values, weights, capacity = self._random_knapsack(rng, size=12)
         res = solve_milp(
             knapsack(values, weights, capacity),
-            MILPOptions(lp_backend="revised", branching="pseudocost"),
+            MILPOptions(lp_backend="revised"),
         )
         assert res.objective == pytest.approx(
             brute_force_knapsack(values, weights, capacity)
         )
+
+
+#: Per backend, the node-LP entry points a search calls.
+_NODE_SOLVERS = {
+    "highs": [(scipy_backend.HighsSession, "solve")],
+    "revised": [(revised_simplex, "cold_solve"),
+                (revised_simplex, "reoptimize")],
+}
+
+
+def _fail_after_root(monkeypatch, backend):
+    """Let the root LP solve normally, then fail every later node LP."""
+    calls = []
+    for owner, name in _NODE_SOLVERS[backend]:
+        real = getattr(owner, name)
+
+        def solve(*args, _real=real, **kwargs):
+            calls.append(1)
+            if len(calls) == 1:
+                return _real(*args, **kwargs)
+            return LPResult(SolveStatus.ERROR)
+
+        monkeypatch.setattr(owner, name, solve)
+
+
+@pytest.mark.parametrize("backend", sorted(_NODE_SOLVERS))
+class TestFailedNodeLP:
+    """A node LP that fails proves nothing about its node: the search
+    must end as ERROR instead of pruning the node as if infeasible."""
+
+    def _options(self, backend):
+        return MILPOptions(lp_backend=backend, cuts=False, presolve=False)
+
+    def test_search_ends_as_error(self, backend, monkeypatch):
+        rng = np.random.default_rng(0)
+        values = rng.integers(5, 60, size=10).tolist()
+        weights = rng.integers(1, 12, size=10).tolist()
+        capacity = int(sum(weights) // 2)
+        reference = solve_milp(
+            knapsack(values, weights, capacity), self._options(backend)
+        )
+        assert reference.status is SolveStatus.OPTIMAL
+        assert reference.nodes > 0  # the root alone does not settle it
+        _fail_after_root(monkeypatch, backend)
+        res = solve_milp(
+            knapsack(values, weights, capacity), self._options(backend)
+        )
+        assert res.status is SolveStatus.ERROR
+        assert not res.has_incumbent
+
+    def test_verifier_reports_error_not_verified(self, backend, monkeypatch):
+        network = FeedForwardNetwork.mlp(
+            2, [6, 6], 1, rng=np.random.default_rng(3)
+        )
+        region = InputRegion(np.array([[-2.0, 2.0]] * 2))
+        # Interval bounds keep HiGHS out of the encoder, so the patched
+        # solver sees only the search's node LPs.
+        verifier = Verifier(
+            network, EncoderOptions(bound_mode="interval"),
+            self._options(backend),
+        )
+        top = verifier.maximize(region, OutputObjective.single(0))
+        assert top.verdict is Verdict.MAX_FOUND
+        prop = SafetyProperty(
+            name="leq", region=region,
+            objective=OutputObjective.single(0),
+            threshold=float(top.value) + 0.05,
+        )
+        reference = verifier.prove(prop)
+        assert reference.verdict is Verdict.VERIFIED
+        assert reference.solver != "static"
+        assert reference.nodes > 0
+        _fail_after_root(monkeypatch, backend)
+        assert verifier.prove(prop).verdict is Verdict.ERROR

@@ -345,13 +345,11 @@ def _rng_knapsack(seed, n=12):
     return knapsack(vals, wts, float(wts.sum() * 0.4))
 
 
-def _cuts_forced(**kw):
+def _cuts_forced():
     """Cuts on with the adaptive size threshold disabled — the
     integration tests exercise the cut machinery itself on models small
     enough that the default threshold would (correctly) skip it."""
-    return MILPOptions(
-        lp_backend="revised", cuts=True, cut_min_binaries=0, **kw
-    )
+    return MILPOptions(lp_backend="revised", cuts=True, cut_min_binaries=0)
 
 
 class TestSearchIntegration:
@@ -424,15 +422,6 @@ class TestSearchIntegration:
         assert result.objective == pytest.approx(
             reference.objective, abs=1e-6
         )
-
-    def test_node_depth_rounds_preserve_optimum(self):
-        off = solve_milp(
-            _rng_knapsack(9),
-            MILPOptions(lp_backend="revised", cuts=False),
-        )
-        on = solve_milp(_rng_knapsack(9), _cuts_forced(cut_node_depth=3))
-        assert on.status is SolveStatus.OPTIMAL
-        assert on.objective == pytest.approx(off.objective, abs=1e-6)
 
     def test_cut_events_traced(self):
         from repro.obs import RingBufferSink, Tracer

@@ -1,4 +1,11 @@
-"""Unit and property tests for the from-scratch simplex solver."""
+"""A small LP corpus run against both LP backends.
+
+Every case is solved by the from-scratch revised simplex and by HiGHS
+(the cross-check oracle): equality rows, infeasible and unbounded LPs,
+free, upper-only, negative-lower-bound and fixed columns, and a
+degenerate vertex.  A property test pits the two against each other on
+random bounded LPs.
+"""
 
 import math
 
@@ -7,77 +14,82 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from repro.milp.revised_simplex import solve_lp as solve_revised
 from repro.milp.scipy_backend import solve_lp as solve_highs
-from repro.milp.simplex import solve_lp as solve_simplex
 from repro.milp.status import SolveStatus
+
+#: Both LP backends, by their ``MILPOptions.lp_backend`` names.
+SOLVERS = (("revised", solve_revised), ("highs", solve_highs))
+
+
+def solve_both(*args, **kwargs):
+    """Yield ``(backend name, LPResult)`` for each backend."""
+    for name, solve in SOLVERS:
+        yield name, solve(*args, **kwargs)
 
 
 class TestBasicLPs:
     def test_simple_maximization(self):
         # max x + 2y s.t. x + y <= 4, x - y <= 1, 0 <= x,y <= 10
-        res = solve_simplex(
+        for name, res in solve_both(
             np.array([-1.0, -2.0]),
             np.array([[1.0, 1.0], [1.0, -1.0]]),
             np.array([4.0, 1.0]),
             bounds=[(0, 10), (0, 10)],
-        )
-        assert res.status is SolveStatus.OPTIMAL
-        assert res.objective == pytest.approx(-8.0)
-        assert res.x == pytest.approx([0.0, 4.0])
+        ):
+            assert res.status is SolveStatus.OPTIMAL, name
+            assert res.objective == pytest.approx(-8.0), name
+            assert res.x == pytest.approx([0.0, 4.0]), name
 
     def test_equality_constraint(self):
-        res = solve_simplex(
+        for name, res in solve_both(
             np.array([1.0, 1.0]),
             A_eq=np.array([[1.0, 1.0]]),
             b_eq=np.array([3.0]),
             bounds=[(0, 10), (0, 10)],
-        )
-        assert res.status is SolveStatus.OPTIMAL
-        assert res.objective == pytest.approx(3.0)
+        ):
+            assert res.status is SolveStatus.OPTIMAL, name
+            assert res.objective == pytest.approx(3.0), name
 
     def test_infeasible(self):
-        res = solve_simplex(
+        for name, res in solve_both(
             np.array([1.0]),
             np.array([[1.0], [-1.0]]),
             np.array([1.0, -2.0]),  # x <= 1 and x >= 2
             bounds=[(0, 10)],
-        )
-        assert res.status is SolveStatus.INFEASIBLE
+        ):
+            assert res.status is SolveStatus.INFEASIBLE, name
 
     def test_unbounded(self):
-        res = solve_simplex(
-            np.array([-1.0]),
-            bounds=[(0, math.inf)],
-        )
-        assert res.status is SolveStatus.UNBOUNDED
+        for name, res in solve_both(np.array([-1.0]), bounds=[(0, math.inf)]):
+            assert res.status is SolveStatus.UNBOUNDED, name
 
     def test_free_variable(self):
-        res = solve_simplex(
+        for name, res in solve_both(
             np.array([1.0]),
             np.array([[-1.0]]),
             np.array([5.0]),  # -x <= 5  =>  x >= -5
             bounds=[(-math.inf, math.inf)],
-        )
-        assert res.status is SolveStatus.OPTIMAL
-        assert res.objective == pytest.approx(-5.0)
+        ):
+            assert res.status is SolveStatus.OPTIMAL, name
+            assert res.objective == pytest.approx(-5.0), name
 
     def test_upper_bounded_only_variable(self):
-        res = solve_simplex(
-            np.array([-1.0]),
-            bounds=[(-math.inf, 3.0)],
-        )
-        assert res.status is SolveStatus.OPTIMAL
-        assert res.x == pytest.approx([3.0])
+        for name, res in solve_both(
+            np.array([-1.0]), bounds=[(-math.inf, 3.0)]
+        ):
+            assert res.status is SolveStatus.OPTIMAL, name
+            assert res.x == pytest.approx([3.0]), name
 
     def test_negative_lower_bounds(self):
-        res = solve_simplex(
+        for name, res in solve_both(
             np.array([1.0, 1.0]),
             np.array([[1.0, 1.0]]),
             np.array([0.0]),
             bounds=[(-2, 2), (-3, 3)],
-        )
-        assert res.status is SolveStatus.OPTIMAL
-        assert res.objective == pytest.approx(-5.0)
+        ):
+            assert res.status is SolveStatus.OPTIMAL, name
+            assert res.objective == pytest.approx(-5.0), name
 
     def test_degenerate_lp_terminates(self):
         # Classic degeneracy: many redundant constraints through a vertex.
@@ -85,21 +97,22 @@ class TestBasicLPs:
             [[1.0, 0.0], [1.0, 0.0], [1.0, 1.0], [0.0, 1.0], [0.0, 1.0]]
         )
         b = np.array([1.0, 1.0, 2.0, 1.0, 1.0])
-        res = solve_simplex(np.array([-1.0, -1.0]), A, b,
-                            bounds=[(0, 5), (0, 5)])
-        assert res.status is SolveStatus.OPTIMAL
-        assert res.objective == pytest.approx(-2.0)
+        for name, res in solve_both(
+            np.array([-1.0, -1.0]), A, b, bounds=[(0, 5), (0, 5)]
+        ):
+            assert res.status is SolveStatus.OPTIMAL, name
+            assert res.objective == pytest.approx(-2.0), name
 
     def test_fixed_variable(self):
-        res = solve_simplex(
+        for name, res in solve_both(
             np.array([1.0, -1.0]),
             np.array([[1.0, 1.0]]),
             np.array([10.0]),
             bounds=[(2, 2), (0, 5)],
-        )
-        assert res.status is SolveStatus.OPTIMAL
-        assert res.x[0] == pytest.approx(2.0)
-        assert res.x[1] == pytest.approx(5.0)
+        ):
+            assert res.status is SolveStatus.OPTIMAL, name
+            assert res.x[0] == pytest.approx(2.0), name
+            assert res.x[1] == pytest.approx(5.0), name
 
 
 @st.composite
@@ -138,10 +151,10 @@ class TestCrossBackendAgreement:
     @given(random_lp())
     @settings(max_examples=60, deadline=None)
     def test_simplex_matches_highs(self, lp):
-        """The hand-written simplex must agree with HiGHS on feasibility
-        and optimal objective for bounded random LPs."""
+        """The hand-written revised simplex must agree with HiGHS on
+        feasibility and optimal objective for bounded random LPs."""
         c, A, b, bounds = lp
-        ours = solve_simplex(c, A, b, bounds=bounds)
+        ours = solve_revised(c, A, b, bounds=bounds)
         ref = solve_highs(c, A, b, bounds=bounds)
         assert ours.status == ref.status
         if ref.status is SolveStatus.OPTIMAL:

@@ -3,9 +3,8 @@
 Table II is a campaign — the same query across a family of networks plus
 a decision query on the largest.  :class:`VerificationCampaign` makes
 that a first-class object: register networks and properties (decision
-queries) or max queries, run the full matrix — serially or fanned out
-over a process pool — collect per-cell results, render the matrix, and
-export the campaign as certification evidence.
+queries) or max queries, run the full matrix, collect per-cell results,
+render the matrix, and export the campaign as certification evidence.
 
 Scalability levers (cf. Kuper et al., *Toward Scalable Verification for
 Safety-Critical Deep Networks*):
@@ -20,11 +19,17 @@ Safety-Critical Deep Networks*):
   traceback; a *crashed worker process* is confined to the one cell (or
   the one bound computation) it was running; the rest of the matrix
   always completes;
-* **pooling** — parallel runs delegate to a
-  :class:`repro.core.pool.VerificationPool`.  Attach a persistent pool
-  (``campaign.run(pool=...)``) and consecutive campaigns reuse warm
-  workers, share one content-keyed bounds cache, and skip cells whose
-  full query fingerprint already has a memoised verdict.
+* **one execution path** — every run drives the same pipelined
+  fan-out against a pool: forked
+  :class:`repro.core.pool.VerificationPool` workers for parallel runs,
+  an :class:`repro.core.pool.InProcessPool` (the caller is the one
+  worker) for serial ones.  Verdict cache, bounds prefetch, split-shard
+  assembly and trace relay therefore exist once, and serial and
+  parallel runs produce the same span ids.  An attached persistent pool
+  (``campaign.run(pool=...)``) always runs the cells: consecutive
+  campaigns reuse its warm workers, share one content-keyed bounds
+  cache, and skip cells whose full query fingerprint already has a
+  memoised verdict.
 """
 
 from __future__ import annotations
@@ -36,14 +41,14 @@ import time
 import traceback
 from typing import Callable, Dict, List, Optional, Tuple
 
+from repro.core import bounds as bounds_mod
 from repro.core.bounds import (
-    BoundsCache,
     LayerBounds,
     bounds_cache_key,
-    compute_bounds_entry,
     encode_bound_mode,
 )
 from repro.core.encoder import EncoderOptions
+from repro.core.pool import InProcessPool, VerificationPool
 from repro.core.properties import (
     InputRegion,
     OutputObjective,
@@ -439,6 +444,37 @@ class _CellTask:
     trace_cfg: Optional[Tuple[str, str]] = None
 
 
+def _new_task(
+    index: int,
+    network_name: str,
+    network: FeedForwardNetwork,
+    query: CampaignQuery,
+    encoder_options: EncoderOptions,
+    milp_options: MILPOptions,
+    cell_time_limit: Optional[float],
+) -> _CellTask:
+    """A cell task keyed on its bound engine's settings token.
+
+    The token carries the alpha-optimiser settings, so alpha runs with
+    different iteration/step settings never share bound sets.
+    """
+    token = encode_bound_mode(
+        encoder_options.bound_mode,
+        encoder_options.alpha_iters,
+        encoder_options.alpha_lr,
+    )
+    return _CellTask(
+        index=index,
+        network_name=network_name,
+        network=network,
+        query=query,
+        encoder_options=encoder_options,
+        milp_options=milp_options,
+        cell_time_limit=cell_time_limit,
+        bounds_key=bounds_cache_key(network, query.region, token),
+    )
+
+
 def _worker_tracer(trace_cfg: Optional[Tuple[str, str]], extra_sink=None):
     """``(tracer, sink)`` for a worker-side relay, or ``(None, None)``.
 
@@ -492,15 +528,25 @@ def _sink_records(sink: Optional[RingBufferSink]) -> List[dict]:
 
 def _compute_bounds_task(
     payload: Tuple[Tuple[str, str, str], FeedForwardNetwork,
-                   InputRegion, str, Optional[Tuple[str, str]]],
+                   InputRegion, Optional[Tuple[str, str]]],
 ) -> Tuple[Tuple[str, str, str], Optional[List[LayerBounds]],
            Optional[str], List[dict]]:
-    """Worker: one fault-isolated bound computation (plus its trace)."""
-    key, network, region, bound_mode, trace_cfg = payload
+    """Worker: one fault-isolated bound computation (plus its trace).
+
+    The key's third part is the bound-mode token.  The engine resolves
+    through :mod:`repro.core.bounds` at call time, with ``tracer=`` only
+    when traced, exactly as :meth:`BoundsCache.lookup` calls it.
+    """
+    key, network, region, trace_cfg = payload
     tracer, sink = _worker_tracer(trace_cfg)
-    bounds, error = compute_bounds_entry(
-        network, region, bound_mode, tracer=tracer
-    )
+    if tracer is None:
+        bounds, error = bounds_mod.compute_bounds_entry(
+            network, region, key[2]
+        )
+    else:
+        bounds, error = bounds_mod.compute_bounds_entry(
+            network, region, key[2], tracer=tracer
+        )
     return key, bounds, error, _sink_records(sink)
 
 
@@ -533,46 +579,46 @@ class _SplitState:
     verdict cache).  When the last shard lands, the shard results are
     assembled into the *one* parent :class:`CampaignCell` — the shards
     themselves never appear in the report, so ``total_cell_time`` and
-    ``speedup`` count sub-region work exactly once.
+    ``speedup`` count sub-region work exactly once.  ``leaves`` holds
+    one slot per survivor, filled as shards land, so assembly sees the
+    results in survivor order whatever order they completed in.
     """
 
     task: _CellTask
     plan: object  # repro.analysis.split.SplitPlan
-    expected: int
-    leaves: List[VerificationResult] = dataclasses.field(
-        default_factory=list
-    )
+    leaves: List[Optional[VerificationResult]]
     records: List[dict] = dataclasses.field(default_factory=list)
 
     @property
     def complete(self) -> bool:
-        return len(self.leaves) >= self.expected
+        return all(leaf is not None for leaf in self.leaves)
 
 
 def _assemble_split_cell(state: _SplitState) -> CampaignCell:
     """The parent cell from a finished fan-out.
 
-    The per-cell wall-clock budget bounds the **sum** of sub-region
-    solve time (plus planning): each shard is individually capped at
-    the cell budget while it runs, and a fan-out whose summed time
-    blew the budget reports TIMEOUT — never ERROR — exactly like an
-    unsplit cell that overran (see :func:`_run_cell_task`).
+    The cell's MILP time limit (already capped by any per-cell budget,
+    see :func:`_effective_milp_options`) bounds the **sum** of
+    sub-region solve time plus planning, the same rule
+    :meth:`repro.analysis.split.RegionBisectionDriver.prove` applies.
+    A fan-out whose summed time blew it reports TIMEOUT — never ERROR —
+    exactly like an unsplit cell that overran (see
+    :func:`_run_cell_task`).
     """
     from repro.analysis.split import assemble_max, assemble_prove
     from repro.core.verifier import INFEASIBLE_REGION_MESSAGE
 
     task = state.task
-    total = state.plan.wall_time + sum(
-        r.wall_time for r in state.leaves
-    )
+    leaves = state.leaves
+    total = state.plan.wall_time + sum(r.wall_time for r in leaves)
     if task.query.kind == "max":
         empty = sum(
-            1 for r in state.leaves
+            1 for r in leaves
             if r.verdict is Verdict.ERROR
             and r.description.startswith(INFEASIBLE_REGION_MESSAGE)
         )
         useful = [
-            r for r in state.leaves
+            r for r in leaves
             if not (
                 r.verdict is Verdict.ERROR
                 and r.description.startswith(INFEASIBLE_REGION_MESSAGE)
@@ -584,12 +630,12 @@ def _assemble_split_cell(state: _SplitState) -> CampaignCell:
         )
     else:
         result = assemble_prove(
-            task.query.as_property(), state.plan, state.leaves,
+            task.query.as_property(), state.plan, leaves,
             task.network, wall_time=total,
         )
+    limit = _effective_milp_options(task).time_limit
     if (
-        task.cell_time_limit is not None
-        and total > task.cell_time_limit
+        total > limit
         and result.verdict not in (Verdict.TIMEOUT, Verdict.ERROR)
     ):
         result = dataclasses.replace(
@@ -597,8 +643,8 @@ def _assemble_split_cell(state: _SplitState) -> CampaignCell:
             verdict=Verdict.TIMEOUT,
             description=(
                 f"{result.description} "
-                f"[cell budget {task.cell_time_limit:.1f}s exceeded "
-                f"across {state.expected} sub-regions: {total:.1f}s]"
+                f"[time limit {limit:.1f}s exceeded "
+                f"across {len(leaves)} sub-regions: {total:.1f}s]"
             ).strip(),
         )
     return CampaignCell(
@@ -612,33 +658,26 @@ def _run_cell_task(task: _CellTask, extra_sink=None) -> CampaignCell:
     start = time.monotonic()
     tracer, sink = _worker_tracer(task.trace_cfg, extra_sink=extra_sink)
     trc = as_tracer(tracer)
+    # Decided before solving: a rejected audit or a failed bound set.
     if task.audit_error is not None:
-        with trc.span(
-            "cell", network=task.network_name, query=task.query.name,
-            kind=task.query.kind,
-        ) as span:
-            span.set(verdict=Verdict.ERROR.value)
-        return _error_cell(
-            task,
-            "static audit rejected the cell's inputs: "
-            + "; ".join(task.audit_error.splitlines()),
-            task.audit_error,
-            0.0,
-            records=_sink_records(sink),
+        detail = task.audit_error
+        message = "static audit rejected the cell's inputs: " + "; ".join(
+            detail.splitlines()
         )
-    if task.bounds_error is not None:
+    else:
+        detail = task.bounds_error
+        message = (
+            f"bound computation failed for region "
+            f"{task.query.region.name!r}"
+        )
+    if detail is not None:
         with trc.span(
             "cell", network=task.network_name, query=task.query.name,
             kind=task.query.kind,
         ) as span:
             span.set(verdict=Verdict.ERROR.value)
         return _error_cell(
-            task,
-            f"bound computation failed for region "
-            f"{task.query.region.name!r}",
-            task.bounds_error,
-            0.0,
-            records=_sink_records(sink),
+            task, message, detail, 0.0, records=_sink_records(sink)
         )
     milp = _effective_milp_options(task)
     try:
@@ -702,17 +741,11 @@ def _run_cell_task(task: _CellTask, extra_sink=None) -> CampaignCell:
 class VerificationCampaign:
     """Collects networks and queries, runs the full matrix.
 
-    ``jobs`` selects the execution engine: ``None``/``1`` run serially
-    in-process, ``0`` fans cells out over one worker process per CPU,
+    ``jobs`` sets the worker count: ``None``/``1`` run the cells in
+    this process, ``0`` fans them out over one worker process per CPU,
     ``n > 1`` over exactly ``n`` workers.  ``cell_time_limit`` is a
     per-cell wall-clock budget; a cell that exhausts it reports
     ``TIMEOUT`` instead of stalling the campaign.
-
-    ``pool`` attaches a persistent
-    :class:`repro.core.pool.VerificationPool`: parallel runs reuse its
-    warm workers instead of spawning fresh ones, and both execution
-    modes share its cross-campaign bounds and verdict caches.  Without
-    one, parallel runs build an ephemeral pool per ``run()``.
     """
 
     def __init__(
@@ -722,13 +755,11 @@ class VerificationCampaign:
         jobs: Optional[int] = None,
         cell_time_limit: Optional[float] = None,
         audit: bool = True,
-        pool=None,
     ) -> None:
         self.encoder_options = encoder_options or EncoderOptions()
         self.milp_options = milp_options or MILPOptions(time_limit=120.0)
         self.jobs = jobs
         self.cell_time_limit = cell_time_limit
-        self.pool = pool
         #: Run the static soundness audit (:mod:`repro.analysis.audit`)
         #: over every network and region before solving; cells whose
         #: inputs carry *error* diagnostics become ERROR cells without
@@ -802,19 +833,22 @@ class VerificationCampaign:
         region geometry) pair and shared across that region's queries.
         ``jobs`` overrides the campaign-level setting for this run;
         ``progress`` is invoked after every completed cell.  With a
-        ``tracer``, every cell (and shared bound prefetch) is traced —
-        in parallel runs the workers' records are relayed back and
-        merged into the parent's sinks under one run id.  ``pool``
-        overrides the campaign-level pool for this run; with a pool
-        attached and no explicit ``jobs``, the pool's worker count
-        decides the fan-out.
+        ``tracer``, every cell (and shared bound prefetch) is traced
+        under a ``c<i>.``/``b<i>.`` span-id prefix and relayed into the
+        parent's sinks under one run id, the same ids in every mode.
+
+        ``pool`` attaches a persistent
+        :class:`repro.core.pool.VerificationPool`, which then runs every
+        cell (with no explicit ``jobs``, its worker count is the
+        reported fan-out).  Without one, a run with several workers and
+        cells builds an ephemeral pool; anything else runs on an
+        :class:`repro.core.pool.InProcessPool`.
         """
         if not self._networks or not self._queries:
             raise CertificationError(
                 "campaign needs at least one network and one property"
             )
         tracer = as_tracer(tracer)
-        pool = pool if pool is not None else self.pool
         requested = jobs if jobs is not None else self.jobs
         if requested is None and pool is not None:
             workers = pool.workers
@@ -828,17 +862,23 @@ class VerificationCampaign:
             for task in tasks:
                 task.trace_cfg = (tracer.run_id, f"c{task.index}.")
         alpha_by_key: Dict[Tuple[str, str, str], object] = {}
-        if workers <= 1 or len(tasks) <= 1:
-            cells = self._run_serial(
-                tasks, progress, tracer, pool=pool,
-                alpha_by_key=alpha_by_key,
+        owned = pool is None
+        if owned:
+            if workers > 1 and len(tasks) > 1:
+                pool = VerificationPool(
+                    workers=workers,
+                    tracer=tracer if tracer.enabled else None,
+                )
+            else:
+                pool = InProcessPool()
+                workers = 1
+        try:
+            cells = self._run_pooled(
+                tasks, pool, progress, tracer, alpha_by_key
             )
-            workers = 1
-        else:
-            cells = self._run_parallel(
-                tasks, workers, progress, tracer, pool=pool,
-                alpha_by_key=alpha_by_key,
-            )
+        finally:
+            if owned:
+                pool.shutdown()
         alpha_stats = list(alpha_by_key.values())
         report = CampaignReport(
             cells=cells,
@@ -903,113 +943,16 @@ class VerificationCampaign:
                 ),
             )
 
-    def _bound_token(self) -> str:
-        """Bound-mode token carrying the alpha-optimiser settings.
-
-        Keys the bounds cache and worker payloads, so alpha runs with
-        different iteration/step settings never share bound sets.
-        """
-        return encode_bound_mode(
-            self.encoder_options.bound_mode,
-            self.encoder_options.alpha_iters,
-            self.encoder_options.alpha_lr,
-        )
-
     def _build_tasks(self) -> List[_CellTask]:
-        tasks = []
-        token = self._bound_token()
+        tasks: List[_CellTask] = []
         for net_name, network in self._networks.items():
             for query in self._queries.values():
-                tasks.append(
-                    _CellTask(
-                        index=len(tasks),
-                        network_name=net_name,
-                        network=network,
-                        query=query,
-                        encoder_options=self.encoder_options,
-                        milp_options=self.milp_options,
-                        cell_time_limit=self.cell_time_limit,
-                        bounds_key=bounds_cache_key(
-                            network, query.region, token
-                        ),
-                    )
-                )
+                tasks.append(_new_task(
+                    len(tasks), net_name, network, query,
+                    self.encoder_options, self.milp_options,
+                    self.cell_time_limit,
+                ))
         return tasks
-
-    def _run_serial(
-        self,
-        tasks: List[_CellTask],
-        progress: Optional[ProgressHook],
-        tracer,
-        pool=None,
-        alpha_by_key: Optional[Dict[Tuple[str, str, str], object]] = None,
-    ) -> List[CampaignCell]:
-        cache = pool.bounds_cache if pool is not None else BoundsCache()
-        token = self._bound_token()
-        cells: List[CampaignCell] = []
-        for task in tasks:
-            fingerprint = None
-            if task.audit_error is None and pool is not None:
-                fingerprint = _task_fingerprint(task)
-                cached = pool.verdict_cache.get(fingerprint)
-                if cached is not None:
-                    cell = CampaignCell(
-                        task.network_name, task.query.name, cached
-                    )
-                    cells.append(cell)
-                    if progress is not None:
-                        progress(len(cells), len(tasks), cell)
-                    continue
-            if task.audit_error is None:
-                task.bounds, task.bounds_error = cache.lookup(
-                    task.network,
-                    task.query.region,
-                    token,
-                    tracer=tracer if tracer.enabled else None,
-                )
-                stats = getattr(task.bounds, "alpha_stats", None)
-                if stats is not None and alpha_by_key is not None:
-                    alpha_by_key.setdefault(task.bounds_key, stats)
-            cell = _run_cell_task(task)
-            if fingerprint is not None:
-                pool.verdict_cache.put(fingerprint, cell.result)
-            for record in cell.trace_records:
-                tracer.emit(record)
-            cells.append(cell)
-            if progress is not None:
-                progress(len(cells), len(tasks), cell)
-        return cells
-
-    def _run_parallel(
-        self,
-        tasks: List[_CellTask],
-        workers: int,
-        progress: Optional[ProgressHook],
-        tracer,
-        pool=None,
-        alpha_by_key: Optional[Dict[Tuple[str, str, str], object]] = None,
-    ) -> List[CampaignCell]:
-        """Fan the matrix out over a :class:`VerificationPool`.
-
-        Without an attached pool an ephemeral one is built for this run
-        (and torn down afterwards); an attached pool keeps its warm
-        workers and caches for the next campaign.
-        """
-        from repro.core.pool import VerificationPool
-
-        owned = pool is None
-        if owned:
-            pool = VerificationPool(
-                workers=workers,
-                tracer=tracer if tracer.enabled else None,
-            )
-        try:
-            return self._run_pooled(
-                tasks, pool, progress, tracer, alpha_by_key=alpha_by_key
-            )
-        finally:
-            if owned:
-                pool.shutdown()
 
     def _run_pooled(
         self,
@@ -1017,7 +960,7 @@ class VerificationCampaign:
         pool,
         progress: Optional[ProgressHook],
         tracer,
-        alpha_by_key: Optional[Dict[Tuple[str, str, str], object]] = None,
+        alpha_by_key: Dict[Tuple[str, str, str], object],
     ) -> List[CampaignCell]:
         """Pipelined two-stage fan-out with per-key fault isolation.
 
@@ -1029,7 +972,8 @@ class VerificationCampaign:
         out of the whole stage and aborted the campaign.  A crashed
         cell job becomes an ERROR cell for that cell alone.  Cells
         whose query fingerprint has a memoised verdict never reach a
-        worker at all.
+        worker at all.  ``alpha_by_key`` collects the alpha telemetry
+        of every shared bound set.
         """
         cells: List[Optional[CampaignCell]] = [None] * len(tasks)
         total = len(tasks)
@@ -1065,7 +1009,14 @@ class VerificationCampaign:
         outstanding = 0
         job_to_task: Dict[int, _CellTask] = {}
         job_to_key: Dict[int, Tuple[str, str, str]] = {}
-        job_to_split: Dict[int, Tuple[_SplitState, _CellTask, object]] = {}
+        job_to_split: Dict[
+            int, Tuple[_SplitState, int, _CellTask, object]
+        ] = {}
+
+        def finish_memoised(task: _CellTask, cell: CampaignCell) -> None:
+            """Finish a cell decided in the parent, memoising its verdict."""
+            pool.verdict_cache.put(fingerprints[task.index], cell.result)
+            finish(task, cell)
 
         def finish_split(state: _SplitState) -> None:
             """Assemble and memoise one fan-out's parent cell."""
@@ -1079,10 +1030,7 @@ class VerificationCampaign:
                     0.0,
                     records=state.records,
                 )
-            fingerprint = fingerprints.get(state.task.index)
-            if fingerprint is not None:
-                pool.verdict_cache.put(fingerprint, cell.result)
-            finish(state.task, cell)
+            finish_memoised(state.task, cell)
 
         def dispatch_split(task: _CellTask) -> bool:
             """Fan one split-enabled cell out as sub-region jobs.
@@ -1103,36 +1051,16 @@ class VerificationCampaign:
 
             milp = _effective_milp_options(task)
             if task.query.kind == "prove":
-                # Same order as the serial path: the whole-region static
+                # Same order as Verifier.prove: the whole-region static
                 # prescreen decides first, so a root-provable cell
-                # reports ``solver="static"`` identically in both modes.
-                # Under certify the prescreen replays the fixed-policy
-                # chain so the root proof ships a certificate too.
-                verifier = Verifier(
+                # reports ``solver="static"`` (with its certificate
+                # under certify) exactly as an unsplit query would.
+                static = Verifier(
                     task.network, task.encoder_options, milp,
                     tracer=tracer,
-                )
-                prop = task.query.as_property()
-                record = (
-                    verifier._certify_record(prop)
-                    if task.encoder_options.certify else None
-                )
-                if (
-                    record is not None
-                    and task.encoder_options.static_prescreen
-                ):
-                    static = verifier._certified_static_prove(
-                        prop, record, time.monotonic()
-                    )
-                else:
-                    static = verifier._static_prove(
-                        prop, None, time.monotonic()
-                    )
+                ).prescreen(task.query.as_property())
                 if static is not None:
-                    fingerprint = fingerprints.get(task.index)
-                    if fingerprint is not None:
-                        pool.verdict_cache.put(fingerprint, static)
-                    finish(task, CampaignCell(
+                    finish_memoised(task, CampaignCell(
                         task.network_name, task.query.name, static,
                     ))
                     return True
@@ -1149,7 +1077,7 @@ class VerificationCampaign:
                 )
             except EncodingError:
                 return False
-            state = _SplitState(task, plan, len(plan.survivors))
+            state = _SplitState(task, plan, [None] * len(plan.survivors))
             if not plan.survivors:
                 finish_split(state)
                 return True
@@ -1158,19 +1086,14 @@ class VerificationCampaign:
                 static_prescreen=False,
             )
             for i, leaf in enumerate(plan.survivors):
-                leaf_task = _CellTask(
-                    index=task.index,
-                    network_name=task.network_name,
-                    network=task.network,
+                leaf_task = dataclasses.replace(
+                    task,
                     query=dataclasses.replace(
                         task.query,
                         name=f"{task.query.name}#s{i}",
                         region=leaf.region,
                     ),
                     encoder_options=leaf_options,
-                    milp_options=task.milp_options,
-                    cell_time_limit=task.cell_time_limit,
-                    bounds_key=task.bounds_key,
                     trace_cfg=(
                         (tracer.run_id, f"c{task.index}.s{i}.")
                         if tracer.enabled else None
@@ -1187,7 +1110,7 @@ class VerificationCampaign:
                         from repro.proof.emit import fill_leaf_slot
 
                         fill_leaf_slot(leaf.slot, cached.certificate)
-                    state.leaves.append(cached)
+                    state.leaves[i] = cached
                     continue
                 job = pool.submit_task(
                     "cell", leaf_task, fingerprint=leaf_fp,
@@ -1196,7 +1119,7 @@ class VerificationCampaign:
                         or task.milp_options.time_limit
                     ),
                 )
-                job_to_split[job.id] = (state, leaf_task, leaf)
+                job_to_split[job.id] = (state, i, leaf_task, leaf)
                 outstanding += 1
             if state.complete:
                 finish_split(state)
@@ -1205,7 +1128,8 @@ class VerificationCampaign:
         # Split-enabled cells fan out *before* the bounds stage: the
         # plan prescreens per sub-region itself, and each shard job
         # computes its own (narrower, tighter) bounds — the parent
-        # region's bound set would be dead weight.
+        # region's bound set would be dead weight, so it is never
+        # computed.
         if self.encoder_options.split:
             pending = [
                 task for task in pending if not dispatch_split(task)
@@ -1235,7 +1159,7 @@ class VerificationCampaign:
             """Attach a bounds entry to its cells and dispatch them."""
             bounds, error = entry
             stats = getattr(bounds, "alpha_stats", None)
-            if stats is not None and alpha_by_key is not None:
+            if stats is not None:
                 alpha_by_key.setdefault(key, stats)
             for task in by_key[key]:
                 task.bounds, task.bounds_error = bounds, error
@@ -1254,7 +1178,6 @@ class VerificationCampaign:
             task = group[0]
             payload = (
                 key, task.network, task.query.region,
-                self._bound_token(),
                 (tracer.run_id, f"b{i}.") if tracer.enabled else None,
             )
             job = pool.submit_task("bounds", payload)
@@ -1268,20 +1191,20 @@ class VerificationCampaign:
                 outstanding -= 1
                 split_entry = job_to_split.pop(job.id, None)
                 if split_entry is not None:
-                    state, leaf_task, leaf = split_entry
+                    state, i, leaf_task, leaf = split_entry
                     if job.error is not None:
                         # A crashed shard is a genuine fault, not a
                         # budget overrun: the parent degrades to ERROR
                         # (a shard *timeout* arrives as a TIMEOUT
                         # result and assembles to a TIMEOUT parent).
-                        state.leaves.append(VerificationResult(
+                        state.leaves[i] = VerificationResult(
                             verdict=Verdict.ERROR,
                             description=(
                                 "worker failed on sub-region "
                                 f"{leaf_task.query.region.name!r}: "
                                 f"{job.error.splitlines()[-1]}"
                             ),
-                        ))
+                        )
                     else:
                         leaf_cell = job.result
                         state.records.extend(leaf_cell.trace_records)
@@ -1291,7 +1214,7 @@ class VerificationCampaign:
                             fill_leaf_slot(
                                 leaf.slot, leaf_cell.result.certificate
                             )
-                        state.leaves.append(leaf_cell.result)
+                        state.leaves[i] = leaf_cell.result
                     if state.complete:
                         finish_split(state)
                     continue

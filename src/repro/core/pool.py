@@ -25,10 +25,14 @@ marks itself broken).  :class:`VerificationPool` replaces that with
   verdict — the "verification as a service" surface ``repro serve``
   exposes on stdin/stdout.
 
-Campaigns delegate their parallel path here (see
+Campaigns run every cell through a pool (see
 :meth:`VerificationCampaign.run`'s ``pool`` argument and the ``--pool``
-/ ``--cache-dir`` CLI flags); the serial in-process path is preserved
-and, when a pool is attached, shares the same caches.
+/ ``--cache-dir`` CLI flags): an attached pool always runs the cells,
+parallel runs build an ephemeral one, and serial runs use
+:class:`InProcessPool`, the same engine with the caller as its one
+worker.  Serial and parallel runs therefore share one verdict cache,
+bounds prefetch, split-shard assembly and trace relay, and produce the
+same span ids.
 """
 
 from __future__ import annotations
@@ -40,6 +44,7 @@ import multiprocessing
 import os
 import threading
 import time
+import traceback
 from collections import deque
 from multiprocessing import connection as mp_connection
 from typing import Any, Dict, List, Optional
@@ -49,13 +54,13 @@ from repro.core.verifier import (
     Verdict,
     result_from_dict,
     result_to_dict,
-    verdict_fingerprint,
 )
 from repro.errors import CertificationError
 from repro.obs.metrics import MetricsRegistry
 from repro.obs.trace import as_tracer, new_run_id
 
 __all__ = [
+    "InProcessPool",
     "JobTicket",
     "PoolJob",
     "VerdictCache",
@@ -165,14 +170,32 @@ class _ConnSink:
         pass
 
 
+def _execute(kind: str, payload: Any, extra_sink=None) -> Any:
+    """Run one job body; forked workers and :class:`InProcessPool` share it.
+
+    ``"cell"`` verifies a campaign cell task (``extra_sink`` also
+    receives its trace records live), ``"bounds"`` runs one bound
+    computation, ``"ping"`` answers the process id.
+    """
+    from repro.core.campaign import _compute_bounds_task, _run_cell_task
+
+    if kind == "cell":
+        return _run_cell_task(payload, extra_sink=extra_sink)
+    if kind == "bounds":
+        return _compute_bounds_task(payload)
+    if kind == "ping":
+        return os.getpid()
+    raise CertificationError(f"unknown job kind {kind!r}")
+
+
 def _pool_worker_main(
     conn, heartbeat_interval: Optional[float] = None
 ) -> None:
     """Long-lived worker loop: recv task -> run fault-isolated -> reply.
 
-    Messages in: ``(kind, job_id, payload)`` with kind ``"cell"``
-    (payload ``(task, stream)``), ``"bounds"`` (a bounds payload) or
-    ``"ping"``; ``None`` asks for a clean shutdown.  Replies:
+    Messages in: ``(kind, job_id, payload, stream)`` with a job kind
+    :func:`_execute` knows; ``stream`` relays the job's trace records
+    live.  ``None`` asks for a clean shutdown.  Replies:
     ``("progress", job_id, record)`` (streamed trace records),
     ``("hb", job_id_or_None, payload)`` (liveness heartbeats from a
     side thread, proving the worker is healthy *even mid-solve*),
@@ -185,8 +208,6 @@ def _pool_worker_main(
     loop (and any streaming sink) must never interleave bytes on the
     connection.
     """
-    from repro.core.campaign import _compute_bounds_task, _run_cell_task
-
     send_lock = threading.Lock()
     status: Dict[str, Any] = {"job": None}
     halt = threading.Event()
@@ -214,29 +235,17 @@ def _pool_worker_main(
                 return
             if message is None:
                 break
-            kind, job_id, payload = message
+            kind, job_id, payload, stream = message
             status["job"] = job_id
             try:
-                if kind == "cell":
-                    task, stream = payload
-                    extra = (
-                        _ConnSink(conn, job_id, lock=send_lock)
-                        if stream else None
-                    )
-                    out = _run_cell_task(task, extra_sink=extra)
-                elif kind == "bounds":
-                    out = _compute_bounds_task(payload)
-                elif kind == "ping":
-                    out = os.getpid()
-                else:
-                    raise CertificationError(
-                        f"unknown job kind {kind!r}"
-                    )
+                extra = (
+                    _ConnSink(conn, job_id, lock=send_lock)
+                    if stream else None
+                )
+                out = _execute(kind, payload, extra)
                 with send_lock:
                     conn.send(("done", job_id, out))
             except Exception:
-                import traceback
-
                 try:
                     with send_lock:
                         conn.send((
@@ -528,12 +537,8 @@ class VerificationPool:
             if handle.job is not None or not handle.alive:
                 continue
             job = self._queue.popleft()
-            payload = (
-                (job.payload, job.stream) if job.kind == "cell"
-                else job.payload
-            )
             try:
-                handle.conn.send((job.kind, job.id, payload))
+                handle.conn.send((job.kind, job.id, job.payload, job.stream))
             except Exception:
                 # The worker died between jobs: requeue and respawn.
                 self._queue.appendleft(job)
@@ -739,8 +744,12 @@ class VerificationPool:
         any cached bounds for its region attached.  ``stream=True``
         relays the worker's trace records live (see :meth:`stream`).
         """
-        from repro.core.campaign import CampaignQuery, _CellTask
-        from repro.core.bounds import bounds_cache_key, encode_bound_mode
+        from repro.core.campaign import (
+            CampaignCell,
+            CampaignQuery,
+            _new_task,
+            _task_fingerprint,
+        )
         from repro.core.encoder import EncoderOptions
         from repro.core.properties import SafetyProperty
         from repro.milp.branch_and_bound import MILPOptions
@@ -753,33 +762,13 @@ class VerificationPool:
                 kind="prove",
                 threshold=query.threshold,
             )
-        encoder_options = encoder_options or EncoderOptions()
-        milp_options = milp_options or MILPOptions(time_limit=120.0)
-        task = _CellTask(
-            index=0,
-            network_name=network_name or network.architecture_id,
-            network=network,
-            query=query,
-            encoder_options=encoder_options,
-            milp_options=milp_options,
-            cell_time_limit=cell_time_limit,
-            bounds_key=bounds_cache_key(
-                network,
-                query.region,
-                encode_bound_mode(
-                    encoder_options.bound_mode,
-                    encoder_options.alpha_iters,
-                    encoder_options.alpha_lr,
-                ),
-            ),
+        task = _new_task(
+            0, network_name or network.architecture_id, network, query,
+            encoder_options or EncoderOptions(),
+            milp_options or MILPOptions(time_limit=120.0),
+            cell_time_limit,
         )
-        from repro.core.campaign import _effective_milp_options
-
-        fingerprint = verdict_fingerprint(
-            network, query.region, query.objective, query.kind,
-            query.threshold, encoder_options,
-            _effective_milp_options(task),
-        )
+        fingerprint = _task_fingerprint(task)
         cached = self.verdict_cache.get(fingerprint)
         if cached is not None:
             self.metrics.counter("pool.verdict_hits").inc()
@@ -788,8 +777,6 @@ class VerificationPool:
                 fingerprint=fingerprint, retain=True,
             )
             job.state = "done"
-            from repro.core.campaign import CampaignCell
-
             job.result = CampaignCell(
                 network_id=task.network_name,
                 property_name=query.name,
@@ -806,7 +793,7 @@ class VerificationPool:
         job = self.submit_task(
             "cell", task,
             fingerprint=fingerprint, stream=stream, retain=True,
-            budget=cell_time_limit or milp_options.time_limit,
+            budget=cell_time_limit or task.milp_options.time_limit,
         )
         return JobTicket(job.id, fingerprint)
 
@@ -990,3 +977,45 @@ class VerificationPool:
             f"({stats['bounds_cache.hit_rate']:.0%} hit rate, "
             f"{int(stats['bounds_cache.entries'])} entries)"
         )
+
+
+class InProcessPool(VerificationPool):
+    """A pool whose one worker is the calling thread.
+
+    Serial campaigns run on this: the same job protocol, verdict
+    memoisation, caches and metrics as :class:`VerificationPool`, but
+    each queued job runs synchronously inside :meth:`wait` and nothing
+    is ever forked (:meth:`prewarm` included).  The price is fault
+    isolation: a job that kills the interpreter kills the caller too.
+    """
+
+    def _ensure_workers(self) -> None:
+        if self._closed:
+            raise CertificationError("pool is shut down")
+
+    def _pump(self) -> None:
+        """Submission only queues; :meth:`wait` runs the jobs."""
+        self._ensure_workers()
+
+    def wait(self, timeout: Optional[float] = None) -> List[PoolJob]:
+        """Run the oldest queued job to completion and return it.
+
+        ``timeout`` is accepted for interface parity; an in-process job
+        cannot be interrupted, so it is ignored.
+        """
+        completed: List[PoolJob] = []
+        if not self._queue:
+            return completed
+        job = self._queue.popleft()
+        job.state = "running"
+        job.t_started = time.time()
+        try:
+            job.result = _execute(job.kind, job.payload)
+        except Exception:
+            job.error = traceback.format_exc()
+        if job.stream and job.error is None:
+            # Nothing can read the stream mid-job in-process: relay the
+            # cell's own records once it is done.
+            job.progress.extend(getattr(job.result, "trace_records", []))
+        self._finish(job, completed)
+        return completed

@@ -345,6 +345,10 @@ class Verifier:
         self.encoder_options = encoder_options or EncoderOptions()
         self.milp_options = milp_options or MILPOptions()
         self.tracer = as_tracer(tracer)
+        #: Certify-mode chain evidence recorded by the last
+        #: :meth:`prescreen` (``None`` when not certifying), reused by
+        #: the MILP path of the same query instead of re-recording it.
+        self._prescreen_record = None
 
     # -- queries -----------------------------------------------------------------
     def maximize(
@@ -623,22 +627,37 @@ class Verifier:
             certificate=certificate,
         )
 
+    def prescreen(
+        self,
+        prop: SafetyProperty,
+        precomputed_bounds: Optional[List[LayerBounds]] = None,
+    ) -> Optional[VerificationResult]:
+        """The whole-region static prescreen of a decision query.
+
+        A ``solver="static"`` VERIFIED result when the symbolic bound
+        clears the threshold, else ``None`` (the MILP must decide).
+        Under ``certify`` the fixed-policy chain decides instead, so a
+        static proof ships a checked certificate.
+        """
+        start = time.monotonic()
+        record = self._prescreen_record = (
+            self._certify_record(prop)
+            if self.encoder_options.certify else None
+        )
+        if record is not None and self.encoder_options.static_prescreen:
+            return self._certified_static_prove(prop, record, start)
+        return self._static_prove(prop, precomputed_bounds, start)
+
     def _prove(
         self,
         prop: SafetyProperty,
         precomputed_bounds: Optional[List[LayerBounds]],
     ) -> VerificationResult:
         start = time.monotonic()
-        record = (
-            self._certify_record(prop)
-            if self.encoder_options.certify else None
-        )
-        if record is not None and self.encoder_options.static_prescreen:
-            static = self._certified_static_prove(prop, record, start)
-        else:
-            static = self._static_prove(prop, precomputed_bounds, start)
+        static = self.prescreen(prop, precomputed_bounds)
         if static is not None:
             return static
+        record = self._prescreen_record
         driver = self._split_driver(prop.region)
         if driver is not None:
             return driver.prove(prop, start=start)

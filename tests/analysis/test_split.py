@@ -516,6 +516,11 @@ class TestSoundness:
 
 # -- campaign equivalence (serial vs pooled) --------------------------------
 
+def certificate_kind(cell):
+    certificate = cell.result.certificate
+    return None if certificate is None else certificate["kind"]
+
+
 class TestCampaignSplit:
     @pytest.fixture(scope="class")
     def campaign_parts(self, tiny_net):
@@ -540,9 +545,12 @@ class TestCampaignSplit:
         ))
         return campaign
 
-    def test_serial_and_pooled_agree(self, campaign_parts):
-        serial = self._build(campaign_parts).run()
-        pooled = self._build(campaign_parts, jobs=2).run()
+    @pytest.mark.parametrize("certify", [False, True])
+    def test_serial_and_pooled_agree(self, campaign_parts, certify):
+        serial = self._build(campaign_parts, certify=certify).run()
+        pooled = self._build(
+            campaign_parts, jobs=2, certify=certify
+        ).run()
         for a, b in zip(serial.cells, pooled.cells):
             assert a.property_name == b.property_name
             assert a.result.verdict is b.result.verdict
@@ -551,6 +559,7 @@ class TestCampaignSplit:
                     a.result.value, abs=1e-6
                 )
             assert a.result.solver == b.result.solver
+            assert certificate_kind(a) == certificate_kind(b)
         assert serial.split_cells == pooled.split_cells
         assert serial.split_proofs == pooled.split_proofs
         if serial.split_cells or serial.split_proofs:
@@ -577,3 +586,89 @@ class TestCampaignSplit:
         campaign.add_max_query("max0", region, objective)
         report = campaign.run()
         assert report.cells[0].result.verdict is Verdict.TIMEOUT
+
+    def test_shard_time_sum_bounded_by_milp_time_limit(self, tiny_net):
+        """With no cell budget, the MILP time limit bounds the summed
+        shard time, as in :meth:`RegionBisectionDriver.prove`."""
+        from repro.analysis.split import SplitLeaf, SplitPlan
+        from repro.core.campaign import (
+            CampaignQuery,
+            _assemble_split_cell,
+            _new_task,
+            _SplitState,
+        )
+        from repro.core.verifier import VerificationResult
+
+        region = unit_region(tiny_net.input_dim)
+        low, high = region.bisect(0)
+        plan = SplitPlan(survivors=[
+            SplitLeaf(low, depth=1, lower=0.0, upper=1.0),
+            SplitLeaf(high, depth=1, lower=0.0, upper=1.0),
+        ])
+        query = CampaignQuery(
+            "p", region, OutputObjective.single(0), threshold=1e6
+        )
+        task = _new_task(
+            0, "net", tiny_net, query, split_options(),
+            MILPOptions(time_limit=1.0), cell_time_limit=None,
+        )
+
+        def assembled(*walls):
+            leaves = [
+                VerificationResult(verdict=Verdict.VERIFIED, wall_time=w)
+                for w in walls
+            ]
+            return _assemble_split_cell(_SplitState(task, plan, leaves))
+
+        within = assembled(0.4, 0.4).result
+        assert within.verdict is Verdict.VERIFIED
+        over = assembled(0.6, 0.6).result
+        assert over.verdict is Verdict.TIMEOUT
+        assert "time limit 1.0s exceeded" in over.description
+
+    def test_certified_shards_agree_serial_and_pooled(
+        self, campaign_parts
+    ):
+        """Gap thresholds force MILP shards: both modes assemble the
+        same verdict, split certificate and witness."""
+        from repro.core.campaign import VerificationCampaign
+
+        network, region, objective = campaign_parts
+        optimum = Verifier(
+            network, EncoderOptions(bound_mode="symbolic"),
+            MILPOptions(time_limit=60.0),
+        ).maximize(region, objective).value
+
+        def run(jobs):
+            campaign = VerificationCampaign(
+                split_options(certify=True), MILPOptions(time_limit=60.0),
+                jobs=jobs,
+            )
+            campaign.add_network(network)
+            for name, threshold in (
+                ("above", optimum + 0.05), ("below", optimum - 0.05),
+            ):
+                campaign.add_property(SafetyProperty(
+                    name=name, region=region, objective=objective,
+                    threshold=threshold,
+                ))
+            return campaign.run()
+
+        serial, pooled = run(None), run(2)
+        assert serial.split_cells == pooled.split_cells > 0
+        verdicts = {}
+        for a, b in zip(serial.cells, pooled.cells):
+            assert a.result.verdict is b.result.verdict
+            assert a.result.solver == b.result.solver == "split"
+            assert certificate_kind(a) == certificate_kind(b)
+            if a.result.counterexample is not None:
+                np.testing.assert_array_equal(
+                    a.result.counterexample, b.result.counterexample
+                )
+            verdicts[a.property_name] = (
+                a.result.verdict, certificate_kind(a)
+            )
+        assert verdicts == {
+            "above": (Verdict.VERIFIED, "split"),
+            "below": (Verdict.FALSIFIED, None),
+        }

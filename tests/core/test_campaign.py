@@ -642,3 +642,37 @@ class TestAttachedPool:
             assert pool.stats()["verdict_cache.hits"] >= len(
                 report.cells
             )
+
+
+class TestInProcessPool:
+    """Serial runs are the in-process pool: same engine, no fork."""
+
+    def test_serial_campaign_never_forks(self, monkeypatch):
+        from multiprocessing.process import BaseProcess
+
+        def no_fork(self):
+            raise AssertionError("serial campaign started a process")
+
+        # Relative to what is alive before, so a process another test
+        # left behind cannot fail this one.
+        before = set(multiprocessing.active_children())
+        monkeypatch.setattr(BaseProcess, "start", no_fork)
+        report = matrix_campaign().run()
+        assert report.jobs == 1
+        assert len(report.cells) == 9
+        assert set(multiprocessing.active_children()) <= before
+
+    def test_prewarm_never_forks(self, monkeypatch):
+        from multiprocessing.process import BaseProcess
+
+        from repro.core.pool import InProcessPool
+
+        def no_fork(self):
+            raise AssertionError("in-process pool started a process")
+
+        monkeypatch.setattr(BaseProcess, "start", no_fork)
+        with InProcessPool() as pool:
+            assert pool.prewarm() == 0
+            job = pool.submit_task("ping", None)
+            assert [done.id for done in pool.wait()] == [job.id]
+            assert job.result == os.getpid()

@@ -8,7 +8,9 @@ re-emitted by the parent.  These tests pin the relay's contract:
   query, verdict) as the serial run — including ERROR and TIMEOUT cells;
 * within one cell the relayed records keep their original (monotone)
   order after the merge;
-* every relayed record carries the parent tracer's run id.
+* every relayed record carries the parent tracer's run id;
+* serial and parallel runs share one execution path, so they produce
+  the same span ids, bounds-prefetch (``b<i>.``) spans included.
 """
 
 import numpy as np
@@ -154,6 +156,30 @@ class TestRelayEquivalence:
         assert serial_cells == cell_span_set(parallel_recs)
         assert len(serial_cells) == 4
         assert all(v == "timeout" for (_, _, v) in serial_cells)
+
+
+def span_id_prefix(span_id):
+    """The relay namespace of a span id: everything before its counter."""
+    head, _, _ = str(span_id).rpartition(".")
+    return head
+
+
+class TestOneExecutionPath:
+    def test_serial_and_parallel_span_ids_match(self):
+        _, serial_recs, _ = run_traced(build_campaign(), jobs=1)
+        _, parallel_recs, _ = run_traced(build_campaign(), jobs=2)
+
+        def pairs(records):
+            return {
+                (r["name"], span_id_prefix(r["id"]))
+                for r in records if r.get("type") == "span"
+            }
+
+        serial = pairs(serial_recs)
+        assert serial == pairs(parallel_recs)
+        assert {name for name, prefix in serial if prefix == "b0"} == {
+            "bounds"
+        }
 
 
 class TestRelayOrdering:

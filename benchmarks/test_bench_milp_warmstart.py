@@ -2,8 +2,8 @@
 
 The bounded-variable revised simplex (``revised`` backend) can solve
 every node LP from scratch (``warm_start=False``) or reuse the parent
-node's basis (dual-simplex reoptimisation).  Both legs run with cuts off,
-so the comparison isolates warm starting.  Two claims are asserted:
+node's basis (dual-simplex reoptimisation); the two legs differ in
+nothing else, so the comparison isolates warm starting.  Two claims are asserted:
 
 1. **Equivalence** — on every Table II network the warm-started search
    reaches the same verdict and the same maximum (within 1e-6) as the
@@ -44,7 +44,6 @@ def _run_query(study, network, backend, warm):
         EncoderOptions(bound_mode="lp"),
         MILPOptions(
             time_limit=TIME_LIMIT, lp_backend=backend, warm_start=warm,
-            cuts=False,
         ),
     )
     return verifier.max_lateral_velocity(
@@ -188,12 +187,12 @@ class TestKnapsackReduction:
             cold = solve_milp(
                 _deep_knapsack(16, seed),
                 MILPOptions(lp_backend="revised", warm_start=False,
-                            presolve=False, cuts=False),
+                            presolve=False),
             )
             warm = solve_milp(
                 _deep_knapsack(16, seed),
                 MILPOptions(lp_backend="revised", warm_start=True,
-                            presolve=False, cuts=False),
+                            presolve=False),
             )
             assert cold.status is SolveStatus.OPTIMAL
             assert warm.status is SolveStatus.OPTIMAL

@@ -48,7 +48,8 @@ Encoding codes (``audit_encoding``):
   disagree with the certified bounds;
 * ``A208`` warning — a column that appears in no constraint and not in
   the objective;
-* ``A209`` error — a cut row referencing unknown columns.
+* ``A209`` error — a row named ``cut*`` (a valid inequality added after
+  encoding) referencing unknown columns.
 
 Proof-certificate codes (emitted by the independent checker
 :func:`repro.proof.check.check_certificate`, which reuses this module's
@@ -352,9 +353,9 @@ def audit_encoding(encoded, rel_tol: float = FEASIBILITY_TOL) -> AuditReport:
     (codes ``A201``–``A209``).
 
     Checks the MILP container (finite coefficients, consistent variable
-    domains), the phase binaries, the per-neuron metadata the cut
-    separators rely on, and the big-M rows' linkage between binaries and
-    certified bounds.
+    domains), the phase binaries, the per-neuron metadata
+    (``EncodedNetwork.neurons``), and the big-M rows' linkage between
+    binaries and certified bounds.
     """
     # Imported here, not at module top: the solver-free proof checker
     # (repro.proof.check) imports this module for its Diagnostic

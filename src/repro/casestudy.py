@@ -291,23 +291,6 @@ def _encoder_options(
     return options
 
 
-def _milp_options(
-    time_limit: float,
-    lp_backend: str,
-    cuts: Optional[bool],
-    cut_min_binaries: Optional[int],
-) -> MILPOptions:
-    """MILP options with the adaptive-cut threshold override applied."""
-    options = MILPOptions(
-        time_limit=time_limit, lp_backend=lp_backend, cuts=cuts
-    )
-    if cut_min_binaries is not None:
-        options = dataclasses.replace(
-            options, cut_min_binaries=cut_min_binaries
-        )
-    return options
-
-
 def verify_network(
     study: CaseStudy,
     network: FeedForwardNetwork,
@@ -318,9 +301,7 @@ def verify_network(
     jobs: Optional[int] = None,
     tracer=None,
     lp_backend: str = "highs",
-    cuts: Optional[bool] = None,
     alpha_iters: Optional[int] = None,
-    cut_min_binaries: Optional[int] = None,
     split: bool = False,
     split_depth: Optional[int] = None,
     split_min_width: Optional[float] = None,
@@ -330,11 +311,9 @@ def verify_network(
     ``jobs`` fans the per-component max queries out over a campaign
     worker pool; ``None``/``1`` keep the serial in-process path.
     ``tracer`` turns on phase spans and solver events either way.
-    ``lp_backend``/``cuts`` select the node-LP engine and its
-    cutting-plane loop (cuts need a tableau-exposing backend; see
+    ``lp_backend`` selects the node-LP engine (see
     :class:`repro.milp.MILPOptions`).  ``alpha_iters`` tunes the
-    ``bound_mode="alpha"`` optimiser; ``cut_min_binaries`` overrides the
-    adaptive cut-activation threshold (``None`` keeps the defaults).
+    ``bound_mode="alpha"`` optimiser (``None`` keeps the default).
     ``split`` turns on input-region bisection
     (:mod:`repro.analysis.split`), with ``split_depth`` /
     ``split_min_width`` overriding its limits.
@@ -349,9 +328,7 @@ def verify_network(
             region=region or operational_region(study, max_gap=max_gap),
             tracer=tracer,
             lp_backend=lp_backend,
-            cuts=cuts,
             alpha_iters=alpha_iters,
-            cut_min_binaries=cut_min_binaries,
             split=split,
             split_depth=split_depth,
             split_min_width=split_min_width,
@@ -362,7 +339,7 @@ def verify_network(
         _encoder_options(
             bound_mode, alpha_iters, split, split_depth, split_min_width
         ),
-        _milp_options(time_limit, lp_backend, cuts, cut_min_binaries),
+        MILPOptions(time_limit=time_limit, lp_backend=lp_backend),
         tracer=tracer,
     )
     result = verifier.max_lateral_velocity(
@@ -390,9 +367,7 @@ def table_ii_campaign(
     cell_time_limit: Optional[float] = None,
     threshold: Optional[float] = None,
     lp_backend: str = "highs",
-    cuts: Optional[bool] = None,
     alpha_iters: Optional[int] = None,
-    cut_min_binaries: Optional[int] = None,
     split: bool = False,
     split_depth: Optional[int] = None,
     split_min_width: Optional[float] = None,
@@ -414,7 +389,7 @@ def table_ii_campaign(
             bound_mode, alpha_iters, split, split_depth,
             split_min_width, certify,
         ),
-        _milp_options(time_limit, lp_backend, cuts, cut_min_binaries),
+        MILPOptions(time_limit=time_limit, lp_backend=lp_backend),
         jobs=jobs,
         cell_time_limit=cell_time_limit,
     )
@@ -491,9 +466,7 @@ def run_table_ii(
     progress: Optional["ProgressHook"] = None,
     tracer=None,
     lp_backend: str = "highs",
-    cuts: Optional[bool] = None,
     alpha_iters: Optional[int] = None,
-    cut_min_binaries: Optional[int] = None,
     split: bool = False,
     split_depth: Optional[int] = None,
     split_min_width: Optional[float] = None,
@@ -513,9 +486,7 @@ def run_table_ii(
         jobs=jobs,
         cell_time_limit=cell_time_limit,
         lp_backend=lp_backend,
-        cuts=cuts,
         alpha_iters=alpha_iters,
-        cut_min_binaries=cut_min_binaries,
         split=split,
         split_depth=split_depth,
         split_min_width=split_min_width,
@@ -621,7 +592,7 @@ def certify_predictor(
         verifier = Verifier(
             network,
             _encoder_options("lp", None, certify=True),
-            _milp_options(time_limit, "highs", None, None),
+            MILPOptions(time_limit=time_limit),
         )
         certificates = {}
         for k, objective in enumerate(

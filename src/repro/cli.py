@@ -48,7 +48,7 @@ from repro.highway import (
     generate_expert_dataset,
     overtaking_scene,
 )
-from repro.milp.branch_and_bound import LP_BACKENDS
+from repro.milp.branch_and_bound import LP_BACKENDS, MILPOptions
 from repro.nn.mdn import mixture_from_raw
 from repro.nn.serialization import load_network, save_network
 from repro.nn.training import TrainingConfig
@@ -59,25 +59,21 @@ logger = get_logger("cli")
 
 
 def _add_solver_args(parser: argparse.ArgumentParser) -> None:
+    """The dataset, bound and MILP flags every solving command shares."""
+    parser.add_argument("--data", required=True)
+    parser.add_argument("--components", type=int, default=2)
+    parser.add_argument("--time-limit", type=float, default=300.0)
+    parser.add_argument("--bound-mode", default="lp", choices=BOUND_MODES)
+    parser.add_argument(
+        "--alpha-iters", type=int, default=None, metavar="N",
+        help="projected-gradient iterations for --bound-mode alpha "
+        "(default: engine default)",
+    )
     parser.add_argument(
         "--lp-backend", default="highs",
         choices=LP_BACKENDS,
-        help="LP engine for node relaxations (cuts need 'revised')",
-    )
-    parser.add_argument(
-        "--cuts", dest="cuts", action="store_true", default=None,
-        help="force the cutting-plane loop on (default: automatic, on "
-        "for the 'revised' backend)",
-    )
-    parser.add_argument(
-        "--no-cuts", dest="cuts", action="store_false",
-        help="force the cutting-plane loop off",
-    )
-    parser.add_argument(
-        "--cut-min-binaries", type=int, default=None, metavar="N",
-        help="adaptive cut activation: skip separation on models with "
-        "fewer than N binaries (0 disables the threshold; default: "
-        "solver default)",
+        help="LP engine for node relaxations (certified proofs always "
+        "use 'revised')",
     )
 
 
@@ -106,8 +102,8 @@ def _add_certify_args(parser: argparse.ArgumentParser) -> None:
         "--certify", action="store_true",
         help="emit a repro-proof/1 certificate with every VERIFIED "
         "decision verdict (pins the solver to the replayable "
-        "configuration; 'repro check' validates the artifacts "
-        "independently)",
+        "configuration: the 'revised' backend, no presolve; 'repro "
+        "check' validates the artifacts independently)",
     )
     parser.add_argument(
         "--cert-out", default=None, metavar="DIR",
@@ -191,10 +187,8 @@ def _build_parser() -> argparse.ArgumentParser:
     verify = sub.add_parser(
         "verify", help="Table II query: max lateral velocity, left occupied"
     )
-    verify.add_argument("--data", required=True)
+    _add_solver_args(verify)
     verify.add_argument("--net", required=True)
-    verify.add_argument("--components", type=int, default=2)
-    verify.add_argument("--time-limit", type=float, default=300.0)
     verify.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes for the per-component queries "
@@ -204,16 +198,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--threshold", type=float, default=None,
         help="also run the decision query 'never above THRESHOLD m/s'",
     )
-    verify.add_argument(
-        "--bound-mode", default="lp",
-        choices=BOUND_MODES,
-    )
-    verify.add_argument(
-        "--alpha-iters", type=int, default=None, metavar="N",
-        help="projected-gradient iterations for --bound-mode alpha "
-        "(default: engine default)",
-    )
-    _add_solver_args(verify)
     _add_split_args(verify)
     _add_certify_args(verify)
     _add_observability_args(verify)
@@ -223,13 +207,11 @@ def _build_parser() -> argparse.ArgumentParser:
         help="Table II sweep over a family of networks, optionally "
         "fanned out over worker processes",
     )
-    campaign.add_argument("--data", required=True)
+    _add_solver_args(campaign)
     campaign.add_argument(
         "--net", required=True, action="append",
         help="network .json path (repeatable)",
     )
-    campaign.add_argument("--components", type=int, default=2)
-    campaign.add_argument("--time-limit", type=float, default=300.0)
     campaign.add_argument(
         "--cell-budget", type=float, default=None,
         help="per-cell wall-clock budget in seconds "
@@ -244,15 +226,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="add decision-query columns 'never above THRESHOLD m/s'",
     )
     campaign.add_argument(
-        "--bound-mode", default="lp",
-        choices=BOUND_MODES,
-    )
-    campaign.add_argument(
-        "--alpha-iters", type=int, default=None, metavar="N",
-        help="projected-gradient iterations for --bound-mode alpha "
-        "(default: engine default)",
-    )
-    campaign.add_argument(
         "--pool", action="store_true",
         help="run through a VerificationPool (persistent workers + "
         "shared bounds/verdict caches; implied by --cache-dir)",
@@ -262,7 +235,6 @@ def _build_parser() -> argparse.ArgumentParser:
         help="durable cache directory: bounds and verdicts spill to "
         "JSONL files there and are reloaded by later runs",
     )
-    _add_solver_args(campaign)
     _add_split_args(campaign)
     _add_certify_args(campaign)
     _add_observability_args(campaign)
@@ -275,13 +247,11 @@ def _build_parser() -> argparse.ArgumentParser:
         "line each on stdout (watch streams its requested count), "
         "backed by a persistent worker pool with shared caches",
     )
-    serve.add_argument("--data", required=True)
+    _add_solver_args(serve)
     serve.add_argument(
         "--net", required=True, action="append",
         help="network .json path (repeatable); submit by architecture id",
     )
-    serve.add_argument("--components", type=int, default=2)
-    serve.add_argument("--time-limit", type=float, default=300.0)
     serve.add_argument(
         "--jobs", type=int, default=1,
         help="worker processes (0 = one per CPU)",
@@ -290,15 +260,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cache-dir", default=None, metavar="DIR",
         help="durable cache directory shared with 'campaign --cache-dir'",
     )
-    serve.add_argument(
-        "--bound-mode", default="lp",
-        choices=BOUND_MODES,
-    )
-    serve.add_argument(
-        "--alpha-iters", type=int, default=None, metavar="N",
-        help="projected-gradient iterations for --bound-mode alpha",
-    )
-    _add_solver_args(serve)
     _add_split_args(serve)
     _add_observability_args(serve)
     _add_metrics_args(serve)
@@ -622,9 +583,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             bound_mode=args.bound_mode,
             jobs=args.jobs if args.jobs != 1 else None,
             tracer=tracer,
-            lp_backend=args.lp_backend, cuts=args.cuts,
+            lp_backend=args.lp_backend,
             alpha_iters=args.alpha_iters,
-            cut_min_binaries=args.cut_min_binaries,
             split=args.split,
             split_depth=args.split_depth,
             split_min_width=args.split_min_width,
@@ -646,9 +606,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     args.split, args.split_depth, args.split_min_width,
                     certify=args.certify,
                 ),
-                casestudy._milp_options(
-                    args.time_limit, args.lp_backend, args.cuts,
-                    args.cut_min_binaries,
+                MILPOptions(
+                    time_limit=args.time_limit, lp_backend=args.lp_backend
                 ),
                 tracer=tracer,
             )
@@ -721,9 +680,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         cell_time_limit=args.cell_budget,
         threshold=args.threshold,
         lp_backend=args.lp_backend,
-        cuts=args.cuts,
         alpha_iters=args.alpha_iters,
-        cut_min_binaries=args.cut_min_binaries,
         split=args.split,
         split_depth=args.split_depth,
         split_min_width=args.split_min_width,
@@ -872,9 +829,8 @@ def _cmd_serve(args: argparse.Namespace) -> int:
         args.bound_mode, args.alpha_iters,
         args.split, args.split_depth, args.split_min_width,
     )
-    milp_options = casestudy._milp_options(
-        args.time_limit, args.lp_backend, args.cuts,
-        args.cut_min_binaries,
+    milp_options = MILPOptions(
+        time_limit=args.time_limit, lp_backend=args.lp_backend
     )
     pool = VerificationPool(
         workers=args.jobs, cache_dir=args.cache_dir,

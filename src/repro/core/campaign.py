@@ -224,31 +224,6 @@ class CampaignReport:
         return hits / attempts
 
     @property
-    def total_cuts_added(self) -> int:
-        """Cutting planes appended across every cell's MILP solves."""
-        return sum(c.result.cuts_added for c in self.cells)
-
-    @property
-    def total_cuts_evicted(self) -> int:
-        """Cuts retired by root-loop aging across all cells."""
-        return sum(c.result.cuts_evicted for c in self.cells)
-
-    @property
-    def total_cut_rounds(self) -> int:
-        """Separation rounds run across all cells."""
-        return sum(c.result.cut_rounds for c in self.cells)
-
-    @property
-    def total_cut_separation_time(self) -> float:
-        """Seconds spent inside cut separators across all cells."""
-        return sum(c.result.cut_separation_time for c in self.cells)
-
-    @property
-    def total_cuts_skipped_adaptive(self) -> int:
-        """Solves that skipped cut separation below the size threshold."""
-        return sum(c.result.cuts_skipped_adaptive for c in self.cells)
-
-    @property
     def total_alpha_iters(self) -> int:
         """Alpha-optimiser iterations across shared bounds and cells."""
         return self.bounds_alpha_iters + sum(
@@ -396,20 +371,6 @@ class CampaignReport:
                 f"({attempts} attempts, "
                 f"{self.total_basis_rejections} rejected), "
                 f"~{self.total_lp_iterations_saved} iterations saved"
-            )
-        if self.total_cut_rounds:
-            lines.append(
-                f"cutting planes: {self.total_cuts_added} added over "
-                f"{self.total_cut_rounds} rounds "
-                f"({self.total_cuts_evicted} evicted), "
-                f"separation {self.total_cut_separation_time:.2f}s"
-            )
-        skipped = self.total_cuts_skipped_adaptive
-        if skipped:
-            lines.append(
-                f"adaptive cuts: separation skipped in {skipped} solve"
-                f"{'s' if skipped != 1 else ''} below the binary-count "
-                "threshold"
             )
         if self.total_alpha_iters:
             lines.append(

@@ -32,7 +32,6 @@ from repro.core.bounds import (
 )
 from repro.core.properties import InputRegion, OutputObjective
 from repro.errors import EncodingError
-from repro.milp.cuts import ReluNeuron
 from repro.milp.expr import LinExpr, Sense, Variable, VarType
 from repro.milp.model import Model
 from repro.nn.network import FeedForwardNetwork
@@ -45,6 +44,26 @@ DEFAULT_SPLIT_DEPTH = 4
 
 #: Every accepted ``EncoderOptions.bound_mode``, loosest to tightest.
 BOUND_MODES = ("interval", "symbolic", "alpha", "lp")
+
+
+@dataclasses.dataclass
+class ReluNeuron:
+    """One ambiguous ReLU neuron, as the encoder laid it out.
+
+    ``pre_coeffs``/``pre_const`` give the pre-activation
+    ``z = sum(pre_coeffs[j] * x_j) + pre_const`` over model columns (the
+    encoding has no explicit ``z`` variable); ``lower``/``upper`` are the
+    *unpadded* pre-activation bounds the encoding certified.
+    """
+
+    layer: int
+    index: int
+    a_col: int
+    d_col: int
+    pre_coeffs: Dict[int, float]
+    pre_const: float
+    lower: float
+    upper: float
 
 
 @dataclasses.dataclass
@@ -85,9 +104,9 @@ class EncoderOptions:
     #: Emit a ``repro-proof/1`` certificate with every VERIFIED verdict
     #: (:mod:`repro.proof`).  Pins the proving pipeline to checkable
     #: paths: fixed-policy symbolic prescreens, the ``"revised"`` LP
-    #: backend with cuts/presolve/reduced-cost fixing disabled and
-    #: leaf-cover recording on.  Part of the options token, so certified
-    #: verdict fingerprints never collide with uncertified ones.
+    #: backend with presolve disabled and leaf-cover recording on.
+    #: Part of the options token, so certified verdict fingerprints
+    #: never collide with uncertified ones.
     certify: bool = False
 
 
@@ -100,8 +119,8 @@ class EncodedNetwork:
     output_exprs: List[LinExpr]
     binaries: List[Variable]
     bounds: List[LayerBounds]
-    #: Per ambiguous neuron: the ``(z, a, d, l, u)`` tuple the ReLU cut
-    #: separator consumes (``z`` as an affine form over model columns).
+    #: Per ambiguous neuron: the ``(z, a, d, l, u)`` layout the encoding
+    #: audit checks (``z`` as an affine form over model columns).
     neurons: List[ReluNeuron] = dataclasses.field(default_factory=list)
 
     @property

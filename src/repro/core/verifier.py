@@ -134,26 +134,6 @@ class VerificationResult:
         return self.warm_start_hits / self.warm_start_attempts
 
     @property
-    def cuts_added(self) -> int:
-        return int(self.metrics.get("cuts_added", 0))
-
-    @property
-    def cuts_evicted(self) -> int:
-        return int(self.metrics.get("cuts_evicted", 0))
-
-    @property
-    def cut_rounds(self) -> int:
-        return int(self.metrics.get("cut_rounds", 0))
-
-    @property
-    def cut_separation_time(self) -> float:
-        return float(self.metrics.get("cut_separation_time", 0.0))
-
-    @property
-    def cuts_skipped_adaptive(self) -> int:
-        return int(self.metrics.get("cuts_skipped_adaptive", 0))
-
-    @property
     def alpha_iters(self) -> int:
         """Projected-gradient iterations spent optimising bound slopes."""
         return int(self.metrics.get("alpha_iters", 0))
@@ -199,7 +179,7 @@ def verdict_fingerprint(
     Two queries share a fingerprint iff they would run the exact same
     decision procedure: same network parameters, same region geometry,
     same objective functional, same kind/threshold and the same encoder
-    and MILP options (a different time limit or cut setting can change
+    and MILP options (a different time limit or backend can change
     the verdict, so every option field participates).  This is the key
     of the cross-campaign verdict cache: repeated queries on the same
     cell cost one lookup instead of one solve.
@@ -422,8 +402,7 @@ class Verifier:
             binaries=encoded.num_binaries,
         ):
             result = solve_milp(
-                encoded.model, self.milp_options, tracer=self.tracer,
-                relu_neurons=encoded.neurons,
+                encoded.model, self.milp_options, tracer=self.tracer
             )
         wall = time.monotonic() - start
 
@@ -667,8 +646,8 @@ class Verifier:
             # exporting backend, no encoding rewrites, leaf recording on.
             precomputed_bounds = record.bounds
             milp_options = dataclasses.replace(
-                milp_options, lp_backend="revised", cuts=False,
-                presolve=False, rc_fixing=False, record_proof=True,
+                milp_options, lp_backend="revised", presolve=False,
+                record_proof=True,
             )
         encoded = encode_network(
             self.network,
@@ -685,8 +664,7 @@ class Verifier:
             binaries=encoded.num_binaries,
         ):
             result = solve_milp(
-                encoded.model, milp_options, tracer=self.tracer,
-                relu_neurons=encoded.neurons,
+                encoded.model, milp_options, tracer=self.tracer
             )
         wall = time.monotonic() - start
 

@@ -13,21 +13,12 @@ solver stack for that encoding:
   plus a persistent session that re-solves one LP warm after edits (the
   default path and the cross-check oracle);
 * :mod:`repro.milp.presolve` — bound propagation;
-* :mod:`repro.milp.cuts` — Gomory mixed-integer and ReLU triangle cut
-  separation with a managed (deduplicated, scored, aged) cut pool;
 * :mod:`repro.milp.branch_and_bound` — best-first/plunging MILP search with
-  pseudocost branching, basis-reuse warm starts, root cutting planes, a
-  rounding heuristic, node/time budgets and proven dual bounds.
+  pseudocost branching, basis-reuse warm starts, a rounding heuristic,
+  node/time budgets and proven dual bounds.
 """
 
 from repro.milp.branch_and_bound import MILPOptions, solve_milp
-from repro.milp.cuts import (
-    Cut,
-    CutPool,
-    ReluNeuron,
-    separate_gomory,
-    separate_relu,
-)
 from repro.milp.revised_simplex import Basis, StandardLP
 from repro.milp.io import model_to_lp, write_lp
 from repro.milp.expr import (
@@ -47,20 +38,15 @@ __all__ = [
     "StandardLP",
     "Constraint",
     "ConstraintOp",
-    "Cut",
-    "CutPool",
     "LinExpr",
     "LPResult",
     "MILPOptions",
     "MILPResult",
     "Model",
-    "ReluNeuron",
     "Sense",
     "SolveStatus",
     "Variable",
     "VarType",
-    "separate_gomory",
-    "separate_relu",
     "solve_milp",
     "model_to_lp",
     "write_lp",

@@ -15,15 +15,13 @@ reoptimisation speed:
   child has been solved;
 * node selection is a **best-first/plunging hybrid**: after branching the
   search dives on the most promising child to find incumbents early,
-  returning to the global best-bound node when a dive is pruned;
-* once an incumbent exists, **reduced-cost bound fixing** at the root
-  tightens every column whose reduced cost proves it cannot move without
-  leaving the optimality window.
+  returning to the global best-bound node when a dive is pruned.
 
 Wall-clock and node budgets make ``time-out`` a first-class answer,
 matching the paper's Table II where the widest network exhausts its
-budget.  A node LP that fails numerically ends the search as ``error``:
-it is never pruned as if it were infeasible.  Warm-start telemetry
+budget.  A node LP that fails numerically, or an integral LP point the
+model's feasibility check rejects, ends the search as ``error``: such a
+node is never pruned as if it were infeasible.  Warm-start telemetry
 (attempts, hits, rejections, estimated iterations saved) is recorded in a
 :class:`repro.obs.metrics.MetricsRegistry` and snapshotted onto every
 :class:`MILPResult`; with a :class:`repro.obs.Tracer` attached the
@@ -47,7 +45,6 @@ import numpy as np
 from repro.milp.expr import Sense
 from repro.milp.model import Model
 from repro.tolerances import GAP_TOL, INTEGRALITY_TOL
-from repro.milp import cuts as cuts_mod
 from repro.milp import presolve as presolve_mod
 from repro.milp import revised_simplex, scipy_backend
 from repro.milp.solution import LPResult, MILPResult
@@ -71,44 +68,23 @@ class MILPOptions:
         node_limit: Maximum branch-and-bound nodes to process.
         warm_start: Reuse the parent basis at child nodes (only effective
             with a warm-capable backend; see ``lp_backend``).
-        rc_fixing: Reduced-cost bound fixing at the root once an
-            incumbent exists (needs root reduced costs, i.e. the
-            ``"revised"`` backend).
         presolve: Run bound propagation before the search.
-        cuts: Cutting planes (Gomory mixed-integer + ReLU triangle /
-            implied-bound rows from a managed pool).  ``None`` (the
-            default) enables them automatically for the warm-capable
-            ``"revised"`` backend; ``True`` with any other backend is an
-            error because separation reads the revised-simplex tableau.
-        cut_rounds: Maximum root separation rounds (cuts are separated
-            at the root only).
-        cut_min_binaries: Adaptive activation threshold: skip cut
-            separation entirely when the model has fewer binaries than
-            this (the search tree is small enough that separation
-            overhead outweighs the node savings).  Applies even with an
-            explicit ``cuts=True``; ``0`` disables the threshold.
-            Skipped solves report ``cuts_skipped_adaptive`` in metrics.
         record_proof: Record a leaf-cover infeasibility proof on the
             result (:attr:`repro.milp.solution.MILPResult.proof`): per
             pruned leaf, the fixed integer columns and the LP
             infeasibility ray.  Only a search over the *original*
-            encoding can be replayed independently, so any feature that
-            rewrites it (presolve, cuts, reduced-cost fixing) or any
-            unrecordable pruning marks the proof incomplete rather than
-            emitting an unsound one.  Meant to be used with
-            ``presolve=False``, ``cuts=False``, ``rc_fixing=False`` and
-            the ``"revised"`` backend (the only one exporting rays).
+            encoding can be replayed independently, so presolve (which
+            rewrites it) or any unrecordable pruning marks the proof
+            incomplete rather than emitting an unsound one.  Meant to be
+            used with ``presolve=False`` and the ``"revised"`` backend
+            (the only one exporting rays).
     """
 
     lp_backend: str = "highs"
     time_limit: float = math.inf
     node_limit: int = 200000
     warm_start: bool = True
-    rc_fixing: bool = True
     presolve: bool = True
-    cuts: Optional[bool] = None
-    cut_min_binaries: int = 16
-    cut_rounds: int = 6
     record_proof: bool = False
 
 
@@ -204,7 +180,7 @@ class _Search:
 
     def __init__(
         self, work: Model, options: MILPOptions, start: float,
-        tracer=None, relu_neurons=None,
+        tracer=None,
     ) -> None:
         self.options = options
         self.work = work
@@ -214,8 +190,7 @@ class _Search:
         self.trace = (
             tracer if tracer is not None and tracer.enabled else None
         )
-        (self.c, self.A_ub, self.b_ub, self.A_eq, self.b_eq,
-         bounds) = work.dense_arrays()
+        self.c, A_ub, b_ub, A_eq, b_eq, bounds = work.dense_arrays()
         self.n = work.num_vars
         self.int_idx = np.array(work.integer_indices, dtype=int)
         self.root_lb = np.array([b[0] for b in bounds])
@@ -224,8 +199,7 @@ class _Search:
         self.warm = options.warm_start and revised
         self.std: Optional[revised_simplex.StandardLP] = (
             revised_simplex.standardize(
-                self.c, self.A_ub, self.b_ub, self.A_eq, self.b_eq,
-                bounds,
+                self.c, A_ub, b_ub, A_eq, b_eq, bounds
             )
             if revised
             else None
@@ -235,7 +209,7 @@ class _Search:
         #: re-solves from the basis its previous node left behind.
         self.session: Optional[scipy_backend.HighsSession] = (
             scipy_backend.HighsSession(
-                self.c, self.A_ub, self.b_ub, self.A_eq, self.b_eq, bounds,
+                self.c, A_ub, b_ub, A_eq, b_eq, bounds
             )
             if options.lp_backend == "highs"
             else None
@@ -254,39 +228,6 @@ class _Search:
         self.iterations_saved = self.metrics.counter(
             "lp_iterations_saved"
         )
-        # -- cutting planes -------------------------------------------------
-        self.relu_neurons = list(relu_neurons or [])
-        cuts_requested = (
-            options.cuts if options.cuts is not None else revised
-        )
-        # Adaptive activation: below the binary-count threshold the
-        # enumeration tree is small enough that separation overhead
-        # (tableau views, LP regrowth) outweighs any node savings.
-        adaptive_skip = (
-            cuts_requested
-            and options.cut_min_binaries > 0
-            and 0 < self.int_idx.size < options.cut_min_binaries
-        )
-        self.pool: Optional[cuts_mod.CutPool] = (
-            cuts_mod.CutPool()
-            if cuts_requested and not adaptive_skip
-            and self.std is not None and self.int_idx.size
-            else None
-        )
-        #: Global bound snapshot every cut is complemented against.
-        #: Taken *before* reduced-cost fixing ever tightens the root
-        #: arrays, so cuts stay valid for the full integer-feasible set.
-        self.cut_lb = self.root_lb.copy()
-        self.cut_ub = self.root_ub.copy()
-        self.cut_rounds_c = self.metrics.counter("cut_rounds")
-        self.cuts_added_c = self.metrics.counter("cuts_added")
-        self.cuts_evicted_c = self.metrics.counter("cuts_evicted")
-        self.gomory_cuts_c = self.metrics.counter("gomory_cuts")
-        self.relu_cuts_c = self.metrics.counter("relu_cuts")
-        self.cut_sep_time_c = self.metrics.counter("cut_separation_time")
-        self.cuts_skipped_c = self.metrics.counter("cuts_skipped_adaptive")
-        if adaptive_skip and self.std is not None:
-            self.cuts_skipped_c.inc()
         #: Warm-start outcome of the most recent ``_node_lp`` call, for
         #: per-node trace events ("hit" / "miss" / "cold" / "off").
         self.last_warm = "off"
@@ -297,14 +238,8 @@ class _Search:
         # -- infeasibility-proof recording ----------------------------------
         self.record_proof = options.record_proof
         self.proof_leaves: List[dict] = []
-        self.proof_incomplete = False
-        #: Root bounds frozen before reduced-cost fixing can tighten
-        #: them — leaf literals are defined against *these*.
-        self._proof_root_lb = self.root_lb.copy()
-        self._proof_root_ub = self.root_ub.copy()
-        if self.record_proof and (options.presolve or self.pool is not None):
-            # Both rewrite the encoding the checker replays against.
-            self.proof_incomplete = True
+        # Presolve rewrites the encoding the checker replays against.
+        self.proof_incomplete = self.record_proof and options.presolve
 
     # -- helpers -----------------------------------------------------------
     def _timed_out(self) -> bool:
@@ -314,19 +249,9 @@ class _Search:
         """Solve a node's LP relaxation, warm-starting when possible."""
         if self.warm and node.basis is not None:
             self.warm_attempts.inc()
-            # Cut rows appended after this node's parent solved leave the
-            # carried basis short; widen it over the new slack columns.
-            try:
-                basis = revised_simplex.extend_basis(node.basis, self.std)
-            except revised_simplex.NumericalTrouble:
-                basis = None
-            result = (
-                revised_simplex.reoptimize(
-                    self.std, basis, node.lb, node.ub,
-                    max_iter=max(500, 4 * self.root_cold_iterations),
-                )
-                if basis is not None
-                else None
+            result = revised_simplex.reoptimize(
+                self.std, node.basis, node.lb, node.ub,
+                max_iter=max(500, 4 * self.root_cold_iterations),
             )
             if result is not None:
                 self.warm_hits.inc()
@@ -343,17 +268,19 @@ class _Search:
             return revised_simplex.cold_solve(self.std, node.lb, node.ub)
         return self.session.solve(lb=node.lb, ub=node.ub)
 
-    def _try_incumbent(self, x: np.ndarray) -> None:
+    def _try_incumbent(self, x: np.ndarray) -> bool:
+        """Adopt ``x`` as the incumbent if it is better and feasible;
+        returns whether it was adopted."""
         obj = float(self.c @ x)
-        if obj < self.incumbent_obj - 1e-12 and self.work.is_feasible(
+        if obj >= self.incumbent_obj - 1e-12 or not self.work.is_feasible(
             x, tol=1e-5
         ):
-            self.incumbent_obj = obj
-            self.incumbent_x = x.copy()
-            if self.trace is not None:
-                self.trace.event(
-                    "incumbent", objective=obj, nodes=self.nodes
-                )
+            return False
+        self.incumbent_obj = obj
+        self.incumbent_x = x.copy()
+        if self.trace is not None:
+            self.trace.event("incumbent", objective=obj, nodes=self.nodes)
+        return True
 
     def _rounding_candidates(self, x: np.ndarray) -> None:
         if self.int_idx.size == 0:
@@ -362,48 +289,6 @@ class _Search:
         rounded[self.int_idx] = np.round(rounded[self.int_idx])
         rounded = np.clip(rounded, self.root_lb, self.root_ub)
         self._try_incumbent(rounded)
-
-    def _reduced_cost_fix(self, root: LPResult) -> int:
-        """Tighten root bounds via reduced costs against the incumbent.
-
-        For a nonbasic column at its lower bound with reduced cost
-        ``d > 0``, every point within the optimality window satisfies
-        ``x_j <= lb_j + (incumbent - root_obj) / d`` (symmetrically at
-        upper bounds); integer columns round the limit inward.  Applied
-        once, at the root, to the bound arrays all nodes inherit.
-        """
-        if (
-            root.reduced_costs is None
-            or not math.isfinite(self.incumbent_obj)
-        ):
-            return 0
-        slack = self.incumbent_obj - GAP_TOL - root.objective
-        if slack < 0.0:
-            return 0
-        d = root.reduced_costs
-        x = root.x
-        fixes = 0
-        is_int = np.zeros(self.n, dtype=bool)
-        is_int[self.int_idx] = True
-        for j in range(self.n):
-            width = self.root_ub[j] - self.root_lb[j]
-            if width <= 1e-12:
-                continue
-            if d[j] > 1e-9 and abs(x[j] - self.root_lb[j]) <= 1e-7:
-                limit = self.root_lb[j] + slack / d[j]
-                if is_int[j]:
-                    limit = math.floor(limit + INTEGRALITY_TOL)
-                if limit < self.root_ub[j] - 1e-9:
-                    self.root_ub[j] = max(limit, self.root_lb[j])
-                    fixes += 1
-            elif d[j] < -1e-9 and abs(x[j] - self.root_ub[j]) <= 1e-7:
-                limit = self.root_ub[j] + slack / d[j]
-                if is_int[j]:
-                    limit = math.ceil(limit - INTEGRALITY_TOL)
-                if limit > self.root_lb[j] + 1e-9:
-                    self.root_lb[j] = min(limit, self.root_ub[j])
-                    fixes += 1
-        return fixes
 
     # -- infeasibility-proof recording --------------------------------------
     def _record_leaf(
@@ -429,11 +314,11 @@ class _Search:
         fixed: dict = {}
         for j in map(int, self.int_idx):
             if node_lb[j] == node_ub[j]:
-                if self._proof_root_lb[j] != self._proof_root_ub[j]:
+                if self.root_lb[j] != self.root_ub[j]:
                     fixed[j] = int(round(node_lb[j]))
             elif (
-                node_lb[j] != self._proof_root_lb[j]
-                or node_ub[j] != self._proof_root_ub[j]
+                node_lb[j] != self.root_lb[j]
+                or node_ub[j] != self.root_ub[j]
             ):
                 self.proof_incomplete = True
                 return
@@ -460,159 +345,6 @@ class _Search:
             for j in self.int_idx
             if abs(x[j] - round(x[j])) > INTEGRALITY_TOL
         ]
-
-    # -- cutting planes ----------------------------------------------------
-    def _separate_cuts(self, result: LPResult) -> int:
-        """Offer fresh Gomory + ReLU cuts at root ``result`` to the pool."""
-        t0 = time.perf_counter()
-        found: List[cuts_mod.Cut] = []
-        if result.basis is not None:
-            view = revised_simplex.tableau_view(
-                self.std, result.basis, self.root_lb, self.root_ub
-            )
-            if view is not None:
-                found.extend(cuts_mod.separate_gomory(
-                    view, self.int_idx, self.cut_lb, self.cut_ub,
-                    max_cuts=cuts_mod.MAX_CUTS_PER_ROUND,
-                ))
-        if self.relu_neurons:
-            found.extend(cuts_mod.separate_relu(
-                self.relu_neurons, result.x, self.cut_lb, self.cut_ub,
-                max_cuts=cuts_mod.MAX_CUTS_PER_ROUND,
-            ))
-        offered = sum(1 for cut in found if self.pool.offer(cut))
-        self.cut_sep_time_c.inc(time.perf_counter() - t0)
-        return offered
-
-    def _apply_cuts(self, chosen: List[cuts_mod.Cut]) -> None:
-        """Append the chosen pool cuts to the model and the standard LP."""
-        rows = np.stack([cut.coeffs for cut in chosen])
-        rhs = np.array([cut.rhs for cut in chosen])
-        self.work.add_cut_rows(rows, rhs)
-        self.std = revised_simplex.append_rows(self.std, rows, rhs)
-        self.pool.activate(chosen)
-        self.cuts_added_c.inc(len(chosen))
-        for cut in chosen:
-            if cut.kind == "gomory":
-                self.gomory_cuts_c.inc()
-            else:
-                self.relu_cuts_c.inc()
-
-    def _resolve_after_cuts(self, basis) -> LPResult:
-        """Re-optimise the grown root LP from an extended pre-cut basis.
-
-        The widened basis (new slacks basic) stays dual feasible, so the
-        dual simplex usually restores primal feasibility in a few
-        pivots; a rejected basis falls back to a cold solve.
-        """
-        result = None
-        if basis is not None:
-            try:
-                ext = revised_simplex.extend_basis(basis, self.std)
-            except revised_simplex.NumericalTrouble:
-                ext = None
-            if ext is not None:
-                result = revised_simplex.reoptimize(
-                    self.std, ext, self.root_lb, self.root_ub,
-                    max_iter=max(2000, 4 * self.root_cold_iterations),
-                )
-        if result is None:
-            result = revised_simplex.cold_solve(
-                self.std, self.root_lb, self.root_ub
-            )
-        return result
-
-    def _cut_event(self, rnd: int, added: List[cuts_mod.Cut],
-                   evicted: int, sep_time: float, bound: float) -> None:
-        if self.trace is None:
-            return
-        self.trace.event(
-            "cut",
-            round=rnd,
-            added=len(added),
-            evicted=evicted,
-            gomory=sum(1 for c in added if c.kind == "gomory"),
-            relu=sum(1 for c in added if c.kind != "gomory"),
-            sep_time=sep_time,
-            bound=bound,
-        )
-
-    def _run_cut_rounds(self, root: LPResult) -> LPResult:
-        """Root cutting-plane loop; returns the final root relaxation.
-
-        Eviction (and the LP rebuild it forces) is safe here because no
-        child basis exists yet.
-        """
-        options = self.options
-        best = root
-        tail = 0
-        for rnd in range(1, options.cut_rounds + 1):
-            if self._timed_out() or not self._fractional(best.x):
-                break
-            sep_before = self.cut_sep_time_c.value
-            self._separate_cuts(best)
-            chosen = self.pool.select(best.x, cuts_mod.MAX_CUTS_PER_ROUND)
-            if not chosen:
-                break
-            self._apply_cuts(chosen)
-            result = self._resolve_after_cuts(best.basis)
-            self.lp_iterations += result.iterations
-            self.cut_rounds_c.inc()
-            if result.status is SolveStatus.INFEASIBLE:
-                # Valid cuts emptied the LP: the MILP has no feasible
-                # point (within the solver's tolerance contract).
-                return result
-            if result.status is not SolveStatus.OPTIMAL:
-                break  # numerical trouble: keep the last good relaxation
-            gain = result.objective - best.objective
-            self._cut_event(
-                rnd, chosen, 0,
-                self.cut_sep_time_c.value - sep_before,
-                float(result.objective),
-            )
-            self.pool.age_active(result.x)
-            best = result
-            if gain <= 1e-9 * max(1.0, abs(best.objective)):
-                tail += 1
-                if tail >= 2:
-                    break
-            else:
-                tail = 0
-        evicted = self.pool.evict_stale()
-        if evicted:
-            self.cuts_evicted_c.inc(len(evicted))
-            best = self._rebuild_std(best)
-            self._cut_event(
-                0, [], len(evicted), 0.0, float(best.objective)
-            )
-        return best
-
-    def _rebuild_std(self, best: LPResult) -> LPResult:
-        """Re-standardise with only the surviving active cuts.
-
-        ``self.A_ub``/``self.b_ub`` still reference the *original* dense
-        arrays (``add_cut_rows`` supersedes the cache without mutating
-        them), so the rebuild is original rows + active pool.
-        """
-        A_ub, b_ub = self.A_ub, self.b_ub
-        if self.pool.active:
-            rows = np.stack([cut.coeffs for cut in self.pool.active])
-            rhs = np.array([cut.rhs for cut in self.pool.active])
-            A_ub = np.vstack([A_ub, rows]) if A_ub is not None else rows
-            b_ub = (
-                np.concatenate([b_ub, rhs]) if b_ub is not None else rhs
-            )
-        self.std = revised_simplex.standardize(
-            self.c, A_ub, b_ub, self.A_eq, self.b_eq,
-            list(zip(self.root_lb, self.root_ub)),
-        )
-        result = revised_simplex.cold_solve(
-            self.std, self.root_lb, self.root_ub
-        )
-        self.lp_iterations += result.iterations
-        if result.status is not SolveStatus.OPTIMAL:
-            return best  # stale basis; _node_lp cold-falls-back safely
-        return result
 
     def _push_children(self, node: _Node, result: LPResult, j: int) -> None:
         """Branch on column ``j``; dive on the more promising child."""
@@ -708,32 +440,21 @@ class _Search:
 
         x = root.x
         fractional = self._fractional(x)
-        if fractional and self.pool is not None:
-            root = self._run_cut_rounds(root)
-            if root.status is SolveStatus.INFEASIBLE:
-                return self._finish(SolveStatus.INFEASIBLE, sign,
-                                    objective_constant, -math.inf)
-            if root.status is not SolveStatus.OPTIMAL:
-                return self._finish(SolveStatus.ERROR, sign,
-                                    objective_constant, -math.inf)
-            x = root.x
-            fractional = self._fractional(x)
         if not fractional:
             # An integral relaxation point is never part of an
-            # infeasibility cover (even a tolerance-rejected incumbent
-            # leaves this leaf unaccounted for).
+            # infeasibility cover.  If the feasibility check rejects it,
+            # the root proves nothing: dropping it would turn a
+            # tolerance disagreement into a false proof.
             self.proof_incomplete = True
-            self._try_incumbent(x)
-            if self.incumbent_x is not None:
-                return self._finish(SolveStatus.OPTIMAL, sign,
-                                    objective_constant, root.objective)
+            status = (
+                SolveStatus.OPTIMAL if self._try_incumbent(x)
+                else SolveStatus.ERROR
+            )
+            return self._finish(status, sign, objective_constant,
+                                root.objective)
         self._rounding_candidates(x)
-        if options.rc_fixing:
-            if self._reduced_cost_fix(root):
-                self.proof_incomplete = True
-        if fractional:
-            j = _pick_branch_var(fractional, self.pseudocosts)
-            self._push_children(root_node, root, j)
+        j = _pick_branch_var(fractional, self.pseudocosts)
+        self._push_children(root_node, root, j)
 
         best_open_bound = root.objective
         status = SolveStatus.OPTIMAL
@@ -782,10 +503,13 @@ class _Search:
             assert x is not None
             fractional = self._fractional(x)
             if not fractional:
-                # Integral leaf — never part of an infeasibility cover
-                # (even when the incumbent is tolerance-rejected).
+                # Integral leaf — never part of an infeasibility cover.
+                # It beats the incumbent (checked above), so a rejected
+                # point leaves its node unresolved, like a failed LP.
                 self.proof_incomplete = True
-                self._try_incumbent(x)
+                if not self._try_incumbent(x):
+                    status = SolveStatus.ERROR
+                    break
                 continue
             self._rounding_candidates(x)
             j = _pick_branch_var(fractional, self.pseudocosts)
@@ -851,7 +575,6 @@ def solve_milp(
     model: Model,
     options: Optional[MILPOptions] = None,
     tracer=None,
-    relu_neurons=None,
 ) -> MILPResult:
     """Solve a MILP model; returns the best incumbent and a proven bound.
 
@@ -859,20 +582,12 @@ def solve_milp(
     *model's* sense (a maximisation model gets an upper best_bound).
     ``tracer`` (a :class:`repro.obs.Tracer`) enables per-node search-tree
     telemetry; ``None`` keeps the node loop instrumentation-free.
-    ``relu_neurons`` (a sequence of :class:`repro.milp.cuts.ReluNeuron`,
-    as attached to ``EncodedNetwork.neurons``) enables the ReLU-specific
-    cut separator on top of the generic Gomory cuts.
     """
     options = options or MILPOptions()
     if options.lp_backend not in LP_BACKENDS:
         raise ValueError(
             f"unknown lp_backend {options.lp_backend!r}; "
             f"expected one of {LP_BACKENDS}"
-        )
-    if options.cuts and options.lp_backend != "revised":
-        raise ValueError(
-            "cuts=True needs the 'revised' backend (separation reads its "
-            f"tableau); got {options.lp_backend!r}"
         )
     start = time.monotonic()
 
@@ -884,6 +599,4 @@ def solve_milp(
             return MILPResult(SolveStatus.INFEASIBLE,
                               wall_time=time.monotonic() - start)
 
-    return _Search(
-        work, options, start, tracer=tracer, relu_neurons=relu_neurons
-    ).run()
+    return _Search(work, options, start, tracer=tracer).run()

@@ -118,59 +118,6 @@ class Model:
         self.constraints.append(constraint)
         return constraint
 
-    def add_cut_rows(
-        self,
-        rows: np.ndarray,
-        rhs: np.ndarray,
-        name_prefix: str = "cut",
-    ) -> List[Constraint]:
-        """Append valid ``rows @ x <= rhs`` cut constraints.
-
-        Unlike :meth:`add_constr` this does **not** invalidate the cached
-        dense view: the new rows are appended to the cached ``A_ub`` /
-        ``b_ub`` in place, so repeated ``dense_arrays()`` calls inside a
-        cutting-plane loop stay cheap and existing array references stay
-        valid (the old arrays are never mutated, only superseded).  The
-        rows must be *valid* inequalities — they take part in incumbent
-        feasibility checks like any other constraint.
-        """
-        rows = np.atleast_2d(np.asarray(rows, dtype=float))
-        rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-        if rows.shape[1] != self.num_vars or rows.shape[0] != rhs.shape[0]:
-            raise ModelError(
-                f"cut block {rows.shape} does not match model with "
-                f"{self.num_vars} columns"
-            )
-        added: List[Constraint] = []
-        for k in range(rows.shape[0]):
-            expr = LinExpr(
-                {
-                    int(j): float(rows[k, j])
-                    for j in np.flatnonzero(rows[k])
-                },
-                -float(rhs[k]),
-            )
-            constr = Constraint(
-                expr, ConstraintOp.LE,
-                f"{name_prefix}{len(self.constraints)}",
-            )
-            self.constraints.append(constr)
-            added.append(constr)
-        if self._dense_cache is not None:
-            c, A_ub, b_ub, A_eq, b_eq, bounds = self._dense_cache
-            A_ub = (
-                np.vstack([A_ub, rows]) if A_ub is not None
-                else rows.copy()
-            )
-            b_ub = (
-                np.concatenate([b_ub, rhs]) if b_ub is not None
-                else rhs.copy()
-            )
-            A_ub.setflags(write=False)
-            b_ub.setflags(write=False)
-            self._dense_cache = (c, A_ub, b_ub, A_eq, b_eq, bounds)
-        return added
-
     def set_objective(self, expr: ExprLike, sense: Sense = Sense.MINIMIZE) -> None:
         """Set the objective expression and optimisation direction."""
         expr = _as_expr(expr)

@@ -79,14 +79,7 @@ class StandardLP:
 
     Columns are laid out ``[structural | slacks | artificials]``; the
     artificial block (one column per row) is fixed to ``[0, 0]`` and only
-    relaxed internally during phase 1 of a cold start.  Rows appended
-    later (:func:`append_rows`) put their slack and artificial columns
-    strictly at the *end*, so ``art_cols`` / ``row_slack`` record the
-    layout explicitly: ``art_cols[i]`` is row ``i``'s artificial column
-    and ``row_slack[i]`` its slack column (``-1`` for equality rows).
-
-    When the two arrays are omitted the original contiguous layout is
-    reconstructed, keeping hand-built instances working.
+    relaxed internally during phase 1 of a cold start.
     """
 
     A: np.ndarray
@@ -95,20 +88,6 @@ class StandardLP:
     lower: np.ndarray
     upper: np.ndarray
     num_structural: int
-    art_cols: Optional[np.ndarray] = None
-    row_slack: Optional[np.ndarray] = None
-
-    def __post_init__(self) -> None:
-        m, n = self.A.shape
-        if self.art_cols is None:
-            self.art_cols = np.arange(n - m, n, dtype=np.int64)
-        if self.row_slack is None:
-            # standardize() lays slacks out as one column per <= row,
-            # directly after the structural block, in row order.
-            num_ub = n - self.num_structural - m
-            slack = np.full(m, -1, dtype=np.int64)
-            slack[:num_ub] = self.num_structural + np.arange(num_ub)
-            self.row_slack = slack
 
     @property
     def num_rows(self) -> int:
@@ -117,6 +96,12 @@ class StandardLP:
     @property
     def num_cols(self) -> int:
         return self.A.shape[1]
+
+    @property
+    def art_cols(self) -> np.ndarray:
+        """The artificial block: row ``i``'s artificial column is
+        ``art_cols[i]``."""
+        return np.arange(self.num_cols - self.num_rows, self.num_cols)
 
     def node_bounds(
         self,
@@ -177,122 +162,6 @@ def standardize(
     ])
     c_full = np.concatenate([c, np.zeros(num_ub + m)])
     return StandardLP(A, b, c_full, lower, upper, n)
-
-
-def append_rows(
-    lp: StandardLP, rows: np.ndarray, rhs: np.ndarray
-) -> StandardLP:
-    """A new :class:`StandardLP` with ``rows @ x_struct <= rhs`` appended.
-
-    Every new column (one slack and one artificial per row) goes strictly
-    at the *end* of the column space, so column indices of the old LP —
-    and therefore any :class:`Basis` exported against it — stay valid;
-    :func:`extend_basis` widens such a basis by making the new slacks
-    basic.  The input arrays are not mutated.
-    """
-    rows = np.atleast_2d(np.asarray(rows, dtype=float))
-    rhs = np.atleast_1d(np.asarray(rhs, dtype=float))
-    k = rows.shape[0]
-    if rows.shape[1] != lp.num_structural or rhs.shape[0] != k:
-        raise ValueError("cut rows must span the structural columns")
-    m, n = lp.A.shape
-    A = np.zeros((m + k, n + 2 * k))
-    A[:m, :n] = lp.A
-    A[m:, : lp.num_structural] = rows
-    A[m:, n:n + k] = np.eye(k)          # new slacks
-    A[m:, n + k:] = np.eye(k)           # new artificials
-    lower = np.concatenate([lp.lower, np.zeros(2 * k)])
-    upper = np.concatenate([
-        lp.upper, np.full(k, math.inf), np.zeros(k),
-    ])
-    return StandardLP(
-        A=A,
-        b=np.concatenate([lp.b, rhs]),
-        c=np.concatenate([lp.c, np.zeros(2 * k)]),
-        lower=lower,
-        upper=upper,
-        num_structural=lp.num_structural,
-        art_cols=np.concatenate([
-            lp.art_cols, np.arange(n + k, n + 2 * k, dtype=np.int64),
-        ]),
-        row_slack=np.concatenate([
-            lp.row_slack, np.arange(n, n + k, dtype=np.int64),
-        ]),
-    )
-
-
-def extend_basis(basis: Basis, lp: StandardLP) -> Basis:
-    """Widen a pre-:func:`append_rows` basis to cover the grown LP.
-
-    Each appended row's slack enters the basis (the extended basis matrix
-    is block-triangular with an identity block, hence nonsingular) and
-    the new zero-cost columns keep the basis dual feasible — exactly what
-    :func:`reoptimize` needs to restore primal feasibility with a few
-    dual pivots.  Already-matching bases are returned unchanged.
-    """
-    old_m = basis.basic.shape[0]
-    old_n = basis.status.shape[0]
-    if old_m == lp.num_rows and old_n == lp.num_cols:
-        return basis
-    if old_m > lp.num_rows or old_n > lp.num_cols:
-        raise NumericalTrouble("basis is wider than the LP")
-    status = np.full(lp.num_cols, AT_LOWER, dtype=np.int8)
-    status[:old_n] = basis.status
-    basic = np.empty(lp.num_rows, dtype=np.int64)
-    basic[:old_m] = basis.basic
-    for row in range(old_m, lp.num_rows):
-        slack_col = int(lp.row_slack[row])
-        if slack_col < 0:
-            raise NumericalTrouble("appended row has no slack column")
-        basic[row] = slack_col
-        status[slack_col] = BASIC
-    return Basis(basic, status)
-
-
-@dataclasses.dataclass
-class TableauView:
-    """Read-only snapshot of an installed basis, for cut separation.
-
-    Gomory separation needs the simplex tableau rows ``B^{-1} A`` and the
-    basic solution they describe; this carries everything required
-    without exposing the mutable :class:`_Solver` internals.
-    """
-
-    lp: StandardLP
-    basic: np.ndarray
-    status: np.ndarray
-    Binv: np.ndarray
-    x: np.ndarray
-    #: ``B^{-1} b`` — the tableau row constants (``x_B`` only when every
-    #: nonbasic rests at zero; shifts are the separator's job).
-    b_bar: np.ndarray
-
-
-def tableau_view(
-    lp: StandardLP,
-    basis: Basis,
-    lb: Optional[np.ndarray] = None,
-    ub: Optional[np.ndarray] = None,
-) -> Optional[TableauView]:
-    """Install ``basis`` under node bounds and expose its tableau.
-
-    Returns ``None`` when the basis cannot be installed (singular or
-    inconsistent) — callers simply skip separation for that node.
-    """
-    lower, upper = lp.node_bounds(lb, ub)
-    solver = _Solver(lp, lower, upper)
-    try:
-        solver.install(basis)
-    except NumericalTrouble:
-        return None
-    return TableauView(
-        lp=lp,
-        basic=solver.basic.copy(),
-        status=solver.status.copy(),
-        Binv=solver.Binv.copy(),
-        x=solver.x.copy(),
-        b_bar=solver.Binv @ lp.b,
-    )
 
 
 class _Solver:
@@ -685,9 +554,9 @@ def solve_lp(
 ) -> LPResult:
     """Cold-start entry point with the standard LP-backend contract.
 
-    The returned result additionally carries the optimal :class:`Basis`
-    and structural reduced costs, which :func:`reoptimize` (and the
-    branch-and-bound warm path) consume.
+    The returned result additionally carries the structural reduced
+    costs and the optimal :class:`Basis`, which :func:`reoptimize` (and
+    the branch-and-bound warm path) consume.
     """
     lp = standardize(c, A_ub, b_ub, A_eq, b_eq, bounds)
     return cold_solve(lp, max_iter=max_iter)

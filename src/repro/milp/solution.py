@@ -23,7 +23,7 @@ class LPResult:
         basis: Optimal basis (``repro.milp.revised_simplex.Basis``) when
             the backend supports warm starting, else ``None``.
         reduced_costs: Reduced costs of the structural columns at the
-            optimum (for reduced-cost bound fixing), when available.
+            optimum, when the backend computes them.
         warm_started: True when this solve reoptimised from a supplied
             basis instead of starting cold.
         farkas: Infeasibility ray over the standardized rows (one entry
@@ -76,8 +76,8 @@ class MILPResult:
     #: Leaf-cover proof record (``MILPOptions.record_proof``): a dict
     #: with ``"leaves"`` — one entry per pruned leaf carrying the fixed
     #: integer columns and the LP infeasibility ray — and ``"complete"``
-    #: — False when any proving path could not be recorded (cuts, an
-    #: unrecordable leaf, a rejected incumbent).  Consumed by
+    #: — False when any proving path could not be recorded (presolve,
+    #: an unrecordable leaf, an integral leaf).  Consumed by
     #: :func:`repro.proof.emit.assemble_milp_certificate`.
     proof: Optional[Dict] = None
 
@@ -112,41 +112,6 @@ class MILPResult:
         if self.warm_start_attempts == 0:
             return 0.0
         return self.warm_start_hits / self.warm_start_attempts
-
-    @property
-    def cut_rounds(self) -> int:
-        """Separation rounds run (root loop plus shallow-node rounds)."""
-        return int(self.metrics.get("cut_rounds", 0))
-
-    @property
-    def cuts_added(self) -> int:
-        """Cut rows appended to the LP over the whole search."""
-        return int(self.metrics.get("cuts_added", 0))
-
-    @property
-    def cuts_evicted(self) -> int:
-        """Active cuts retired by the root loop's aging pass."""
-        return int(self.metrics.get("cuts_evicted", 0))
-
-    @property
-    def gomory_cuts(self) -> int:
-        """Gomory mixed-integer cuts among ``cuts_added``."""
-        return int(self.metrics.get("gomory_cuts", 0))
-
-    @property
-    def relu_cuts(self) -> int:
-        """ReLU triangle/implied-bound cuts among ``cuts_added``."""
-        return int(self.metrics.get("relu_cuts", 0))
-
-    @property
-    def cut_separation_time(self) -> float:
-        """Seconds spent inside the cut separators."""
-        return float(self.metrics.get("cut_separation_time", 0.0))
-
-    @property
-    def cuts_skipped_adaptive(self) -> int:
-        """1 when separation was skipped below the binary threshold."""
-        return int(self.metrics.get("cuts_skipped_adaptive", 0))
 
     @property
     def gap(self) -> float:

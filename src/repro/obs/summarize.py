@@ -85,13 +85,6 @@ class TraceSummary:
     slowest_cells: List[Tuple[str, float, str]]
     #: Branch-and-bound node events seen in the trace.
     num_nodes: int
-    #: Cut-separation rounds (``cut`` events with a positive round).
-    cut_rounds: int = 0
-    #: Cut rows added / retired, summed over every ``cut`` event.
-    cuts_added: int = 0
-    cuts_evicted: int = 0
-    #: Seconds spent inside the cut separators.
-    cut_separation_time: float = 0.0
     #: Region-bisection frontier: how many ``split`` events bisected a
     #: box, pruned a sub-region statically, or handed one to the MILP
     #: (``milp`` + ``degenerate`` actions).
@@ -159,7 +152,6 @@ def summarize_trace(
                 span.get("attrs", {}).get("verdict", "?"),
             ))
     cells.sort(key=lambda item: item[1], reverse=True)
-    cut_events = [e for e in events if e.get("name") == "cut"]
     split_actions = [
         e.get("attrs", {}).get("action", "")
         for e in events
@@ -175,20 +167,6 @@ def summarize_trace(
         total_wall=total_wall,
         slowest_cells=cells[:top],
         num_nodes=sum(1 for e in events if e.get("name") == "node"),
-        cut_rounds=sum(
-            1 for e in cut_events
-            if e.get("attrs", {}).get("round", 0) > 0
-        ),
-        cuts_added=sum(
-            int(e.get("attrs", {}).get("added", 0)) for e in cut_events
-        ),
-        cuts_evicted=sum(
-            int(e.get("attrs", {}).get("evicted", 0)) for e in cut_events
-        ),
-        cut_separation_time=sum(
-            float(e.get("attrs", {}).get("sep_time", 0.0))
-            for e in cut_events
-        ),
         split_bisections=split_actions.count("bisect"),
         split_pruned=split_actions.count("prune"),
         split_milp=(
@@ -246,13 +224,6 @@ def render_summary(summary: TraceSummary) -> str:
         f"total {summary.total_wall:.3f}s serial-equivalent; phases cover "
         f"{summary.phase_coverage:.0%}"
     )
-    if summary.cut_rounds or summary.cuts_added:
-        lines.append(
-            f"cutting planes: {summary.cuts_added} added over "
-            f"{summary.cut_rounds} rounds "
-            f"({summary.cuts_evicted} evicted); separation "
-            f"{summary.cut_separation_time:.3f}s"
-        )
     if summary.split_bisections or summary.split_pruned or summary.split_milp:
         lines.append(
             f"region bisection: {summary.split_bisections} bisection(s) "

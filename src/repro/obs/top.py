@@ -20,7 +20,7 @@ from __future__ import annotations
 import os
 import sys
 import time
-from typing import Any, Dict, Mapping, Optional
+from typing import Any, Mapping, Optional
 
 from repro.obs.export import load_snapshots
 

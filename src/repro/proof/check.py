@@ -3,7 +3,7 @@
 This module is the *second opinion* the certification pillar demands: it
 re-validates every VERIFIED verdict using nothing but matrix arithmetic
 against :mod:`repro.tolerances` — no simplex, no branch-and-bound, no
-cut separation, no alpha optimiser.  It deliberately imports **no
+alpha optimiser.  It deliberately imports **no
 solver module** (a property the test suite enforces by inspecting
 ``sys.modules``), so a soundness bug anywhere in the ~5k-line proving
 stack cannot also hide here.

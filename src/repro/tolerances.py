@@ -60,7 +60,7 @@ LP_DUAL_TOL = 1e-7
 LP_PIVOT_TOL = 1e-7
 
 #: Generic "this float is zero" threshold for coefficient screening
-#: (presolve, cut separation, basis algebra).
+#: (presolve, basis algebra).
 EPS = 1e-9
 
 #: Slack *added* to every certified big-M bound by the encoder so LP

@@ -200,9 +200,8 @@ class TestEncodingAudit:
 
     def test_cut_row_unknown_column_a209(self, encoded):
         n = encoded.model.num_vars
-        row = np.zeros(n)
-        row[0] = 1.0
-        cut = encoded.model.add_cut_rows(row, np.array([100.0]))[0]
+        x0 = encoded.model.variables[0]
+        cut = encoded.model.add_constr(x0 <= 100.0, name="cut0")
         # Retarget the cut at a column the model does not have.
         cut.expr.coeffs[n + 3] = cut.expr.coeffs.pop(0)
         report = audit_encoding(encoded)

@@ -345,6 +345,33 @@ class TestParallel:
             if not np.isnan(s.result.value):
                 assert p.result.value == pytest.approx(s.result.value)
 
+    def test_revised_parallel_reproduces_serial_bit_for_bit(self):
+        """jobs=2 on the revised backend reproduces the serial verdicts,
+        values and node counts exactly."""
+        def build():
+            c = VerificationCampaign(
+                EncoderOptions(bound_mode="interval"),
+                MILPOptions(time_limit=60.0, lp_backend="revised"),
+            )
+            for seed in (0, 1):
+                c.add_network(FeedForwardNetwork.mlp(
+                    3, [4 + seed], 2, rng=np.random.default_rng(seed),
+                ))
+            for k in range(2):
+                c.add_max_query(
+                    f"q{k}", unit_region(3), OutputObjective.single(k)
+                )
+            return c
+
+        serial = build().run()
+        parallel = build().run(jobs=2)
+        assert len(serial.cells) == len(parallel.cells) == 4
+        for cell in serial.cells:
+            twin = parallel.cell(cell.network_id, cell.property_name)
+            assert twin.result.verdict is cell.result.verdict
+            assert twin.result.value == cell.result.value  # bit-for-bit
+            assert twin.result.nodes == cell.result.nodes
+
     def test_jobs_zero_means_cpu_count(self):
         from repro.core.campaign import resolve_jobs
 
@@ -471,31 +498,6 @@ class TestDegenerateAccounting:
             wall_time=0.0,
         )
         assert report.speedup == 1.0
-
-    def test_cut_totals_aggregate_cells(self):
-        from repro.core.campaign import CampaignCell, CampaignReport
-        from repro.core.verifier import VerificationResult
-
-        def cell(metrics):
-            return CampaignCell(
-                network_id="a",
-                property_name=f"q{len(metrics)}",
-                result=VerificationResult(
-                    verdict=Verdict.MAX_FOUND, metrics=metrics
-                ),
-            )
-
-        report = CampaignReport([
-            cell({"cuts_added": 5, "cut_rounds": 2,
-                  "cuts_evicted": 1, "cut_separation_time": 0.25}),
-            cell({"cuts_added": 3, "cut_rounds": 1,
-                  "cut_separation_time": 0.5}),
-        ])
-        assert report.total_cuts_added == 8
-        assert report.total_cut_rounds == 3
-        assert report.total_cuts_evicted == 1
-        assert report.total_cut_separation_time == pytest.approx(0.75)
-        assert "cutting planes: 8 added over 3 rounds" in report.summary()
 
 
 # -- worker-crash fault isolation -----------------------------------------

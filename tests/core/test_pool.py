@@ -222,9 +222,9 @@ class TestVerdictFingerprint:
         dict(encoder_options=EncoderOptions(bound_mode="lp")),
         dict(encoder_options=EncoderOptions(bound_mode="alpha")),
         dict(milp_options=MILPOptions(time_limit=30.0)),
-        dict(milp_options=MILPOptions(time_limit=60.0, cuts=True)),
+        dict(milp_options=MILPOptions(time_limit=60.0, presolve=False)),
         dict(milp_options=MILPOptions(
-            time_limit=60.0, cut_min_binaries=0,
+            time_limit=60.0, lp_backend="revised",
         )),
     ])
     def test_any_input_change_changes_fingerprint(self, change):

@@ -271,30 +271,35 @@ class TestWarmStartedSearch:
         warm = solve_milp(
             model_w,
             MILPOptions(lp_backend="revised", warm_start=True,
-                        presolve=False, cuts=False),
+                        presolve=False),
         )
         cold = solve_milp(
             model_c,
             MILPOptions(lp_backend="revised", warm_start=False,
-                        presolve=False, cuts=False),
+                        presolve=False),
         )
         assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
         if warm.nodes > 3:
             assert warm.lp_iterations < cold.lp_iterations
 
-    def test_rc_fixing_preserves_optimum(self):
-        rng = np.random.default_rng(9)
-        for _ in range(5):
-            values, weights, capacity = self._random_knapsack(rng)
-            on = solve_milp(
-                knapsack(values, weights, capacity),
-                MILPOptions(lp_backend="revised", rc_fixing=True),
-            )
-            off = solve_milp(
-                knapsack(values, weights, capacity),
-                MILPOptions(lp_backend="revised", rc_fixing=False),
-            )
-            assert on.objective == pytest.approx(off.objective, abs=1e-6)
+    def test_rejected_warm_start_falls_back_to_cold_identical_optimum(
+        self, monkeypatch
+    ):
+        """Every rejected warm start is re-solved cold, and the search
+        lands on the same optimum (never errors out, never drifts)."""
+        rng = np.random.default_rng(5)
+        values, weights, capacity = self._random_knapsack(rng, size=12)
+        options = MILPOptions(lp_backend="revised")
+        reference = solve_milp(knapsack(values, weights, capacity), options)
+        monkeypatch.setattr(
+            revised_simplex, "reoptimize", lambda *args, **kwargs: None
+        )
+        res = solve_milp(knapsack(values, weights, capacity), options)
+        assert res.status is SolveStatus.OPTIMAL
+        assert res.objective == pytest.approx(reference.objective, abs=1e-6)
+        assert res.warm_start_attempts > 0
+        assert res.basis_rejections == res.warm_start_attempts
+        assert res.warm_start_hits == 0
 
     def test_pseudocost_branching_matches_brute_force(self):
         rng = np.random.default_rng(21)
@@ -337,7 +342,7 @@ class TestFailedNodeLP:
     must end as ERROR instead of pruning the node as if infeasible."""
 
     def _options(self, backend):
-        return MILPOptions(lp_backend=backend, cuts=False, presolve=False)
+        return MILPOptions(lp_backend=backend, presolve=False)
 
     def test_search_ends_as_error(self, backend, monkeypatch):
         rng = np.random.default_rng(0)
@@ -379,4 +384,55 @@ class TestFailedNodeLP:
         assert reference.solver != "static"
         assert reference.nodes > 0
         _fail_after_root(monkeypatch, backend)
+        assert verifier.prove(prop).verdict is Verdict.ERROR
+
+
+def _reject_every_point(monkeypatch):
+    """Make the model's feasibility check reject every candidate."""
+    monkeypatch.setattr(Model, "is_feasible", lambda self, x, tol=0: False)
+
+
+class TestRejectedIntegralLeaf:
+    """An integral LP point that the feasibility check rejects leaves its
+    node unresolved: the search must end as ERROR, never as INFEASIBLE
+    (which a decision query would turn into a proof)."""
+
+    def test_root(self, monkeypatch):
+        # Everything fits, so the root relaxation is already integral.
+        model = knapsack([3, 5, 7], [1, 1, 1], 10)
+        assert solve_milp(model).nodes == 0
+        _reject_every_point(monkeypatch)
+        res = solve_milp(model)
+        assert res.status is SolveStatus.ERROR
+        assert not res.has_incumbent
+
+    def test_after_root(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        values = rng.integers(5, 60, size=10).tolist()
+        weights = rng.integers(1, 12, size=10).tolist()
+        model = knapsack(values, weights, int(sum(weights) // 2))
+        assert solve_milp(model).nodes > 0  # the root is fractional
+        _reject_every_point(monkeypatch)
+        res = solve_milp(model)
+        assert res.status is SolveStatus.ERROR
+        assert res.nodes > 0
+        assert not res.has_incumbent
+
+    def test_verifier_reports_error_not_verified(self, monkeypatch):
+        network = FeedForwardNetwork.mlp(
+            2, [6, 6], 1, rng=np.random.default_rng(3)
+        )
+        region = InputRegion(np.array([[-2.0, 2.0]] * 2))
+        verifier = Verifier(network, EncoderOptions(bound_mode="interval"))
+        top = verifier.maximize(region, OutputObjective.single(0))
+        assert top.verdict is Verdict.MAX_FOUND
+        # Below the maximum: a violating point exists, so only rejected
+        # integral leaves could make the violation model look empty.
+        prop = SafetyProperty(
+            name="leq", region=region,
+            objective=OutputObjective.single(0),
+            threshold=float(top.value) - 0.05,
+        )
+        assert verifier.prove(prop).verdict is Verdict.FALSIFIED
+        _reject_every_point(monkeypatch)
         assert verifier.prove(prop).verdict is Verdict.ERROR

@@ -180,52 +180,6 @@ class TestSearchTree:
         tree_to_dot(tree)  # renders without error
 
 
-def cut_event(rnd, added, evicted=0, sep_time=0.0, span="c0.4"):
-    return {
-        "type": "event", "name": "cut", "run": "r", "span": span,
-        "t": 0.0, "attrs": {
-            "round": rnd, "added": added, "evicted": evicted,
-            "gomory": added, "relu": 0, "sep_time": sep_time,
-            "bound": -1.0,
-        },
-    }
-
-
-class TestCutAccounting:
-    def test_cut_events_aggregated(self):
-        records = [
-            span_rec("query", 2.0, span_id="1", network="n",
-                     objective="o", verdict="max_found"),
-            cut_event(1, added=8, sep_time=0.02),
-            cut_event(2, added=5, sep_time=0.01),
-            cut_event(0, added=0, evicted=4),  # eviction pass
-        ]
-        summary = summarize_trace(records)
-        assert summary.cut_rounds == 2  # the round-0 eviction is not one
-        assert summary.cuts_added == 13
-        assert summary.cuts_evicted == 4
-        assert summary.cut_separation_time == 0.03
-
-    def test_render_reports_cut_line(self):
-        records = [
-            span_rec("query", 2.0, span_id="1", network="n",
-                     objective="o", verdict="max_found"),
-            cut_event(1, added=8, sep_time=0.02),
-        ]
-        text = render_summary(summarize_trace(records))
-        assert "cutting planes: 8 added over 1 rounds" in text
-        assert "separation 0.020s" in text
-
-    def test_no_cut_events_no_cut_line(self):
-        records = [
-            span_rec("query", 2.0, span_id="1", network="n",
-                     objective="o", verdict="max_found"),
-        ]
-        summary = summarize_trace(records)
-        assert summary.cut_rounds == 0 and summary.cuts_added == 0
-        assert "cutting planes" not in render_summary(summary)
-
-
 class TestDegradedTraces:
     """Empty/truncated traces must warn and summarise, never traceback."""
 

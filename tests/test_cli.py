@@ -5,6 +5,7 @@ import pytest
 
 from repro.cli import main
 from repro.data import DrivingDataset
+from repro.milp import MILPOptions
 from repro.nn.serialization import load_network
 
 
@@ -112,6 +113,13 @@ class TestVerify:
         )
         assert code == 0
         assert "PROVEN" in capsys.readouterr().out
+
+    def test_removed_cut_options_rejected(self):
+        with pytest.raises(TypeError):
+            MILPOptions(cuts=True)
+        with pytest.raises(SystemExit) as exc:
+            main(["verify", "--data", "d.npz", "--net", "n.json", "--cuts"])
+        assert exc.value.code == 2
 
     def test_split_flag(self, data_file, net_file, tmp_path, capsys):
         trace = tmp_path / "split.jsonl"

@@ -72,8 +72,7 @@ def _add_solver_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--lp-backend", default="highs",
         choices=LP_BACKENDS,
-        help="LP engine for node relaxations (certified proofs always "
-        "use 'revised')",
+        help="LP engine for node relaxations (certified proofs too)",
     )
 
 
@@ -101,9 +100,9 @@ def _add_certify_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--certify", action="store_true",
         help="emit a repro-proof/1 certificate with every VERIFIED "
-        "decision verdict (pins the solver to the replayable "
-        "configuration: the 'revised' backend, no presolve; 'repro "
-        "check' validates the artifacts independently)",
+        "decision verdict (turns presolve off so the search stays on "
+        "the encoding the checker rebuilds; 'repro check' validates "
+        "the artifacts independently)",
     )
     parser.add_argument(
         "--cert-out", default=None, metavar="DIR",

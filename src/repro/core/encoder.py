@@ -103,8 +103,9 @@ class EncoderOptions:
     split_min_width: float = SPLIT_MIN_WIDTH
     #: Emit a ``repro-proof/1`` certificate with every VERIFIED verdict
     #: (:mod:`repro.proof`).  Pins the proving pipeline to checkable
-    #: paths: fixed-policy symbolic prescreens, the ``"revised"`` LP
-    #: backend with presolve disabled and leaf-cover recording on.
+    #: paths: fixed-policy symbolic prescreens, and a MILP search on the
+    #: configured LP backend with presolve disabled and leaf-cover
+    #: recording on.
     #: Part of the options token, so certified verdict fingerprints
     #: never collide with uncertified ones.
     certify: bool = False

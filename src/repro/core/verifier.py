@@ -642,12 +642,12 @@ class Verifier:
             return driver.prove(prop, start=start)
         milp_options = self.milp_options
         if record is not None:
-            # Pin the search to the replayable configuration: the ray-
-            # exporting backend, no encoding rewrites, leaf recording on.
+            # Search the encoding the checker rebuilds: the chain's
+            # bounds, no presolve rewrites, leaf recording on.  The LP
+            # backend stays the configured one; both export rays.
             precomputed_bounds = record.bounds
             milp_options = dataclasses.replace(
-                milp_options, lp_backend="revised", presolve=False,
-                record_proof=True,
+                milp_options, presolve=False, record_proof=True,
             )
         encoded = encode_network(
             self.network,

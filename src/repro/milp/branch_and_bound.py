@@ -74,10 +74,10 @@ class MILPOptions:
             pruned leaf, the fixed integer columns and the LP
             infeasibility ray.  Only a search over the *original*
             encoding can be replayed independently, so presolve (which
-            rewrites it) or any unrecordable pruning marks the proof
-            incomplete rather than emitting an unsound one.  Meant to be
-            used with ``presolve=False`` and the ``"revised"`` backend
-            (the only one exporting rays).
+            rewrites it), an infeasible leaf without a ray or any other
+            unrecordable pruning marks the proof incomplete rather than
+            emitting an unsound one.  Meant to be used with
+            ``presolve=False``; both LP backends export rays.
     """
 
     lp_backend: str = "highs"

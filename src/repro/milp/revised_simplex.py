@@ -435,9 +435,10 @@ def _cold_start(
     if outcome == "iteration_limit":
         return outcome
     if float(phase1_cost @ solver.x) > 1e-6:
-        # Phase-1 optimum with positive artificial mass: its dual
-        # prices form an infeasibility ray (proof-certificate Farkas).
-        solver.farkas_ray = phase1_cost[solver.basic] @ solver.Binv
+        # Phase-1 optimum with positive artificial mass: its negated
+        # dual prices form an infeasibility ray (proof-certificate
+        # Farkas, ``y >= 0`` on the slack rows).
+        solver.farkas_ray = -(phase1_cost[solver.basic] @ solver.Binv)
         return "infeasible"
 
     # Snap the artificial boxes shut; surviving basic artificials sit at

@@ -160,7 +160,28 @@ class HighsSession:
                 objective=float(info.objective_function_value),
                 iterations=iterations,
             )
+        if status is SolveStatus.INFEASIBLE:
+            return LPResult(status, iterations=iterations, farkas=self._ray())
         return LPResult(status, iterations=iterations)
+
+    def _ray(self) -> Optional[np.ndarray]:
+        """The infeasibility ray of the last solve, in ``LPResult.farkas``
+        form, or ``None``.
+
+        HiGHS's dual ray is negative on the rows whose upper side it
+        aggregates; negated, it is ``y >= 0`` on the ``<=`` rows, the
+        form the proof checker's weak-duality test takes as is.  A
+        missing, empty, all-zero or non-finite ray is no ray; whether
+        what is left proves anything is for that test to say, not for
+        HiGHS's own has-a-ray flags.
+        """
+        get_ray = getattr(self._h, "getDualRay", None)
+        if get_ray is None:
+            return None
+        ray = np.asarray(get_ray()[-1], dtype=float)
+        if ray.size == 0 or not np.isfinite(ray).all() or not ray.any():
+            return None
+        return -ray
 
 
 def solve_lp(

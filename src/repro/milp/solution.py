@@ -28,9 +28,13 @@ class LPResult:
             basis instead of starting cold.
         farkas: Infeasibility ray over the standardized rows (one entry
             per constraint row, inequality rows first) when the status
-            is INFEASIBLE and the backend produced one; the raw
-            evidence behind proof-certificate Farkas leaves
-            (:mod:`repro.proof.emit`).
+            is INFEASIBLE and the backend produced one.  Both backends
+            use one sign convention: ``y >= 0`` on the ``<=`` rows (any
+            sign on equality rows) and ``min (y @ A) x > y @ b`` over
+            the column box, the form :mod:`repro.proof.check` accepts
+            as is.  The raw evidence behind proof-certificate Farkas
+            leaves (:mod:`repro.proof.emit`), which re-checks every ray
+            before it enters a certificate.
     """
 
     status: SolveStatus

@@ -16,10 +16,9 @@ Two jobs:
   record (leaf literals + per-leaf standardized dual rays) into the
   named-row Farkas leaves of the certificate format.  Each ray is
   *self-validated* against the same clean-room encoding rebuild the
-  checker uses; sign conventions are tried both ways, so a convention
-  drift in the simplex can never produce a certificate the checker
-  would reject — it produces no certificate at all, which is an honest
-  (and visible) failure.
+  checker uses, so a wrong or missing ray from the LP backend can never
+  produce a certificate the checker would reject — it produces no
+  certificate at all, which is an honest (and visible) failure.
 """
 
 from __future__ import annotations
@@ -222,11 +221,12 @@ def milp_proof_leaves(
 
     ``proof`` is the raw :attr:`repro.milp.solution.MILPResult.proof`
     payload: per leaf, the fixed integer columns and the standardized
-    dual ray.  Column indices become variable names, ray entries become
-    per-row multipliers keyed by constraint name, and every converted
-    leaf is immediately re-checked with the checker's own Farkas
-    arithmetic (trying both sign conventions of the ray).  Returns
-    ``None`` as soon as any leaf cannot be certified.
+    dual ray in :attr:`repro.milp.solution.LPResult.farkas` form
+    (``y >= 0`` on the ``<=`` rows).  Column indices become variable
+    names, ray entries become per-row multipliers keyed by constraint
+    name, and every converted leaf is immediately re-checked with the
+    checker's own Farkas arithmetic.  Returns ``None`` as soon as any
+    leaf cannot be certified.
     """
     if not proof.get("complete", False):
         return None
@@ -250,22 +250,12 @@ def milp_proof_leaves(
             model.variables[col].name: int(value)
             for col, value in leaf.get("fixed", {}).items()
         }
-        named: Optional[Dict[str, float]] = None
-        for candidate in (
-            ray, -ray, np.maximum(ray, 0.0), np.maximum(-ray, 0.0)
+        named = {
+            row_names[r]: float(v) for r, v in enumerate(ray) if v != 0.0
+        }
+        if not _check._check_farkas(
+            AuditReport(), "emit", rows, var_bounds, literals, named
         ):
-            trial = {
-                row_names[r]: float(v)
-                for r, v in enumerate(candidate)
-                if v != 0.0
-            }
-            scratch = AuditReport()
-            if _check._check_farkas(
-                scratch, "emit", rows, var_bounds, literals, trial
-            ):
-                named = trial
-                break
-        if named is None:
             return None
         leaves.append({
             "kind": "farkas",

@@ -1,5 +1,6 @@
-"""HiGHS backend tests: status mapping, bounds conversion and the
-persistent session's warm re-solves."""
+"""HiGHS backend tests: status mapping, bounds conversion, the
+persistent session's warm re-solves and the Farkas rays of infeasible
+answers."""
 
 import math
 import os
@@ -72,6 +73,30 @@ class TestBoundsConversion:
         assert res.iterations >= 0
 
 
+def assert_farkas(ray, A_ub, b_ub, A_eq, b_eq, lb, ub):
+    """``ray`` proves the LP infeasible in ``LPResult.farkas`` form, with
+    no sign change: ``y >= 0`` on the ``<=`` rows, any sign on equality
+    rows, and the aggregated row's minimum over the box above its
+    right-hand side (the weak-duality test of ``repro.proof.check``).
+    Aggregated coefficients below 1e-9 count as zero, so round-off on
+    an unbounded column does not send the minimum to minus infinity.
+    """
+    A_ub = np.zeros((0, len(lb))) if A_ub is None else np.asarray(A_ub)
+    A_eq = np.zeros((0, len(lb))) if A_eq is None else np.asarray(A_eq)
+    b_ub = np.zeros(0) if b_ub is None else np.asarray(b_ub)
+    b_eq = np.zeros(0) if b_eq is None else np.asarray(b_eq)
+    assert ray is not None
+    assert ray.shape == (len(b_ub) + len(b_eq),)
+    y_ub, y_eq = ray[: len(b_ub)], ray[len(b_ub):]
+    assert np.all(y_ub >= -1e-9)
+    agg = y_ub @ A_ub + y_eq @ A_eq
+    agg[np.abs(agg) < 1e-9] = 0.0
+    lhs_min = sum(
+        a * (lo if a > 0 else hi) for a, lo, hi in zip(agg, lb, ub) if a
+    )
+    assert lhs_min - (y_ub @ b_ub + y_eq @ b_eq) > 1e-9
+
+
 def _session_lp(rng, n=6, m=5):
     """A feasible seeded LP with one row that a box can make infeasible
     and one column that a box can make unbounded.
@@ -140,6 +165,9 @@ class TestSession:
             fresh = HighsSession(c, A_ub, b_ub, A_eq, b_eq, box).solve()
             cold = revised_simplex.solve_lp(c, A_ub, b_ub, A_eq, b_eq, box)
             assert warm.status is fresh.status is cold.status, kind
+            if warm.status is SolveStatus.INFEASIBLE and np.all(lb <= ub):
+                for res in (warm, fresh, cold):
+                    assert_farkas(res.farkas, A_ub, b_ub, A_eq, b_eq, lb, ub)
             if warm.status is SolveStatus.OPTIMAL:
                 assert warm.objective == pytest.approx(fresh.objective, abs=1e-9)
                 assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
@@ -193,6 +221,85 @@ class TestSession:
                 np.array([1.0]), A_ub=np.array([[math.nan]]),
                 b_ub=np.array([1.0]), bounds=[(0.0, 1.0)],
             )
+
+
+SOLVERS = {"highs": solve_lp, "revised": revised_simplex.solve_lp}
+
+
+class _RayStub:
+    """A HiGHS binding whose ``getDualRay`` answers ``ray`` (or that has
+    no ``getDualRay`` at all when ``ray`` is ``None``)."""
+
+    def __init__(self, h, ray):
+        self._h, self._ray = h, ray
+
+    def __getattr__(self, name):
+        if name == "getDualRay" and self._ray is None:
+            raise AttributeError(name)
+        return getattr(self._h, name)
+
+    def getDualRay(self):
+        # (status, has-a-ray flag, values), as the binding answers.
+        return self._h.getDualRay()[0], True, self._ray
+
+
+class TestFarkasRay:
+    """Every infeasible answer carries a ray the checker takes as is,
+    in one sign convention on both backends."""
+
+    @pytest.mark.parametrize("backend", sorted(SOLVERS))
+    def test_infeasible(self, backend):
+        A_ub, b_ub = np.array([[1.0], [-1.0]]), np.array([1.0, -2.0])
+        res = SOLVERS[backend](
+            np.array([1.0]), A_ub=A_ub, b_ub=b_ub, bounds=[(0.0, 10.0)]
+        )
+        assert res.status is SolveStatus.INFEASIBLE
+        assert_farkas(res.farkas, A_ub, b_ub, None, None, [0.0], [10.0])
+
+    @pytest.mark.parametrize("backend", sorted(SOLVERS))
+    @pytest.mark.parametrize("rhs", [3.0, -3.0])
+    def test_equality_row(self, backend, rhs):
+        """``x0 + x1 = rhs`` out of the unit box's reach, next to a
+        ``<=`` row, from either side: the equality multiplier takes
+        the sign that side needs."""
+        A_ub, b_ub = np.array([[1.0, -1.0]]), np.array([0.5])
+        A_eq, b_eq = np.array([[1.0, 1.0]]), np.array([rhs])
+        res = SOLVERS[backend](
+            np.array([1.0, 1.0]), A_ub, b_ub, A_eq, b_eq,
+            bounds=[(0.0, 1.0)] * 2,
+        )
+        assert res.status is SolveStatus.INFEASIBLE
+        assert_farkas(res.farkas, A_ub, b_ub, A_eq, b_eq, [0.0] * 2, [1.0] * 2)
+
+    def test_warm_resolve_made_infeasible_by_box_edit(self):
+        rng = np.random.default_rng(0)
+        x0, c, A_ub, b_ub, A_eq, b_eq, lb, ub = _session_lp(rng)
+        session = HighsSession(c, A_ub, b_ub, A_eq, b_eq, list(zip(lb, ub)))
+        assert session.solve().status is SolveStatus.OPTIMAL
+        _, lb, ub = _edit(rng, "infeasible", x0, c, lb, ub)
+        res = session.solve(lb=lb, ub=ub)
+        assert res.status is SolveStatus.INFEASIBLE
+        assert_farkas(res.farkas, A_ub, b_ub, A_eq, b_eq, lb, ub)
+        _, lb, ub = _edit(rng, "restore", x0, c, lb, ub)
+        restored = session.solve(lb=lb, ub=ub)
+        assert restored.status is SolveStatus.OPTIMAL
+        assert restored.farkas is None
+
+    @pytest.mark.parametrize(
+        "ray",
+        [None, np.zeros(0), np.zeros(2), np.array([math.nan, 1.0]),
+         np.array([math.inf, 1.0])],
+        ids=["no-binding", "empty", "zero", "nan", "inf"],
+    )
+    def test_unusable_ray_is_no_ray(self, ray):
+        session = HighsSession(
+            np.array([1.0]), A_ub=np.array([[1.0], [-1.0]]),
+            b_ub=np.array([1.0, -2.0]), bounds=[(0.0, 10.0)],
+        )
+        session._h = _RayStub(session._h, ray)
+        res = session.solve()
+        assert res.status is SolveStatus.INFEASIBLE
+        assert res.farkas is None
 
 
 def test_missing_bindings_name_the_scipy_floor():

@@ -11,22 +11,27 @@ from repro.core.encoder import (
     attach_violation_constraint,
     encode_network,
 )
-from repro.core.properties import OutputObjective
+from repro.core.properties import OutputObjective, SafetyProperty
 from repro.core.verifier import (
     Verdict,
+    Verifier,
     result_from_dict,
     result_to_dict,
 )
 from repro.milp import MILPOptions, SolveStatus, solve_milp
+from repro.milp.branch_and_bound import LP_BACKENDS
+from repro.milp.scipy_backend import HighsSession
+from repro.obs import RingBufferSink, Tracer
+from repro.proof.check import check_certificate
 from repro.proof.emit import record_chain
 
 from .conftest import box_region, prove_certified
 
-PROOF_MILP = dict(
-    lp_backend="revised",
-    presolve=False,
-    record_proof=True,
-)
+#: The certified search's options, on each of :data:`LP_BACKENDS`.
+PROOF_MILP = [
+    dict(lp_backend=backend, presolve=False, record_proof=True)
+    for backend in LP_BACKENDS
+]
 
 
 def _violation_model(network, threshold):
@@ -114,14 +119,15 @@ class TestBranchAndBoundProof:
         true_max, upper = net2_spread
         threshold = true_max + 0.25 * (upper - true_max)
         encoded = _violation_model(net2, threshold)
-        result = solve_milp(encoded.model, MILPOptions(**PROOF_MILP))
-        assert result.status is SolveStatus.INFEASIBLE
-        assert result.proof is not None
-        assert result.proof["complete"]
-        assert result.proof["leaves"]
-        for leaf in result.proof["leaves"]:
-            assert isinstance(leaf["fixed"], dict)
-            assert leaf["farkas"] is not None
+        for options in PROOF_MILP:
+            result = solve_milp(encoded.model, MILPOptions(**options))
+            assert result.status is SolveStatus.INFEASIBLE
+            assert result.proof is not None
+            assert result.proof["complete"]
+            assert result.proof["leaves"]
+            for leaf in result.proof["leaves"]:
+                assert isinstance(leaf["fixed"], dict)
+                assert leaf["farkas"] is not None
 
     def test_presolve_poisons_the_proof(self, net2, net2_spread):
         """Presolve rewrites the model, so the recorded duals no
@@ -130,7 +136,104 @@ class TestBranchAndBoundProof:
         true_max, upper = net2_spread
         threshold = true_max + 0.25 * (upper - true_max)
         encoded = _violation_model(net2, threshold)
-        options = MILPOptions(**{**PROOF_MILP, "presolve": True})
-        result = solve_milp(encoded.model, options)
-        assert result.status is SolveStatus.INFEASIBLE
-        assert result.proof is None or not result.proof["complete"]
+        for options in PROOF_MILP:
+            options = MILPOptions(**{**options, "presolve": True})
+            result = solve_milp(encoded.model, options)
+            assert result.status is SolveStatus.INFEASIBLE
+            assert result.proof is None or not result.proof["complete"]
+
+
+def _prove_traced(network, threshold, backend, certify, split=False):
+    """One decision query on ``backend``; the result and the backends
+    its ``solve`` spans ran on."""
+    sink = RingBufferSink()
+    verifier = Verifier(
+        network,
+        EncoderOptions(
+            bound_mode="lp", certify=certify, split=split, split_depth=3
+        ),
+        MILPOptions(lp_backend=backend, time_limit=120.0),
+        tracer=Tracer([sink]),
+    )
+    result = verifier.prove(SafetyProperty(
+        name="q", region=box_region(2),
+        objective=OutputObjective.single(0), threshold=float(threshold),
+    ))
+    backends = {
+        r["attrs"]["backend"] for r in sink.records
+        if r["type"] == "span" and r["name"] == "solve"
+    }
+    return result, backends
+
+
+def _gap_thresholds(spread):
+    """Thresholds across the relaxation gap: MILP proofs and one
+    falsifiable query below the maximum."""
+    true_max, upper = spread
+    return [true_max - 0.5] + [
+        true_max + f * (upper - true_max) for f in (0.1, 0.25, 0.5)
+    ]
+
+
+class TestCertifiedBackends:
+    """A certified search runs on the configured LP backend and answers
+    like the uncertified one, with a certificate the checker accepts."""
+
+    @pytest.mark.parametrize("backend", LP_BACKENDS)
+    def test_certified_run_keeps_its_backend(self, net2, net2_spread, backend):
+        for threshold in _gap_thresholds(net2_spread):
+            plain, _ = _prove_traced(net2, threshold, backend, False)
+            certified, backends = _prove_traced(net2, threshold, backend, True)
+            assert backends == {backend}
+            assert certified.verdict is plain.verdict
+            if certified.verdict is Verdict.VERIFIED:
+                assert certified.certificate is not None
+                assert certified.certificate["kind"] == "milp"
+                assert not check_certificate(certified.certificate).has_errors
+
+
+def _scramble(ray):
+    """Flip the signs of a seeded half of the entries, the first nonzero
+    one always, so a ``<=`` row gets a negative multiplier."""
+    signs = np.where(np.random.default_rng(0).random(ray.shape) < 0.5, -1.0, 1.0)
+    signs[np.flatnonzero(ray)[0]] = -1.0
+    return ray * signs
+
+
+RAY_FAULTS = {
+    "missing": lambda ray: None,
+    "zero": np.zeros_like,
+    "scrambled": _scramble,
+}
+
+
+class TestRayFaults:
+    """A bad ray from the LP backend costs the certificate, never the
+    verdict, and never yields a certificate the checker rejects."""
+
+    @pytest.mark.parametrize("fault", sorted(RAY_FAULTS))
+    @pytest.mark.parametrize(
+        "split, gap_fraction", [(False, 0.25), (True, 0.05)],
+        ids=["milp", "split"],
+    )
+    def test_bad_ray_leaves_verdict_uncertified(
+        self, net2, net2_spread, monkeypatch, fault, split, gap_fraction
+    ):
+        """Near the maximum the split driver still leaves MILP shards."""
+        solve = HighsSession.solve
+        faults = []
+
+        def faulty(self, *args, **kwargs):
+            result = solve(self, *args, **kwargs)
+            if result.farkas is not None:
+                result.farkas = RAY_FAULTS[fault](result.farkas)
+                faults.append(fault)
+            return result
+
+        monkeypatch.setattr(HighsSession, "solve", faulty)
+        true_max, upper = net2_spread
+        threshold = true_max + gap_fraction * (upper - true_max)
+        result, _ = _prove_traced(net2, threshold, "highs", True, split)
+        assert faults
+        assert result.verdict is Verdict.VERIFIED
+        assert result.certificate is None

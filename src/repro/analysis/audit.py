@@ -35,7 +35,8 @@ Region codes (``audit_region``):
 
 Encoding codes (``audit_encoding``):
 
-* ``A201`` error — non-finite coefficients in constraints or objective;
+* ``A201`` error — non-finite coefficients in constraints or objective,
+  or a constraint referencing unknown columns;
 * ``A202`` error — a variable with a crossed domain (lb > ub);
 * ``A203`` error — a phase binary that is not binary-typed or whose
   bounds escape ``[0, 1]``;
@@ -47,9 +48,7 @@ Encoding codes (``audit_encoding``):
 * ``A207`` error — big-M rows missing or their ``d`` coefficients
   disagree with the certified bounds;
 * ``A208`` warning — a column that appears in no constraint and not in
-  the objective;
-* ``A209`` error — a row named ``cut*`` (a valid inequality added after
-  encoding) referencing unknown columns.
+  the objective.
 
 Proof-certificate codes (emitted by the independent checker
 :func:`repro.proof.check.check_certificate`, which reuses this module's
@@ -350,7 +349,7 @@ def _expr_entries(expr) -> Dict[int, float]:
 
 def audit_encoding(encoded, rel_tol: float = FEASIBILITY_TOL) -> AuditReport:
     """Lint an :class:`~repro.core.encoder.EncodedNetwork`
-    (codes ``A201``–``A209``).
+    (codes ``A201``–``A208``).
 
     Checks the MILP container (finite coefficients, consistent variable
     domains), the phase binaries, the per-neuron metadata
@@ -373,11 +372,8 @@ def audit_encoding(encoded, rel_tol: float = FEASIBILITY_TOL) -> AuditReport:
         subject = f"constraint {constr.name!r}"
         bad_cols = [idx for idx in entries if not 0 <= idx < n]
         if bad_cols:
-            code = (
-                "A209" if constr.name.startswith("cut") else "A201"
-            )
             report.add(
-                code, Severity.ERROR, subject,
+                "A201", Severity.ERROR, subject,
                 f"references unknown column(s) {bad_cols}",
             )
             continue

@@ -6,7 +6,8 @@ pre-activation over the input region.  Two engines are provided:
 * **interval** propagation — cheap, sound, often loose;
 * **LP tightening** — per-neuron LPs over the *relaxed* (triangle) network
   encoding, much tighter; neurons whose relaxed bound already has a fixed
-  sign need no binary variable at all.
+  sign need no binary variable at all.  One HiGHS model, grown by one
+  layer's columns and rows at a time, serves every probe of a network.
 
 Bound quality is the decisive scalability lever for Table II: every neuron
 proven stably active/inactive removes one binary from the search, and
@@ -25,6 +26,7 @@ from repro.core.properties import InputRegion
 from repro.errors import EncodingError
 from repro.milp.scipy_backend import HighsSession
 from repro.milp.status import SolveStatus
+from repro.nn.layers import DenseLayer
 from repro.nn.network import FeedForwardNetwork
 from repro.tolerances import BOUND_CROSS_TOL, FEASIBILITY_TOL
 
@@ -140,156 +142,142 @@ def _repair_crossed_bounds(
     new_hi[rest] = seed_hi[rest]
 
 
+def _triangle_rows(
+    layer: DenseLayer, lower: np.ndarray, upper: np.ndarray, width: int
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``<=`` rows relaxing one ReLU layer ``a = relu(x @ W + b)``.
+
+    The layer's input ``x`` occupies the ``fan_in`` columns just before
+    its ``fan_out`` post-activation columns ``a``, which are the last
+    ``fan_out`` of ``width``; the bias moves to the right-hand side.
+    Two rows per neuron, in neuron order, for pre-activation bounds
+    ``[l, u]``:
+
+    * stable active (``l >= 0``): ``a - x W <= b`` and ``x W - a <= -b``;
+    * stable inactive (``u <= 0``): ``a <= 0`` and ``-a <= 0``;
+    * ambiguous, the triangle: ``x W - a <= -b`` (``a >= z``) and
+      ``a - s x W <= s (b - l)`` with ``s = u / (u - l)``.
+    """
+    fan_in, fan_out = layer.weights.shape
+    z = np.zeros((fan_out, width))
+    z[:, width - fan_out - fan_in:width - fan_out] = layer.weights.T
+    a = np.zeros((fan_out, width))
+    a[:, width - fan_out:] = np.eye(fan_out)
+    bias = layer.bias
+    active = lower >= 0.0
+    inactive = (upper <= 0.0) & ~active
+    ambiguous = ~(active | inactive)
+    slope = np.zeros(fan_out)
+    slope[ambiguous] = upper[ambiguous] / (
+        upper[ambiguous] - lower[ambiguous]
+    )
+    cases = [active, inactive]
+    row_cases = [active[:, None], inactive[:, None]]
+    rows = np.empty((2 * fan_out, width))
+    rhs = np.empty(2 * fan_out)
+    rows[0::2] = np.select(row_cases, [a - z, a], z - a)
+    rows[1::2] = np.select(row_cases, [z - a, -a], a - slope[:, None] * z)
+    rhs[0::2] = np.select(cases, [bias, 0.0], -bias)
+    rhs[1::2] = np.select(cases, [-bias, 0.0], slope * (bias - lower))
+    return rows, rhs
+
+
 def lp_tightened_bounds(
     network: FeedForwardNetwork,
     region: InputRegion,
     seed_bounds: Optional[List[LayerBounds]] = None,
-    layers_to_tighten: Optional[int] = None,
 ) -> List[LayerBounds]:
-    """Tighten interval bounds with per-neuron LPs (triangle relaxation).
+    """Tighten bounds with per-neuron LPs over the triangle relaxation.
 
-    Builds, layer by layer, an LP over inputs and the relaxed post-ReLU
-    variables, then minimises/maximises each neuron's pre-activation.  Only
-    ReLU layers benefit; ``layers_to_tighten`` limits the work (deeper
-    layers reuse the tightened shallow bounds through interval steps).
+    Each neuron's pre-activation is minimised and maximised over an LP
+    in the inputs and the relaxed post-ReLU variables of the layers
+    before it, whose triangles use the bounds already tightened.  One
+    :class:`~repro.milp.scipy_backend.HighsSession` serves the whole
+    network: it starts with the input columns and the region's rows,
+    and after each ReLU layer :meth:`~HighsSession.extend` adds that
+    layer's post-activation columns and triangle rows, so every probe
+    warm-starts from the basis the last one left.  On a region without
+    linear constraints layer 0 runs no LP: the extremes of an affine
+    map over a box are its interval image.  The caller's
+    ``seed_bounds`` list and arrays are left unchanged.
     """
     if not all(
         layer.activation in ("relu", "identity")
         for layer in network.layers
     ):
         raise EncodingError("LP tightening supports relu/identity networks")
-    bounds = seed_bounds or interval_bounds(network, region)
-    n_layers = len(network.layers)
-    limit = n_layers if layers_to_tighten is None else layers_to_tighten
+    if seed_bounds is None:
+        bounds = interval_bounds(network, region)
+    else:
+        bounds = list(seed_bounds)
 
-    # LP columns: inputs, then post-activation vars of each processed layer.
-    col_bounds: List[Tuple[float, float]] = [
-        (float(l), float(u)) for l, u in region.bounds
-    ]
     rows_ub: List[np.ndarray] = []
     rhs_ub: List[float] = []
     for coeffs, rhs in (c.as_indexed() for c in region.constraints):
-        row = np.zeros(len(col_bounds))
+        row = np.zeros(region.dim)
         for idx, coef in coeffs.items():
             row[idx] = coef
         rows_ub.append(row)
         rhs_ub.append(rhs)
-
-    prev_cols = list(range(network.input_dim))
+    session = HighsSession(
+        np.zeros(region.dim),
+        np.array(rows_ub) if rows_ub else None,
+        np.array(rhs_ub) if rhs_ub else None,
+        bounds=region.bounds,
+    )
 
     for li, layer in enumerate(network.layers):
-        if li >= limit:
-            break
-        fan_out = layer.fan_out
-        num_cols = len(col_bounds)
-        pre_rows = np.zeros((fan_out, num_cols))
-        for j_local, col in enumerate(prev_cols):
-            pre_rows[:, col] = layer.weights[j_local, :]
-
-        def pad(row_list: List[np.ndarray], width: int) -> Optional[np.ndarray]:
-            if not row_list:
-                return None
-            return np.array(
-                [np.pad(r, (0, width - r.shape[0])) for r in row_list]
+        seed = bounds[li]
+        if li == 0 and not region.constraints:
+            box_lo, box_hi = _interval_affine(
+                region.bounds[:, 0], region.bounds[:, 1],
+                layer.weights, layer.bias,
             )
-
-        new_lo = bounds[li].lower.copy()
-        new_hi = bounds[li].upper.copy()
-        # One warm HiGHS model per layer LP; each probe swaps the objective.
-        session = HighsSession(
-            np.zeros(num_cols),
-            pad(rows_ub, num_cols),
-            np.array(rhs_ub) if rhs_ub else None,
-            bounds=col_bounds,
-        )
-        for j in range(fan_out):
-            c = pre_rows[j]
-            base = float(layer.bias[j])
-            res_min = session.solve(c=c)
-            res_max = session.solve(c=-c)
-            if res_min.status is SolveStatus.OPTIMAL:
-                new_lo[j] = max(new_lo[j], res_min.objective + base)
-            if res_max.status is SolveStatus.OPTIMAL:
-                new_hi[j] = min(new_hi[j], -res_max.objective + base)
+            new_lo = np.maximum(seed.lower, box_lo)
+            new_hi = np.minimum(seed.upper, box_hi)
+        else:
+            # The layer's input is the session's last fan_in columns.
+            width = session.num_vars
+            objectives = np.zeros((layer.fan_out, width))
+            objectives[:, width - layer.fan_in:] = layer.weights.T
+            new_lo = seed.lower.copy()
+            new_hi = seed.upper.copy()
+            for j, c in enumerate(objectives):
+                base = float(layer.bias[j])
+                res_min = session.solve(c=c)
+                res_max = session.solve(c=-c)
+                if res_min.status is SolveStatus.OPTIMAL:
+                    new_lo[j] = max(new_lo[j], res_min.objective + base)
+                if res_max.status is SolveStatus.OPTIMAL:
+                    new_hi[j] = min(new_hi[j], -res_max.objective + base)
         # Numerical safety: never let tightening cross the bounds.
-        _repair_crossed_bounds(
-            new_lo, new_hi, bounds[li].lower, bounds[li].upper
-        )
+        _repair_crossed_bounds(new_lo, new_hi, seed.lower, seed.upper)
         bounds[li] = LayerBounds(new_lo, new_hi)
 
         if layer.activation != "relu":
             # Linear output layer: nothing downstream to relax.
             break
+        session.extend(
+            np.stack(
+                [np.maximum(new_lo, 0.0), np.maximum(new_hi, 0.0)], axis=1
+            ),
+            *_triangle_rows(
+                layer, new_lo, new_hi, session.num_vars + layer.fan_out
+            ),
+        )
 
-        # Append post-activation columns with the triangle relaxation:
-        #   a >= 0, a >= z, a <= u (z - l) / (u - l)  [for ambiguous]
-        post_cols = []
-        for j in range(fan_out):
-            lo_j = float(bounds[li].lower[j])
-            hi_j = float(bounds[li].upper[j])
-            post_lo = max(0.0, lo_j)
-            post_hi = max(0.0, hi_j)
-            col_bounds.append((post_lo, post_hi))
-            post_cols.append(len(col_bounds) - 1)
-        # Grow existing rows to the new width lazily via pad() above.
-        for j in range(fan_out):
-            z_row = pre_rows[j]
-            a_col = post_cols[j]
-            lo_j = float(bounds[li].lower[j])
-            hi_j = float(bounds[li].upper[j])
-            base = float(layer.bias[j])
-            width = len(col_bounds)
-            if hi_j <= 0.0 or lo_j >= 0.0:
-                # Stable neuron: a == 0 or a == z; encode as two <= rows.
-                row_eq = np.zeros(width)
-                row_eq[a_col] = 1.0
-                if lo_j >= 0.0:
-                    row_eq[: z_row.shape[0]] -= z_row
-                    rows_ub.append(row_eq.copy())
-                    rhs_ub.append(base)
-                    rows_ub.append(-row_eq)
-                    rhs_ub.append(-base)
-                else:
-                    rows_ub.append(row_eq.copy())
-                    rhs_ub.append(0.0)
-                    rows_ub.append(-row_eq)
-                    rhs_ub.append(0.0)
-                continue
-            # a >= z  <=>  z - a <= -b  (moving bias to the rhs)
-            row_ge = np.zeros(width)
-            row_ge[: z_row.shape[0]] = z_row
-            row_ge[a_col] = -1.0
-            rows_ub.append(row_ge)
-            rhs_ub.append(-base)
-            # a <= u (z + b - l) / (u - l)
-            slope = hi_j / (hi_j - lo_j)
-            row_le = np.zeros(width)
-            row_le[a_col] = 1.0
-            row_le[: z_row.shape[0]] = -slope * z_row
-            rows_ub.append(row_le)
-            rhs_ub.append(slope * (base - lo_j))
-        prev_cols = post_cols
-
-    # Refresh deeper layers with interval steps from the tightened ones.
-    for li in range(1, n_layers):
+    # Refresh deeper layers with interval steps from the tightened ones:
+    # a neuron whose LP probe failed still tightens from the layer
+    # before it.
+    for li in range(1, len(network.layers)):
+        lo, hi = bounds[li - 1].lower, bounds[li - 1].upper
+        if network.layers[li - 1].activation == "relu":
+            lo, hi = np.maximum(lo, 0.0), np.maximum(hi, 0.0)
         layer = network.layers[li]
-        prev = bounds[li - 1]
-        prev_layer = network.layers[li - 1]
-        if prev_layer.activation == "relu":
-            lo = np.maximum(prev.lower, 0.0)
-            hi = np.maximum(prev.upper, 0.0)
-        elif prev_layer.activation == "tanh":
-            lo, hi = np.tanh(prev.lower), np.tanh(prev.upper)
-        else:
-            lo, hi = prev.lower, prev.upper
         pre_lo, pre_hi = _interval_affine(lo, hi, layer.weights, layer.bias)
         bounds[li] = LayerBounds(
-            np.maximum(bounds[li].lower, pre_lo)
-            if bounds[li].lower.shape == pre_lo.shape
-            else pre_lo,
-            np.minimum(bounds[li].upper, pre_hi)
-            if bounds[li].upper.shape == pre_hi.shape
-            else pre_hi,
+            np.maximum(bounds[li].lower, pre_lo),
+            np.minimum(bounds[li].upper, pre_hi),
         )
     return bounds
 

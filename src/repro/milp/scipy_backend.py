@@ -6,6 +6,11 @@ constraint matrix and differ only in their objective or column box.
 *once*; each :meth:`HighsSession.solve` edits the costs and bounds in
 place and re-runs, so HiGHS warm-starts from the basis it kept from the
 previous solve instead of rebuilding and presolving a fresh model.
+LP bound tightening also grows the model layer by layer:
+:meth:`HighsSession.extend` appends columns and rows (HiGHS
+``addCols``/``addRows``) and the basis carries over, so one model
+serves every layer of a network.  Both hand HiGHS compressed triplets
+built straight from the dense rows with ``np.nonzero``.
 :func:`solve_lp` is a one-shot session with the same signature as the
 pure-Python :func:`repro.milp.revised_simplex.solve_lp`, so the test
 suite cross-checks the two against each other.
@@ -21,7 +26,6 @@ import math
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.sparse import csc_array
 
 try:
     from scipy.optimize._highspy import _core as _highs
@@ -45,14 +49,26 @@ _STATUS_MAP = {
 }
 
 
+def _compressed(A: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Row-compressed ``(start, index, value)`` of a dense matrix.
+
+    ``start`` has one entry per row plus the end; pass ``A.T`` for the
+    column-compressed form.
+    """
+    rows, cols = np.nonzero(A)
+    start = np.searchsorted(rows, np.arange(A.shape[0] + 1))
+    return start.astype(np.int32), cols.astype(np.int32), A[rows, cols]
+
+
 class HighsSession:
     """One LP held in a persistent HiGHS model, re-solved after edits.
 
-    The constraint rows are fixed at construction; :meth:`solve` may
-    replace the objective and/or the column box before each run.  Every
-    edit overwrites the whole vector, so a solve's answer depends only
-    on the arguments in effect, never on which earlier solves the
-    session ran (only the starting basis, hence the speed, does).
+    :meth:`extend` may append columns and ``<=`` rows; :meth:`solve`
+    may replace the objective and/or the column box before each run.
+    Every edit overwrites the whole vector, so a solve's answer depends
+    only on the LP and the arguments in effect, never on which earlier
+    solves the session ran (only the starting basis, hence the speed,
+    does).
     """
 
     def __init__(
@@ -93,7 +109,7 @@ class HighsSession:
         self._cols = np.arange(n, dtype=np.int32)
         self._lb, self._ub = lb, ub
         self._crossed = bool(np.any(lb > ub))
-        A_csc = csc_array(A)
+        start, index, value = _compressed(A.T)
         lp = _highs.HighsLp()
         lp.num_col_ = n
         lp.num_row_ = A.shape[0]
@@ -105,13 +121,60 @@ class HighsSession:
         lp.a_matrix_.format_ = _highs.MatrixFormat.kColwise
         lp.a_matrix_.num_col_ = n
         lp.a_matrix_.num_row_ = A.shape[0]
-        lp.a_matrix_.start_ = A_csc.indptr
-        lp.a_matrix_.index_ = A_csc.indices
-        lp.a_matrix_.value_ = A_csc.data
+        lp.a_matrix_.start_ = start
+        lp.a_matrix_.index_ = index
+        lp.a_matrix_.value_ = value
         self._h = _highs._Highs()
         self._h.setOptionValue("output_flag", False)
         if self._h.passModel(lp) == _highs.HighsStatus.kError:
             raise ValueError("HiGHS rejected the LP data")
+
+    def extend(
+        self,
+        col_bounds: Sequence[Tuple[float, float]],
+        rows: np.ndarray,
+        rhs: np.ndarray,
+    ) -> None:
+        """Append columns, then ``rows @ x <= rhs`` rows over the grown LP.
+
+        The new columns take ``col_bounds``, zero cost and zero
+        coefficients in every existing row; ``rows`` has one column per
+        variable after they are added.  HiGHS keeps its basis (new
+        columns enter nonbasic, new rows with a basic slack), so the
+        next :meth:`solve` warm-starts from it.  An infeasible answer's
+        ray lists the rows in the order the session gained them: the
+        constructor's ``<=`` rows, its equality rows, then each call's.
+        """
+        box = np.asarray(col_bounds, dtype=float).reshape(-1, 2)
+        rhs = np.asarray(rhs, dtype=float).reshape(-1)
+        k, m = box.shape[0], rhs.shape[0]
+        rows = np.asarray(rows, dtype=float).reshape(m, self.num_vars + k)
+        if (
+            np.isnan(box).any()
+            or np.isnan(rhs).any()
+            or not np.isfinite(rows).all()
+        ):
+            raise ValueError("LP data contains NaN or infinite coefficients")
+        error = _highs.HighsStatus.kError
+        if k:
+            empty = np.zeros(k, dtype=np.int32)
+            if self._h.addCols(
+                k, np.zeros(k), box[:, 0], box[:, 1], 0, empty, empty[:0],
+                np.zeros(0),
+            ) == error:
+                raise ValueError("HiGHS rejected the added columns")
+            self.num_vars += k
+            self._cols = np.arange(self.num_vars, dtype=np.int32)
+            self._lb = np.concatenate([self._lb, box[:, 0]])
+            self._ub = np.concatenate([self._ub, box[:, 1]])
+            self._crossed = bool(np.any(self._lb > self._ub))
+        if m:
+            start, index, value = _compressed(rows)
+            if self._h.addRows(
+                m, np.full(m, -math.inf), rhs, len(value), start[:-1],
+                index, value,
+            ) == error:
+                raise ValueError("HiGHS rejected the added rows")
 
     def solve(
         self,

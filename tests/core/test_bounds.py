@@ -138,17 +138,66 @@ class TestLPTightenedBounds:
         with pytest.raises(EncodingError):
             lp_tightened_bounds(net, unit_region(3))
 
+    def test_seed_bounds_left_unchanged(self, rng):
+        """Regression: tightened layers used to be written into the
+        caller's seed list."""
+        net = FeedForwardNetwork.mlp(4, [6, 6], 2, rng=rng)
+        region = unit_region(4)
+        seed = interval_bounds(net, region)
+        slots = list(seed)
+        copies = [(s.lower.copy(), s.upper.copy()) for s in seed]
+        tight = lp_tightened_bounds(net, region, seed_bounds=seed)
+        assert np.sum(tight[1].upper) < np.sum(seed[1].upper)
+        for layer, slot, (lower, upper) in zip(seed, slots, copies):
+            assert layer is slot
+            np.testing.assert_array_equal(layer.lower, lower)
+            np.testing.assert_array_equal(layer.upper, upper)
+
 
 class _ColdRevisedSession:
     """Stand-in for ``HighsSession``: every probe is a cold, from-scratch
-    revised-simplex solve of the same layer LP."""
+    revised-simplex solve of the LP grown so far."""
 
-    def __init__(self, c, A_ub=None, b_ub=None, A_eq=None, b_eq=None,
-                 bounds=None):
-        self.lp = (A_ub, b_ub, A_eq, b_eq, bounds)
+    def __init__(self, c, A_ub=None, b_ub=None, bounds=None):
+        self.num_vars = len(c)
+        self.A_ub = np.zeros((0, self.num_vars)) if A_ub is None else A_ub
+        self.b_ub = np.zeros(0) if b_ub is None else b_ub
+        self.bounds = [tuple(b) for b in bounds]
+
+    def extend(self, col_bounds, rows, rhs):
+        added = len(col_bounds)
+        self.num_vars += added
+        self.bounds += [tuple(b) for b in col_bounds]
+        self.A_ub = np.vstack([np.pad(self.A_ub, ((0, 0), (0, added))), rows])
+        self.b_ub = np.concatenate([self.b_ub, rhs])
 
     def solve(self, c=None, lb=None, ub=None):
-        return revised_simplex.solve_lp(c, *self.lp)
+        return revised_simplex.solve_lp(
+            c, self.A_ub, self.b_ub, bounds=self.bounds
+        )
+
+
+class _CountingSession(bounds_mod.HighsSession):
+    """A real session that counts sessions built and probes solved."""
+
+    built = 0
+    probes = 0
+
+    def __init__(self, *args, **kwargs):
+        super().__init__(*args, **kwargs)
+        _CountingSession.built += 1
+
+    def solve(self, c=None, lb=None, ub=None):
+        _CountingSession.probes += 1
+        return super().solve(c=c, lb=lb, ub=ub)
+
+
+@pytest.fixture
+def counting_session(monkeypatch):
+    monkeypatch.setattr(_CountingSession, "built", 0)
+    monkeypatch.setattr(_CountingSession, "probes", 0)
+    monkeypatch.setattr(bounds_mod, "HighsSession", _CountingSession)
+    return _CountingSession
 
 
 def _with_random_constraints(region, rng, count=2):
@@ -168,8 +217,8 @@ def _with_random_constraints(region, rng, count=2):
 
 
 class TestSessionTightening:
-    """The warm per-layer HiGHS session must give exactly the bounds of
-    independent per-neuron cold solves, and never tighten on a
+    """The warm network-wide HiGHS session must give exactly the bounds
+    of independent per-neuron cold solves, and never tighten on a
     non-optimal answer."""
 
     @pytest.mark.parametrize("constrained", [False, True])
@@ -186,6 +235,53 @@ class TestSessionTightening:
         for w, c in zip(warm, cold):
             np.testing.assert_allclose(w.lower, c.lower, rtol=0, atol=1e-9)
             np.testing.assert_allclose(w.upper, c.upper, rtol=0, atol=1e-9)
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_box_layer0_equals_cold_probes(self, seed):
+        """On a box-only region layer 0 takes the interval image, which
+        is exactly what per-neuron LPs over the box find."""
+        rng = np.random.default_rng(seed)
+        net = FeedForwardNetwork.mlp(4, [6, 6], 2, rng=rng)
+        region = InputRegion(np.sort(rng.uniform(-2, 2, (4, 2)), axis=1))
+        layer = net.layers[0]
+        tight = lp_tightened_bounds(net, region)[0]
+        for j in range(layer.fan_out):
+            c = layer.weights[:, j]
+            lo = revised_simplex.solve_lp(c, bounds=region.bounds)
+            hi = revised_simplex.solve_lp(-c, bounds=region.bounds)
+            assert lo.status is hi.status is SolveStatus.OPTIMAL
+            assert tight.lower[j] == pytest.approx(
+                lo.objective + layer.bias[j], abs=1e-9
+            )
+            assert tight.upper[j] == pytest.approx(
+                -hi.objective + layer.bias[j], abs=1e-9
+            )
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_layer0_probes_only_on_constrained_regions(
+        self, constrained, counting_session
+    ):
+        net = FeedForwardNetwork.mlp(4, [5, 3], 2, rng=np.random.default_rng(1))
+        region = unit_region(4)
+        if constrained:
+            _with_random_constraints(region, np.random.default_rng(1))
+        lp_tightened_bounds(net, region)
+        # Two probes per neuron of every LP-bounded layer.
+        assert counting_session.probes == 2 * (5 * constrained + 3 + 2)
+        assert counting_session.built == 1
+
+    def test_milp_suite_query_builds_one_session(self, counting_session):
+        """A 2-(6,6)-1 net on a box, as the perfbench ``milp`` suite
+        proves: 14 bound LPs, one model for the whole network."""
+        from repro.core.encoder import EncoderOptions, compute_bounds
+
+        net = FeedForwardNetwork.mlp(
+            2, [6, 6], 1, rng=np.random.default_rng([20180701, 0])
+        )
+        region = InputRegion(np.array([[-1.0, 1.0]] * 2))
+        compute_bounds(net, region, EncoderOptions(bound_mode="lp"))
+        assert counting_session.probes == 14
+        assert counting_session.built == 1
 
     @staticmethod
     def _failing_session(status, fail_max):

@@ -145,15 +145,68 @@ def _edit(rng, kind, x0, c, lb, ub):
     return c, lb, ub
 
 
+#: Column and row counts after each growth stage of ``_staged_lp``.
+STAGE_COLS = (4, 7, 9)
+STAGE_ROWS = (2, 5, 8)
+
+
+def _staged_lp(rng):
+    """``_session_lp`` in staircase form: the rows of each stage use only
+    the columns of that stage and the ones before, so the LP can be
+    built stage by stage with :meth:`HighsSession.extend`."""
+    x0, c, A_ub, b_ub, A_eq, b_eq, lb, ub = _session_lp(
+        rng, n=STAGE_COLS[-1], m=STAGE_ROWS[-1]
+    )
+    for r0, r1, col in zip((0,) + STAGE_ROWS, STAGE_ROWS, STAGE_COLS):
+        A_ub[r0:r1, col:] = 0.0
+    A_eq[:, STAGE_COLS[0]:] = 0.0
+    b_ub = A_ub @ x0 + rng.uniform(0.1, 0.5, len(b_ub))
+    b_eq = A_eq @ x0
+    return x0, c, A_ub, b_ub, A_eq, b_eq, lb, ub
+
+
+def _grown_session(c, A_ub, b_ub, A_eq, b_eq, lb, ub):
+    """A session started on the first stage of a ``_staged_lp`` and
+    extended stage by stage, each stage solved warm and checked against
+    a fresh model of the LP so far."""
+    n, m = STAGE_COLS[0], STAGE_ROWS[0]
+    session = HighsSession(
+        c[:n], A_ub[:m, :n], b_ub[:m], A_eq[:, :n], b_eq,
+        list(zip(lb[:n], ub[:n])),
+    )
+    for n1, m1 in zip(STAGE_COLS, STAGE_ROWS):
+        if n1 > n:
+            session.extend(
+                list(zip(lb[n:n1], ub[n:n1])), A_ub[m:m1, :n1], b_ub[m:m1]
+            )
+            n, m = n1, m1
+        warm = session.solve(c=c[:n])
+        fresh = HighsSession(
+            c[:n], A_ub[:m, :n], b_ub[:m], A_eq[:, :n], b_eq,
+            list(zip(lb[:n], ub[:n])),
+        ).solve()
+        assert warm.status is fresh.status
+        if warm.status is SolveStatus.OPTIMAL:
+            assert warm.objective == pytest.approx(fresh.objective, abs=1e-9)
+    assert session.num_vars == len(c)
+    return session
+
+
 class TestSession:
     """A long-lived session must answer exactly like a fresh model."""
 
     KINDS = ("cost", "box", "infeasible", "crossed", "unbounded", "restore")
 
-    def _run(self, seed, steps=60):
+    def _run(self, seed, steps=60, grown=False):
         rng = np.random.default_rng(seed)
-        x0, c, A_ub, b_ub, A_eq, b_eq, lb, ub = _session_lp(rng)
-        session = HighsSession(c, A_ub, b_ub, A_eq, b_eq, list(zip(lb, ub)))
+        if grown:
+            x0, c, A_ub, b_ub, A_eq, b_eq, lb, ub = _staged_lp(rng)
+            session = _grown_session(c, A_ub, b_ub, A_eq, b_eq, lb, ub)
+        else:
+            x0, c, A_ub, b_ub, A_eq, b_eq, lb, ub = _session_lp(rng)
+            session = HighsSession(
+                c, A_ub, b_ub, A_eq, b_eq, list(zip(lb, ub))
+            )
         seen = []
         for _ in range(steps):
             kind = self.KINDS[int(rng.integers(len(self.KINDS)))]
@@ -166,8 +219,16 @@ class TestSession:
             cold = revised_simplex.solve_lp(c, A_ub, b_ub, A_eq, b_eq, box)
             assert warm.status is fresh.status is cold.status, kind
             if warm.status is SolveStatus.INFEASIBLE and np.all(lb <= ub):
-                for res in (warm, fresh, cold):
-                    assert_farkas(res.farkas, A_ub, b_ub, A_eq, b_eq, lb, ub)
+                rays = [res.farkas for res in (warm, fresh, cold)]
+                if grown and rays[0] is not None:
+                    # The grown session lists its rows in the order it
+                    # gained them: first stage, equality rows, the rest.
+                    m, k = STAGE_ROWS[0], len(b_eq)
+                    rays[0] = np.concatenate(
+                        [rays[0][:m], rays[0][m + k:], rays[0][m:m + k]]
+                    )
+                for ray in rays:
+                    assert_farkas(ray, A_ub, b_ub, A_eq, b_eq, lb, ub)
             if warm.status is SolveStatus.OPTIMAL:
                 assert warm.objective == pytest.approx(fresh.objective, abs=1e-9)
                 assert warm.objective == pytest.approx(cold.objective, abs=1e-9)
@@ -178,6 +239,42 @@ class TestSession:
     @pytest.mark.parametrize("seed", range(8))
     def test_mixed_edits_match_fresh_and_cold(self, seed):
         self._run(seed)
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_grown_session_matches_fresh_and_cold(self, seed):
+        """After ``extend`` calls the session answers every edit (crossed
+        boxes and warm re-solves included) like a fresh model of the
+        full LP."""
+        self._run(seed, grown=True)
+
+    def test_extend_with_crossed_columns(self):
+        """Columns added with a crossed box make every solve infeasible
+        until an edit uncrosses the box."""
+        session = HighsSession(
+            np.array([1.0]), A_ub=np.array([[1.0]]), b_ub=np.array([1.0]),
+            bounds=[(0.0, 2.0)],
+        )
+        assert session.solve().status is SolveStatus.OPTIMAL
+        session.extend(
+            [(1.0, 0.0)], np.array([[1.0, 1.0]]), np.array([1.5])
+        )
+        c = np.array([-1.0, -2.0])
+        assert session.solve(c=c).status is SolveStatus.INFEASIBLE
+        res = session.solve(ub=np.array([2.0, 0.5]))
+        assert res.status is SolveStatus.INFEASIBLE
+        res = session.solve(lb=np.array([0.0, 0.0]))
+        fresh = HighsSession(
+            c, A_ub=np.array([[1.0, 0.0], [1.0, 1.0]]),
+            b_ub=np.array([1.0, 1.5]), bounds=[(0.0, 2.0), (0.0, 0.5)],
+        ).solve()
+        assert res.status is fresh.status is SolveStatus.OPTIMAL
+        assert res.objective == pytest.approx(fresh.objective, abs=1e-12)
+        assert res.objective == pytest.approx(-2.0)
+
+    def test_extend_rejects_nan(self):
+        session = HighsSession(np.array([1.0]), bounds=[(0.0, 1.0)])
+        with pytest.raises(ValueError):
+            session.extend([(0.0, 1.0)], np.array([[1.0, math.nan]]), [1.0])
 
     def test_edit_run_crosses_every_status(self):
         """The edit mix really visits infeasible and unbounded LPs and

@@ -17,26 +17,69 @@ suite cross-checks the two against each other.
 
 The bindings (``scipy.optimize._highspy._core``, the same ones SciPy's
 own ``method="highs"`` LP solver drives) ship with SciPy 1.15 and later;
-an older SciPy fails at import with one clear error.
+an older SciPy fails at import with one clear error.  They are the only
+part of SciPy this package uses, so :func:`_load_highs` loads the
+extension file directly instead of importing it through
+``scipy.optimize``: that package's ``__init__`` pulls in ``linprog``,
+``scipy.linalg``, ``scipy.sparse``, ``scipy.special`` and ``scipy.fft``,
+about half of a proving process's cold start, and code nobody
+runs (or has to trust) while proving.  The module is registered in
+``sys.modules`` under its full name, so a later ``import scipy.optimize``
+reuses the same module object, and an earlier one is reused here.
 """
 
 from __future__ import annotations
 
+import importlib.machinery
+import importlib.util
 import math
+import os
+import sys
+from types import ModuleType
 from typing import Optional, Sequence, Tuple
 
 import numpy as np
 
-try:
-    from scipy.optimize._highspy import _core as _highs
-except ImportError as exc:  # pragma: no cover - depends on the SciPy install
-    raise ImportError(
-        "repro needs SciPy >= 1.15 for its compiled HiGHS bindings "
-        "(scipy.optimize._highspy._core)"
-    ) from exc
-
 from repro.milp.solution import LPResult
 from repro.milp.status import SolveStatus
+
+_HIGHS_MODULE = "scipy.optimize._highspy._core"
+
+
+def _load_highs() -> ModuleType:
+    """The compiled HiGHS bindings, loaded without ``scipy.optimize``.
+
+    Reuses the module if ``sys.modules`` already holds it; otherwise
+    finds the extension file under SciPy's install directory (without
+    importing SciPy) and loads it under its full name.
+    """
+    missing = ImportError(
+        "repro needs SciPy >= 1.15 for its compiled HiGHS bindings "
+        f"({_HIGHS_MODULE})"
+    )
+    if _HIGHS_MODULE in sys.modules:
+        if sys.modules[_HIGHS_MODULE] is None:
+            raise missing
+        return sys.modules[_HIGHS_MODULE]
+    scipy_spec = importlib.util.find_spec("scipy")
+    locations = scipy_spec.submodule_search_locations if scipy_spec else None
+    paths = [
+        os.path.join(location, "optimize", "_highspy", "_core" + suffix)
+        for location in locations or ()
+        for suffix in importlib.machinery.EXTENSION_SUFFIXES
+    ]
+    path = next((p for p in paths if os.path.isfile(p)), None)
+    if path is None:
+        raise missing
+    loader = importlib.machinery.ExtensionFileLoader(_HIGHS_MODULE, path)
+    spec = importlib.util.spec_from_loader(_HIGHS_MODULE, loader)
+    module = importlib.util.module_from_spec(spec)
+    sys.modules[_HIGHS_MODULE] = module
+    loader.exec_module(module)
+    return module
+
+
+_highs = _load_highs()
 
 _MODEL_STATUS = _highs.HighsModelStatus
 #: HiGHS model status -> solver status.  Anything unlisted (iteration or
@@ -187,22 +230,29 @@ class HighsSession:
         ``None`` keeps the current vector.  While the box is crossed
         (some ``lb > ub``) every solve is infeasible without calling the
         solver; HiGHS sees the box again once an edit uncrosses it.
+        A NaN entry, or an edit HiGHS rejects, raises ``ValueError``
+        and leaves the box as it was.
         """
         h = self._h
         n = self.num_vars
+        error = _highs.HighsStatus.kError
         if c is not None:
             c = np.asarray(c, dtype=float)
             if not np.isfinite(c).all():
                 raise ValueError("LP objective contains NaN or infinite entries")
-            h.changeColsCost(n, self._cols, c)
+            if h.changeColsCost(n, self._cols, c) == error:
+                raise ValueError("HiGHS rejected the objective")
         if lb is not None or ub is not None:
-            if lb is not None:
-                self._lb = np.array(lb, dtype=float)
-            if ub is not None:
-                self._ub = np.array(ub, dtype=float)
-            self._crossed = bool(np.any(self._lb > self._ub))
-            if not self._crossed:
-                h.changeColsBounds(n, self._cols, self._lb, self._ub)
+            new_lb = self._lb if lb is None else np.array(lb, dtype=float)
+            new_ub = self._ub if ub is None else np.array(ub, dtype=float)
+            if np.isnan(new_lb).any() or np.isnan(new_ub).any():
+                raise ValueError("LP data contains NaN or infinite coefficients")
+            crossed = bool(np.any(new_lb > new_ub))
+            if not crossed and h.changeColsBounds(
+                n, self._cols, new_lb, new_ub
+            ) == error:
+                raise ValueError("HiGHS rejected the column bounds")
+            self._lb, self._ub, self._crossed = new_lb, new_ub, crossed
         if self._crossed:
             return LPResult(SolveStatus.INFEASIBLE)
         h.run()

@@ -28,7 +28,6 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-import repro.core  # noqa: F401  # break the core<->symbolic import cycle
 from repro.analysis.audit import AuditReport
 from repro.analysis.symbolic import (
     POLICIES,

@@ -319,6 +319,31 @@ class TestSession:
                 b_ub=np.array([1.0]), bounds=[(0.0, 1.0)],
             )
 
+    @pytest.mark.parametrize(
+        "edit",
+        [{"lb": [math.nan, 0.0]}, {"ub": [5.0, math.nan]},
+         {"lb": [math.inf, 0.5], "ub": [math.inf, 5.0]}],
+        ids=["nan-lb", "nan-ub", "rejected-by-highs"],
+    )
+    def test_bad_bound_raises_and_keeps_box(self, edit):
+        """A box HiGHS cannot take raises and leaves the session's box
+        as it was, so the next edit applies to the old box, not to the
+        rejected one."""
+        # min x0 + 2 x1  s.t.  x0 + x1 >= 1  on  [0, 5] x [0.5, 5].
+        session = HighsSession(
+            np.array([1.0, 2.0]), A_ub=np.array([[-1.0, -1.0]]),
+            b_ub=np.array([-1.0]), bounds=[(0.0, 5.0), (0.5, 5.0)],
+        )
+        assert session.solve().objective == pytest.approx(1.5)
+        with pytest.raises(ValueError):
+            session.solve(**{side: np.array(v) for side, v in edit.items()})
+        np.testing.assert_array_equal(session._lb, [0.0, 0.5])
+        np.testing.assert_array_equal(session._ub, [5.0, 5.0])
+        res = session.solve(ub=np.array([0.2, 5.0]))
+        assert res.status is SolveStatus.OPTIMAL
+        assert res.objective == pytest.approx(1.8)
+        np.testing.assert_allclose(res.x, [0.2, 0.8])
+
 
 SOLVERS = {"highs": solve_lp, "revised": revised_simplex.solve_lp}
 
@@ -407,6 +432,25 @@ def test_missing_bindings_name_the_scipy_floor():
     code = (
         f"import sys; sys.path.insert(0, {src!r}); "
         "sys.modules['scipy.optimize._highspy._core'] = None; "
+        "import repro.milp.scipy_backend"
+    )
+    proc = subprocess.run(
+        [sys.executable, "-c", code], capture_output=True, text=True,
+        timeout=120,
+    )
+    assert proc.returncode != 0
+    assert "ImportError: repro needs SciPy >= 1.15" in proc.stderr
+
+
+def test_missing_scipy_names_the_scipy_floor():
+    """Without SciPy at all the extension file cannot be found: the
+    same error, not a bare ``ModuleNotFoundError``."""
+    import repro
+
+    src = os.path.dirname(os.path.dirname(repro.__file__))
+    code = (
+        f"import sys; sys.path.insert(0, {src!r}); "
+        "sys.modules['scipy'] = None; "
         "import repro.milp.scipy_backend"
     )
     proc = subprocess.run(

@@ -186,13 +186,11 @@ class TestKnapsackReduction:
         for seed in range(3):
             cold = solve_milp(
                 _deep_knapsack(16, seed),
-                MILPOptions(lp_backend="revised", warm_start=False,
-                            presolve=False),
+                MILPOptions(lp_backend="revised", warm_start=False),
             )
             warm = solve_milp(
                 _deep_knapsack(16, seed),
-                MILPOptions(lp_backend="revised", warm_start=True,
-                            presolve=False),
+                MILPOptions(lp_backend="revised", warm_start=True),
             )
             assert cold.status is SolveStatus.OPTIMAL
             assert warm.status is SolveStatus.OPTIMAL
@@ -223,8 +221,7 @@ class TestKnapsackReduction:
         def run():
             return solve_milp(
                 _deep_knapsack(16, 0),
-                MILPOptions(lp_backend="revised", warm_start=True,
-                            presolve=False),
+                MILPOptions(lp_backend="revised", warm_start=True),
             )
 
         res = benchmark(run)

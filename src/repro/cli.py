@@ -100,9 +100,10 @@ def _add_certify_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--certify", action="store_true",
         help="emit a repro-proof/1 certificate with every VERIFIED "
-        "decision verdict (turns presolve off so the search stays on "
-        "the encoding the checker rebuilds; 'repro check' validates "
-        "the artifacts independently)",
+        "decision verdict (the MILP is encoded with the symbolic chain "
+        "bounds the checker re-derives and runs the same search as "
+        "without --certify; 'repro check' validates the artifacts "
+        "independently)",
     )
     parser.add_argument(
         "--cert-out", default=None, metavar="DIR",

@@ -103,9 +103,9 @@ class EncoderOptions:
     split_min_width: float = SPLIT_MIN_WIDTH
     #: Emit a ``repro-proof/1`` certificate with every VERIFIED verdict
     #: (:mod:`repro.proof`).  Pins the proving pipeline to checkable
-    #: paths: fixed-policy symbolic prescreens, and a MILP search on the
-    #: configured LP backend with presolve disabled and leaf-cover
-    #: recording on.
+    #: paths: fixed-policy symbolic prescreens, and a MILP encoded with
+    #: the chain bounds the checker re-derives.  The search itself is
+    #: the uncertified one (every search records its leaf cover).
     #: Part of the options token, so certified verdict fingerprints
     #: never collide with uncertified ones.
     certify: bool = False

@@ -640,15 +640,10 @@ class Verifier:
         driver = self._split_driver(prop.region)
         if driver is not None:
             return driver.prove(prop, start=start)
-        milp_options = self.milp_options
         if record is not None:
-            # Search the encoding the checker rebuilds: the chain's
-            # bounds, no presolve rewrites, leaf recording on.  The LP
-            # backend stays the configured one; both export rays.
+            # Encode with the chain's bounds, which the checker
+            # re-derives; the search is the uncertified one.
             precomputed_bounds = record.bounds
-            milp_options = dataclasses.replace(
-                milp_options, presolve=False, record_proof=True,
-            )
         encoded = encode_network(
             self.network,
             prop.region,
@@ -660,11 +655,11 @@ class Verifier:
         attach_objective(encoded, prop.objective, maximize=True)
         own_bounds = encoded.bounds if precomputed_bounds is None else None
         with self.tracer.span(
-            "solve", backend=milp_options.lp_backend,
+            "solve", backend=self.milp_options.lp_backend,
             binaries=encoded.num_binaries,
         ):
             result = solve_milp(
-                encoded.model, milp_options, tracer=self.tracer
+                encoded.model, self.milp_options, tracer=self.tracer
             )
         wall = time.monotonic() - start
 

@@ -8,14 +8,14 @@ solver stack for that encoding:
   layer (variables, linear expressions, constraints, objective);
 * :mod:`repro.milp.revised_simplex` — bounded-variable revised simplex,
   written from scratch, with dual-simplex warm starting from a
-  caller-supplied basis (the certified path);
+  caller-supplied basis (the pure-Python oracle);
 * :mod:`repro.milp.scipy_backend` — HiGHS LP backend with the same contract,
   plus a persistent session that re-solves one LP warm after edits (the
   default path and the cross-check oracle);
-* :mod:`repro.milp.presolve` — bound propagation;
 * :mod:`repro.milp.branch_and_bound` — best-first/plunging MILP search with
   pseudocost branching, basis-reuse warm starts, a rounding heuristic,
-  node/time budgets and proven dual bounds.
+  node/time budgets, proven dual bounds and a leaf-cover infeasibility
+  proof on every run.
 """
 
 from repro.milp.branch_and_bound import MILPOptions, solve_milp

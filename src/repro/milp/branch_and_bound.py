@@ -45,7 +45,6 @@ import numpy as np
 from repro.milp.expr import Sense
 from repro.milp.model import Model
 from repro.tolerances import GAP_TOL, INTEGRALITY_TOL
-from repro.milp import presolve as presolve_mod
 from repro.milp import revised_simplex, scipy_backend
 from repro.milp.solution import LPResult, MILPResult
 from repro.milp.status import SolveStatus
@@ -68,24 +67,17 @@ class MILPOptions:
         node_limit: Maximum branch-and-bound nodes to process.
         warm_start: Reuse the parent basis at child nodes (only effective
             with a warm-capable backend; see ``lp_backend``).
-        presolve: Run bound propagation before the search.
-        record_proof: Record a leaf-cover infeasibility proof on the
-            result (:attr:`repro.milp.solution.MILPResult.proof`): per
-            pruned leaf, the fixed integer columns and the LP
-            infeasibility ray.  Only a search over the *original*
-            encoding can be replayed independently, so presolve (which
-            rewrites it), an infeasible leaf without a ray or any other
-            unrecordable pruning marks the proof incomplete rather than
-            emitting an unsound one.  Meant to be used with
-            ``presolve=False``; both LP backends export rays.
+
+    There is no switch for certification: the search reads the model
+    exactly as given and always records a leaf-cover infeasibility
+    proof (:attr:`repro.milp.solution.MILPResult.proof`), so certified
+    and uncertified queries run the same search.
     """
 
     lp_backend: str = "highs"
     time_limit: float = math.inf
     node_limit: int = 200000
     warm_start: bool = True
-    presolve: bool = True
-    record_proof: bool = False
 
 
 @dataclasses.dataclass(order=True)
@@ -179,20 +171,20 @@ class _Search:
     """One branch-and-bound run; owns all node-loop state."""
 
     def __init__(
-        self, work: Model, options: MILPOptions, start: float,
+        self, model: Model, options: MILPOptions, start: float,
         tracer=None,
     ) -> None:
         self.options = options
-        self.work = work
+        self.model = model
         self.start = start
         #: ``None`` when tracing is off — the hot node loop pays one
         #: ``is not None`` check and nothing else.
         self.trace = (
             tracer if tracer is not None and tracer.enabled else None
         )
-        self.c, A_ub, b_ub, A_eq, b_eq, bounds = work.dense_arrays()
-        self.n = work.num_vars
-        self.int_idx = np.array(work.integer_indices, dtype=int)
+        self.c, A_ub, b_ub, A_eq, b_eq, bounds = model.dense_arrays()
+        self.n = model.num_vars
+        self.int_idx = np.array(model.integer_indices, dtype=int)
         self.root_lb = np.array([b[0] for b in bounds])
         self.root_ub = np.array([b[1] for b in bounds])
         revised = options.lp_backend == "revised"
@@ -236,10 +228,8 @@ class _Search:
         self.heap: List[_Node] = []
         self.dive_stack: List[_Node] = []
         # -- infeasibility-proof recording ----------------------------------
-        self.record_proof = options.record_proof
         self.proof_leaves: List[dict] = []
-        # Presolve rewrites the encoding the checker replays against.
-        self.proof_incomplete = self.record_proof and options.presolve
+        self.proof_incomplete = False
 
     # -- helpers -----------------------------------------------------------
     def _timed_out(self) -> bool:
@@ -272,7 +262,7 @@ class _Search:
         """Adopt ``x`` as the incumbent if it is better and feasible;
         returns whether it was adopted."""
         obj = float(self.c @ x)
-        if obj >= self.incumbent_obj - 1e-12 or not self.work.is_feasible(
+        if obj >= self.incumbent_obj - 1e-12 or not self.model.is_feasible(
             x, tol=1e-5
         ):
             return False
@@ -302,7 +292,7 @@ class _Search:
         literals describe the leaf exactly).  Anything else poisons the
         proof — better no certificate than a wrong one.
         """
-        if not self.record_proof or self.proof_incomplete:
+        if self.proof_incomplete:
             return
         if result.status is not SolveStatus.INFEASIBLE:
             self.proof_incomplete = True
@@ -326,10 +316,8 @@ class _Search:
             {"fixed": fixed, "farkas": np.asarray(farkas, dtype=float)}
         )
 
-    def _proof_payload(self, status: SolveStatus) -> Optional[dict]:
-        """The ``MILPResult.proof`` dict (``None`` unless recording)."""
-        if not self.record_proof:
-            return None
+    def _proof_payload(self, status: SolveStatus) -> dict:
+        """The ``MILPResult.proof`` dict."""
         return {
             "complete": (
                 status is SolveStatus.INFEASIBLE
@@ -414,8 +402,8 @@ class _Search:
     # -- main loop ---------------------------------------------------------
     def run(self) -> MILPResult:
         options = self.options
-        sign = -1.0 if self.work.sense is Sense.MAXIMIZE else 1.0
-        objective_constant = self.work.objective.constant
+        sign = -1.0 if self.model.sense is Sense.MAXIMIZE else 1.0
+        objective_constant = self.model.objective.constant
 
         root_node = _Node(
             -math.inf, next(self.counter), self.root_lb, self.root_ub, 0
@@ -589,14 +577,4 @@ def solve_milp(
             f"unknown lp_backend {options.lp_backend!r}; "
             f"expected one of {LP_BACKENDS}"
         )
-    start = time.monotonic()
-
-    work = model.copy()
-    if options.presolve:
-        try:
-            presolve_mod.propagate_bounds(work)
-        except presolve_mod.InfeasiblePresolve:
-            return MILPResult(SolveStatus.INFEASIBLE,
-                              wall_time=time.monotonic() - start)
-
-    return _Search(work, options, start, tracer=tracer).run()
+    return _Search(model, options, time.monotonic(), tracer=tracer).run()

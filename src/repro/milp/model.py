@@ -3,7 +3,7 @@
 A :class:`Model` owns variables, constraints and the objective, and exposes
 dense matrix views for the LP relaxation consumed by the simplex and
 branch-and-bound engines.  Models are deliberately simple and explicit —
-no lazy columns, no symbolic presolve hidden in the container.
+no lazy columns, no hidden rewriting of the rows or bounds.
 """
 
 from __future__ import annotations

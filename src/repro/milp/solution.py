@@ -77,11 +77,12 @@ class MILPResult:
     lp_iterations: int = 0
     wall_time: float = 0.0
     metrics: Dict[str, float] = dataclasses.field(default_factory=dict)
-    #: Leaf-cover proof record (``MILPOptions.record_proof``): a dict
-    #: with ``"leaves"`` — one entry per pruned leaf carrying the fixed
-    #: integer columns and the LP infeasibility ray — and ``"complete"``
-    #: — False when any proving path could not be recorded (presolve,
-    #: an unrecordable leaf, an integral leaf).  Consumed by
+    #: Leaf-cover proof record, set by every branch-and-bound search: a
+    #: dict with ``"leaves"`` — one entry per pruned leaf carrying the
+    #: fixed integer columns and the LP infeasibility ray — and
+    #: ``"complete"`` — True only for an INFEASIBLE answer whose every
+    #: pruned leaf was recorded (False after an unrecordable leaf or an
+    #: integral leaf).  Consumed by
     #: :func:`repro.proof.emit.assemble_milp_certificate`.
     proof: Optional[Dict] = None
 

@@ -38,8 +38,7 @@ BOUND_CROSS_TOL = 1e-9
 FEASIBILITY_TOL = 1e-6
 
 #: Distance from the nearest integer under which a value counts as
-#: integral (branch-and-bound, presolve rounding, the auditor's phase
-#: checks).
+#: integral (branch-and-bound, the auditor's phase checks).
 INTEGRALITY_TOL = 1e-6
 
 #: Absolute best-bound-vs-incumbent gap at which branch-and-bound
@@ -60,7 +59,7 @@ LP_DUAL_TOL = 1e-7
 LP_PIVOT_TOL = 1e-7
 
 #: Generic "this float is zero" threshold for coefficient screening
-#: (presolve, basis algebra).
+#: (basis algebra).
 EPS = 1e-9
 
 #: Slack *added* to every certified big-M bound by the encoder so LP

@@ -92,13 +92,13 @@ class TestBudgetExits:
             )
             attach_objective(encoded, OutputObjective.single(0), maximize=True)
             full = solve_milp(
-                encoded.model, MILPOptions(lp_backend=backend, presolve=False)
+                encoded.model, MILPOptions(lp_backend=backend)
             )
             if full.nodes <= 1:
                 continue
             cut = solve_milp(
                 encoded.model,
-                MILPOptions(lp_backend=backend, presolve=False, node_limit=1),
+                MILPOptions(lp_backend=backend, node_limit=1),
             )
             assert cut.status is SolveStatus.NODE_LIMIT
 

@@ -222,7 +222,7 @@ class TestVerdictFingerprint:
         dict(encoder_options=EncoderOptions(bound_mode="lp")),
         dict(encoder_options=EncoderOptions(bound_mode="alpha")),
         dict(milp_options=MILPOptions(time_limit=30.0)),
-        dict(milp_options=MILPOptions(time_limit=60.0, presolve=False)),
+        dict(milp_options=MILPOptions(time_limit=60.0, warm_start=False)),
         dict(milp_options=MILPOptions(
             time_limit=60.0, lp_backend="revised",
         )),

@@ -137,7 +137,7 @@ class TestInfeasibleAndBudgets:
         model = knapsack(values, weights, 100)
         res = solve_milp(
             model,
-            MILPOptions(node_limit=1, presolve=False),
+            MILPOptions(node_limit=1),
         )
         assert res.status is SolveStatus.NODE_LIMIT
         # Dual bound must dominate any incumbent (maximisation).
@@ -164,14 +164,6 @@ class TestOptions:
         model = knapsack([1], [1], 1)
         with pytest.raises(ValueError):
             solve_milp(model, MILPOptions(lp_backend="gurobi"))
-
-    def test_presolve_off_same_answer(self):
-        values = [5, 10, 15]
-        weights = [1, 2, 3]
-        model = knapsack(values, weights, 4)
-        on = solve_milp(model, MILPOptions(presolve=True))
-        off = solve_milp(model, MILPOptions(presolve=False))
-        assert on.objective == pytest.approx(off.objective)
 
     def test_pure_lp_through_milp(self):
         model = Model()
@@ -237,8 +229,7 @@ class TestWarmStartedSearch:
         model = knapsack(values, weights, capacity)
         res = solve_milp(
             model,
-            MILPOptions(lp_backend="revised", warm_start=True,
-                        presolve=False),
+            MILPOptions(lp_backend="revised", warm_start=True),
         )
         assert res.status is SolveStatus.OPTIMAL
         if res.nodes > 1:
@@ -270,13 +261,11 @@ class TestWarmStartedSearch:
         model_c = knapsack(values, weights, capacity)
         warm = solve_milp(
             model_w,
-            MILPOptions(lp_backend="revised", warm_start=True,
-                        presolve=False),
+            MILPOptions(lp_backend="revised", warm_start=True),
         )
         cold = solve_milp(
             model_c,
-            MILPOptions(lp_backend="revised", warm_start=False,
-                        presolve=False),
+            MILPOptions(lp_backend="revised", warm_start=False),
         )
         assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
         if warm.nodes > 3:
@@ -342,7 +331,7 @@ class TestFailedNodeLP:
     must end as ERROR instead of pruning the node as if infeasible."""
 
     def _options(self, backend):
-        return MILPOptions(lp_backend=backend, presolve=False)
+        return MILPOptions(lp_backend=backend)
 
     def test_search_ends_as_error(self, backend, monkeypatch):
         rng = np.random.default_rng(0)

@@ -137,8 +137,7 @@ class TestMILPResultCompat:
         )
         result = solve_milp(
             model,
-            MILPOptions(lp_backend="revised", warm_start=True,
-                        presolve=False),
+            MILPOptions(lp_backend="revised", warm_start=True),
         )
         assert result.status is SolveStatus.OPTIMAL
         assert "warm_start_attempts" in result.metrics

@@ -158,7 +158,7 @@ class TestSearchTree:
         with tracer.span("solve"):
             result = solve_milp(
                 model,
-                MILPOptions(lp_backend="revised", presolve=False),
+                MILPOptions(lp_backend="revised"),
                 tracer=tracer,
             )
         assert result.status is SolveStatus.OPTIMAL

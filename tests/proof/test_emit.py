@@ -23,21 +23,22 @@ from repro.milp.branch_and_bound import LP_BACKENDS
 from repro.milp.scipy_backend import HighsSession
 from repro.obs import RingBufferSink, Tracer
 from repro.proof.check import check_certificate
-from repro.proof.emit import record_chain
+from repro.proof.emit import assemble_milp_certificate, record_chain
 
 from .conftest import box_region, prove_certified
 
-#: The certified search's options, on each of :data:`LP_BACKENDS`.
-PROOF_MILP = [
-    dict(lp_backend=backend, presolve=False, record_proof=True)
-    for backend in LP_BACKENDS
-]
+#: The search's options, on each of :data:`LP_BACKENDS`.
+PROOF_MILP = [dict(lp_backend=backend) for backend in LP_BACKENDS]
 
 
-def _violation_model(network, threshold):
-    """Decision-query model: feasible iff output 0 can exceed threshold."""
+def _violation_model(network, threshold, bounds=None):
+    """Decision-query model: feasible iff output 0 can exceed threshold.
+
+    ``bounds`` replaces the LP-tightened big-M bounds (the certified
+    encoding passes the chain's)."""
     encoded = encode_network(
-        network, box_region(2), EncoderOptions(bound_mode="lp")
+        network, box_region(2), EncoderOptions(bound_mode="lp"),
+        precomputed_bounds=bounds,
     )
     attach_violation_constraint(
         encoded, OutputObjective.single(0), threshold
@@ -108,12 +109,46 @@ class TestChainRecord:
 
 
 class TestBranchAndBoundProof:
-    def test_no_proof_without_flag(self, net2, net2_spread):
-        _, upper = net2_spread
-        encoded = _violation_model(net2, upper + 1.0)
-        result = solve_milp(encoded.model, MILPOptions(lp_backend="revised"))
+    @pytest.mark.parametrize("backend", LP_BACKENDS)
+    def test_one_search_with_and_without_certify(
+        self, net2, net2_spread, backend
+    ):
+        """Every search records a checkable leaf cover, so certifying a
+        query changes its bounds source, never its search."""
+        true_max, upper = net2_spread
+        threshold = true_max + 0.25 * (upper - true_max)
+        region = box_region(2)
+        objective = OutputObjective.single(0)
+        record = record_chain(net2, region, objective.coefficients)
+
+        encoded = _violation_model(net2, threshold, record.bounds)
+        result = solve_milp(encoded.model, MILPOptions(lp_backend=backend))
         assert result.status is SolveStatus.INFEASIBLE
-        assert result.proof is None
+        assert result.proof["complete"]
+        certificate = assemble_milp_certificate(
+            net2, region, objective, threshold,
+            EncoderOptions().bound_margin, "q", record, encoded.model,
+            result.proof,
+        )
+        assert certificate is not None
+        assert not check_certificate(certificate).has_errors
+
+        prop = SafetyProperty(
+            name="q", region=region, objective=objective,
+            threshold=float(threshold),
+        )
+        runs = [
+            Verifier(
+                net2, EncoderOptions(bound_mode="lp", certify=certify),
+                MILPOptions(lp_backend=backend, time_limit=120.0),
+            ).prove(prop, precomputed_bounds=record.bounds)
+            for certify in (False, True)
+        ]
+        assert [run.verdict for run in runs] == [Verdict.VERIFIED] * 2
+        assert runs[0].certificate is None
+        assert runs[1].certificate is not None
+        assert runs[0].nodes == runs[1].nodes
+        assert runs[0].lp_iterations == runs[1].lp_iterations
 
     def test_complete_proof(self, net2, net2_spread):
         true_max, upper = net2_spread
@@ -128,19 +163,6 @@ class TestBranchAndBoundProof:
             for leaf in result.proof["leaves"]:
                 assert isinstance(leaf["fixed"], dict)
                 assert leaf["farkas"] is not None
-
-    def test_presolve_poisons_the_proof(self, net2, net2_spread):
-        """Presolve rewrites the model, so the recorded duals no
-        longer speak about the certified encoding — the proof must be
-        marked incomplete rather than silently wrong."""
-        true_max, upper = net2_spread
-        threshold = true_max + 0.25 * (upper - true_max)
-        encoded = _violation_model(net2, threshold)
-        for options in PROOF_MILP:
-            options = MILPOptions(**{**options, "presolve": True})
-            result = solve_milp(encoded.model, options)
-            assert result.status is SolveStatus.INFEASIBLE
-            assert result.proof is None or not result.proof["complete"]
 
 
 def _prove_traced(network, threshold, backend, certify, split=False):

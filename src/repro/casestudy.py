@@ -308,53 +308,30 @@ def verify_network(
 ) -> TableIIRow:
     """Step 4: one Table II row — max lateral velocity with left occupied.
 
-    ``jobs`` fans the per-component max queries out over a campaign
-    worker pool; ``None``/``1`` keep the serial in-process path.
-    ``tracer`` turns on phase spans and solver events either way.
-    ``lp_backend`` selects the node-LP engine (see
-    :class:`repro.milp.MILPOptions`).  ``alpha_iters`` tunes the
-    ``bound_mode="alpha"`` optimiser (``None`` keeps the default).
-    ``split`` turns on input-region bisection
+    The row is :func:`run_table_ii` over this one network: ``jobs``
+    fans the per-component max queries out over a campaign worker pool
+    (``None``/``1`` run them in process), and ``tracer`` turns on phase
+    spans and solver events either way.  ``lp_backend`` selects the
+    node-LP engine (see :class:`repro.milp.MILPOptions`).
+    ``alpha_iters`` tunes the ``bound_mode="alpha"`` optimiser (``None``
+    keeps the default).  ``split`` turns on input-region bisection
     (:mod:`repro.analysis.split`), with ``split_depth`` /
     ``split_min_width`` overriding its limits.
     """
-    if jobs is not None and jobs != 1:
-        return run_table_ii(
-            study,
-            {0: network},
-            time_limit=time_limit,
-            jobs=jobs,
-            bound_mode=bound_mode,
-            region=region or operational_region(study, max_gap=max_gap),
-            tracer=tracer,
-            lp_backend=lp_backend,
-            alpha_iters=alpha_iters,
-            split=split,
-            split_depth=split_depth,
-            split_min_width=split_min_width,
-        )[0]
-    region = region or operational_region(study, max_gap=max_gap)
-    verifier = Verifier(
-        network,
-        _encoder_options(
-            bound_mode, alpha_iters, split, split_depth, split_min_width
-        ),
-        MILPOptions(time_limit=time_limit, lp_backend=lp_backend),
+    return run_table_ii(
+        study,
+        {0: network},
+        time_limit=time_limit,
+        jobs=jobs,
+        bound_mode=bound_mode,
+        region=region or operational_region(study, max_gap=max_gap),
         tracer=tracer,
-    )
-    result = verifier.max_lateral_velocity(
-        region, study.config.num_components
-    )
-    timed_out = result.verdict is Verdict.TIMEOUT
-    return TableIIRow(
-        architecture=network.architecture_id,
-        max_lateral_velocity=(
-            None if timed_out and np.isnan(result.value) else result.value
-        ),
-        wall_time=result.wall_time,
-        timed_out=timed_out,
-        num_binaries=result.num_binaries,
-    )
+        lp_backend=lp_backend,
+        alpha_iters=alpha_iters,
+        split=split,
+        split_depth=split_depth,
+        split_min_width=split_min_width,
+    )[0]
 
 
 def table_ii_campaign(
@@ -422,8 +399,9 @@ def table_ii_rows(
     Per network, the row aggregates that network's per-component max
     queries exactly like :meth:`Verifier.max_lateral_velocity`: the value
     is the best component maximum, the time is the summed cell time, and
-    any timed-out component marks the row timed out.  Errored cells
-    contribute no value ("unable to find maximum").
+    any timed-out component marks the row timed out.  A component that
+    neither solved nor timed out makes the whole row an error with no
+    value: the other components' maximum would understate the true one.
     """
     rows = []
     for width in sorted(networks):
@@ -432,6 +410,10 @@ def table_ii_rows(
             cell for cell in report.cells
             if cell.network_id == network.architecture_id
             and cell.property_name.startswith("mu_lat_comp")
+        ]
+        failed = [
+            cell for cell in cells
+            if cell.result.verdict not in (Verdict.MAX_FOUND, Verdict.TIMEOUT)
         ]
         values = [
             cell.result.value
@@ -444,12 +426,18 @@ def table_ii_rows(
         rows.append(
             TableIIRow(
                 architecture=network.architecture_id,
-                max_lateral_velocity=max(values) if values else None,
+                max_lateral_velocity=(
+                    max(values) if values and not failed else None
+                ),
                 wall_time=sum(c.result.wall_time for c in cells),
                 timed_out=timed_out,
                 num_binaries=max(
                     (c.result.num_binaries for c in cells), default=0
                 ),
+                error="; ".join(
+                    f"{c.property_name}: {c.result.description}"
+                    for c in failed
+                ) or None,
             )
         )
     return rows
@@ -568,17 +556,24 @@ def certify_predictor(
     row = verify_network(study, network, time_limit=time_limit)
     value = row.max_lateral_velocity
     verified = (
-        value is not None
+        row.error is None
+        and value is not None
         and not row.timed_out
         and value <= safety_threshold
     )
+    if row.error is not None:
+        detail = f"verification error: {row.error}"
+    elif row.timed_out:
+        detail = "time-out"
+    elif value is None:
+        detail = "unable to find maximum"
+    else:
+        detail = f"max lateral velocity {value:.4f} in {row.wall_time:.1f}s"
     case.add_evidence(
         Pillar.CORRECTNESS,
         f"formal verification (lat velocity <= {safety_threshold})",
         verified,
-        "time-out"
-        if row.timed_out
-        else f"max lateral velocity {value:.4f} in {row.wall_time:.1f}s",
+        detail,
         artifact=row,
     )
     if certify:

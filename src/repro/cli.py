@@ -7,13 +7,11 @@ The five pipeline stages map onto subcommands::
     python -m repro.cli train    --data data.npz --width 10 --out net.json
     python -m repro.cli verify   --data data.npz --net net.json
     python -m repro.cli campaign --data data.npz --net a.json --net b.json --jobs 4
-    python -m repro.cli serve    --data data.npz --net net.json --jobs 2
     python -m repro.cli audit    --data data.npz --net net.json --json audit.json
     python -m repro.cli check    certs/*.json
     python -m repro.cli certify  --data data.npz --net net.json
     python -m repro.cli figure1  --data data.npz --net net.json
     python -m repro.cli trace summarize out.jsonl
-    python -m repro.cli top metrics.jsonl
     python -m repro.cli bench record BENCH_pool.json
     python -m repro.cli bench report --threshold 1.5
 
@@ -122,34 +120,6 @@ def _add_observability_args(parser: argparse.ArgumentParser) -> None:
         choices=("debug", "info", "warning", "error"),
         help="verbosity of the repro.* logging hierarchy",
     )
-    parser.add_argument(
-        "--profile", action="store_true",
-        help="attach a span-scoped profiler to the in-process "
-        "bounds/encode/solve phases: per-phase hotspot tables at the "
-        "end, plus profile events in the trace for 'trace summarize'",
-    )
-    parser.add_argument(
-        "--profile-out", default=None, metavar="PATH",
-        help="with --profile: write the sampled folded-stack artifact "
-        "to PATH (flamegraph.pl input format)",
-    )
-
-
-def _add_metrics_args(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument(
-        "--metrics", default=None, metavar="PATH",
-        help="append repro-metrics/1 JSONL snapshots of pool/campaign "
-        "metrics to PATH while running ('repro top PATH' tails it)",
-    )
-    parser.add_argument(
-        "--prom", default=None, metavar="PATH",
-        help="atomically (re)write a Prometheus textfile exposition of "
-        "the same metrics to PATH on every flush",
-    )
-    parser.add_argument(
-        "--metrics-interval", type=float, default=2.0, metavar="SEC",
-        help="seconds between background metric flushes",
-    )
 
 
 def _build_parser() -> argparse.ArgumentParser:
@@ -238,31 +208,6 @@ def _build_parser() -> argparse.ArgumentParser:
     _add_split_args(campaign)
     _add_certify_args(campaign)
     _add_observability_args(campaign)
-    _add_metrics_args(campaign)
-
-    serve = sub.add_parser(
-        "serve",
-        help="verification service: read JSON job requests from stdin "
-        "(submit/poll/fetch/stats/health/watch/quit), answer one JSON "
-        "line each on stdout (watch streams its requested count), "
-        "backed by a persistent worker pool with shared caches",
-    )
-    _add_solver_args(serve)
-    serve.add_argument(
-        "--net", required=True, action="append",
-        help="network .json path (repeatable); submit by architecture id",
-    )
-    serve.add_argument(
-        "--jobs", type=int, default=1,
-        help="worker processes (0 = one per CPU)",
-    )
-    serve.add_argument(
-        "--cache-dir", default=None, metavar="DIR",
-        help="durable cache directory shared with 'campaign --cache-dir'",
-    )
-    _add_split_args(serve)
-    _add_observability_args(serve)
-    _add_metrics_args(serve)
 
     audit = sub.add_parser(
         "audit",
@@ -358,27 +303,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "use 'c<index>.')",
     )
 
-    top = sub.add_parser(
-        "top",
-        help="self-refreshing console view of a live fleet: tails the "
-        "repro-metrics/1 JSONL a campaign/daemon writes with --metrics",
-    )
-    top.add_argument(
-        "path", help="metrics snapshot JSONL (the --metrics PATH)"
-    )
-    top.add_argument(
-        "--interval", type=float, default=2.0,
-        help="seconds between refreshes",
-    )
-    top.add_argument(
-        "--iterations", type=int, default=None, metavar="N",
-        help="stop after N refreshes (default: run until interrupted)",
-    )
-    top.add_argument(
-        "--once", action="store_true",
-        help="render the latest snapshot once and exit (post-mortem)",
-    )
-
     bench = sub.add_parser(
         "bench",
         help="perf-regression tracking over BENCH_*.json artifacts",
@@ -428,74 +352,13 @@ def _load_study(path: str, components: int) -> casestudy.CaseStudy:
     return casestudy.study_from_dataset(dataset, config)
 
 
-def _open_profiler(args: argparse.Namespace):
-    """A :class:`PhaseProfiler` when ``--profile`` was given."""
-    if not getattr(args, "profile", False):
-        return None
-    from repro.obs import PhaseProfiler
-
-    return PhaseProfiler()
-
-
-def _open_tracer(args: argparse.Namespace, profiler=None):
-    """A JSONL-backed tracer when ``--trace`` was given, else ``None``.
-
-    With a profiler, a tracer is created even without ``--trace`` (the
-    profiler needs the span lifecycle hooks; its sink list just stays
-    empty).
-    """
-    path = getattr(args, "trace", None)
-    if not path and profiler is None:
+def _open_tracer(args: argparse.Namespace):
+    """A JSONL-backed tracer when ``--trace`` was given, else ``None``."""
+    if not args.trace:
         return None
     from repro.obs import JsonlSink, Tracer
 
-    return Tracer(
-        [JsonlSink(path)] if path else [],
-        hooks=[profiler] if profiler is not None else None,
-    )
-
-
-def _finish_profiler(args: argparse.Namespace, tracer, profiler) -> None:
-    """Emit profile results: trace events, folded stacks, console table.
-
-    Called before ``tracer.close()`` so the profile events land in the
-    same JSONL artifact as the spans they explain.
-    """
-    if profiler is None:
-        return
-    if tracer is not None:
-        for event in profiler.profile_events():
-            event["run"] = tracer.run_id
-            tracer.emit(event)
-    out = getattr(args, "profile_out", None)
-    if out:
-        samples = profiler.write_folded(out)
-        logger.info(
-            "folded stacks (%d samples) written to %s", samples, out
-        )
-    logger.info(profiler.render())
-    profiler.close()
-
-
-def _open_publisher(args: argparse.Namespace, collect, health=None):
-    """A started :class:`MetricsPublisher` when ``--metrics``/``--prom``
-    was given, else ``None``."""
-    jsonl = getattr(args, "metrics", None)
-    prom = getattr(args, "prom", None)
-    if not jsonl and not prom:
-        return None
-    from repro.obs import MetricsPublisher
-
-    publisher = MetricsPublisher(
-        collect,
-        jsonl_path=jsonl,
-        prom_path=prom,
-        interval=getattr(args, "metrics_interval", 2.0),
-        source=args.command,
-        health=health,
-    )
-    publisher.start()
-    return publisher
+    return Tracer([JsonlSink(args.trace)])
 
 
 def _cmd_generate(args: argparse.Namespace) -> int:
@@ -575,8 +438,7 @@ def _save_certificates(cert_out, certificates) -> None:
 def _cmd_verify(args: argparse.Namespace) -> int:
     study = _load_study(args.data, args.components)
     network = load_network(args.net)
-    profiler = _open_profiler(args)
-    tracer = _open_tracer(args, profiler)
+    tracer = _open_tracer(args)
     try:
         row = casestudy.verify_network(
             study, network, time_limit=args.time_limit,
@@ -591,6 +453,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
         )
         logger.info(render_table_ii([row]))
         exit_code = 0
+        if row.error is not None:
+            logger.error("verification failed: %s", row.error)
+            exit_code = 1
         if args.threshold is not None:
             from repro.core.properties import (
                 SafetyProperty,
@@ -645,9 +510,9 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                         for k, r in enumerate(results)
                     },
                 )
-            exit_code = 0 if proven else 1
+            if not proven:
+                exit_code = 1
     finally:
-        _finish_profiler(args, tracer, profiler)
         if tracer is not None:
             tracer.close()
     if args.trace:
@@ -692,27 +557,7 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         n_nets, n_queries, args.jobs,
     )
 
-    from repro.obs import MetricsRegistry, merge_metrics
-
-    registry = MetricsRegistry()
-    registry.gauge("campaign.cells_total").set(n_nets * n_queries)
-
     def report_progress(done, total, cell):
-        registry.gauge("campaign.cells_total").set(total)
-        registry.gauge("campaign.cells_done").set(done)
-        registry.histogram("campaign.cell_wall").observe(
-            cell.result.wall_time
-        )
-        registry.counter(
-            f"campaign.verdict.{cell.result.verdict.value}"
-        ).inc()
-        if cell.result.split_cells or cell.result.split_proofs:
-            registry.counter("campaign.split_cells").inc(
-                cell.result.split_cells
-            )
-            registry.counter("campaign.split_proofs").inc(
-                cell.result.split_proofs
-            )
         logger.info(
             "  [%d/%d] %s · %s: %s (%.1fs)",
             done, total, cell.network_id, cell.property_name,
@@ -727,31 +572,12 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
             workers=args.jobs, cache_dir=args.cache_dir
         )
 
-    def collect_metrics():
-        snapshot = registry.snapshot()
-        if pool is not None:
-            merge_metrics(snapshot, pool.stats())
-        return snapshot
-
-    profiler = _open_profiler(args)
-    tracer = _open_tracer(args, profiler)
-    publisher = _open_publisher(
-        args, collect_metrics,
-        health=pool.health if pool is not None else None,
-    )
+    tracer = _open_tracer(args)
     try:
         report = campaign.run(
             progress=report_progress, tracer=tracer, pool=pool
         )
     finally:
-        if publisher is not None:
-            publisher.stop()
-            if args.metrics:
-                logger.info(
-                    "metrics snapshots (%d flushes) appended to %s",
-                    publisher.flushes, args.metrics,
-                )
-        _finish_profiler(args, tracer, profiler)
         if tracer is not None:
             tracer.close()
         if pool is not None:
@@ -783,169 +609,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
     if args.trace:
         logger.info("trace written to %s", args.trace)
     return 0 if report.all_passed else 1
-
-
-def _cmd_serve(args: argparse.Namespace) -> int:
-    """Verification as a service over stdin/stdout JSON lines.
-
-    Requests (one JSON object per line)::
-
-        {"op": "submit", "net": "I4x10", "kind": "max", "component": 0}
-        {"op": "submit", "net": "I4x10", "kind": "prove",
-         "component": 0, "threshold": 0.5}
-        {"op": "poll",  "ticket": 1}
-        {"op": "fetch", "ticket": 1}
-        {"op": "stats"}
-        {"op": "health"}
-        {"op": "watch", "count": 5, "interval": 1.0}
-        {"op": "quit"}
-
-    Every request is answered with exactly one JSON line — except
-    ``watch``, which streams its requested ``count`` of health
-    snapshot lines (each tagged ``"op": "watch"`` with a ``seq``).  A
-    request may carry an ``"id"``; it is echoed verbatim on every
-    reply it produces, so concurrent clients multiplexed onto one
-    stdin can match responses to requests.  Jobs run on the persistent
-    pool: repeated submissions of the same query are answered from the
-    verdict cache (``"cached": true``) without any solver time, and
-    with ``--cache-dir`` that memory survives restarts.
-    """
-    import time as _time
-    import json as _json
-
-    from repro.core.campaign import CampaignQuery
-    from repro.core.pool import VerificationPool
-    from repro.core.properties import component_lateral_objectives
-    from repro.core.verifier import result_to_dict
-
-    study = _load_study(args.data, args.components)
-    networks = {}
-    for path in args.net:
-        network = load_network(path)
-        networks[network.architecture_id] = network
-    region = casestudy.operational_region(study)
-    objectives = component_lateral_objectives(args.components)
-    encoder_options = casestudy._encoder_options(
-        args.bound_mode, args.alpha_iters,
-        args.split, args.split_depth, args.split_min_width,
-    )
-    milp_options = MILPOptions(
-        time_limit=args.time_limit, lp_backend=args.lp_backend
-    )
-    pool = VerificationPool(
-        workers=args.jobs, cache_dir=args.cache_dir,
-        tracer=_open_tracer(args),
-    )
-    tickets = {}
-    current = {"id": None}
-
-    def reply(payload) -> None:
-        if current["id"] is not None:
-            payload = {**payload, "id": current["id"]}
-        sys.stdout.write(_json.dumps(payload) + "\n")
-        sys.stdout.flush()
-
-    publisher = _open_publisher(args, pool.stats, health=pool.health)
-    reply({
-        "op": "ready",
-        "networks": sorted(networks),
-        "workers": pool.workers,
-    })
-    try:
-        for line in sys.stdin:
-            line = line.strip()
-            if not line:
-                continue
-            current["id"] = None
-            try:
-                request = _json.loads(line)
-                current["id"] = request.get("id")
-                op = request.get("op")
-                if op == "quit":
-                    reply({"op": "quit"})
-                    break
-                if op == "stats":
-                    reply({"op": "stats", "stats": pool.stats()})
-                    continue
-                if op == "health":
-                    pool.wait(timeout=0)  # freshen heartbeat ages
-                    reply({"op": "health", "health": pool.health()})
-                    continue
-                if op == "watch":
-                    count = max(1, int(request.get("count", 5)))
-                    interval = max(
-                        0.0, float(request.get("interval", 1.0))
-                    )
-                    for seq in range(count):
-                        if seq:
-                            _time.sleep(interval)
-                        pool.wait(timeout=0)
-                        reply({
-                            "op": "watch",
-                            "seq": seq,
-                            "of": count,
-                            "health": pool.health(),
-                            "stats": pool.stats(),
-                        })
-                    continue
-                if op == "submit":
-                    name = request["net"]
-                    component = int(request.get("component", 0))
-                    kind = request.get("kind", "max")
-                    threshold = float(request.get("threshold", 0.0))
-                    query = CampaignQuery(
-                        name=f"{kind}-c{component}"
-                        + (f"-leq{threshold}" if kind == "prove" else ""),
-                        region=region,
-                        objective=objectives[component],
-                        kind=kind,
-                        threshold=threshold,
-                    )
-                    ticket = pool.submit(
-                        networks[name], query,
-                        encoder_options=encoder_options,
-                        milp_options=milp_options,
-                        network_name=name,
-                    )
-                    tickets[ticket.id] = ticket
-                    reply({
-                        "op": "submit",
-                        "ticket": ticket.id,
-                        "fingerprint": ticket.fingerprint,
-                        "cached": ticket.cached,
-                    })
-                    continue
-                if op not in ("poll", "fetch"):
-                    reply({
-                        "op": "error",
-                        "message": f"unknown op {op!r}",
-                    })
-                    continue
-                ticket = tickets[int(request["ticket"])]
-                if op == "poll":
-                    reply({
-                        "op": "poll",
-                        "ticket": ticket.id,
-                        "state": pool.poll(ticket),
-                    })
-                else:
-                    result = pool.fetch(ticket)
-                    tickets.pop(ticket.id, None)
-                    reply({
-                        "op": "fetch",
-                        "ticket": ticket.id,
-                        "result": result_to_dict(result),
-                    })
-            except Exception as exc:
-                reply({
-                    "op": "error",
-                    "message": f"{type(exc).__name__}: {exc}",
-                })
-    finally:
-        if publisher is not None:
-            publisher.stop()
-        pool.shutdown()
-    return 0
 
 
 def _cmd_audit(args: argparse.Namespace) -> int:
@@ -1044,17 +707,6 @@ def _cmd_figure1(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_top(args: argparse.Namespace) -> int:
-    from repro.obs.top import top_loop
-
-    return top_loop(
-        args.path,
-        interval=args.interval,
-        iterations=args.iterations,
-        once=args.once,
-    )
-
-
 def _cmd_bench(args: argparse.Namespace) -> int:
     from repro.obs.bench import (
         compare,
@@ -1138,13 +790,11 @@ def main(argv: Optional[List[str]] = None) -> int:
         "train": _cmd_train,
         "verify": _cmd_verify,
         "campaign": _cmd_campaign,
-        "serve": _cmd_serve,
         "audit": _cmd_audit,
         "check": _cmd_check,
         "certify": _cmd_certify,
         "figure1": _cmd_figure1,
         "trace": _cmd_trace,
-        "top": _cmd_top,
         "bench": _cmd_bench,
     }
     return handlers[args.command](args)

@@ -76,11 +76,7 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis imports only
         MonitorReport,
         RuntimeMonitor,
     )
-    from repro.core.pool import (  # noqa: F401
-        JobTicket,
-        VerdictCache,
-        VerificationPool,
-    )
+    from repro.core.pool import VerdictCache, VerificationPool  # noqa: F401
     from repro.core.properties import (  # noqa: F401
         InputRegion,
         LinearInputConstraint,
@@ -163,7 +159,7 @@ _EXPORTS: Dict[str, List[str]] = {
     ],
     "hints": ["SafetyHint", "train_with_hints"],
     "monitor": ["Intervention", "MonitorReport", "RuntimeMonitor"],
-    "pool": ["JobTicket", "VerdictCache", "VerificationPool"],
+    "pool": ["VerdictCache", "VerificationPool"],
     "properties": [
         "InputRegion",
         "LinearInputConstraint",

@@ -386,7 +386,9 @@ class BoundsCache:
         self.misses = 0
         self.spill_path = spill_path
         if spill_path is not None:
-            self._load_spill(spill_path)
+            from repro.core.spill import load_spill
+
+            self._entries = load_spill(spill_path, _decode_spill_record)
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -482,10 +484,10 @@ class BoundsCache:
             self._append_spill(key, entry)
 
     def _append_spill(self, key, entry) -> None:
-        import json
+        from repro.core.spill import append_spill
 
         bounds, error = entry
-        record = {
+        append_spill(self.spill_path, {
             "key": list(key),
             "error": error,
             "layers": None if bounds is None else [
@@ -495,33 +497,20 @@ class BoundsCache:
                 }
                 for layer in bounds
             ],
-        }
-        with open(self.spill_path, "a", encoding="utf-8") as fh:
-            fh.write(json.dumps(record) + "\n")
+        })
 
-    def _load_spill(self, path: str) -> None:
-        import json
-        import os
 
-        if not os.path.exists(path):
-            return
-        with open(path, "r", encoding="utf-8") as fh:
-            for line in fh:
-                line = line.strip()
-                if not line:
-                    continue
-                record = json.loads(line)
-                layers = record.get("layers")
-                bounds = None if layers is None else [
-                    LayerBounds(
-                        np.asarray(layer["lower"], dtype=float),
-                        np.asarray(layer["upper"], dtype=float),
-                    )
-                    for layer in layers
-                ]
-                self._entries[tuple(record["key"])] = (
-                    freeze_bounds(bounds), record.get("error"),
-                )
+def _decode_spill_record(record: dict):
+    """``(key, entry)`` of one ``bounds.jsonl`` line."""
+    layers = record["layers"]
+    bounds = None if layers is None else [
+        LayerBounds(
+            np.asarray(layer["lower"], dtype=float),
+            np.asarray(layer["upper"], dtype=float),
+        )
+        for layer in layers
+    ]
+    return tuple(record["key"]), (freeze_bounds(bounds), record.get("error"))
 
 
 def compute_bounds_entry(

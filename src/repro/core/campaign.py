@@ -436,22 +436,18 @@ def _new_task(
     )
 
 
-def _worker_tracer(trace_cfg: Optional[Tuple[str, str]], extra_sink=None):
+def _worker_tracer(trace_cfg: Optional[Tuple[str, str]]):
     """``(tracer, sink)`` for a worker-side relay, or ``(None, None)``.
 
     The tracer writes into an in-memory ring buffer whose records ride
     back to the parent on the result object; the id prefix keeps span
     ids from independent workers disjoint after the merge.
-    ``extra_sink`` (a live pool-pipe sink) additionally receives every
-    record as it is produced — the streaming path of
-    :meth:`repro.core.pool.VerificationPool.stream`.
     """
     if trace_cfg is None:
         return None, None
     run_id, prefix = trace_cfg
     sink = RingBufferSink()
-    sinks = [sink] if extra_sink is None else [sink, extra_sink]
-    return Tracer(sinks, run_id=run_id, id_prefix=prefix), sink
+    return Tracer([sink], run_id=run_id, id_prefix=prefix), sink
 
 
 def _effective_milp_options(task: "_CellTask") -> MILPOptions:
@@ -614,10 +610,10 @@ def _assemble_split_cell(state: _SplitState) -> CampaignCell:
     )
 
 
-def _run_cell_task(task: _CellTask, extra_sink=None) -> CampaignCell:
+def _run_cell_task(task: _CellTask) -> CampaignCell:
     """Worker: verify one cell; every failure becomes an ERROR cell."""
     start = time.monotonic()
-    tracer, sink = _worker_tracer(task.trace_cfg, extra_sink=extra_sink)
+    tracer, sink = _worker_tracer(task.trace_cfg)
     trc = as_tracer(tracer)
     # Decided before solving: a rejected audit or a failed bound set.
     if task.audit_error is not None:
@@ -1073,13 +1069,7 @@ class VerificationCampaign:
                         fill_leaf_slot(leaf.slot, cached.certificate)
                     state.leaves[i] = cached
                     continue
-                job = pool.submit_task(
-                    "cell", leaf_task, fingerprint=leaf_fp,
-                    budget=(
-                        task.cell_time_limit
-                        or task.milp_options.time_limit
-                    ),
-                )
+                job = pool.submit_task("cell", leaf_task, leaf_fp)
                 job_to_split[job.id] = (state, i, leaf_task, leaf)
                 outstanding += 1
             if state.complete:
@@ -1106,13 +1096,7 @@ class VerificationCampaign:
 
         def dispatch_cell(task: _CellTask) -> None:
             nonlocal outstanding
-            job = pool.submit_task(
-                "cell", task, fingerprint=fingerprints[task.index],
-                budget=(
-                    task.cell_time_limit
-                    or task.milp_options.time_limit
-                ),
-            )
+            job = pool.submit_task("cell", task, fingerprints[task.index])
             job_to_task[job.id] = task
             outstanding += 1
 

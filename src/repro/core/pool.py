@@ -17,13 +17,8 @@ marks itself broken).  :class:`VerificationPool` replaces that with
   parameters, region geometry, objective, kind/threshold, encoder and
   MILP options -> :class:`~repro.core.verifier.VerificationResult`)
   live behind the pool and persist across campaigns, with an optional
-  on-disk JSONL spill (``cache_dir``) so even a new process pays each
-  computation once;
-* **an async job API** — ``submit(network, query) -> ticket``, then
-  ``poll``/``progress``/``stream`` (live trace records relayed through
-  the existing :mod:`repro.obs` pipeline) and ``fetch`` for the final
-  verdict — the "verification as a service" surface ``repro serve``
-  exposes on stdin/stdout.
+  on-disk JSONL spill (``cache_dir``, see :mod:`repro.core.spill`) so
+  even a new process pays each computation once.
 
 Campaigns run every cell through a pool (see
 :meth:`VerificationCampaign.run`'s ``pool`` argument and the ``--pool``
@@ -39,16 +34,15 @@ from __future__ import annotations
 
 import dataclasses
 import itertools
-import json
 import multiprocessing
 import os
-import threading
 import time
 import traceback
 from collections import deque
 from multiprocessing import connection as mp_connection
 from typing import Any, Dict, List, Optional
 
+from repro.core.spill import append_spill, load_spill
 from repro.core.verifier import (
     VerificationResult,
     Verdict,
@@ -57,11 +51,10 @@ from repro.core.verifier import (
 )
 from repro.errors import CertificationError
 from repro.obs.metrics import MetricsRegistry
-from repro.obs.trace import as_tracer, new_run_id
+from repro.obs.trace import as_tracer
 
 __all__ = [
     "InProcessPool",
-    "JobTicket",
     "PoolJob",
     "VerdictCache",
     "VerificationPool",
@@ -82,7 +75,8 @@ class VerdictCache:
     Keys come from :func:`repro.core.verifier.verdict_fingerprint`;
     values are full :class:`VerificationResult` objects.  With
     ``spill_path`` every stored verdict is appended to a JSONL file and
-    reloaded on construction, so the memo survives the process.  Hits
+    reloaded on construction (unreadable lines are skipped, see
+    :mod:`repro.core.spill`), so the memo survives the process.  Hits
     return a defensive copy whose ``metrics`` carry a
     ``verdict_cache_hit`` marker (the verdict/optimum themselves are
     bit-for-bit the stored ones — JSON floats round-trip exactly).
@@ -93,16 +87,13 @@ class VerdictCache:
         self.hits = 0
         self.misses = 0
         self.spill_path = spill_path
-        if spill_path is not None and os.path.exists(spill_path):
-            with open(spill_path, "r", encoding="utf-8") as fh:
-                for line in fh:
-                    line = line.strip()
-                    if not line:
-                        continue
-                    record = json.loads(line)
-                    self._entries[record["fp"]] = result_from_dict(
-                        record["result"]
-                    )
+        if spill_path is not None:
+            self._entries = load_spill(
+                spill_path,
+                lambda record: (
+                    record["fp"], result_from_dict(record["result"])
+                ),
+            )
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -133,54 +124,23 @@ class VerdictCache:
             return True
         self._entries[fingerprint] = result
         if self.spill_path is not None:
-            with open(self.spill_path, "a", encoding="utf-8") as fh:
-                fh.write(json.dumps({
-                    "fp": fingerprint,
-                    "result": result_to_dict(result),
-                }) + "\n")
+            append_spill(self.spill_path, {
+                "fp": fingerprint,
+                "result": result_to_dict(result),
+            })
         return True
 
 
-class _ConnSink:
-    """Worker-side sink streaming trace records to the parent, live.
-
-    Reuses the obs relay record format byte-identically; a broken pipe
-    silently drops records (the worker must never die because the
-    consumer went away).  ``lock`` serialises pipe writes against the
-    worker's heartbeat thread — ``Connection.send`` is not atomic under
-    concurrent writers.
-    """
-
-    def __init__(self, conn, job_id: int, lock=None) -> None:
-        self._conn = conn
-        self._job_id = job_id
-        self._lock = lock if lock is not None else threading.Lock()
-
-    def write(self, record: Dict[str, Any]) -> None:
-        try:
-            with self._lock:
-                self._conn.send(("progress", self._job_id, record))
-        except Exception:
-            pass
-
-    def flush(self) -> None:  # Sink protocol
-        pass
-
-    def close(self) -> None:
-        pass
-
-
-def _execute(kind: str, payload: Any, extra_sink=None) -> Any:
+def _execute(kind: str, payload: Any) -> Any:
     """Run one job body; forked workers and :class:`InProcessPool` share it.
 
-    ``"cell"`` verifies a campaign cell task (``extra_sink`` also
-    receives its trace records live), ``"bounds"`` runs one bound
-    computation, ``"ping"`` answers the process id.
+    ``"cell"`` verifies a campaign cell task, ``"bounds"`` runs one
+    bound computation, ``"ping"`` answers the process id.
     """
     from repro.core.campaign import _compute_bounds_task, _run_cell_task
 
     if kind == "cell":
-        return _run_cell_task(payload, extra_sink=extra_sink)
+        return _run_cell_task(payload)
     if kind == "bounds":
         return _compute_bounds_task(payload)
     if kind == "ping":
@@ -188,75 +148,32 @@ def _execute(kind: str, payload: Any, extra_sink=None) -> Any:
     raise CertificationError(f"unknown job kind {kind!r}")
 
 
-def _pool_worker_main(
-    conn, heartbeat_interval: Optional[float] = None
-) -> None:
+def _pool_worker_main(conn) -> None:
     """Long-lived worker loop: recv task -> run fault-isolated -> reply.
 
-    Messages in: ``(kind, job_id, payload, stream)`` with a job kind
-    :func:`_execute` knows; ``stream`` relays the job's trace records
-    live.  ``None`` asks for a clean shutdown.  Replies:
-    ``("progress", job_id, record)`` (streamed trace records),
-    ``("hb", job_id_or_None, payload)`` (liveness heartbeats from a
-    side thread, proving the worker is healthy *even mid-solve*),
-    ``("done", job_id, result)``, or ``("error", job_id, traceback)``
-    when the result could not be produced *or shipped* (e.g. it does not
-    pickle) — so the parent always learns the job's fate unless the
-    process itself dies, which the parent detects via its sentinel.
-
-    All pipe writes share one lock: the heartbeat thread and the main
-    loop (and any streaming sink) must never interleave bytes on the
-    connection.
+    Messages in: ``(kind, job_id, payload)`` with a job kind
+    :func:`_execute` knows; ``None`` asks for a clean shutdown.
+    Replies: ``("done", job_id, result)``, or ``("error", job_id,
+    traceback)`` when the result could not be produced *or shipped*
+    (e.g. it does not pickle) — so the parent always learns the job's
+    fate unless the process itself dies, which the parent detects via
+    its sentinel.
     """
-    send_lock = threading.Lock()
-    status: Dict[str, Any] = {"job": None}
-    halt = threading.Event()
-    if heartbeat_interval:
-
-        def _beat() -> None:
-            while not halt.wait(heartbeat_interval):
-                try:
-                    with send_lock:
-                        conn.send((
-                            "hb", status["job"],
-                            {"t": time.time(), "pid": os.getpid()},
-                        ))
-                except Exception:
-                    return
-
-        threading.Thread(
-            target=_beat, name="repro-pool-heartbeat", daemon=True
-        ).start()
-    try:
-        while True:
+    while True:
+        try:
+            message = conn.recv()
+        except (EOFError, OSError, KeyboardInterrupt):
+            return
+        if message is None:
+            break
+        kind, job_id, payload = message
+        try:
+            conn.send(("done", job_id, _execute(kind, payload)))
+        except Exception:
             try:
-                message = conn.recv()
-            except (EOFError, OSError, KeyboardInterrupt):
-                return
-            if message is None:
-                break
-            kind, job_id, payload, stream = message
-            status["job"] = job_id
-            try:
-                extra = (
-                    _ConnSink(conn, job_id, lock=send_lock)
-                    if stream else None
-                )
-                out = _execute(kind, payload, extra)
-                with send_lock:
-                    conn.send(("done", job_id, out))
+                conn.send(("error", job_id, traceback.format_exc()))
             except Exception:
-                try:
-                    with send_lock:
-                        conn.send((
-                            "error", job_id, traceback.format_exc()
-                        ))
-                except Exception:
-                    return
-            finally:
-                status["job"] = None
-    finally:
-        halt.set()
+                return
     try:
         conn.close()
     except Exception:
@@ -266,19 +183,13 @@ def _pool_worker_main(
 class _WorkerHandle:
     """One live worker process plus its parent-side pipe end."""
 
-    __slots__ = (
-        "process", "conn", "job", "index", "jobs_done",
-        "last_heartbeat", "spawned_at",
-    )
+    __slots__ = ("process", "conn", "job")
 
-    def __init__(
-        self, ctx, index: int,
-        heartbeat_interval: Optional[float] = None,
-    ) -> None:
+    def __init__(self, ctx, index: int) -> None:
         parent_conn, child_conn = ctx.Pipe()
         self.process = ctx.Process(
             target=_pool_worker_main,
-            args=(child_conn, heartbeat_interval),
+            args=(child_conn,),
             daemon=True,
             name=f"repro-pool-{index}",
         )
@@ -287,12 +198,6 @@ class _WorkerHandle:
         self.conn = parent_conn
         #: The in-flight :class:`PoolJob`, or ``None`` when idle.
         self.job: Optional["PoolJob"] = None
-        self.index = index
-        self.jobs_done = 0
-        self.spawned_at = time.time()
-        #: Epoch time of the last ``hb`` message (``None`` before the
-        #: first; stays ``None`` with heartbeats disabled).
-        self.last_heartbeat: Optional[float] = None
 
     @property
     def alive(self) -> bool:
@@ -318,9 +223,8 @@ class PoolJob:
     """Parent-side state of one submitted job."""
 
     __slots__ = (
-        "id", "kind", "payload", "stream", "state", "result", "error",
-        "crashed", "progress", "fingerprint", "retain", "budget",
-        "t_submitted", "t_started", "stall_emitted",
+        "id", "kind", "payload", "result", "error", "crashed",
+        "fingerprint", "t_started",
     )
 
     def __init__(
@@ -328,51 +232,18 @@ class PoolJob:
         job_id: int,
         kind: str,
         payload: Any,
-        stream: bool = False,
         fingerprint: Optional[str] = None,
-        retain: bool = False,
-        budget: Optional[float] = None,
     ) -> None:
         self.id = job_id
         self.kind = kind
         self.payload = payload
-        self.stream = stream
-        self.state = "queued"
         self.result: Any = None
         self.error: Optional[str] = None
         self.crashed = False
-        #: Trace records streamed back while the job runs.
-        self.progress: List[Dict[str, Any]] = []
         #: Verdict-cache key; completed cacheable cells are memoised.
         self.fingerprint = fingerprint
-        self.retain = retain
-        #: Expected runtime (the cell/solve budget); stall detection
-        #: fires when the in-flight age exceeds a multiple of this.
-        self.budget = budget
-        self.t_submitted = time.time()
+        #: ``time.monotonic()`` at dispatch to a worker.
         self.t_started: Optional[float] = None
-        self.stall_emitted = False
-
-    @property
-    def age(self) -> float:
-        """Seconds since dispatch to a worker (0.0 while queued)."""
-        if self.t_started is None:
-            return 0.0
-        return time.time() - self.t_started
-
-    @property
-    def done(self) -> bool:
-        return self.state == "done"
-
-
-@dataclasses.dataclass
-class JobTicket:
-    """Handle returned by :meth:`VerificationPool.submit`."""
-
-    id: int
-    fingerprint: str
-    #: ``True`` when the verdict cache answered without any worker time.
-    cached: bool = False
 
 
 class VerificationPool:
@@ -383,23 +254,12 @@ class VerificationPool:
     spawn lazily on first dispatch (call :meth:`prewarm` to pay the
     fork cost up front); a worker that dies is respawned and only its
     in-flight job is failed.  ``cache_dir`` makes both caches durable
-    (``bounds.jsonl`` / ``verdicts.jsonl`` spill files).
-
-    Health plane: each worker runs a heartbeat thread proving liveness
-    every ``heartbeat_interval`` seconds even mid-solve (``None``
-    disables, for overhead comparisons); :meth:`health` returns the
-    structured per-worker view (state, in-flight job age, heartbeat
-    age) that ``repro serve``'s ``health``/``watch`` ops and ``repro
-    top`` render.  A job whose in-flight age exceeds ``stall_factor``
-    times its budget is flagged **stalled**: one ``pool_stall`` trace
-    event, a ``pool.stalls`` counter tick, and a ``STALLED`` row in the
-    dashboards — the job is *not* killed (budget enforcement stays the
-    solver's job; the plane only makes the overrun visible).
+    (``bounds.jsonl`` / ``verdicts.jsonl`` spill files).  A worker
+    death is recorded as a ``pool_worker_crash`` trace event when
+    ``tracer`` is set.
 
     Not thread-safe: one pool serves one driving thread (campaigns use
-    it strictly sequentially; the only concurrent reader is a
-    :class:`~repro.obs.export.MetricsPublisher` calling the read-only
-    :meth:`stats`/:meth:`health` accessors).
+    it strictly sequentially).
     """
 
     def __init__(
@@ -408,16 +268,11 @@ class VerificationPool:
         cache_dir: Optional[str] = None,
         tracer=None,
         prewarm: bool = False,
-        heartbeat_interval: Optional[float] = 1.0,
-        stall_factor: float = 3.0,
     ) -> None:
         from repro.core.campaign import resolve_jobs
 
         self.workers = resolve_jobs(workers)
         self.tracer = as_tracer(tracer)
-        self.run_id = (
-            self.tracer.run_id if self.tracer.enabled else new_run_id()
-        )
         self.cache_dir = cache_dir
         bounds_spill = verdict_spill = None
         if cache_dir is not None:
@@ -429,8 +284,6 @@ class VerificationPool:
         self.bounds_cache = BoundsCache(spill_path=bounds_spill)
         self.verdict_cache = VerdictCache(spill_path=verdict_spill)
         self.metrics = MetricsRegistry()
-        self.heartbeat_interval = heartbeat_interval
-        self.stall_factor = stall_factor
         # fork reuses the parent's already-imported interpreter, so a
         # fresh worker costs milliseconds, not a re-import; fall back to
         # the platform default where fork does not exist.
@@ -441,7 +294,6 @@ class VerificationPool:
         self._handles: List[_WorkerHandle] = []
         self._queue: deque = deque()
         self._jobs: Dict[int, PoolJob] = {}
-        self._done: Dict[int, PoolJob] = {}
         self._ids = itertools.count(1)
         self._worker_ids = itertools.count(1)
         self._closed = False
@@ -479,11 +331,9 @@ class VerificationPool:
         per-campaign ``ProcessPoolExecutor`` can never offer.
         """
         self._ensure_workers()
-        tickets = [
-            self._enqueue(PoolJob(next(self._ids), "ping", None))
-            for _ in self._handles
-        ]
-        outstanding = {job.id for job in tickets}
+        outstanding = {
+            self.submit_task("ping", None).id for _ in self._handles
+        }
         deadline = time.monotonic() + 30.0
         while outstanding and time.monotonic() < deadline:
             for job in self.wait(timeout=1.0):
@@ -493,10 +343,7 @@ class VerificationPool:
     # -- scheduling --------------------------------------------------------
     def _spawn_worker(self) -> _WorkerHandle:
         index = next(self._worker_ids)
-        handle = _WorkerHandle(
-            self._ctx, index,
-            heartbeat_interval=self.heartbeat_interval,
-        )
+        handle = _WorkerHandle(self._ctx, index)
         self._handles.append(handle)
         self.metrics.counter("pool.workers_spawned").inc()
         # The pool never holds more than ``workers`` live processes, so
@@ -538,32 +385,26 @@ class VerificationPool:
                 continue
             job = self._queue.popleft()
             try:
-                handle.conn.send((job.kind, job.id, job.payload, job.stream))
+                handle.conn.send((job.kind, job.id, job.payload))
             except Exception:
                 # The worker died between jobs: requeue and respawn.
                 self._queue.appendleft(job)
                 self._retire(handle)
                 continue
             handle.job = job
-            job.state = "running"
-            job.t_started = time.time()
+            job.t_started = time.monotonic()
 
     def submit_task(
-        self,
-        kind: str,
-        payload: Any,
-        fingerprint: Optional[str] = None,
-        stream: bool = False,
-        retain: bool = False,
-        budget: Optional[float] = None,
+        self, kind: str, payload: Any, fingerprint: Optional[str] = None
     ) -> PoolJob:
-        """Low-level dispatch (campaigns drive this directly)."""
-        job = PoolJob(
-            next(self._ids), kind, payload,
-            stream=stream, fingerprint=fingerprint, retain=retain,
-            budget=budget,
+        """Queue one job; :meth:`wait` reports it when it completes.
+
+        A job with a ``fingerprint`` whose result carries a cacheable
+        verdict is memoised in :attr:`verdict_cache` on completion.
+        """
+        return self._enqueue(
+            PoolJob(next(self._ids), kind, payload, fingerprint)
         )
-        return self._enqueue(job)
 
     def wait(self, timeout: Optional[float] = None) -> List[PoolJob]:
         """Jobs completing since the last call (crash == completion).
@@ -575,15 +416,8 @@ class VerificationPool:
         """
         self._pump()
         completed: List[PoolJob] = []
-        # Idle workers still send heartbeats; drain them opportunistically
-        # so health views stay fresh between jobs (non-blocking — _drain
-        # returns as soon as the pipe is empty).
-        for handle in list(self._handles):
-            if handle.job is None:
-                self._drain(handle, completed)
         busy = [h for h in self._handles if h.job is not None]
         if not busy:
-            self._check_stalls()
             return completed
         waitable = {h.conn: h for h in busy}
         waitable.update({h.process.sentinel: h for h in busy})
@@ -597,7 +431,6 @@ class VerificationPool:
             self._drain(handle, completed)
             if handle.job is not None and not handle.alive:
                 self._worker_died(handle, completed)
-        self._check_stalls()
         self._pump()
         return completed
 
@@ -615,56 +448,15 @@ class VerificationPool:
                     self._retire(handle)
                 return
             kind, job_id, payload = message
-            if kind == "hb":
-                handle.last_heartbeat = time.time()
-                continue
             job = self._jobs.get(job_id)
             if job is None:
-                continue
-            if kind == "progress":
-                job.progress.append(payload)
                 continue
             if kind == "done":
                 job.result = payload
             else:  # "error": ran but could not produce/ship a result
                 job.error = payload
             handle.job = None
-            handle.jobs_done += 1
             self._finish(job, completed)
-
-    def _stall_threshold(self, job: PoolJob) -> Optional[float]:
-        if job.budget is None or job.budget <= 0:
-            return None
-        return self.stall_factor * job.budget
-
-    def _check_stalls(self) -> None:
-        """Flag in-flight jobs that blew far past their budget.
-
-        Emits one ``pool_stall`` trace event per job (not per check)
-        and keeps the ``pool.stalls`` counter in step; the stalled flag
-        clears itself when the job eventually completes or its worker
-        is reaped.
-        """
-        for handle in self._handles:
-            job = handle.job
-            if job is None or job.stall_emitted:
-                continue
-            threshold = self._stall_threshold(job)
-            if threshold is None or job.age <= threshold:
-                continue
-            job.stall_emitted = True
-            self.metrics.counter("pool.stalls").inc()
-            if self.tracer.enabled:
-                self.tracer.event(
-                    "pool_stall",
-                    job_id=job.id,
-                    job_kind=job.kind,
-                    worker=handle.index,
-                    pid=handle.process.pid,
-                    age=job.age,
-                    budget=job.budget,
-                    stall_factor=self.stall_factor,
-                )
 
     def _worker_died(self, handle: _WorkerHandle, completed) -> None:
         job = handle.job
@@ -706,13 +498,12 @@ class VerificationPool:
             self._spawn_worker()
 
     def _finish(self, job: PoolJob, completed) -> None:
-        job.state = "done"
         self.metrics.counter("pool.jobs_done").inc()
         if job.t_started is not None:
-            self.metrics.histogram("pool.job_wall").observe(job.age)
+            self.metrics.histogram("pool.job_wall").observe(
+                time.monotonic() - job.t_started
+            )
         self._jobs.pop(job.id, None)
-        if job.retain:
-            self._done[job.id] = job
         completed.append(job)
         if (
             job.fingerprint is not None
@@ -724,173 +515,14 @@ class VerificationPool:
                 if self.verdict_cache.put(job.fingerprint, result):
                     self.metrics.counter("pool.verdicts_stored").inc()
 
-    # -- the async verification-job API ------------------------------------
-    def submit(
-        self,
-        network,
-        query,
-        encoder_options=None,
-        milp_options=None,
-        cell_time_limit: Optional[float] = None,
-        network_name: Optional[str] = None,
-        stream: bool = False,
-    ) -> JobTicket:
-        """Submit one verification query; returns a ticket immediately.
-
-        ``query`` is a :class:`repro.core.campaign.CampaignQuery` (or a
-        :class:`~repro.core.properties.SafetyProperty`, converted).  A
-        verdict-cache hit completes the ticket instantly without
-        touching any worker; otherwise the query ships to a worker with
-        any cached bounds for its region attached.  ``stream=True``
-        relays the worker's trace records live (see :meth:`stream`).
-        """
-        from repro.core.campaign import (
-            CampaignCell,
-            CampaignQuery,
-            _new_task,
-            _task_fingerprint,
-        )
-        from repro.core.encoder import EncoderOptions
-        from repro.core.properties import SafetyProperty
-        from repro.milp.branch_and_bound import MILPOptions
-
-        if isinstance(query, SafetyProperty):
-            query = CampaignQuery(
-                name=query.name,
-                region=query.region,
-                objective=query.objective,
-                kind="prove",
-                threshold=query.threshold,
-            )
-        task = _new_task(
-            0, network_name or network.architecture_id, network, query,
-            encoder_options or EncoderOptions(),
-            milp_options or MILPOptions(time_limit=120.0),
-            cell_time_limit,
-        )
-        fingerprint = _task_fingerprint(task)
-        cached = self.verdict_cache.get(fingerprint)
-        if cached is not None:
-            self.metrics.counter("pool.verdict_hits").inc()
-            job = PoolJob(
-                next(self._ids), "cell", task,
-                fingerprint=fingerprint, retain=True,
-            )
-            job.state = "done"
-            job.result = CampaignCell(
-                network_id=task.network_name,
-                property_name=query.name,
-                result=cached,
-            )
-            self._done[job.id] = job
-            return JobTicket(job.id, fingerprint, cached=True)
-        self.metrics.counter("pool.verdict_misses").inc()
-        entry = self.bounds_cache.peek(task.bounds_key)
-        if entry is not None:
-            task.bounds, task.bounds_error = entry
-        if self.tracer.enabled or stream:
-            task.trace_cfg = (self.run_id, f"q{next(self._ids)}.")
-        job = self.submit_task(
-            "cell", task,
-            fingerprint=fingerprint, stream=stream, retain=True,
-            budget=cell_time_limit or task.milp_options.time_limit,
-        )
-        return JobTicket(job.id, fingerprint)
-
-    def _ticket_job(self, ticket: JobTicket) -> PoolJob:
-        job = self._done.get(ticket.id) or self._jobs.get(ticket.id)
-        if job is None:
-            raise CertificationError(
-                f"unknown ticket {ticket.id} (already fetched?)"
-            )
-        return job
-
-    def poll(self, ticket: JobTicket) -> str:
-        """``"queued"`` / ``"running"`` / ``"done"`` (non-blocking)."""
-        if ticket.id not in self._done:
-            self.wait(timeout=0)
-        return self._ticket_job(ticket).state
-
-    def progress(self, ticket: JobTicket, since: int = 0) -> List[dict]:
-        """Trace records streamed so far (``since`` = skip that many)."""
-        if ticket.id not in self._done:
-            self.wait(timeout=0)
-        return list(self._ticket_job(ticket).progress[since:])
-
-    def stream(self, ticket: JobTicket):
-        """Yield live trace records until the job completes."""
-        cursor = 0
-        while True:
-            job = self._ticket_job(ticket)
-            while cursor < len(job.progress):
-                yield job.progress[cursor]
-                cursor += 1
-            if job.done:
-                return
-            self.wait(timeout=0.05)
-
-    def fetch(
-        self, ticket: JobTicket, timeout: Optional[float] = None
-    ) -> VerificationResult:
-        """Block until the job completes; crashes degrade to ERROR.
-
-        Fault isolation is preserved at the API surface too: a killed
-        worker or an unshippable result yields a
-        :attr:`Verdict.ERROR` result carrying the diagnostic rather
-        than an exception.
-        """
-        deadline = (
-            None if timeout is None else time.monotonic() + timeout
-        )
-        while True:
-            job = self._ticket_job(ticket)
-            if job.done:
-                break
-            remaining = (
-                None if deadline is None
-                else max(0.0, deadline - time.monotonic())
-            )
-            self.wait(timeout=remaining)
-            if (
-                deadline is not None
-                and time.monotonic() >= deadline
-                and not self._ticket_job(ticket).done
-            ):
-                raise CertificationError(
-                    f"ticket {ticket.id} not done within {timeout}s"
-                )
-        job = self._done.pop(ticket.id)
-        if job.error is not None or job.crashed:
-            return VerificationResult(
-                verdict=Verdict.ERROR,
-                description=f"worker failed: {job.error}",
-            )
-        return job.result.result
-
     # -- accounting --------------------------------------------------------
     @staticmethod
     def _hit_rate(hits: float, misses: float) -> float:
         total = hits + misses
         return hits / total if total else 0.0
 
-    def _worker_state(self, handle: _WorkerHandle) -> str:
-        if not handle.alive:
-            return "dead"
-        job = handle.job
-        if job is None:
-            return "idle"
-        if job.stall_emitted:
-            return "stalled"
-        return "busy"
-
     def stats(self) -> Dict[str, float]:
-        """Flat snapshot: worker, job, queue and cache accounting.
-
-        Includes per-worker gauges (``pool.worker<i>.jobs_done`` /
-        ``.job_age`` / ``.alive``) so an exported snapshot carries the
-        same per-worker view :meth:`health` structures.
-        """
-        self._check_stalls()
+        """Flat snapshot: worker, job, queue and cache accounting."""
         out = self.metrics.snapshot()
         out["pool.workers"] = sum(
             1 for handle in self._handles if handle.alive
@@ -911,54 +543,7 @@ class VerificationPool:
         out["verdict_cache.hit_rate"] = self._hit_rate(
             self.verdict_cache.hits, self.verdict_cache.misses
         )
-        for handle in self._handles:
-            prefix = f"pool.worker{handle.index}"
-            out[f"{prefix}.alive"] = 1.0 if handle.alive else 0.0
-            out[f"{prefix}.jobs_done"] = handle.jobs_done
-            out[f"{prefix}.job_age"] = (
-                handle.job.age if handle.job is not None else 0.0
-            )
         return out
-
-    def health(self) -> Dict[str, Any]:
-        """Structured fleet health: one record per worker plus totals.
-
-        The JSON-friendly view behind ``repro serve``'s ``health`` /
-        ``watch`` ops and the per-worker table in ``repro top``.
-        """
-        self._check_stalls()
-        now = time.time()
-        workers = []
-        for handle in self._handles:
-            job = handle.job
-            workers.append({
-                "worker": handle.index,
-                "pid": handle.process.pid,
-                "state": self._worker_state(handle),
-                "jobs_done": handle.jobs_done,
-                "job": job.id if job is not None else None,
-                "job_kind": job.kind if job is not None else None,
-                "job_age": job.age if job is not None else None,
-                "job_budget": job.budget if job is not None else None,
-                "last_heartbeat_age": (
-                    None if handle.last_heartbeat is None
-                    else max(0.0, now - handle.last_heartbeat)
-                ),
-                "uptime": max(0.0, now - handle.spawned_at),
-            })
-        snapshot = self.metrics.snapshot()
-        return {
-            "t": now,
-            "workers": workers,
-            "queue_depth": len(self._queue),
-            "in_flight": sum(
-                1 for w in workers if w["job"] is not None
-            ),
-            "jobs_done": int(snapshot.get("pool.jobs_done", 0)),
-            "crashes": int(snapshot.get("pool.worker_crashes", 0)),
-            "respawns": int(snapshot.get("pool.respawns", 0)),
-            "stalls": int(snapshot.get("pool.stalls", 0)),
-        }
 
     def render_stats(self) -> str:
         """One-line human summary for CLI output."""
@@ -1007,15 +592,10 @@ class InProcessPool(VerificationPool):
         if not self._queue:
             return completed
         job = self._queue.popleft()
-        job.state = "running"
-        job.t_started = time.time()
+        job.t_started = time.monotonic()
         try:
             job.result = _execute(job.kind, job.payload)
         except Exception:
             job.error = traceback.format_exc()
-        if job.stream and job.error is None:
-            # Nothing can read the stream mid-job in-process: relay the
-            # cell's own records once it is done.
-            job.progress.extend(getattr(job.result, "trace_records", []))
         self._finish(job, completed)
         return completed

@@ -274,14 +274,19 @@ class TableIIRow:
     wall_time: float
     timed_out: bool
     num_binaries: int = 0
+    #: Why a component query failed (neither solved nor timed out); a
+    #: row with an error carries no value, since the maximum of the
+    #: other components would understate the true one.
+    error: Optional[str] = None
 
     def render(self) -> str:
         """The row in the paper's Table II layout."""
-        value = (
-            "n.a. (unable to find maximum)"
-            if self.max_lateral_velocity is None
-            else f"{self.max_lateral_velocity:.6f}"
-        )
+        if self.error is not None:
+            value = "n.a. (verification error)"
+        elif self.max_lateral_velocity is None:
+            value = "n.a. (unable to find maximum)"
+        else:
+            value = f"{self.max_lateral_velocity:.6f}"
         time_str = "time-out" if self.timed_out else f"{self.wall_time:.1f}s"
         return f"{self.architecture:>8}  {value:>32}  {time_str:>10}"
 

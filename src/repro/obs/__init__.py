@@ -3,12 +3,8 @@
 Structured tracing (:mod:`repro.obs.trace`), metric instruments
 (:mod:`repro.obs.metrics`), pluggable sinks (:mod:`repro.obs.sinks`),
 trace analysis and search-tree export (:mod:`repro.obs.summarize`), the
-``repro.*`` logging hierarchy (:mod:`repro.obs.logconfig`), and the
-telemetry plane: Prometheus/JSONL metric export with a background
-publisher (:mod:`repro.obs.export`), the live console dashboard behind
-``repro top`` (:mod:`repro.obs.top`), span-scoped profiling
-(:mod:`repro.obs.profile`) and the bench-history regression gate
-(:mod:`repro.obs.bench`).
+``repro.*`` logging hierarchy (:mod:`repro.obs.logconfig`) and the
+bench-history regression gate (:mod:`repro.obs.bench`).
 
 The contract with the hot paths: everything here is **zero-cost when
 disabled** — callers default to :data:`NULL_TRACER`, whose spans and
@@ -23,14 +19,6 @@ from repro.obs.bench import (
     record_run,
     render_report,
 )
-from repro.obs.export import (
-    METRICS_SCHEMA,
-    MetricsPublisher,
-    append_snapshot,
-    load_snapshots,
-    prometheus_text,
-    write_prometheus,
-)
 from repro.obs.logconfig import configure_logging, get_logger
 from repro.obs.metrics import (
     Counter,
@@ -41,9 +29,7 @@ from repro.obs.metrics import (
     merge_metrics,
     render_quantiles,
 )
-from repro.obs.profile import PhaseProfiler, render_folded
 from repro.obs.sinks import ConsoleSink, JsonlSink, RingBufferSink, Sink
-from repro.obs.top import render_top, top_loop
 from repro.obs.summarize import (
     PHASES,
     TraceSummary,
@@ -70,40 +56,30 @@ __all__ = [
     "HISTORY_SCHEMA",
     "Histogram",
     "JsonlSink",
-    "METRICS_SCHEMA",
-    "MetricsPublisher",
     "MetricsRegistry",
     "NULL_TRACER",
     "NullTracer",
     "PHASES",
-    "PhaseProfiler",
     "QUANTILES",
     "RingBufferSink",
     "Sink",
     "Span",
     "TraceSummary",
     "Tracer",
-    "append_snapshot",
     "as_tracer",
     "build_search_tree",
     "compare",
     "configure_logging",
     "get_logger",
     "load_history",
-    "load_snapshots",
     "load_trace",
     "merge_metrics",
     "new_run_id",
-    "prometheus_text",
     "record_run",
-    "render_folded",
     "render_quantiles",
     "render_report",
     "render_summary",
-    "render_top",
     "summarize_trace",
-    "top_loop",
     "tree_to_dot",
     "tree_to_json",
-    "write_prometheus",
 ]

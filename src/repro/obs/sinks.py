@@ -9,7 +9,8 @@ Three implementations cover the stack's needs:
 * :class:`ConsoleSink` — human-readable one-liners for interactive runs.
 
 All sinks accept *any* dict record, so relayed records from another
-process pass through byte-identically.
+process pass through byte-identically.  :func:`read_jsonl` reads such a
+file back (and the caches' JSONL spills) past torn or corrupt lines.
 """
 
 from __future__ import annotations
@@ -17,11 +18,15 @@ from __future__ import annotations
 import json
 import sys
 from collections import deque
-from typing import Any, Dict, List, Optional
+from typing import Any, Callable, Dict, List, Optional, Tuple
 
 import numpy as np
 
-__all__ = ["Sink", "RingBufferSink", "JsonlSink", "ConsoleSink"]
+from repro.errors import ReproError
+
+__all__ = [
+    "Sink", "RingBufferSink", "JsonlSink", "ConsoleSink", "read_jsonl",
+]
 
 
 def _json_default(value: Any) -> Any:
@@ -132,3 +137,31 @@ class ConsoleSink(Sink):
                 f"{record['name']} {attrs}"
             )
         print(line.rstrip(), file=self._resolve())
+
+
+def read_jsonl(
+    path: str, decode: Callable[[Any], Any]
+) -> Tuple[List[Any], int]:
+    """``decode`` applied to each JSON line of ``path``, in file order,
+    plus the number of lines skipped.
+
+    A process killed mid-write leaves a torn last line, and a torn line
+    can even parse as valid JSON of the wrong shape.  A line that is not
+    JSON, or that ``decode`` rejects (a lookup, type, value or library
+    error), is skipped and counted; blank lines are ignored.  Callers
+    decide how to report the count.
+    """
+    values: List[Any] = []
+    skipped = 0
+    with open(path, "r", encoding="utf-8", errors="replace") as fh:
+        for line in fh:
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                values.append(decode(json.loads(line)))
+            except (
+                AttributeError, KeyError, TypeError, ValueError, ReproError
+            ):
+                skipped += 1
+    return values, skipped

@@ -33,6 +33,12 @@ __all__ = [
 PHASES = ("audit", "bounds", "static", "split", "encode", "solve")
 
 
+def _as_record(value: Any) -> Dict[str, Any]:
+    if not isinstance(value, dict):
+        raise TypeError("trace records are JSON objects")
+    return value
+
+
 def load_trace(path: str) -> List[Dict[str, Any]]:
     """Parse a JSONL trace file (blank/corrupt lines are skipped).
 
@@ -44,23 +50,9 @@ def load_trace(path: str) -> List[Dict[str, Any]]:
     survived.
     """
     from repro.obs.logconfig import get_logger
+    from repro.obs.sinks import read_jsonl
 
-    records = []
-    skipped = 0
-    with open(path, "r", encoding="utf-8") as fh:
-        for line in fh:
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError:
-                skipped += 1
-                continue
-            if isinstance(record, dict):
-                records.append(record)
-            else:
-                skipped += 1
+    records, skipped = read_jsonl(path, _as_record)
     if skipped:
         get_logger("obs.summarize").warning(
             "%s: skipped %d corrupt/truncated line(s); "
@@ -91,11 +83,6 @@ class TraceSummary:
     split_bisections: int = 0
     split_pruned: int = 0
     split_milp: int = 0
-    #: Per-phase profiler results: the ``attrs`` of every ``profile``
-    #: event (phase, spans, wall, hotspot rows) in trace order.
-    profiles: List[Dict[str, Any]] = dataclasses.field(
-        default_factory=list
-    )
 
     @property
     def phase_coverage(self) -> float:
@@ -173,11 +160,6 @@ def summarize_trace(
             split_actions.count("milp")
             + split_actions.count("degenerate")
         ),
-        profiles=[
-            e.get("attrs", {}) for e in events
-            if e.get("name") == "profile"
-            and isinstance(e.get("attrs"), dict)
-        ],
     )
 
 
@@ -238,27 +220,6 @@ def render_summary(summary: TraceSummary) -> str:
         lines.append(render_generic(
             ["cell", "wall", "verdict"], cell_rows,
             title=f"top {len(cell_rows)} slowest cells",
-        ))
-    for profile in summary.profiles:
-        hotspot_rows = [
-            [
-                str(row.get("func", "?")),
-                f"{int(row.get('calls', 0))}",
-                f"{float(row.get('tottime', 0.0)):.3f}s",
-                f"{float(row.get('cumtime', 0.0)):.3f}s",
-            ]
-            for row in profile.get("hotspots", [])
-            if isinstance(row, dict)
-        ]
-        if not hotspot_rows:
-            continue
-        lines.append(render_generic(
-            ["function", "calls", "self", "cumulative"], hotspot_rows,
-            title=(
-                f"profile: phase {profile.get('phase', '?')} — "
-                f"{int(profile.get('spans', 0))} span(s), "
-                f"{float(profile.get('wall', 0.0)):.3f}s wall"
-            ),
         ))
     return "\n\n".join(lines)
 

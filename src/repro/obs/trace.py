@@ -121,13 +121,6 @@ class Tracer:
     ``id_prefix`` namespaces span ids so records produced by independent
     tracers (one per campaign worker cell) stay distinguishable after
     they are merged into one trace.
-
-    ``hooks`` are objects observing span lifecycle *in-process* (unlike
-    sinks, which only see finished records): ``span_opened(span)`` fires
-    when a span is entered and ``span_closed(span)`` just before its
-    record is emitted.  The span profiler
-    (:class:`repro.obs.profile.PhaseProfiler`) attaches this way to
-    start/stop its collectors exactly at phase boundaries.
     """
 
     enabled = True
@@ -137,11 +130,9 @@ class Tracer:
         sinks: Optional[Sequence[Any]] = None,
         run_id: Optional[str] = None,
         id_prefix: str = "",
-        hooks: Optional[Sequence[Any]] = None,
     ) -> None:
         self.sinks = list(sinks or [])
         self.run_id = run_id or new_run_id()
-        self.hooks = list(hooks or [])
         self._prefix = id_prefix
         self._ids = itertools.count(1)
         self._stack: List[Span] = []
@@ -176,20 +167,13 @@ class Tracer:
     def _open(self, span: Span):
         parent = self._stack[-1].span_id if self._stack else None
         self._stack.append(span)
-        span_id = f"{self._prefix}{next(self._ids)}"
-        if self.hooks:
-            span.span_id = span_id  # hooks see the assigned identity
-            for hook in self.hooks:
-                hook.span_opened(span)
-        return span_id, parent
+        return f"{self._prefix}{next(self._ids)}", parent
 
     def _close(self, span: Span) -> None:
         if self._stack and self._stack[-1] is span:
             self._stack.pop()
         elif span in self._stack:  # tolerate out-of-order exits
             self._stack.remove(span)
-        for hook in self.hooks:
-            hook.span_closed(span)
         self.emit(span.record())
 
 

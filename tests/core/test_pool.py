@@ -1,17 +1,17 @@
-"""VerificationPool tests: caches, job API, crash recovery, durability,
-and the health plane (heartbeats, stall detection, degraded dashboards).
+"""VerificationPool tests: caches and their spills, durability, crash
+recovery and accounting, driven through ``VerificationCampaign.run``.
 """
 
+import logging
 import math
 import multiprocessing
 import os
-import signal
-import time
 
 import numpy as np
 import pytest
 
-from repro.core.campaign import CampaignQuery
+from repro.core.bounds import BoundsCache
+from repro.core.campaign import VerificationCampaign
 from repro.core.encoder import EncoderOptions
 from repro.core.pool import (
     CACHEABLE_VERDICTS,
@@ -22,7 +22,6 @@ from repro.core.properties import InputRegion, OutputObjective
 from repro.core.verifier import (
     VerificationResult,
     Verdict,
-    Verifier,
     result_from_dict,
     result_to_dict,
     verdict_fingerprint,
@@ -51,13 +50,32 @@ def make_net(seed=0):
     )
 
 
-def max_query(name="q", region=None, output=0):
-    return CampaignQuery(
-        name=name,
-        region=region or unit_region(),
-        objective=OutputObjective.single(output),
-        kind="max",
-    )
+def campaign(*networks, outputs=(0,)):
+    """A max-query campaign over the unit box, one query per output."""
+    c = VerificationCampaign(ENC, MILP)
+    for i, net in enumerate(networks):
+        c.add_network(net, f"n{i}")
+    for output in outputs:
+        c.add_max_query(
+            f"max{output}", unit_region(), OutputObjective.single(output)
+        )
+    return c
+
+
+def verdicts(report):
+    return [
+        (c.network_id, c.property_name, c.result.verdict, c.result.value)
+        for c in report.cells
+    ]
+
+
+def tear_last_line(path):
+    """Cut the file's last record in half, as a kill mid-append would."""
+    with open(path, "rb") as fh:
+        data = fh.read().rstrip(b"\n")
+    start = data.rfind(b"\n") + 1
+    with open(path, "wb") as fh:
+        fh.write(data[: start + (len(data) - start) // 2])
 
 
 def _armed(obj):
@@ -74,46 +92,10 @@ class BombNetwork(FeedForwardNetwork):
         return super().forward(x, train=train)
 
 
-class BombRegion(InputRegion):
-    """Hard-kills any *worker* process that reads its bounds."""
-
-    @property
-    def bounds(self):
-        if _armed(self):
-            os._exit(17)
-        return self.__dict__["_bounds_arr"]
-
-    @bounds.setter
-    def bounds(self, value):
-        self.__dict__["_bounds_arr"] = value
-
-
-class SlowNetwork(FeedForwardNetwork):
-    """Sleeps inside any *worker* process that evaluates it."""
-
-    def forward(self, x, train=False):
-        if _armed(self):
-            time.sleep(self.__dict__.get("_delay", 1.0))
-        return super().forward(x, train=train)
-
-
 def bomb_network(seed=99):
     net = BombNetwork(make_net(seed).layers)
     net._home_pid = os.getpid()
     return net
-
-
-def slow_network(delay=1.5, seed=7):
-    net = SlowNetwork(make_net(seed).layers)
-    net._home_pid = os.getpid()
-    net._delay = delay
-    return net
-
-
-def bomb_region(dim=3):
-    region = BombRegion(np.array([[-0.9, 0.9]] * dim))
-    region._home_pid = os.getpid()
-    return region
 
 
 def a_result(verdict=Verdict.MAX_FOUND, value=1.25):
@@ -274,69 +256,83 @@ class TestVerdictFingerprint:
         assert decode_bound_mode(token) == ("alpha", 5, 0.1)
 
 
-class TestJobAPI:
-    def test_submit_fetch_matches_in_process_solve(self):
+class TestTornSpill:
+    """A process killed mid-append leaves a torn last spill line: it
+    must cost a cache miss, never the cache or a later append."""
+
+    @pytest.fixture(autouse=True)
+    def _propagate(self, monkeypatch):
+        # CLI runs set propagate=False on the "repro" root logger;
+        # caplog captures at the true root.
+        monkeypatch.setattr(logging.getLogger("repro"), "propagate", True)
+
+    def test_torn_verdict_spill_is_skipped_and_appended_past(
+        self, tmp_path, caplog
+    ):
+        path = str(tmp_path / "verdicts.jsonl")
+        cache = VerdictCache(spill_path=path)
+        cache.put("kept", a_result())
+        cache.put("torn", a_result(value=2.0))
+        tear_last_line(path)
+        with caplog.at_level("WARNING", logger="repro.core.spill"):
+            reborn = VerdictCache(spill_path=path)
+        assert len(reborn) == 1
+        assert reborn.get("kept").value == 1.25
+        assert reborn.get("torn") is None  # a miss, not a wrong verdict
+        assert any("skipped 1" in m for m in caplog.messages)
+        # The next record starts on a fresh line and survives a reload.
+        reborn.put("torn", a_result(value=2.0))
+        again = VerdictCache(spill_path=path)
+        assert len(again) == 2
+        assert again.get("torn").value == 2.0
+
+    def test_torn_bounds_spill_is_skipped_and_appended_past(
+        self, tmp_path, caplog
+    ):
+        path = str(tmp_path / "bounds.jsonl")
         net = make_net()
-        expected = Verifier(net, ENC, MILP).maximize(
-            unit_region(), OutputObjective.single(0),
-            raise_on_infeasible=False,
-        )
-        with VerificationPool(workers=1) as pool:
-            ticket = pool.submit(
-                net, max_query(), encoder_options=ENC, milp_options=MILP
-            )
-            assert not ticket.cached
-            result = pool.fetch(ticket, timeout=120)
-        assert result.verdict is expected.verdict
-        assert result.value == expected.value  # bit-for-bit
+        wide = InputRegion(np.array([[-2.0, 2.0]] * 3))
+        cache = BoundsCache(spill_path=path)
+        cache.lookup(net, unit_region(), "interval")
+        cache.lookup(net, wide, "interval")
+        tear_last_line(path)
+        with caplog.at_level("WARNING", logger="repro.core.spill"):
+            reborn = BoundsCache(spill_path=path)
+        assert len(reborn) == 1
+        assert any("skipped 1" in m for m in caplog.messages)
+        bounds, error = reborn.lookup(net, wide, "interval")
+        assert error is None and reborn.misses == 1
+        again = BoundsCache(spill_path=path)
+        assert len(again) == 2
+        fresh, _ = BoundsCache().lookup(net, wide, "interval")
+        for got, want in zip(
+            again.lookup(net, wide, "interval")[0], fresh
+        ):
+            np.testing.assert_array_equal(got.lower, want.lower)
+            np.testing.assert_array_equal(got.upper, want.upper)
 
-    def test_repeat_submission_answered_from_cache(self):
-        net = make_net()
-        with VerificationPool(workers=1) as pool:
-            first = pool.submit(
-                net, max_query(), encoder_options=ENC, milp_options=MILP
-            )
-            got = pool.fetch(first, timeout=120)
-            second = pool.submit(
-                net, max_query(), encoder_options=ENC, milp_options=MILP
-            )
-            assert second.cached
-            assert second.fingerprint == first.fingerprint
-            cached = pool.fetch(second)
-            assert cached.verdict is got.verdict
-            assert cached.value == got.value
-            assert cached.metrics["verdict_cache_hit"] == 1.0
-            stats = pool.stats()
-            assert stats["verdict_cache.hits"] >= 1
+    def test_campaign_over_torn_spills_matches_a_fresh_run(self, tmp_path):
+        cache_dir = str(tmp_path / "cache")
+        nets = (make_net(), make_net(seed=1))
+        with VerificationPool(workers=1, cache_dir=cache_dir) as pool:
+            campaign(*nets, outputs=(0, 1)).run(pool=pool)
+        for name in ("verdicts.jsonl", "bounds.jsonl"):
+            tear_last_line(os.path.join(cache_dir, name))
+        with VerificationPool(workers=1, cache_dir=cache_dir) as pool:
+            torn = campaign(*nets, outputs=(0, 1)).run(pool=pool)
+            # Three verdicts survived the tear; the torn one re-ran.
+            assert pool.verdict_cache.hits == 3
+        fresh = campaign(*nets, outputs=(0, 1)).run()
+        assert verdicts(torn) == verdicts(fresh)
+        # The re-run verdict was appended on a line of its own.
+        with VerificationPool(workers=1, cache_dir=cache_dir) as pool:
+            assert len(pool.verdict_cache) == 4
+            again = campaign(*nets, outputs=(0, 1)).run(pool=pool)
+            assert pool.verdict_cache.hits == 4
+        assert verdicts(again) == verdicts(fresh)
 
-    def test_stream_relays_trace_records_live(self):
-        net = make_net()
-        with VerificationPool(workers=1) as pool:
-            ticket = pool.submit(
-                net, max_query(), encoder_options=ENC,
-                milp_options=MILP, stream=True,
-            )
-            records = list(pool.stream(ticket))
-            result = pool.fetch(ticket, timeout=120)
-        assert result.verdict is Verdict.MAX_FOUND
-        names = {r.get("name") for r in records}
-        assert "cell" in names  # the worker's cell span came through
 
-    def test_poll_reaches_done(self):
-        net = make_net()
-        with VerificationPool(workers=1) as pool:
-            ticket = pool.submit(
-                net, max_query(), encoder_options=ENC, milp_options=MILP
-            )
-            deadline = 120
-            import time as _time
-
-            t0 = _time.monotonic()
-            while pool.poll(ticket) != "done":
-                assert _time.monotonic() - t0 < deadline
-                pool.wait(timeout=0.1)
-            assert pool.fetch(ticket).verdict is Verdict.MAX_FOUND
-
+class TestLifecycle:
     def test_prewarm_spawns_full_complement(self):
         with VerificationPool(workers=2) as pool:
             assert pool.prewarm() == 2
@@ -357,24 +353,17 @@ class TestDurability:
         net = make_net()
         cache_dir = str(tmp_path / "cache")
         with VerificationPool(workers=1, cache_dir=cache_dir) as pool:
-            ticket = pool.submit(
-                net, max_query(), encoder_options=ENC, milp_options=MILP
-            )
-            first = pool.fetch(ticket, timeout=120)
+            first = campaign(net).run(pool=pool)
         assert os.path.exists(os.path.join(cache_dir, "verdicts.jsonl"))
         # A fresh pool over the same directory answers without workers.
         with VerificationPool(workers=1, cache_dir=cache_dir) as pool:
-            ticket = pool.submit(
-                net, max_query(), encoder_options=ENC, milp_options=MILP
-            )
-            assert ticket.cached
-            again = pool.fetch(ticket)
-        assert again.verdict is first.verdict
-        assert again.value == first.value  # bit-for-bit through JSONL
+            again = campaign(net).run(pool=pool)
+            assert pool.stats().get("pool.jobs", 0) == 0
+        [cell] = again.cells
+        assert cell.result.metrics["verdict_cache_hit"] == 1.0
+        assert verdicts(again) == verdicts(first)  # bit-for-bit via JSONL
 
     def test_bounds_cache_spill_roundtrip(self, tmp_path):
-        from repro.core.bounds import BoundsCache
-
         net = make_net()
         path = str(tmp_path / "bounds.jsonl")
         cache = BoundsCache(spill_path=path)
@@ -397,236 +386,69 @@ class TestDurability:
 @needs_fork
 class TestCrashRecovery:
     def test_mid_cell_crash_degrades_to_error_result(self):
-        bomb = bomb_network()
-        with VerificationPool(workers=1) as pool:
-            ticket = pool.submit(
-                bomb, max_query(), encoder_options=ENC, milp_options=MILP
-            )
-            result = pool.fetch(ticket, timeout=120)
-            assert result.verdict is Verdict.ERROR
-            assert "worker" in result.description
-            # The pool respawned: the next (healthy) job completes.
-            good = pool.submit(
-                make_net(), max_query(),
-                encoder_options=ENC, milp_options=MILP,
-            )
-            assert pool.fetch(good, timeout=120).verdict is (
-                Verdict.MAX_FOUND
-            )
-            assert pool.stats()["pool.worker_crashes"] >= 1
+        from repro.obs import RingBufferSink, Tracer
+
+        sink = RingBufferSink()
+        with VerificationPool(workers=1, tracer=Tracer([sink])) as pool:
+            [cell] = campaign(bomb_network()).run(pool=pool).cells
+            assert cell.result.verdict is Verdict.ERROR
+            assert "worker process died" in cell.result.description
+            # The pool respawned: the next (healthy) campaign completes.
+            [good] = campaign(make_net()).run(pool=pool).cells
+            assert good.result.verdict is Verdict.MAX_FOUND
+            stats = pool.stats()
+            assert stats["pool.worker_crashes"] == 1
+            assert stats["pool.respawns"] >= 1
+        [crash] = [
+            r for r in sink.records if r.get("name") == "pool_worker_crash"
+        ]
+        assert crash["attrs"]["job_kind"] == "cell"
 
     def test_crash_not_memoised(self):
         """A crashed job must never poison the verdict cache."""
         bomb = bomb_network()
         with VerificationPool(workers=1) as pool:
-            ticket = pool.submit(
-                bomb, max_query(), encoder_options=ENC, milp_options=MILP
-            )
-            pool.fetch(ticket, timeout=120)
-            retry = pool.submit(
-                bomb, max_query(), encoder_options=ENC, milp_options=MILP
-            )
-            assert not retry.cached
-            pool.fetch(retry, timeout=120)
+            campaign(bomb).run(pool=pool)
+            assert len(pool.verdict_cache) == 0
+            [retry] = campaign(bomb).run(pool=pool).cells
+            assert "verdict_cache_hit" not in retry.result.metrics
+            assert retry.result.verdict is Verdict.ERROR
+            assert pool.stats()["pool.worker_crashes"] == 2
 
     def test_queued_jobs_survive_a_crash(self):
         """One worker, bomb first in line: the queue keeps draining."""
+        healthy = make_net()
         with VerificationPool(workers=1) as pool:
-            bad = pool.submit(
-                bomb_network(), max_query(),
-                encoder_options=ENC, milp_options=MILP,
-            )
-            good = pool.submit(
-                make_net(), max_query("q2", output=1),
-                encoder_options=ENC, milp_options=MILP,
-            )
-            assert pool.fetch(bad, timeout=120).verdict is Verdict.ERROR
-            assert pool.fetch(good, timeout=120).verdict is (
-                Verdict.MAX_FOUND
-            )
+            report = campaign(bomb_network(), healthy).run(pool=pool)
+        bad, good = report.cells
+        assert bad.result.verdict is Verdict.ERROR
+        assert good.result.verdict is Verdict.MAX_FOUND
+        baseline = campaign(healthy).run()
+        assert good.result.value == baseline.cells[0].result.value
 
 
-class TestStatsAndHealth:
-    def test_stats_expose_queue_cache_and_worker_gauges(self):
+class TestStats:
+    def test_stats_expose_queue_and_cache_after_a_campaign(self):
         net = make_net()
         with VerificationPool(workers=1) as pool:
-            first = pool.submit(
-                net, max_query(), encoder_options=ENC, milp_options=MILP
-            )
-            pool.fetch(first, timeout=120)
-            second = pool.submit(
-                net, max_query(), encoder_options=ENC, milp_options=MILP
-            )
-            pool.fetch(second)
+            campaign(net).run(pool=pool)
+            campaign(net).run(pool=pool)
             stats = pool.stats()
+        assert stats["pool.workers"] == 1
         assert stats["pool.queue_depth"] == 0
         assert stats["pool.in_flight"] == 0
         assert stats["pool.jobs_done"] >= 1
-        # One miss (first submit) then one hit (the repeat).
+        # One miss (first run) then one hit (the repeat).
         assert stats["verdict_cache.hit_rate"] == 0.5
         assert 0.0 <= stats["bounds_cache.hit_rate"] <= 1.0
-        assert stats["pool.worker1.alive"] == 1.0
-        assert stats["pool.worker1.jobs_done"] >= 1
-        assert stats["pool.worker1.job_age"] == 0.0
         # Completed jobs feed the wall-time histogram with quantiles.
         assert stats["pool.job_wall.count"] >= 1
         assert "pool.job_wall.p95" in stats
 
     def test_render_stats_mentions_queue_and_hit_rates(self):
         with VerificationPool(workers=1) as pool:
+            campaign(make_net()).run(pool=pool)
             text = pool.render_stats()
         assert "queued" in text
+        assert "0 crashes" in text
         assert text.count("hit rate") == 2
-
-    def test_health_structure_for_an_idle_fleet(self):
-        with VerificationPool(
-            workers=1, heartbeat_interval=0.05
-        ) as pool:
-            pool.prewarm()
-            time.sleep(0.15)
-            pool.wait(timeout=0)  # drain idle heartbeats
-            health = pool.health()
-        assert health["queue_depth"] == 0
-        assert health["in_flight"] == 0
-        assert health["stalls"] == 0
-        [worker] = health["workers"]
-        assert worker["state"] == "idle"
-        assert worker["job"] is None
-        assert worker["last_heartbeat_age"] is not None
-        assert worker["last_heartbeat_age"] < 5.0
-        assert worker["uptime"] >= 0.0
-
-    def test_heartbeats_can_be_disabled(self):
-        with VerificationPool(
-            workers=1, heartbeat_interval=None
-        ) as pool:
-            pool.prewarm()
-            time.sleep(0.1)
-            pool.wait(timeout=0)
-            [worker] = pool.health()["workers"]
-        assert worker["last_heartbeat_age"] is None
-
-
-@needs_fork
-class TestHealthPlaneUnderFailure:
-    """The acceptance scenario: a degraded fleet must be *visible* —
-    in per-worker gauges, in trace events, and on the ``repro top``
-    dashboard — not just survivable."""
-
-    @staticmethod
-    def _top_record(pool):
-        return {
-            "schema": "repro-metrics/1",
-            "t": time.time(),
-            "source": "test",
-            "metrics": pool.stats(),
-            "health": pool.health(),
-        }
-
-    def test_stall_detection_is_visible(self):
-        from repro.obs import RingBufferSink, Tracer
-        from repro.obs.top import render_top
-
-        sink = RingBufferSink()
-        with VerificationPool(
-            workers=1,
-            tracer=Tracer([sink]),
-            heartbeat_interval=0.05,
-            stall_factor=0.5,
-        ) as pool:
-            # The solve finishes in milliseconds, well inside the 0.2s
-            # budget; the worker then sleeps 1.5s in replay, blowing
-            # past stall_factor * budget = 0.1s while still in-flight.
-            ticket = pool.submit(
-                slow_network(delay=1.5), max_query(),
-                encoder_options=ENC,
-                milp_options=MILPOptions(time_limit=0.2),
-            )
-            deadline = time.monotonic() + 60
-            stalled_view = None
-            while time.monotonic() < deadline:
-                pool.wait(timeout=0.05)
-                if pool.stats().get("pool.stalls", 0) >= 1:
-                    stalled_view = self._top_record(pool)
-                    break
-            assert stalled_view is not None, "stall never flagged"
-            [worker] = stalled_view["health"]["workers"]
-            assert worker["state"] == "stalled"
-            assert worker["job_age"] > 0.5 * worker["job_budget"]
-            dashboard = render_top(stalled_view)
-            assert "STALLED" in dashboard
-            assert "ALERT: 1 worker(s) degraded" in dashboard
-            # The job is flagged, not killed: it still completes.
-            result = pool.fetch(ticket, timeout=120)
-            assert result.verdict is Verdict.MAX_FOUND
-        events = [r for r in sink.records if r.get("name") == "pool_stall"]
-        assert len(events) == 1  # one event per job, not per check
-        assert events[0]["attrs"]["job_kind"] == "cell"
-        attrs = events[0]["attrs"]
-        assert attrs["age"] > attrs["stall_factor"] * attrs["budget"]
-
-    def test_killed_worker_mid_job_is_fully_observable(self):
-        from repro.obs import RingBufferSink, Tracer
-        from repro.obs.top import render_top
-
-        sink = RingBufferSink()
-        with VerificationPool(
-            workers=1,
-            tracer=Tracer([sink]),
-            heartbeat_interval=0.05,
-        ) as pool:
-            ticket = pool.submit(
-                slow_network(delay=60.0), max_query(),
-                encoder_options=ENC, milp_options=MILP,
-            )
-            deadline = time.monotonic() + 60
-            victim = None
-            while time.monotonic() < deadline:
-                pool.wait(timeout=0.05)
-                busy = [
-                    w for w in pool.health()["workers"]
-                    if w["job"] is not None
-                ]
-                if busy:
-                    victim = busy[0]
-                    break
-            assert victim is not None, "job never reached a worker"
-            os.kill(victim["pid"], signal.SIGKILL)
-            # Observe the corpse *before* the pool reaps it: the dead
-            # handle still holds the job, so dashboards show DEAD.
-            deadline = time.monotonic() + 30
-            dead_view = None
-            while time.monotonic() < deadline:
-                workers = pool.health()["workers"]
-                if any(w["state"] == "dead" for w in workers):
-                    dead_view = self._top_record(pool)
-                    break
-                time.sleep(0.02)
-            assert dead_view is not None, "death never surfaced"
-            index = victim["worker"]
-            assert (
-                dead_view["metrics"][f"pool.worker{index}.alive"] == 0.0
-            )
-            dashboard = render_top(dead_view)
-            assert "DEAD" in dashboard
-            assert "ALERT: 1 worker(s) degraded (dead)" in dashboard
-            # Reap: the job degrades to ERROR, crash + respawn counted.
-            result = pool.fetch(ticket, timeout=120)
-            assert result.verdict is Verdict.ERROR
-            assert "worker" in result.description
-            good = pool.submit(
-                make_net(), max_query("q2", output=1),
-                encoder_options=ENC, milp_options=MILP,
-            )
-            assert pool.fetch(good, timeout=120).verdict is (
-                Verdict.MAX_FOUND
-            )
-            stats = pool.stats()
-            assert stats["pool.worker_crashes"] >= 1
-            assert stats["pool.respawns"] >= 1
-        crashes = [
-            r for r in sink.records
-            if r.get("name") == "pool_worker_crash"
-        ]
-        assert crashes
-        assert crashes[0]["attrs"]["job_kind"] == "cell"

@@ -250,26 +250,3 @@ class TestDegradedTraces:
         tree_to_dot(tree)  # and the exports still render
         tree_to_json(tree)
 
-
-class TestProfileEvents:
-    def test_profile_event_rendered_as_hotspot_table(self):
-        records = [
-            span_rec("query", 2.0, span_id="1", network="n",
-                     objective="o", verdict="max_found"),
-            {
-                "type": "event", "name": "profile", "run": "r",
-                "span": None, "t": 0.0,
-                "attrs": {
-                    "phase": "solve", "spans": 3, "wall": 1.5,
-                    "hotspots": [{
-                        "func": "branch_and_bound:1:run",
-                        "calls": 3, "tottime": 0.2, "cumtime": 1.4,
-                    }],
-                },
-            },
-        ]
-        summary = summarize_trace(records)
-        assert len(summary.profiles) == 1
-        text = render_summary(summary)
-        assert "profile: phase solve" in text
-        assert "branch_and_bound:1:run" in text

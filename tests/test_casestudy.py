@@ -105,18 +105,82 @@ class TestVerification:
     def test_run_table_ii_matches_verify_network(
         self, small_study, small_predictor
     ):
-        """Campaign aggregation reproduces the single-network row."""
+        """The single-network row and the swept row both reproduce the
+        Verifier's own aggregation, :meth:`Verifier.max_lateral_velocity`."""
+        from repro.core.verifier import Verifier
+        from repro.milp.branch_and_bound import MILPOptions
+
+        region = casestudy.operational_region(small_study)
+        reference = Verifier(
+            small_predictor,
+            casestudy._encoder_options("lp", None),
+            MILPOptions(time_limit=120.0),
+        ).max_lateral_velocity(region, small_study.config.num_components)
         direct = casestudy.verify_network(
-            small_study, small_predictor, time_limit=120.0
+            small_study, small_predictor, time_limit=120.0, region=region
         )
         [swept] = casestudy.run_table_ii(
-            small_study, {5: small_predictor}, time_limit=120.0
+            small_study, {5: small_predictor}, time_limit=120.0,
+            region=region,
         )
-        assert swept.architecture == direct.architecture
-        if not (direct.timed_out or swept.timed_out):
-            assert swept.max_lateral_velocity == pytest.approx(
-                direct.max_lateral_velocity, abs=1e-6
-            )
+        for row in (direct, swept):
+            assert row.architecture == small_predictor.architecture_id
+            assert row.error is None
+            assert row.timed_out == reference.timed_out
+            assert row.num_binaries == reference.num_binaries
+            if not reference.timed_out:
+                assert row.max_lateral_velocity == pytest.approx(
+                    reference.value, abs=1e-6
+                )
+
+
+def _fail_components(monkeypatch, components):
+    """Make ``Verifier.maximize`` raise for the given mixture components."""
+    from repro.core.verifier import Verifier
+
+    real = Verifier.maximize
+
+    def maximize(self, region, objective, *args, **kwargs):
+        if any(
+            objective.description == f"mu_lat[component {k}]"
+            for k in components
+        ):
+            raise RuntimeError("injected solver fault")
+        return real(self, region, objective, *args, **kwargs)
+
+    monkeypatch.setattr(Verifier, "maximize", maximize)
+
+
+class TestComponentFailure:
+    """A component query that errors must fail the row, not shrink it."""
+
+    def test_one_failed_component_fails_the_row(
+        self, small_study, small_predictor, monkeypatch
+    ):
+        _fail_components(monkeypatch, [1])
+        row = casestudy.verify_network(
+            small_study, small_predictor, time_limit=120.0
+        )
+        assert row.max_lateral_velocity is None
+        assert "mu_lat_comp1" in row.error
+        assert "injected solver fault" in row.error
+        assert "verification error" in row.render()
+
+    @pytest.mark.parametrize("components", [[1], [0, 1]])
+    def test_failed_component_fails_correctness_evidence(
+        self, small_study, small_predictor, monkeypatch, components
+    ):
+        _fail_components(monkeypatch, components)
+        case = casestudy.certify_predictor(
+            small_study, small_predictor, safety_threshold=100.0,
+            time_limit=120.0,
+        )
+        [formal] = [
+            e for e in case.evidence_for(Pillar.CORRECTNESS)
+            if e.name.startswith("formal verification")
+        ]
+        assert not formal.passed
+        assert "verification error" in formal.summary
 
 
 class TestCertification:

@@ -114,6 +114,34 @@ class TestVerify:
         assert code == 0
         assert "PROVEN" in capsys.readouterr().out
 
+    def test_failed_component_exits_nonzero(
+        self, data_file, net_file, capsys, monkeypatch
+    ):
+        """A component query that errors is a failure, not "n.a."."""
+        from repro.core.verifier import Verifier
+
+        real = Verifier.maximize
+
+        def maximize(self, region, objective, *args, **kwargs):
+            if objective.description == "mu_lat[component 1]":
+                raise RuntimeError("injected solver fault")
+            return real(self, region, objective, *args, **kwargs)
+
+        monkeypatch.setattr(Verifier, "maximize", maximize)
+        code = main(
+            [
+                "verify",
+                "--data", str(data_file),
+                "--net", str(net_file),
+                "--time-limit", "120",
+                "--threshold", "1000.0",  # the decision query still proves
+            ]
+        )
+        assert code == 1
+        captured = capsys.readouterr()
+        assert "verification error" in captured.out
+        assert "injected solver fault" in captured.out + captured.err
+
     def test_removed_cut_options_rejected(self):
         with pytest.raises(TypeError):
             MILPOptions(cuts=True)
@@ -501,6 +529,29 @@ class TestCampaignPool:
         assert "verification campaign" in second
         assert "verdict cache 2 hits / 0 misses" in second
 
+    def test_torn_cache_spills_do_not_break_a_run(
+        self, data_file, net_file, tmp_path, capsys
+    ):
+        cache_dir = tmp_path / "cache"
+        argv = [
+            "campaign",
+            "--data", str(data_file),
+            "--net", str(net_file),
+            "--time-limit", "120",
+            "--cache-dir", str(cache_dir),
+        ]
+        assert main(argv) == 0
+        capsys.readouterr()
+        # A kill mid-append leaves an unterminated half record behind.
+        for name in ("verdicts.jsonl", "bounds.jsonl"):
+            path = cache_dir / name
+            data = path.read_bytes().rstrip(b"\n")
+            path.write_bytes(data[: len(data) - len(data) // 3])
+        assert main(argv) == 0
+        assert "verdict cache 1 hits / 1 misses" in capsys.readouterr().out
+        assert main(argv) == 0
+        assert "verdict cache 2 hits / 0 misses" in capsys.readouterr().out
+
     def test_pool_flag_without_cache_dir(
         self, data_file, net_file, capsys
     ):
@@ -515,242 +566,6 @@ class TestCampaignPool:
         )
         assert code == 0
         assert "pool:" in capsys.readouterr().out
-
-
-class TestServe:
-    def _session(self, requests, argv, capsys, monkeypatch):
-        import io
-        import json
-
-        monkeypatch.setattr(
-            "sys.stdin",
-            io.StringIO(
-                "\n".join(json.dumps(r) for r in requests) + "\n"
-            ),
-        )
-        assert main(argv) == 0
-        return [
-            json.loads(line)
-            for line in capsys.readouterr().out.strip().splitlines()
-        ]
-
-    def test_json_lines_session(
-        self, data_file, net_file, capsys, monkeypatch
-    ):
-        submit = {
-            "op": "submit", "net": "I4x4",
-            "kind": "prove", "component": 0, "threshold": 1e9,
-        }
-        replies = self._session(
-            [
-                submit,
-                {"op": "fetch", "ticket": 1},
-                submit,                      # verdict-cache answer
-                {"op": "bogus"},
-                {"op": "stats"},
-                {"op": "quit"},
-            ],
-            [
-                "serve",
-                "--data", str(data_file),
-                "--net", str(net_file),
-                "--time-limit", "60",
-                "--bound-mode", "interval",
-            ],
-            capsys, monkeypatch,
-        )
-        ready, first, fetched, second, bogus, stats, quit_ = replies
-        assert ready["op"] == "ready"
-        assert ready["networks"] == ["I4x4"]
-        assert ready["workers"] == 1
-        assert first["op"] == "submit" and not first["cached"]
-        assert fetched["op"] == "fetch"
-        assert fetched["result"]["verdict"] == "verified"
-        assert second["cached"] is True
-        assert second["fingerprint"] == first["fingerprint"]
-        assert bogus["op"] == "error"
-        assert "unknown op" in bogus["message"]
-        assert stats["stats"]["verdict_cache.hits"] >= 1
-        assert quit_["op"] == "quit"
-
-    def test_unknown_network_is_an_error_reply(
-        self, data_file, net_file, capsys, monkeypatch
-    ):
-        replies = self._session(
-            [
-                {"op": "submit", "net": "nope", "kind": "max"},
-                {"op": "quit"},
-            ],
-            [
-                "serve",
-                "--data", str(data_file),
-                "--net", str(net_file),
-                "--time-limit", "60",
-                "--bound-mode", "interval",
-            ],
-            capsys, monkeypatch,
-        )
-        assert replies[1]["op"] == "error"
-        assert "nope" in replies[1]["message"]
-
-    def test_health_and_watch_ops(
-        self, data_file, net_file, capsys, monkeypatch
-    ):
-        replies = self._session(
-            [
-                {"op": "health"},
-                {"op": "watch", "count": 2, "interval": 0},
-                {"op": "quit"},
-            ],
-            [
-                "serve",
-                "--data", str(data_file),
-                "--net", str(net_file),
-                "--time-limit", "60",
-                "--bound-mode", "interval",
-            ],
-            capsys, monkeypatch,
-        )
-        ready, health, watch0, watch1, quit_ = replies
-        assert health["op"] == "health"
-        assert "workers" in health["health"]
-        assert health["health"]["queue_depth"] == 0
-        assert [w["seq"] for w in (watch0, watch1)] == [0, 1]
-        assert watch0["of"] == 2
-        assert "health" in watch0 and "stats" in watch0
-        assert quit_["op"] == "quit"
-
-    def test_two_concurrent_clients_multiplex_cleanly(
-        self, data_file, net_file, capsys, monkeypatch
-    ):
-        """Two clients race lines into one stdin pipe; every reply must
-        be one well-formed JSON line echoing the right request id."""
-        import json
-        import os
-        import threading
-
-        read_fd, write_fd = os.pipe()
-        per_client = 5
-
-        def client(name, op):
-            for i in range(per_client):
-                line = json.dumps({"op": op, "id": f"{name}-{i}"}) + "\n"
-                os.write(write_fd, line.encode())  # atomic < PIPE_BUF
-
-        writers = [
-            threading.Thread(target=client, args=("A", "stats")),
-            threading.Thread(target=client, args=("B", "health")),
-        ]
-        for w in writers:
-            w.start()
-        for w in writers:
-            w.join()
-        os.write(write_fd, b'{"op": "quit"}\n')
-        os.close(write_fd)
-        reader = os.fdopen(read_fd, "r")
-        monkeypatch.setattr("sys.stdin", reader)
-        try:
-            assert main(
-                [
-                    "serve",
-                    "--data", str(data_file),
-                    "--net", str(net_file),
-                    "--time-limit", "60",
-                    "--bound-mode", "interval",
-                ]
-            ) == 0
-        finally:
-            reader.close()
-        replies = [
-            json.loads(line)  # raises on any torn/interleaved line
-            for line in capsys.readouterr().out.strip().splitlines()
-        ]
-        assert replies[0]["op"] == "ready"
-        by_id = {r["id"]: r for r in replies if "id" in r}
-        assert len(by_id) == 2 * per_client  # one reply per request
-        for i in range(per_client):
-            assert by_id[f"A-{i}"]["op"] == "stats"
-            assert by_id[f"B-{i}"]["op"] == "health"
-
-
-class TestMetricsExportCLI:
-    def test_campaign_metrics_and_prom_flags(
-        self, data_file, net_file, tmp_path
-    ):
-        jsonl = tmp_path / "metrics.jsonl"
-        prom = tmp_path / "metrics.prom"
-        code = main(
-            [
-                "campaign",
-                "--data", str(data_file),
-                "--net", str(net_file),
-                "--time-limit", "120",
-                "--metrics", str(jsonl),
-                "--prom", str(prom),
-                "--metrics-interval", "0.1",
-            ]
-        )
-        assert code == 0
-        from repro.obs.export import load_snapshots
-
-        snapshots = load_snapshots(str(jsonl))
-        assert snapshots, "publisher never flushed a snapshot"
-        final = snapshots[-1]["metrics"]
-        assert final["campaign.cells_total"] == 2.0
-        assert final["campaign.cells_done"] == 2.0
-        assert (
-            'repro_campaign_cells_done{source="campaign"} 2'
-            in prom.read_text()
-        )
-
-    def test_top_once_over_campaign_snapshots(
-        self, data_file, net_file, tmp_path, capsys
-    ):
-        jsonl = tmp_path / "metrics.jsonl"
-        assert main(
-            [
-                "campaign",
-                "--data", str(data_file),
-                "--net", str(net_file),
-                "--time-limit", "120",
-                "--metrics", str(jsonl),
-            ]
-        ) == 0
-        capsys.readouterr()
-        assert main(["top", str(jsonl), "--once"]) == 0
-        out = capsys.readouterr().out
-        assert "repro top — source=campaign" in out
-        assert "campaign: 2/2 cells" in out
-
-    def test_top_missing_file_exits_nonzero(self, tmp_path, capsys):
-        code = main(
-            ["top", str(tmp_path / "absent.jsonl"), "--once"]
-        )
-        assert code == 1
-
-    def test_verify_profile_writes_folded_stacks(
-        self, data_file, net_file, tmp_path, capsys
-    ):
-        folded = tmp_path / "profile.folded"
-        trace = tmp_path / "trace.jsonl"
-        code = main(
-            [
-                "verify",
-                "--data", str(data_file),
-                "--net", str(net_file),
-                "--time-limit", "120",
-                "--profile",
-                "--profile-out", str(folded),
-                "--trace", str(trace),
-            ]
-        )
-        assert code == 0
-        out = capsys.readouterr().out
-        assert "phase solve:" in out      # hotspot tables logged
-        assert folded.exists()
-        # The trace now carries profile events: summarize renders them.
-        assert main(["trace", "summarize", str(trace)]) == 0
-        assert "profile: phase" in capsys.readouterr().out
 
 
 class TestBenchCLI:

@@ -158,7 +158,7 @@ class TestStaticPruning:
             )
             proofs = explored = survivors = 0
             for region in epsilon_boxes(study):
-                lo, hi, _, _ = driver._prescreen(region, objective)
+                lo, hi, _ = driver._prescreen(region, objective)
                 center = objective.value(
                     network.forward(region.center())[0]
                 )

@@ -12,9 +12,17 @@ every surviving shard carries fewer binaries than its parent — and
 shards are independent, which is exactly the shape the verification
 pool scales.
 
+Each box is bounded once, by one fused symbolic pass
+(:func:`repro.analysis.symbolic.symbolic_screen`): the root reuses the
+whole-region prescreen the verifier already ran, every survivor
+carries its screen (:attr:`SplitLeaf.screen`) into its shard — the
+certified shard encodes from its chain record, the uncertified one
+seeds LP tightening with its symbolic bounds — and the split dimension
+comes from the sensitivity the same pass computed.
+
 The split dimension is chosen by **sensitivity**: the back-substituted
-affine forms of the objective (already computed by the prescreen
-machinery) expose per-input-dimension coefficients; ``|coefficient| x
+affine forms of the objective (computed by the prescreen itself)
+expose per-input-dimension coefficients; ``|coefficient| x
 box width`` estimates how much of the bound's slack each dimension is
 responsible for, and bisecting the biggest contributor shrinks the
 relaxation fastest.
@@ -37,12 +45,10 @@ from typing import Dict, List, Optional, Tuple
 import numpy as np
 
 from repro.analysis.symbolic import (
-    _post_box,
-    _run_backward,
-    _SlopeCache,
+    SymbolicScreen,
     alpha_objective_bounds,
-    symbolic_bounds,
-    symbolic_objective_bounds,
+    input_sensitivity,
+    symbolic_screen,
 )
 from repro.core.properties import (
     InputRegion,
@@ -74,52 +80,6 @@ __all__ = [
 SPLIT_STALL_OPTIMISM = 2.0
 
 
-def input_sensitivity(
-    network: FeedForwardNetwork,
-    region: InputRegion,
-    objective: OutputObjective,
-    bounds=None,
-) -> np.ndarray:
-    """Per-input-dimension influence of the objective over the region.
-
-    Back-substitutes the objective functional to the input (area
-    policy) and returns ``max(|lower coef|, |upper coef|)`` per input
-    dimension — the linear forms the prescreen concretises, so this is
-    the sensitivity the symbolic analysis computes "for free".
-    ``bounds`` may carry precomputed symbolic layer bounds to reuse.
-    """
-    computed = bounds if bounds is not None else symbolic_bounds(
-        network, region
-    )
-    rows = np.zeros((1, network.output_dim))
-    for idx, coef in objective.coefficients.items():
-        rows[0, idx] = coef
-    out_layer = network.layers[-1]
-    seed = rows @ out_layer.weights.T
-    seed_bias = rows @ out_layer.bias
-    if len(network.layers) == 1:
-        lo_coef = up_coef = seed
-    else:
-        input_lo = region.bounds[:, 0].copy()
-        input_hi = region.bounds[:, 1].copy()
-        post_boxes = [
-            _post_box(lb, layer.activation)
-            for lb, layer in zip(computed, network.layers)
-        ]
-        slopes = _SlopeCache(list(computed))
-
-        def area(k: int) -> np.ndarray:
-            return slopes.lower(k, "area")
-
-        _, _, lo_coef, _, up_coef, _ = _run_backward(
-            network, slopes, post_boxes, (input_lo, input_hi),
-            seed.copy(), seed_bias.copy(), seed.copy(), seed_bias.copy(),
-            start=len(network.layers) - 2,
-            lower_slope_fn=area, upper_slope_fn=area,
-        )
-    return np.maximum(np.abs(lo_coef), np.abs(up_coef)).max(axis=0)
-
-
 @dataclasses.dataclass
 class SplitLeaf:
     """A surviving sub-region destined for the MILP."""
@@ -132,6 +92,11 @@ class SplitLeaf:
     #: Certify mode: this leaf's node in :attr:`SplitPlan.tree`, to be
     #: filled with the shard's own proof evidence once it is solved.
     slot: Optional[Dict] = None
+    #: The sub-region's prescreen (a :class:`repro.proof.emit.ChainRecord`
+    #: in certify mode): the shard encodes from its bounds (certified)
+    #: or seeds LP tightening with them, instead of bounding the box
+    #: again.
+    screen: Optional[SymbolicScreen] = None
 
 
 @dataclasses.dataclass
@@ -224,53 +189,51 @@ class RegionBisectionDriver:
         self,
         region: InputRegion,
         objective: OutputObjective,
-        want_chain: bool = False,
-    ) -> Tuple[float, float, List, Optional[Dict]]:
-        """Sound objective bounds over one sub-region.
+        certify: bool = False,
+        screen: Optional[SymbolicScreen] = None,
+    ) -> Tuple[float, float, SymbolicScreen]:
+        """Sound objective bounds over one sub-region, and its screen.
 
-        Returns ``(lower, upper, layer_bounds, chain)``; the layer
-        bounds are reused by the sensitivity computation.
-        ``bound_mode="alpha"`` optimises the objective row itself,
-        seeded from the symbolic layer bounds.  With ``want_chain``
-        (certify mode) the prescreen runs through
-        :func:`repro.proof.emit.record_chain` instead — same numbers as
-        the fixed-policy symbolic path, plus the serialized relaxation
-        evidence a pruned node embeds in the split certificate.
+        Returns ``(lower, upper, screen)``: one fused symbolic pass
+        (:func:`repro.analysis.symbolic.symbolic_screen`) gives the
+        layer bounds the shard reuses, the objective bounds and the
+        sensitivity the split dimension is chosen by.  ``screen`` may
+        carry that pass when the caller already ran it (the root).
+        With ``certify`` the pass is a
+        :func:`repro.proof.emit.record_chain` — same numbers, plus the
+        relaxation evidence a pruned node embeds in the split
+        certificate.  Otherwise ``bound_mode="alpha"`` optimises the
+        objective row itself, seeded from the screen's layer bounds.
         """
-        if want_chain:
-            from repro.proof.emit import record_chain
+        if screen is None:
+            if certify:
+                from repro.proof.emit import record_chain
 
-            rec = record_chain(
-                self.network, region, objective.coefficients
-            )
-            return (
-                float(rec.objective_lower), float(rec.objective_upper),
-                rec.bounds, rec.chain,
-            )
-        computed = symbolic_bounds(self.network, region)
+                screen = record_chain(
+                    self.network, region, objective.coefficients
+                )
+            else:
+                screen = symbolic_screen(
+                    self.network, region, objective.coefficients
+                )
         options = self.encoder_options
-        if options.bound_mode == "alpha":
-            from repro.analysis.symbolic import AlphaStats
+        if certify or options.bound_mode != "alpha":
+            return screen.objective_lower, screen.objective_upper, screen
+        from repro.analysis.symbolic import AlphaStats
 
-            stats = AlphaStats()
-            lo, hi = alpha_objective_bounds(
-                self.network, region, objective.coefficients,
-                bounds=computed, iters=options.alpha_iters,
-                lr=options.alpha_lr, stats=stats,
-            )
-            merge_metrics(self._plan_metrics, stats.as_metrics())
-        else:
-            lo, hi = symbolic_objective_bounds(
-                self.network, region, objective.coefficients,
-                bounds=computed,
-            )
-        return lo, hi, computed, None
+        stats = AlphaStats()
+        lo, hi = alpha_objective_bounds(
+            self.network, region, objective.coefficients,
+            bounds=screen.bounds, iters=options.alpha_iters,
+            lr=options.alpha_lr, stats=stats,
+        )
+        merge_metrics(self._plan_metrics, stats.as_metrics())
+        return lo, hi, screen
 
     def _split_dim(
         self,
         region: InputRegion,
-        objective: OutputObjective,
-        bounds,
+        sensitivity: np.ndarray,
     ) -> Optional[int]:
         """Most influential splittable dimension, or ``None``.
 
@@ -284,9 +247,7 @@ class RegionBisectionDriver:
         splittable = widths >= 2.0 * self.min_width
         if not bool(np.any(splittable)):
             return None
-        score = input_sensitivity(
-            self.network, region, objective, bounds=bounds
-        ) * widths
+        score = sensitivity * widths
         score[~splittable] = -1.0
         dim = int(np.argmax(score))
         if score[dim] <= 0.0:
@@ -298,8 +259,14 @@ class RegionBisectionDriver:
         region: InputRegion,
         objective: OutputObjective,
         threshold: Optional[float] = None,
+        root: Optional[SymbolicScreen] = None,
     ) -> SplitPlan:
         """Bisect the region into a pruned frontier of MILP shards.
+
+        Every box is bounded once: ``root`` may carry the region's own
+        screen from the whole-region prescreen (a
+        :class:`repro.proof.emit.ChainRecord` in certify mode), and
+        each survivor keeps its screen for its MILP shard.
 
         With a ``threshold`` (decision query) a node is pruned as soon
         as its prescreen upper bound clears ``threshold -
@@ -343,14 +310,13 @@ class RegionBisectionDriver:
             depth_limit=self.depth, min_width=self.min_width,
             network=self.network.architecture_id,
         ) as span:
-            root = (
+            stack: List[Tuple] = [
                 (region, 0)
-                + self._prescreen(region, objective, certify)
+                + self._prescreen(region, objective, certify, root)
                 + (tree,)
-            )
-            stack: List[Tuple] = [root]
+            ]
             while stack:
-                node, depth, lo, hi, bounds, chain, slot = stack.pop()
+                node, depth, lo, hi, screen, slot = stack.pop()
                 explored += 1
                 max_depth = max(max_depth, depth)
                 upper_bound = max(upper_bound, hi)
@@ -363,22 +329,22 @@ class RegionBisectionDriver:
                     proofs += 1
                     if slot is not None:
                         slot["kind"] = "pruned"
-                        slot["chain"] = chain
+                        slot["chain"] = screen.chain
                     self.tracer.event(
                         "split", action="prune", region=node.name,
                         depth=depth, upper=hi, cutoff=cutoff,
                     )
                     continue
                 dim = (
-                    self._split_dim(node, objective, bounds)
+                    self._split_dim(node, screen.sensitivity)
                     if depth < self.depth else None
                 )
                 if dim is None:
                     if depth < self.depth:
                         degenerate += 1
-                    survivors.append(
-                        SplitLeaf(node, depth, lo, hi, slot=slot)
-                    )
+                    survivors.append(SplitLeaf(
+                        node, depth, lo, hi, slot=slot, screen=screen,
+                    ))
                     self.tracer.event(
                         "split",
                         action="degenerate" if depth < self.depth
@@ -389,13 +355,12 @@ class RegionBisectionDriver:
                 children = []
                 child_slots = ({}, {}) if slot is not None else (None, None)
                 for half, child_slot in zip(node.bisect(dim), child_slots):
-                    c_lo, c_hi, c_bounds, c_chain = self._prescreen(
+                    c_lo, c_hi, c_screen = self._prescreen(
                         half, objective, certify
                     )
                     best_lower = max(best_lower, c_lo)
                     children.append((
-                        half, depth + 1, c_lo, c_hi, c_bounds, c_chain,
-                        child_slot,
+                        half, depth + 1, c_lo, c_hi, c_screen, child_slot,
                     ))
                 if threshold is None:
                     cutoff = best_lower - margin
@@ -411,9 +376,9 @@ class RegionBisectionDriver:
                     < hi - cutoff
                 ):
                     stalled += 1
-                    survivors.append(
-                        SplitLeaf(node, depth, lo, hi, slot=slot)
-                    )
+                    survivors.append(SplitLeaf(
+                        node, depth, lo, hi, slot=slot, screen=screen,
+                    ))
                     self.tracer.event(
                         "split", action="milp", region=node.name,
                         depth=depth, upper=hi, stalled=True,
@@ -469,9 +434,10 @@ class RegionBisectionDriver:
     def _leaf_verifier(self, remaining: float):
         """A plain (unsplit, no-prescreen) verifier for one shard.
 
-        The plan already prescreened every survivor with the same
-        bounds the leaf prescreen would use, so re-screening is pure
-        rework; ``split=False`` stops the leaf from recursing.
+        The plan already prescreened every survivor, and the shard is
+        handed that screen (:attr:`SplitLeaf.screen`), so it neither
+        re-screens nor re-bounds its box; ``split=False`` stops the
+        leaf from recursing.
         """
         from repro.core.verifier import Verifier
 
@@ -490,18 +456,23 @@ class RegionBisectionDriver:
         self,
         prop: SafetyProperty,
         start: Optional[float] = None,
+        root: Optional[SymbolicScreen] = None,
     ) -> "VerificationResult":
         """Decision query via bisection; one assembled parent verdict.
 
         The MILP time budget bounds the **sum** of shard solve times
         (each shard gets the remaining slice of one shared deadline); a
         budget exhausted mid-split reports TIMEOUT, never ERROR.
+        ``root`` is the region's screen when the caller's whole-region
+        prescreen already computed it (see :meth:`plan`).
         """
         from repro.core.verifier import Verdict, VerificationResult
 
         t0 = start if start is not None else time.monotonic()
         deadline = t0 + self.milp_options.time_limit
-        plan = self.plan(prop.region, prop.objective, prop.threshold)
+        plan = self.plan(
+            prop.region, prop.objective, prop.threshold, root=root
+        )
         leaves: List[VerificationResult] = []
         timed_out = False
         for leaf in plan.survivors:
@@ -510,7 +481,9 @@ class RegionBisectionDriver:
                 timed_out = True
                 break
             leaf_prop = dataclasses.replace(prop, region=leaf.region)
-            result = self._leaf_verifier(remaining).prove(leaf_prop)
+            result = self._leaf_verifier(remaining).prove(
+                leaf_prop, screen=leaf.screen
+            )
             if leaf.slot is not None:
                 from repro.proof.emit import fill_leaf_slot
 
@@ -546,7 +519,7 @@ class RegionBisectionDriver:
                 break
             try:
                 result = self._leaf_verifier(remaining).maximize(
-                    leaf.region, objective
+                    leaf.region, objective, screen=leaf.screen
                 )
             except EncodingError:
                 # A linear side constraint can empty a sub-box even

@@ -1,7 +1,12 @@
 """Optimised symbolic bound propagation for ReLU networks.
 
-One backward linear-relaxation engine with pluggable lower-slope
-policies serves two bound modes:
+One backward linear-relaxation kernel, :func:`_run_backward`, serves
+every bound in this module.  It bounds *upper* sides only: a lower
+bound on a row ``c`` is the negated upper bound of ``-c``, so each
+batch of target rows ``C`` travels as ``[C; -C]`` through a single
+pass, and the lower-relaxation slopes come from one per-layer
+``(policies, 1, n)`` stack broadcast over a policy-major view of the
+rows.  Two bound modes are built on it:
 
 * ``symbolic_bounds`` — DeepPoly-style anytime back-substitution
   (Singh et al.; cf. Wang et al., "Efficient Formal Safety Analysis of
@@ -17,12 +22,13 @@ policies serves two bound modes:
 
 * ``alpha_bounds`` — the optimised escalation: the unstable lower
   slopes ``alpha`` become free parameters *per (target row, neuron)*
-  and are refined by projected gradient ascent on the concretised
-  bound.  The back-substituted affine form gives the gradient in
-  closed form (a reverse-mode sweep re-using the recorded sign splits;
-  no autodiff framework involved), every iterate is itself a sound
-  bound, and the result is intersected with the fixed-policy bounds so
-  it **provably dominates** ``symbolic_bounds`` elementwise.
+  and are refined by projected gradient descent on the concretised
+  upper bounds of ``[C; -C]``.  The back-substituted affine form gives
+  the gradient in closed form (a reverse-mode sweep re-using the
+  recorded sign splits; no autodiff framework involved), every iterate
+  is itself a sound bound, and the result is intersected with the
+  fixed-policy bounds so it **provably dominates** ``symbolic_bounds``
+  elementwise.
 
 Relaxation slopes are computed once per layer and shared across every
 target layer, policy and gradient iteration via :class:`_SlopeCache`,
@@ -38,6 +44,14 @@ instead of a layer's weight rows — the one-shot bound that lets
 decision queries be proved statically, with no MILP ever built (see
 :meth:`repro.core.verifier.Verifier.prove`).  The ``_batch`` variants
 push many objective rows through one shared substitution chain.
+
+:func:`symbolic_screen` is the prescreen of one box in one fused pass:
+layer bounds, objective bounds and the per-input sensitivity the
+bisection driver splits on (:func:`input_sensitivity`), with the
+winning policies as certificate evidence.  The prover bounds each box
+once with it and hands the :class:`SymbolicScreen` on — to the
+bisection plan, to the MILP shards and to LP bound tightening — instead
+of recomputing it.
 """
 
 from __future__ import annotations
@@ -53,7 +67,7 @@ from repro.core.bounds import (
     LayerBounds,
     _interval_affine,
 )
-from repro.core.properties import InputRegion
+from repro.core.properties import InputRegion, OutputObjective
 from repro.errors import EncodingError
 from repro.nn.network import FeedForwardNetwork
 
@@ -63,12 +77,15 @@ __all__ = [
     "DEFAULT_ALPHA_LR",
     "AlphaStats",
     "AlphaBoundsList",
+    "SymbolicScreen",
     "alpha_bounds",
     "alpha_objective_bounds",
     "alpha_objective_bounds_batch",
+    "input_sensitivity",
     "symbolic_bounds",
     "symbolic_objective_bounds",
     "symbolic_objective_bounds_batch",
+    "symbolic_screen",
 ]
 
 #: Activations the backward relaxation knows how to traverse.
@@ -129,44 +146,32 @@ def _upper_slopes(
     lower: np.ndarray, upper: np.ndarray
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Per-neuron ``(slope, intercept)`` of the chord upper relaxation."""
-    n = lower.shape[0]
-    up_slope = np.zeros(n)
-    up_icept = np.zeros(n)
     active = lower >= 0.0
-    up_slope[active] = 1.0
     unstable = (~active) & (upper > 0.0)
-    lo_u = lower[unstable]
-    hi_u = upper[unstable]
-    chord = hi_u / (hi_u - lo_u)
-    up_slope[unstable] = chord
-    up_icept[unstable] = -chord * lo_u
+    chord = np.where(
+        unstable, upper / np.where(unstable, upper - lower, 1.0), 0.0
+    )
+    up_slope = np.where(active, 1.0, chord)
+    up_icept = np.where(unstable, -chord * lower, 0.0)
     return up_slope, up_icept
 
 
-def _lower_slopes(
-    lower: np.ndarray, upper: np.ndarray, policy: str
-) -> np.ndarray:
-    """Per-neuron slope of the lower relaxation ``relu(z) >= alpha z``.
+def _policy_slopes(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
+    """Lower-relaxation slopes of every policy, as one ``(p, 1, n)`` stack.
 
-    The lower line always passes through the origin, so there is no
-    intercept.  ``policy`` fixes ``alpha`` for unstable neurons:
-    ``"area"`` picks the area-optimal ``alpha in {0, 1}``,
+    Row ``i`` holds the slope of ``relu(z) >= alpha z`` under
+    ``POLICIES[i]`` (area, zero, one).  The lower line always passes
+    through the origin, so there is no intercept.  For unstable neurons
+    ``"area"`` picks the area-optimal ``alpha in {0, 1}`` and
     ``"zero"``/``"one"`` force it — all three are sound, and which one
-    is tightest depends on the downstream coefficient signs.
+    is tightest depends on the downstream coefficient signs.  The middle axis lets the stack
+    broadcast over a policy-major ``(p, rows, n)`` view of the rows.
     """
-    lo_slope = np.zeros(lower.shape[0])
     active = lower >= 0.0
-    lo_slope[active] = 1.0
     unstable = (~active) & (upper > 0.0)
-    if policy == "area":
-        lo_slope[unstable] = (upper[unstable] >= -lower[unstable]).astype(
-            float
-        )
-    elif policy == "one":
-        lo_slope[unstable] = 1.0
-    elif policy != "zero":
-        raise EncodingError(f"unknown relaxation policy {policy!r}")
-    return lo_slope
+    area = np.where(unstable, upper >= -lower, active)
+    stack = np.array([area, active, active | unstable], dtype=float)
+    return stack[:, np.newaxis, :]
 
 
 class _SlopeCache:
@@ -182,7 +187,7 @@ class _SlopeCache:
     def __init__(self, computed: List[LayerBounds]) -> None:
         self._computed = computed
         self._upper: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        self._lower: Dict[Tuple[int, str], np.ndarray] = {}
+        self._lower: Dict[int, np.ndarray] = {}
         self._unstable: Dict[int, np.ndarray] = {}
 
     def upper(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
@@ -191,12 +196,12 @@ class _SlopeCache:
             self._upper[k] = _upper_slopes(b.lower, b.upper)
         return self._upper[k]
 
-    def lower(self, k: int, policy: str) -> np.ndarray:
-        key = (k, policy)
-        if key not in self._lower:
+    def lower(self, k: int) -> np.ndarray:
+        """The ``(p, 1, n)`` policy stack of :func:`_policy_slopes`."""
+        if k not in self._lower:
             b = self._computed[k]
-            self._lower[key] = _lower_slopes(b.lower, b.upper, policy)
-        return self._lower[key]
+            self._lower[k] = _policy_slopes(b.lower, b.upper)
+        return self._lower[k]
 
     def unstable(self, k: int) -> np.ndarray:
         if k not in self._unstable:
@@ -212,15 +217,6 @@ def _concretize_hi(
     pos = np.maximum(coef, 0.0)
     neg = np.minimum(coef, 0.0)
     return bias + pos @ hi + neg @ lo
-
-
-def _concretize_lo(
-    coef: np.ndarray, bias: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> np.ndarray:
-    """Minimum of ``coef @ v + bias`` over the box ``[lo, hi]``."""
-    pos = np.maximum(coef, 0.0)
-    neg = np.minimum(coef, 0.0)
-    return bias + pos @ lo + neg @ hi
 
 
 def _post_box(
@@ -250,7 +246,20 @@ def _check_supported(
         )
 
 
-_SlopeFn = Callable[[int], np.ndarray]
+def _input_box(region: InputRegion) -> Tuple[np.ndarray, np.ndarray]:
+    return region.bounds[:, 0].copy(), region.bounds[:, 1].copy()
+
+
+def _both_sides(
+    coef: np.ndarray, bias: np.ndarray, copies: int = 1
+) -> Tuple[np.ndarray, np.ndarray]:
+    """``[C; -C]`` (repeated ``copies`` times): the kernel bounds upper
+    sides only, and the lower bound of a row is the negated upper bound
+    of its negation."""
+    return (
+        np.concatenate([coef, -coef] * copies),
+        np.concatenate([bias, -bias] * copies),
+    )
 
 
 def _run_backward(
@@ -258,85 +267,61 @@ def _run_backward(
     slopes: _SlopeCache,
     post_boxes: List[Tuple[np.ndarray, np.ndarray]],
     input_box: Tuple[np.ndarray, np.ndarray],
-    upper_coef: np.ndarray,
-    upper_bias: np.ndarray,
-    lower_coef: np.ndarray,
-    lower_bias: np.ndarray,
+    coef: np.ndarray,
+    bias: np.ndarray,
     start: int,
-    lower_slope_fn: _SlopeFn,
-    upper_slope_fn: _SlopeFn,
-    record: Optional[Dict[int, Tuple[np.ndarray, np.ndarray]]] = None,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray,
-           np.ndarray]:
-    """One batched backward substitution of affine target forms.
+    lower_slope: Callable[[int], np.ndarray],
+    record: Optional[Dict[int, np.ndarray]] = None,
+) -> Tuple[np.ndarray, np.ndarray]:
+    """The backward kernel: upper bounds of a batch of affine forms.
 
-    The coefficients arrive expressed over the *post-activations of
-    layer ``start``* and are pushed backward one layer at a time.  The
-    lower-relaxation slopes are supplied per pass by ``lower_slope_fn``
-    (used by the lower-bound rows' positive coefficients) and
-    ``upper_slope_fn`` (used by the upper-bound rows' negative
-    coefficients); each may return a per-neuron vector or a full
-    per-(row, neuron) matrix — broadcasting handles both, which is what
-    lets one code path serve the fixed policies, the stacked-policy
-    batch and the per-row optimised alphas.
+    The ``(rows, n)`` coefficients arrive expressed over the
+    *post-activations of layer ``start``* and are pushed backward one
+    layer at a time.  At a ReLU layer a positive coefficient takes the
+    chord, a negative one the lower line, whose slopes
+    ``lower_slope(k)`` supplies as a ``(g, r, n)`` array broadcast over
+    the ``(g, rows / g, n)`` view of the rows: ``(p, 1, n)`` policy
+    stacks for policy-major row groups, ``(1, rows, n)`` per-row
+    optimised alphas.  Lower bounds are upper bounds of negated rows
+    (see :func:`_both_sides`), so there is one code path.
 
     The forms are concretised at every stop (the first equals interval
     propagation) and the elementwise best is returned.  ``record``
-    captures the pre-relaxation coefficient matrices per ReLU layer for
+    captures the pre-relaxation coefficient matrix per ReLU layer for
     the closed-form gradient sweep.
 
-    Returns ``(best_lo, best_hi, lower_coef, lower_bias, upper_coef,
-    upper_bias)`` with the coefficients fully substituted to the input.
+    Returns ``(best_hi, input_coef)``: the bounds and the coefficients
+    fully substituted to the input.
     """
-    input_lo, input_hi = input_box
-    box_lo, box_hi = post_boxes[start]
-    best_hi = _concretize_hi(upper_coef, upper_bias, box_lo, box_hi)
-    best_lo = _concretize_lo(lower_coef, lower_bias, box_lo, box_hi)
-
+    best = _concretize_hi(coef, bias, *post_boxes[start])
     for k in range(start, -1, -1):
         layer_k = network.layers[k]
         if layer_k.activation == "relu":
             us, ui = slopes.upper(k)
-            ls_lo = lower_slope_fn(k)
-            ls_up = upper_slope_fn(k)
+            ls = lower_slope(k)
             if record is not None:
-                record[k] = (upper_coef, lower_coef)
-            # Pick the relaxation per coefficient sign, separately for
-            # the upper-bound rows and the lower-bound rows.  The lower
-            # line has no intercept, so only the chord contributes bias.
-            up_pos = np.maximum(upper_coef, 0.0)
-            up_neg = np.minimum(upper_coef, 0.0)
-            upper_bias = upper_bias + up_pos @ ui
-            upper_coef = up_pos * us + up_neg * ls_up
-            lo_pos = np.maximum(lower_coef, 0.0)
-            lo_neg = np.minimum(lower_coef, 0.0)
-            lower_bias = lower_bias + lo_neg @ ui
-            lower_coef = lo_pos * ls_lo + lo_neg * us
+                record[k] = coef
+            # The lower line has no intercept: only the chord adds bias.
+            pos = np.maximum(coef, 0.0)
+            neg = np.minimum(coef, 0.0)
+            bias = bias + pos @ ui
+            coef = pos * us + (
+                neg.reshape(ls.shape[0], -1, neg.shape[1]) * ls
+            ).reshape(neg.shape)
         # identity: coefficients pass through unchanged.
 
         # Through the affine part of layer k: z_k = a_{k-1} @ W_k + b_k.
-        wk = layer_k.weights
-        bk = layer_k.bias
-        upper_bias = upper_bias + upper_coef @ bk
-        lower_bias = lower_bias + lower_coef @ bk
-        upper_coef = upper_coef @ wk.T
-        lower_coef = lower_coef @ wk.T
-
-        if k > 0:
-            box_lo, box_hi = post_boxes[k - 1]
-        else:
-            box_lo, box_hi = input_lo, input_hi
-        hi_k = _concretize_hi(upper_coef, upper_bias, box_lo, box_hi)
-        lo_k = _concretize_lo(lower_coef, lower_bias, box_lo, box_hi)
-        best_hi = np.minimum(best_hi, hi_k)
-        best_lo = np.maximum(best_lo, lo_k)
-    return best_lo, best_hi, lower_coef, lower_bias, upper_coef, upper_bias
+        bias = bias + coef @ layer_k.bias
+        coef = coef @ layer_k.weights.T
+        box = post_boxes[k - 1] if k > 0 else input_box
+        np.minimum(best, _concretize_hi(coef, bias, *box), out=best)
+    return best, coef
 
 
 def _collapse_crossed(lo: np.ndarray, hi: np.ndarray) -> None:
     """Collapse float-rounding crossings of individually-sound bounds."""
     crossed = lo > hi
-    if np.any(crossed):
+    if crossed.any():
         mid = 0.5 * (lo[crossed] + hi[crossed])
         lo[crossed] = mid
         hi[crossed] = mid
@@ -350,47 +335,72 @@ def _policy_backsubstitute(
     coef: np.ndarray,
     bias: np.ndarray,
     start: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
+) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
     """Backward substitution under every slope policy in one batch.
 
-    The ``m`` target rows are replicated once per policy into a single
-    ``(len(POLICIES) * m)``-row coefficient matrix, so one matmul chain
-    replaces the former per-policy passes.  Each policy yields sound
-    bounds, so the elementwise best across them is sound too; which
-    policy wins depends on the signs the coefficients pick up as they
-    travel backward, which is why no single choice dominates.
+    The ``m`` target rows and their negations are replicated once per
+    policy into a single policy-major ``(p * 2m)``-row matrix, so one
+    kernel pass bounds both sides under every policy, with the policy
+    slopes broadcast from the cached ``(p, 1, n)`` stacks.  Each policy
+    yields sound bounds, so the elementwise best across them is sound
+    too; which policy wins depends on the signs the coefficients pick
+    up as they travel backward, which is why no single choice dominates.
 
-    Returns ``(best_lo, best_hi, per_lo, per_hi)`` where the ``per_*``
-    arrays hold the per-policy values with shape ``(policies, m)`` —
-    the warm start for the alpha optimiser.
+    Returns ``(best_lo, best_hi, per_lo, per_hi, input_coef)`` where the
+    ``per_*`` arrays hold the per-policy values with shape
+    ``(policies, m)`` — the warm start for the alpha optimiser — and
+    ``input_coef`` the ``(policies, 2m, n_in)`` input coefficients
+    (rows ``C`` then ``-C``).
     """
     m = coef.shape[0]
     p = len(POLICIES)
-    stacked_coef = np.tile(coef, (p, 1))
-    stacked_bias = np.tile(bias, p)
-    repeated: Dict[int, np.ndarray] = {}
-
-    def slope_fn(k: int) -> np.ndarray:
-        # Rows are ordered policy-major (np.tile), so the slope matrix
-        # repeats each policy's vector m times (np.repeat) to match.
-        if k not in repeated:
-            ls_stack = np.stack(
-                [slopes.lower(k, policy) for policy in POLICIES]
-            )
-            repeated[k] = np.repeat(ls_stack, m, axis=0)
-        return repeated[k]
-
-    lo_all, hi_all, _, _, _, _ = _run_backward(
-        network, slopes, post_boxes, input_box,
-        stacked_coef, stacked_bias, stacked_coef.copy(),
-        stacked_bias.copy(), start, slope_fn, slope_fn,
+    rows, rows_bias = _both_sides(coef, bias, copies=p)
+    hi_all, input_coef = _run_backward(
+        network, slopes, post_boxes, input_box, rows, rows_bias, start,
+        slopes.lower,
     )
-    per_lo = lo_all.reshape(p, m)
-    per_hi = hi_all.reshape(p, m)
+    per = hi_all.reshape(p, 2, m)
+    per_hi = per[:, 0]
+    per_lo = -per[:, 1]
     best_lo = per_lo.max(axis=0)
     best_hi = per_hi.min(axis=0)
     _collapse_crossed(best_lo, best_hi)
-    return best_lo, best_hi, per_lo, per_hi
+    return best_lo, best_hi, per_lo, per_hi, input_coef.reshape(p, 2 * m, -1)
+
+
+def _layer_pass(
+    network: FeedForwardNetwork,
+    input_box: Tuple[np.ndarray, np.ndarray],
+) -> Tuple[List[LayerBounds], List[Tuple[np.ndarray, np.ndarray]],
+           _SlopeCache, List[Optional[Tuple[np.ndarray, np.ndarray]]]]:
+    """Fixed-policy pre-activation bounds of every layer.
+
+    Returns ``(bounds, post_boxes, slopes, winners)``; ``winners[i]``
+    is ``(win_lo, win_hi)``, the policy index that won each row of
+    layer ``i`` (``None`` for layer 0, whose interval image is exact).
+    """
+    input_lo, input_hi = input_box
+    computed: List[LayerBounds] = []
+    post_boxes: List[Tuple[np.ndarray, np.ndarray]] = []
+    winners: List[Optional[Tuple[np.ndarray, np.ndarray]]] = []
+    slopes = _SlopeCache(computed)
+    for index, layer in enumerate(network.layers):
+        if index == 0:
+            # Affine over the input box: the interval image is exact.
+            lo, hi = _interval_affine(
+                input_lo, input_hi, layer.weights, layer.bias
+            )
+            winners.append(None)
+        else:
+            lo, hi, per_lo, per_hi, _ = _policy_backsubstitute(
+                network, slopes, post_boxes, input_box,
+                layer.weights.T, layer.bias, start=index - 1,
+            )
+            winners.append((per_lo.argmax(axis=0), per_hi.argmin(axis=0)))
+        bounds = LayerBounds(lo, hi)
+        computed.append(bounds)
+        post_boxes.append(_post_box(bounds, layer.activation))
+    return computed, post_boxes, slopes, winners
 
 
 def symbolic_bounds(
@@ -404,40 +414,18 @@ def symbolic_bounds(
     propagation compounds its per-layer over-approximation.
     """
     _check_supported(network, region)
-    input_lo = region.bounds[:, 0].copy()
-    input_hi = region.bounds[:, 1].copy()
-
-    computed: List[LayerBounds] = []
-    post_boxes: List[Tuple[np.ndarray, np.ndarray]] = []
-    slopes = _SlopeCache(computed)
-    for index, layer in enumerate(network.layers):
-        if index == 0:
-            # Affine over the input box: the interval image is exact.
-            lo, hi = _interval_affine(
-                input_lo, input_hi, layer.weights, layer.bias
-            )
-        else:
-            lo, hi, _, _ = _policy_backsubstitute(
-                network, slopes, post_boxes, (input_lo, input_hi),
-                layer.weights.T, layer.bias, start=index - 1,
-            )
-        bounds = LayerBounds(lo, hi)
-        computed.append(bounds)
-        post_boxes.append(_post_box(bounds, layer.activation))
-    return computed
+    return _layer_pass(network, _input_box(region))[0]
 
 
 def _alpha_gradients(
     network: FeedForwardNetwork,
     slopes: _SlopeCache,
-    record: Dict[int, Tuple[np.ndarray, np.ndarray]],
+    record: Dict[int, np.ndarray],
     input_box: Tuple[np.ndarray, np.ndarray],
-    lower_coef: np.ndarray,
-    upper_coef: np.ndarray,
+    input_coef: np.ndarray,
     start: int,
-    alpha_lo: Dict[int, np.ndarray],
-    alpha_up: Dict[int, np.ndarray],
-) -> Tuple[Dict[int, np.ndarray], Dict[int, np.ndarray]]:
+    alpha: Dict[int, np.ndarray],
+) -> Dict[int, np.ndarray]:
     """Closed-form gradients of the input-stop bounds w.r.t. the alphas.
 
     A reverse-mode sweep over the backward pass itself: the adjoint of
@@ -445,35 +433,23 @@ def _alpha_gradients(
     at the input box (the concretisation picks ``lo`` or ``hi`` per
     coefficient sign) and is pushed forward through the recorded
     relax/affine steps.  An alpha at ReLU layer ``k`` multiplies the
-    positive lower-row coefficients (resp. negative upper-row
-    coefficients), so its gradient is the adjoint times that
-    coefficient part — no numerical differentiation anywhere.
+    negative coefficients of a row, so its gradient is the adjoint
+    times that coefficient part — no numerical differentiation anywhere.
     """
     input_lo, input_hi = input_box
-    abar_lo = np.where(lower_coef >= 0.0, input_lo, input_hi)
-    abar_up = np.where(upper_coef >= 0.0, input_hi, input_lo)
-    g_lo: Dict[int, np.ndarray] = {}
-    g_up: Dict[int, np.ndarray] = {}
+    abar = np.where(input_coef >= 0.0, input_hi, input_lo)
+    grads: Dict[int, np.ndarray] = {}
     for k in range(start + 1):
         layer_k = network.layers[k]
-        wk = layer_k.weights
-        bk = layer_k.bias
         # Reverse of the affine step (bias adjoint is identically 1).
-        abar_lo = abar_lo @ wk + bk[np.newaxis, :]
-        abar_up = abar_up @ wk + bk[np.newaxis, :]
+        abar = abar @ layer_k.weights + layer_k.bias
         if layer_k.activation == "relu":
-            up_pre, lo_pre = record[k]
+            pre = record[k]
             us, ui = slopes.upper(k)
-            g_lo[k] = abar_lo * np.maximum(lo_pre, 0.0)
-            g_up[k] = abar_up * np.minimum(up_pre, 0.0)
+            grads[k] = abar * np.minimum(pre, 0.0)
             # Reverse of the relaxation step.
-            abar_lo = np.where(
-                lo_pre >= 0.0, abar_lo * alpha_lo[k], abar_lo * us + ui
-            )
-            abar_up = np.where(
-                up_pre >= 0.0, abar_up * us + ui, abar_up * alpha_up[k]
-            )
-    return g_lo, g_up
+            abar = np.where(pre >= 0.0, abar * us + ui, abar * alpha[k][0])
+    return grads
 
 
 def _alpha_refine(
@@ -493,12 +469,14 @@ def _alpha_refine(
 ) -> Tuple[np.ndarray, np.ndarray]:
     """Projected gradient ascent on the lower-relaxation slopes.
 
-    Warm-started per (row, direction) from whichever fixed policy won
-    the stacked pass, so the very first iterate already matches the
-    fixed-policy best; every subsequent iterate is a sound bound (any
-    ``alpha in [0, 1]`` is), so folding the elementwise best over all
-    iterates is sound and monotone — the result provably dominates the
-    warm start.
+    The rows ``C`` and ``-C`` each get their own alphas, warm-started
+    from whichever fixed policy won that row and side in the stacked
+    pass, so the very first iterate already matches the fixed-policy
+    best; every subsequent iterate is a sound bound (any ``alpha in
+    [0, 1]`` is), so folding the elementwise best over all iterates is
+    sound and monotone — the result provably dominates the warm start.
+    Every iterate is one kernel pass that tightens the upper bound of
+    all ``2m`` rows (descent on their alphas).
     """
     relu_all = [
         k for k in range(start + 1)
@@ -509,66 +487,53 @@ def _alpha_refine(
         return init_lo, init_hi
 
     m = coef.shape[0]
-    win_lo = per_lo.argmax(axis=0)
-    win_hi = per_hi.argmin(axis=0)
-    alpha_lo: Dict[int, np.ndarray] = {}
-    alpha_up: Dict[int, np.ndarray] = {}
-    free: Dict[int, np.ndarray] = {}
+    rows, rows_bias = _both_sides(coef, bias)
+    win = np.concatenate([per_hi.argmin(axis=0), per_lo.argmax(axis=0)])
     # Slope matrices exist for *every* ReLU layer (the backward pass
     # consults them all); only layers with unstable neurons are free.
-    for k in relu_all:
-        ls_stack = np.stack(
-            [slopes.lower(k, policy) for policy in POLICIES]
-        )
-        alpha_lo[k] = ls_stack[win_lo]
-        alpha_up[k] = ls_stack[win_hi]
-    for k in relu_ks:
-        free[k] = slopes.unstable(k)[np.newaxis, :].astype(float)
+    # Shaped (1, 2m, n): one row group for the kernel's broadcast.
+    alpha = {
+        k: slopes.lower(k)[win, 0][np.newaxis] for k in relu_all
+    }
+    free = {
+        k: slopes.unstable(k)[np.newaxis, :].astype(float) for k in relu_ks
+    }
 
     best_lo = init_lo.copy()
     best_hi = init_hi.copy()
+
+    def fold(hi_t: np.ndarray) -> None:
+        np.minimum(best_hi, hi_t[:m], out=best_hi)
+        np.maximum(best_lo, -hi_t[m:], out=best_lo)
+
     decay = _ALPHA_DECAY_TARGET ** (1.0 / max(iters - 1, 1))
     step = lr
     tiny = 1e-12
     for _ in range(iters):
-        record: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        lo_t, hi_t, lo_coef, _, up_coef, _ = _run_backward(
-            network, slopes, post_boxes, input_box,
-            coef.copy(), bias.copy(), coef.copy(), bias.copy(), start,
-            lambda k: alpha_lo[k], lambda k: alpha_up[k],
-            record=record,
+        record: Dict[int, np.ndarray] = {}
+        hi_t, input_coef = _run_backward(
+            network, slopes, post_boxes, input_box, rows, rows_bias,
+            start, alpha.__getitem__, record=record,
         )
-        np.maximum(best_lo, lo_t, out=best_lo)
-        np.minimum(best_hi, hi_t, out=best_hi)
-        g_lo, g_up = _alpha_gradients(
-            network, slopes, record, input_box, lo_coef, up_coef, start,
-            alpha_lo, alpha_up,
+        fold(hi_t)
+        grads = _alpha_gradients(
+            network, slopes, record, input_box, input_coef, start, alpha,
         )
-        gmax_lo = np.zeros(m)
-        gmax_up = np.zeros(m)
+        gmax = np.zeros(2 * m)
         for k in relu_ks:
-            g_lo[k] *= free[k]
-            g_up[k] *= free[k]
-            gmax_lo = np.maximum(gmax_lo, np.abs(g_lo[k]).max(axis=1))
-            gmax_up = np.maximum(gmax_up, np.abs(g_up[k]).max(axis=1))
-        scale_lo = (step / np.maximum(gmax_lo, tiny))[:, np.newaxis]
-        scale_up = (step / np.maximum(gmax_up, tiny))[:, np.newaxis]
+            grads[k] *= free[k]
+            gmax = np.maximum(gmax, np.abs(grads[k]).max(axis=1))
+        scale = (step / np.maximum(gmax, tiny))[:, np.newaxis]
         for k in relu_ks:
-            # Ascent on the lower bound, descent on the upper bound;
-            # projection back onto the sound slope box [0, 1].
-            np.clip(alpha_lo[k] + scale_lo * g_lo[k], 0.0, 1.0,
-                    out=alpha_lo[k])
-            np.clip(alpha_up[k] - scale_up * g_up[k], 0.0, 1.0,
-                    out=alpha_up[k])
+            # Descent on the upper bound; projection back onto the
+            # sound slope box [0, 1].
+            np.clip(alpha[k] - scale * grads[k], 0.0, 1.0, out=alpha[k])
         step *= decay
     # Evaluate the final projected iterate too.
-    lo_t, hi_t, _, _, _, _ = _run_backward(
-        network, slopes, post_boxes, input_box,
-        coef.copy(), bias.copy(), coef.copy(), bias.copy(), start,
-        lambda k: alpha_lo[k], lambda k: alpha_up[k],
-    )
-    np.maximum(best_lo, lo_t, out=best_lo)
-    np.minimum(best_hi, hi_t, out=best_hi)
+    fold(_run_backward(
+        network, slopes, post_boxes, input_box, rows, rows_bias, start,
+        alpha.__getitem__,
+    )[0])
     return best_lo, best_hi
 
 
@@ -594,10 +559,7 @@ def alpha_bounds(
     if iters <= 0 or len(network.layers) == 1:
         return AlphaBoundsList(fixed, stats, fixed)
 
-    input_lo = region.bounds[:, 0].copy()
-    input_hi = region.bounds[:, 1].copy()
-    input_box = (input_lo, input_hi)
-
+    input_box = _input_box(region)
     computed: List[LayerBounds] = []
     post_boxes: List[Tuple[np.ndarray, np.ndarray]] = []
     slopes = _SlopeCache(computed)
@@ -606,12 +568,12 @@ def alpha_bounds(
     for index, layer in enumerate(network.layers):
         if index == 0:
             lo, hi = _interval_affine(
-                input_lo, input_hi, layer.weights, layer.bias
+                *input_box, layer.weights, layer.bias
             )
         else:
             coef = layer.weights.T
             bias = layer.bias
-            base_lo, base_hi, per_lo, per_hi = _policy_backsubstitute(
+            base_lo, base_hi, per_lo, per_hi, _ = _policy_backsubstitute(
                 network, slopes, post_boxes, input_box, coef, bias,
                 start=index - 1,
             )
@@ -667,6 +629,130 @@ def _objective_seed(
     return seed, seed_bias
 
 
+def _objective_pass(
+    network: FeedForwardNetwork,
+    computed: List[LayerBounds],
+    input_box: Tuple[np.ndarray, np.ndarray],
+    rows: np.ndarray,
+    slopes: Optional[_SlopeCache] = None,
+    post_boxes: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None,
+) -> Tuple[np.ndarray, np.ndarray,
+           Optional[Tuple[np.ndarray, np.ndarray]], np.ndarray]:
+    """Fixed-policy bounds on objective rows over layer bounds.
+
+    Returns ``(lo, hi, winners, area_coef)``: ``winners`` as in
+    :func:`_layer_pass` (``None`` for a single-layer network, which
+    needs no relaxation) and ``area_coef`` the area-policy input
+    coefficients of the rows ``C`` then ``-C``, the source of
+    :func:`input_sensitivity`.  ``slopes``/``post_boxes`` may carry
+    the ones the layer pass built over ``computed``.
+    """
+    seed, seed_bias = _objective_seed(network, rows)
+    if len(network.layers) == 1:
+        both, both_bias = _both_sides(seed, seed_bias)
+        hi_all = _concretize_hi(both, both_bias, *input_box)
+        m = rows.shape[0]
+        return -hi_all[m:], hi_all[:m], None, both
+    if post_boxes is None:
+        post_boxes = [
+            _post_box(lb, layer.activation)
+            for lb, layer in zip(computed, network.layers)
+        ]
+    if slopes is None:
+        slopes = _SlopeCache(list(computed))
+    lo, hi, per_lo, per_hi, input_coef = _policy_backsubstitute(
+        network, slopes, post_boxes, input_box, seed, seed_bias,
+        start=len(network.layers) - 2,
+    )
+    winners = (per_lo.argmax(axis=0), per_hi.argmin(axis=0))
+    return lo, hi, winners, input_coef[POLICIES.index("area")]
+
+
+def _sensitivity(area_coef: np.ndarray) -> np.ndarray:
+    return np.abs(area_coef).max(axis=0)
+
+
+@dataclasses.dataclass
+class SymbolicScreen:
+    """One box's fixed-policy symbolic prescreen, kept for reuse.
+
+    ``bounds`` equal :func:`symbolic_bounds` over the box, the
+    objective bounds equal :func:`symbolic_objective_bounds` over them
+    and ``sensitivity`` equals :func:`input_sensitivity`, all from one
+    kernel pass per layer plus one for the objective.  ``winners``
+    (per layer, then the objective) and ``activations`` are the
+    evidence :class:`repro.proof.emit.ChainRecord` serialises.  Arrays
+    and tuples only, no closures: a screen pickles into pool jobs.
+    """
+
+    bounds: List[LayerBounds]
+    objective_lower: Optional[float] = None
+    objective_upper: Optional[float] = None
+    sensitivity: Optional[np.ndarray] = None
+    activations: Tuple[str, ...] = ()
+    winners: List[Optional[Tuple[np.ndarray, np.ndarray]]] = (
+        dataclasses.field(default_factory=list)
+    )
+
+
+def symbolic_screen(
+    network: FeedForwardNetwork,
+    region: InputRegion,
+    coefficients: Optional[Mapping[int, float]] = None,
+) -> SymbolicScreen:
+    """Layer bounds, objective bounds and input sensitivity of one box.
+
+    The fixed-policy prescreen in one pass over the box: what
+    :func:`symbolic_bounds`, :func:`symbolic_objective_bounds` and
+    :func:`input_sensitivity` would give, computed once.  Without
+    ``coefficients`` only the layer bounds are computed.
+    """
+    _check_supported(network, region)
+    input_box = _input_box(region)
+    computed, post_boxes, slopes, winners = _layer_pass(network, input_box)
+    screen = SymbolicScreen(
+        bounds=computed,
+        activations=tuple(layer.activation for layer in network.layers),
+        winners=winners,
+    )
+    if coefficients is not None:
+        row = _objective_row(network, coefficients)
+        lo, hi, obj_winners, area_coef = _objective_pass(
+            network, computed, input_box, row[np.newaxis, :],
+            slopes=slopes, post_boxes=post_boxes,
+        )
+        screen.objective_lower = float(lo[0])
+        screen.objective_upper = float(hi[0])
+        screen.sensitivity = _sensitivity(area_coef)
+        winners.append(obj_winners)
+    return screen
+
+
+def input_sensitivity(
+    network: FeedForwardNetwork,
+    region: InputRegion,
+    objective: OutputObjective,
+    bounds: Optional[List[LayerBounds]] = None,
+) -> np.ndarray:
+    """Per-input-dimension influence of the objective over the region.
+
+    Back-substitutes the objective functional to the input (area
+    policy) and returns ``max(|lower coef|, |upper coef|)`` per input
+    dimension — the linear forms the prescreen concretises, so this is
+    the sensitivity the symbolic analysis computes "for free" (a
+    :class:`SymbolicScreen` carries it).  ``bounds`` may carry
+    precomputed symbolic layer bounds to reuse.
+    """
+    computed = bounds if bounds is not None else symbolic_bounds(
+        network, region
+    )
+    row = _objective_row(network, objective.coefficients)
+    area_coef = _objective_pass(
+        network, computed, _input_box(region), row[np.newaxis, :]
+    )[3]
+    return _sensitivity(area_coef)
+
+
 def symbolic_objective_bounds_batch(
     network: FeedForwardNetwork,
     region: InputRegion,
@@ -687,23 +773,8 @@ def symbolic_objective_bounds_batch(
     computed = bounds if bounds is not None else symbolic_bounds(
         network, region
     )
-    input_lo = region.bounds[:, 0].copy()
-    input_hi = region.bounds[:, 1].copy()
-    seed, seed_bias = _objective_seed(network, rows)
-
-    if len(network.layers) == 1:
-        lo = _concretize_lo(seed, seed_bias, input_lo, input_hi)
-        hi = _concretize_hi(seed, seed_bias, input_lo, input_hi)
-        return lo, hi
-
-    post_boxes = [
-        _post_box(lb, layer.activation)
-        for lb, layer in zip(computed, network.layers)
-    ]
-    slopes = _SlopeCache(list(computed))
-    lo, hi, _, _ = _policy_backsubstitute(
-        network, slopes, post_boxes, (input_lo, input_hi), seed,
-        seed_bias, start=len(network.layers) - 2,
+    lo, hi, _, _ = _objective_pass(
+        network, computed, _input_box(region), rows
     )
     return lo, hi
 
@@ -754,23 +825,19 @@ def alpha_objective_bounds_batch(
     computed = bounds if bounds is not None else alpha_bounds(
         network, region, iters=iters, lr=lr
     )
-    input_lo = region.bounds[:, 0].copy()
-    input_hi = region.bounds[:, 1].copy()
-    input_box = (input_lo, input_hi)
-    seed, seed_bias = _objective_seed(network, rows)
-
+    input_box = _input_box(region)
     if len(network.layers) == 1:
-        lo = _concretize_lo(seed, seed_bias, input_lo, input_hi)
-        hi = _concretize_hi(seed, seed_bias, input_lo, input_hi)
+        lo, hi, _, _ = _objective_pass(network, computed, input_box, rows)
         return lo, hi
 
+    seed, seed_bias = _objective_seed(network, rows)
     post_boxes = [
         _post_box(lb, layer.activation)
         for lb, layer in zip(computed, network.layers)
     ]
     slopes = _SlopeCache(list(computed))
     start = len(network.layers) - 2
-    base_lo, base_hi, per_lo, per_hi = _policy_backsubstitute(
+    base_lo, base_hi, per_lo, per_hi, _ = _policy_backsubstitute(
         network, slopes, post_boxes, input_box, seed, seed_bias, start,
     )
     lo, hi = _alpha_refine(

@@ -39,7 +39,7 @@ import math
 import os
 import time
 import traceback
-from typing import Callable, Dict, List, Optional, Tuple
+from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
 
 from repro.core import bounds as bounds_mod
 from repro.core.bounds import (
@@ -66,6 +66,9 @@ from repro.nn.network import FeedForwardNetwork
 from repro.obs.sinks import RingBufferSink
 from repro.obs.trace import Tracer, as_tracer
 from repro.report.tables import render_generic
+
+if TYPE_CHECKING:  # pragma: no cover - static-analysis imports only
+    from repro.analysis.symbolic import SymbolicScreen
 
 #: Explicit matrix mark for every verdict — no raw enum-value fallback.
 VERDICT_MARKS: Dict[Verdict, str] = {
@@ -403,6 +406,10 @@ class _CellTask:
     #: ``(run_id, span_id_prefix)`` when the campaign is traced; the
     #: worker builds a relay tracer from it (see :func:`_worker_tracer`).
     trace_cfg: Optional[Tuple[str, str]] = None
+    #: A bisection shard's prescreen from the parent's plan
+    #: (:attr:`repro.analysis.split.SplitLeaf.screen`), so the worker
+    #: does not bound the sub-region again.
+    screen: Optional["SymbolicScreen"] = None
 
 
 def _new_task(
@@ -653,11 +660,13 @@ def _run_cell_task(task: _CellTask) -> CampaignCell:
                         task.query.objective,
                         precomputed_bounds=task.bounds,
                         raise_on_infeasible=False,
+                        screen=task.screen,
                     )
                 else:
                     result = verifier.prove(
                         task.query.as_property(),
                         precomputed_bounds=task.bounds,
+                        screen=task.screen,
                     )
             except Exception:
                 span.set(verdict=Verdict.ERROR.value)
@@ -1007,12 +1016,14 @@ class VerificationCampaign:
             from repro.errors import EncodingError
 
             milp = _effective_milp_options(task)
+            root = None
             if task.query.kind == "prove":
                 # Same order as Verifier.prove: the whole-region static
                 # prescreen decides first, so a root-provable cell
                 # reports ``solver="static"`` (with its certificate
                 # under certify) exactly as an unsplit query would.
-                static = Verifier(
+                # Its screen is the plan's root: bounded once.
+                static, root = Verifier(
                     task.network, task.encoder_options, milp,
                     tracer=tracer,
                 ).prescreen(task.query.as_property())
@@ -1030,7 +1041,8 @@ class VerificationCampaign:
             )
             try:
                 plan = driver.plan(
-                    task.query.region, task.query.objective, threshold
+                    task.query.region, task.query.objective, threshold,
+                    root=root,
                 )
             except EncodingError:
                 return False
@@ -1055,6 +1067,7 @@ class VerificationCampaign:
                         (tracer.run_id, f"c{task.index}.s{i}.")
                         if tracer.enabled else None
                     ),
+                    screen=leaf.screen,
                 )
                 leaf_fp = _task_fingerprint(leaf_task)
                 cached = pool.verdict_cache.get(leaf_fp)

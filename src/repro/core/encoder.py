@@ -138,11 +138,16 @@ def compute_bounds(
     region: InputRegion,
     options: Optional[EncoderOptions] = None,
     tracer=None,
+    seed_bounds: Optional[List[LayerBounds]] = None,
 ) -> List[LayerBounds]:
     """Pre-activation bounds with the configured engine.
 
     With a tracer attached the computation is wrapped in a ``bounds``
     phase span carrying the engine, region and resulting binary count.
+    ``seed_bounds`` may carry the region's
+    :func:`~repro.analysis.symbolic.symbolic_bounds` when the caller
+    already has them (a prescreen did): the symbolic and LP engines
+    start from them instead of recomputing them.
     """
     options = options or EncoderOptions()
     with as_tracer(tracer).span(
@@ -154,7 +159,7 @@ def compute_bounds(
         elif options.bound_mode == "symbolic":
             from repro.analysis.symbolic import symbolic_bounds
 
-            bounds = symbolic_bounds(network, region)
+            bounds = seed_bounds or symbolic_bounds(network, region)
         elif options.bound_mode == "alpha":
             from repro.analysis.symbolic import alpha_bounds
 
@@ -171,7 +176,7 @@ def compute_bounds(
 
             bounds = lp_tightened_bounds(
                 network, region,
-                seed_bounds=symbolic_bounds(network, region),
+                seed_bounds=seed_bounds or symbolic_bounds(network, region),
             )
         else:
             raise EncodingError(
@@ -188,13 +193,15 @@ def encode_network(
     options: Optional[EncoderOptions] = None,
     precomputed_bounds: Optional[List[LayerBounds]] = None,
     tracer=None,
+    seed_bounds: Optional[List[LayerBounds]] = None,
 ) -> EncodedNetwork:
     """Encode ``network`` over ``region`` into a MILP model.
 
     The model has no objective; callers attach one (a max query) or extra
     constraints (a feasibility/decision query).  With a tracer attached,
     bound computation and model construction are reported as ``bounds``
-    and ``encode`` phase spans.
+    and ``encode`` phase spans.  ``seed_bounds`` is passed to
+    :func:`compute_bounds` when no ``precomputed_bounds`` are given.
     """
     options = options or EncoderOptions()
     tracer = as_tracer(tracer)
@@ -212,7 +219,7 @@ def encode_network(
         )
 
     bounds = precomputed_bounds or compute_bounds(
-        network, region, options, tracer=tracer
+        network, region, options, tracer=tracer, seed_bounds=seed_bounds
     )
     margin = options.bound_margin
     with tracer.span(

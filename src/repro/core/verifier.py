@@ -19,7 +19,7 @@ import dataclasses
 import enum
 import math
 import time
-from typing import Dict, List, Optional
+from typing import TYPE_CHECKING, Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -44,6 +44,9 @@ from repro.milp.status import SolveStatus
 from repro.nn.network import FeedForwardNetwork
 from repro.obs.metrics import merge_metrics
 from repro.obs.trace import as_tracer
+
+if TYPE_CHECKING:  # pragma: no cover - static-analysis imports only
+    from repro.analysis.symbolic import SymbolicScreen
 
 
 #: Diagnostic for a max query over an empty input region.  The split
@@ -330,10 +333,6 @@ class Verifier:
         self.encoder_options = encoder_options or EncoderOptions()
         self.milp_options = milp_options or MILPOptions()
         self.tracer = as_tracer(tracer)
-        #: Certify-mode chain evidence recorded by the last
-        #: :meth:`prescreen` (``None`` when not certifying), reused by
-        #: the MILP path of the same query instead of re-recording it.
-        self._prescreen_record = None
 
     # -- queries -----------------------------------------------------------------
     def maximize(
@@ -342,6 +341,7 @@ class Verifier:
         objective: OutputObjective,
         precomputed_bounds: Optional[List[LayerBounds]] = None,
         raise_on_infeasible: bool = True,
+        screen: Optional["SymbolicScreen"] = None,
     ) -> VerificationResult:
         """Maximise a linear output functional over the region.
 
@@ -349,6 +349,10 @@ class Verifier:
         by default; with ``raise_on_infeasible=False`` it degrades to a
         :attr:`Verdict.ERROR` result carrying the message — campaign
         runners use this so one empty region cannot abort a whole matrix.
+        ``screen`` is the region's
+        :class:`~repro.analysis.symbolic.SymbolicScreen` when the caller
+        already computed it (a bisection shard); its layer bounds seed
+        the bound engine.
         """
         with self.tracer.span(
             "query", kind="max", objective=objective.description,
@@ -356,7 +360,7 @@ class Verifier:
         ) as span:
             result = self._maximize(
                 region, objective, precomputed_bounds,
-                raise_on_infeasible,
+                raise_on_infeasible, screen,
             )
             span.set(verdict=result.verdict.value, nodes=result.nodes)
             return result
@@ -385,6 +389,7 @@ class Verifier:
         objective: OutputObjective,
         precomputed_bounds: Optional[List[LayerBounds]],
         raise_on_infeasible: bool,
+        screen: Optional["SymbolicScreen"],
     ) -> VerificationResult:
         start = time.monotonic()
         driver = self._split_driver(region)
@@ -399,6 +404,7 @@ class Verifier:
             self.encoder_options,
             precomputed_bounds=precomputed_bounds,
             tracer=self.tracer,
+            seed_bounds=None if screen is None else screen.bounds,
         )
         attach_objective(encoded, objective, maximize=True)
         own_bounds = encoded.bounds if precomputed_bounds is None else None
@@ -475,18 +481,24 @@ class Verifier:
         self,
         prop: SafetyProperty,
         precomputed_bounds: Optional[List[LayerBounds]] = None,
+        screen: Optional["SymbolicScreen"] = None,
     ) -> VerificationResult:
         """Decision query: prove ``objective <= threshold`` on the region.
 
         Encodes the *violation* (objective >= threshold) and checks
-        feasibility: infeasible means the property holds.
+        feasibility: infeasible means the property holds.  ``screen``
+        is the region's prescreen when the caller already computed it
+        (a bisection shard): its :class:`~repro.proof.emit.ChainRecord`
+        under ``certify``, else its
+        :class:`~repro.analysis.symbolic.SymbolicScreen`.  It is used
+        instead of bounding the region again.
         """
         with self.tracer.span(
             "query", kind="prove", property=prop.name,
             region=prop.region.name,
             network=self.network.architecture_id,
         ) as span:
-            result = self._prove(prop, precomputed_bounds)
+            result = self._prove(prop, precomputed_bounds, screen)
             span.set(verdict=result.verdict.value, nodes=result.nodes)
             return result
 
@@ -495,25 +507,32 @@ class Verifier:
         prop: SafetyProperty,
         precomputed_bounds: Optional[List[LayerBounds]],
         start: float,
-    ) -> Optional[VerificationResult]:
+        screen: Optional["SymbolicScreen"],
+    ) -> Tuple[Optional[VerificationResult], Optional["SymbolicScreen"]]:
         """Try to prove the property symbolically, without any MILP.
 
         Back-substitutes the objective functional to the input region
-        (see :func:`repro.analysis.symbolic.symbolic_objective_bounds`);
-        when the resulting sound upper bound clears the threshold — with
-        the encoder's numeric safety margin to spare — the property is
-        VERIFIED with ``solver="static"``.  Returns ``None`` when the
-        bound is inconclusive or the network shape is unsupported, in
-        which case the caller falls back to the full MILP decision
+        (see :func:`repro.analysis.symbolic.symbolic_screen`); when the
+        resulting sound upper bound clears the threshold — with the
+        encoder's numeric safety margin to spare — the property is
+        VERIFIED with ``solver="static"``.  The result is ``None`` when
+        the bound is inconclusive or the network shape is unsupported,
+        in which case the caller falls back to the full MILP decision
         procedure.  ``precomputed_bounds`` (any sound layer bounds, e.g.
         the cell's shared LP-tightened set) sharpen the relaxations.
+
+        Returns ``(result, screen)``: without precomputed bounds or the
+        alpha optimiser the bound comes from the region's fixed-policy
+        :class:`~repro.analysis.symbolic.SymbolicScreen` (``screen``,
+        when given, else computed here), which is handed back for reuse.
         """
         if not self.encoder_options.static_prescreen:
-            return None
+            return None, screen
         from repro.analysis.symbolic import (
             AlphaStats,
             alpha_objective_bounds,
             symbolic_objective_bounds,
+            symbolic_screen,
         )
 
         options = self.encoder_options
@@ -536,19 +555,26 @@ class Verifier:
                         lr=options.alpha_lr,
                         stats=stats,
                     )
-                else:
+                elif precomputed_bounds is not None:
                     _, upper = symbolic_objective_bounds(
                         self.network,
                         prop.region,
                         prop.objective.coefficients,
                         bounds=precomputed_bounds,
                     )
+                else:
+                    if screen is None:
+                        screen = symbolic_screen(
+                            self.network, prop.region,
+                            prop.objective.coefficients,
+                        )
+                    upper = screen.objective_upper
                 proved = upper <= prop.threshold - options.bound_margin
                 span.set(upper=upper, proved=proved)
         except EncodingError:
-            return None  # unsupported shape: the MILP path decides
+            return None, None  # unsupported shape: the MILP path decides
         if not proved:
-            return None
+            return None, screen
         return VerificationResult(
             verdict=Verdict.VERIFIED,
             value=prop.threshold,
@@ -557,7 +583,7 @@ class Verifier:
             description=prop.name,
             solver="static",
             metrics={} if stats is None else stats.as_metrics(),
-        )
+        ), screen
 
     def _certify_record(self, prop: SafetyProperty):
         """Fixed-policy chain evidence for a certified decision query.
@@ -615,36 +641,49 @@ class Verifier:
         self,
         prop: SafetyProperty,
         precomputed_bounds: Optional[List[LayerBounds]] = None,
-    ) -> Optional[VerificationResult]:
+        screen: Optional["SymbolicScreen"] = None,
+    ) -> Tuple[Optional[VerificationResult], Optional["SymbolicScreen"]]:
         """The whole-region static prescreen of a decision query.
 
-        A ``solver="static"`` VERIFIED result when the symbolic bound
+        Returns ``(result, screen)``.  ``result`` is a
+        ``solver="static"`` VERIFIED result when the symbolic bound
         clears the threshold, else ``None`` (the MILP must decide).
         Under ``certify`` the fixed-policy chain decides instead, so a
-        static proof ships a checked certificate.
+        static proof ships a checked certificate.  ``screen`` is the
+        region's bounding pass — its
+        :class:`~repro.proof.emit.ChainRecord` under ``certify``, else
+        its :class:`~repro.analysis.symbolic.SymbolicScreen` or
+        ``None`` — which the bisection plan, the MILP encoding and LP
+        tightening of the same query reuse.  A ``screen`` passed in is
+        used instead of computing it.
         """
         start = time.monotonic()
-        record = self._prescreen_record = (
-            self._certify_record(prop)
-            if self.encoder_options.certify else None
-        )
-        if record is not None and self.encoder_options.static_prescreen:
-            return self._certified_static_prove(prop, record, start)
-        return self._static_prove(prop, precomputed_bounds, start)
+        options = self.encoder_options
+        if options.certify:
+            if screen is None:
+                screen = self._certify_record(prop)
+            if screen is not None:
+                static = (
+                    self._certified_static_prove(prop, screen, start)
+                    if options.static_prescreen else None
+                )
+                return static, screen
+        return self._static_prove(prop, precomputed_bounds, start, screen)
 
     def _prove(
         self,
         prop: SafetyProperty,
         precomputed_bounds: Optional[List[LayerBounds]],
+        screen: Optional["SymbolicScreen"],
     ) -> VerificationResult:
         start = time.monotonic()
-        static = self.prescreen(prop, precomputed_bounds)
+        static, screen = self.prescreen(prop, precomputed_bounds, screen)
         if static is not None:
             return static
-        record = self._prescreen_record
         driver = self._split_driver(prop.region)
         if driver is not None:
-            return driver.prove(prop, start=start)
+            return driver.prove(prop, start=start, root=screen)
+        record = screen if self.encoder_options.certify else None
         if record is not None:
             # Encode with the chain's bounds, which the checker
             # re-derives; the search is the uncertified one.
@@ -655,6 +694,7 @@ class Verifier:
             self.encoder_options,
             precomputed_bounds=precomputed_bounds,
             tracer=self.tracer,
+            seed_bounds=None if screen is None else screen.bounds,
         )
         attach_violation_constraint(encoded, prop.objective, prop.threshold)
         attach_objective(encoded, prop.objective, maximize=True)

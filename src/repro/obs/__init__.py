@@ -10,15 +10,17 @@ The contract with the hot paths: everything here is **zero-cost when
 disabled** — callers default to :data:`NULL_TRACER`, whose spans and
 events are shared no-ops, and guard per-node event emission behind one
 ``is not None`` check.
+
+The bench-history and trace-summary names re-export lazily (PEP 562),
+as in :mod:`repro.core`: a process that only proves never loads
+:mod:`repro.obs.bench` or :mod:`repro.obs.summarize`.
 """
 
-from repro.obs.bench import (
-    HISTORY_SCHEMA,
-    compare,
-    load_history,
-    record_run,
-    render_report,
-)
+from __future__ import annotations
+
+import importlib
+from typing import TYPE_CHECKING, Any, Dict, List
+
 from repro.obs.logconfig import configure_logging, get_logger
 from repro.obs.metrics import (
     Counter,
@@ -30,16 +32,6 @@ from repro.obs.metrics import (
     render_quantiles,
 )
 from repro.obs.sinks import ConsoleSink, JsonlSink, RingBufferSink, Sink
-from repro.obs.summarize import (
-    PHASES,
-    TraceSummary,
-    build_search_tree,
-    load_trace,
-    render_summary,
-    summarize_trace,
-    tree_to_dot,
-    tree_to_json,
-)
 from repro.obs.trace import (
     NULL_TRACER,
     NullTracer,
@@ -48,6 +40,41 @@ from repro.obs.trace import (
     as_tracer,
     new_run_id,
 )
+
+if TYPE_CHECKING:  # pragma: no cover - static-analysis imports only
+    from repro.obs.bench import (  # noqa: F401
+        HISTORY_SCHEMA,
+        compare,
+        load_history,
+        record_run,
+        render_report,
+    )
+    from repro.obs.summarize import (  # noqa: F401
+        PHASES,
+        TraceSummary,
+        build_search_tree,
+        load_trace,
+        render_summary,
+        summarize_trace,
+        tree_to_dot,
+        tree_to_json,
+    )
+
+#: Lazily re-exported submodule -> the names it defines.
+_LAZY: Dict[str, List[str]] = {
+    "bench": [
+        "HISTORY_SCHEMA", "compare", "load_history", "record_run",
+        "render_report",
+    ],
+    "summarize": [
+        "PHASES", "TraceSummary", "build_search_tree", "load_trace",
+        "render_summary", "summarize_trace", "tree_to_dot", "tree_to_json",
+    ],
+}
+
+_NAME_TO_MODULE = {
+    name: module for module, names in _LAZY.items() for name in names
+}
 
 __all__ = [
     "ConsoleSink",
@@ -83,3 +110,14 @@ __all__ = [
     "tree_to_dot",
     "tree_to_json",
 ]
+
+
+def __getattr__(name: str) -> Any:
+    if name in _NAME_TO_MODULE:
+        module = importlib.import_module(f"repro.obs.{_NAME_TO_MODULE[name]}")
+        return getattr(module, name)
+    raise AttributeError(f"module 'repro.obs' has no attribute {name!r}")
+
+
+def __dir__() -> List[str]:
+    return sorted(set(globals()) | set(__all__))

@@ -6,11 +6,16 @@ symbolic engine and the MILP stack, because it runs inside the prover.
 
 Two jobs:
 
-* :func:`record_chain` re-runs the fixed-policy symbolic propagation
-  while capturing, per (target layer, ReLU layer) pair, exactly the
-  relaxation slopes the winning policy used — the chord upper line plus
-  the per-row lower slopes — so the checker can replay every claimed
-  bound without knowing anything about the policy search.
+* :func:`record_chain` runs the fixed-policy symbolic prescreen
+  (:func:`repro.analysis.symbolic.symbolic_screen`) and keeps, per
+  (target layer, ReLU layer) pair, which policy won each row — enough
+  to rebuild exactly the relaxation slopes it used, the chord upper
+  line plus the per-row lower slopes — so the checker can replay every
+  claimed bound without knowing anything about the policy search.  The
+  evidence is lazy: a :class:`ChainRecord` is a picklable record of
+  arrays, bounded once per box and handed from the prescreen to the
+  bisection plan and the MILP shards, and it serializes its JSON
+  ``chain`` only when a certificate embeds it.
 
 * :func:`assemble_milp_certificate` converts a branch-and-bound proof
   record (leaf literals + per-leaf standardized dual rays) into the
@@ -30,15 +35,12 @@ import numpy as np
 
 from repro.analysis.audit import AuditReport
 from repro.analysis.symbolic import (
-    POLICIES,
-    _check_supported,
+    SymbolicScreen,
     _objective_row,
-    _objective_seed,
-    _policy_backsubstitute,
-    _post_box,
     _SlopeCache,
+    symbolic_screen,
 )
-from repro.core.bounds import LayerBounds, _interval_affine
+from repro.core.bounds import LayerBounds
 from repro.proof import check as _check
 from repro.proof.certificate import (
     KIND_MILP,
@@ -58,20 +60,32 @@ __all__ = [
 
 
 @dataclasses.dataclass
-class ChainRecord:
-    """Fixed-policy bounds plus the serialized evidence behind them."""
+class ChainRecord(SymbolicScreen):
+    """Fixed-policy bounds plus the evidence behind them.
 
-    bounds: List[LayerBounds]
-    chain: Dict[str, Any]
-    objective_lower: Optional[float] = None
-    objective_upper: Optional[float] = None
+    The evidence is kept as arrays (the winning policy per row and
+    side, see :class:`~repro.analysis.symbolic.SymbolicScreen`); the
+    serialized ``chain`` a certificate embeds is built on first access
+    and then kept.  Most records never reach a certificate — a split
+    node that is bisected further, or a query that is falsified — so
+    they never pay for it.
+    """
+
+    _chain: Optional[Dict[str, Any]] = dataclasses.field(
+        default=None, repr=False, compare=False
+    )
+
+    @property
+    def chain(self) -> Dict[str, Any]:
+        if self._chain is None:
+            self._chain = _serialize_chain(self)
+        return self._chain
 
 
 def _relax_payload(
-    network: Any,
+    record: ChainRecord,
     slopes: _SlopeCache,
-    per_lo: np.ndarray,
-    per_hi: np.ndarray,
+    winners: Tuple[np.ndarray, np.ndarray],
     start: int,
 ) -> Dict[str, Dict[str, Any]]:
     """Winning-policy slope matrices for every ReLU layer up to ``start``.
@@ -80,16 +94,13 @@ def _relax_payload(
     slope vectors of its winning policy reproduces the best bound for
     that row exactly.
     """
-    win_lo = per_lo.argmax(axis=0)
-    win_hi = per_hi.argmin(axis=0)
+    win_lo, win_hi = winners
     relax: Dict[str, Dict[str, Any]] = {}
     for k in range(start + 1):
-        if network.layers[k].activation != "relu":
+        if record.activations[k] != "relu":
             continue
         up_slope, up_icept = slopes.upper(k)
-        stack = np.stack(
-            [slopes.lower(k, policy) for policy in POLICIES]
-        )
+        stack = slopes.lower(k)[:, 0]
         relax[str(k)] = {
             "up_slope": up_slope.tolist(),
             "up_icept": up_icept.tolist(),
@@ -97,6 +108,36 @@ def _relax_payload(
             "up_lower": stack[win_hi].tolist(),
         }
     return relax
+
+
+def _serialize_chain(record: ChainRecord) -> Dict[str, Any]:
+    """The certificate's ``chain`` payload from a record's arrays."""
+    slopes = _SlopeCache(record.bounds)
+    layers: List[Dict[str, Any]] = []
+    for index, (bounds, winners) in enumerate(
+        zip(record.bounds, record.winners)
+    ):
+        entry: Dict[str, Any] = {
+            "lower": bounds.lower.tolist(), "upper": bounds.upper.tolist(),
+        }
+        if winners is not None:  # layer 0's interval image is exact
+            entry["relax"] = _relax_payload(
+                record, slopes, winners, index - 1
+            )
+        layers.append(entry)
+    chain: Dict[str, Any] = {"layers": layers}
+    if record.objective_upper is not None:
+        objective: Dict[str, Any] = {
+            "lower": record.objective_lower,
+            "upper": record.objective_upper,
+        }
+        winners = record.winners[len(record.bounds)]
+        if winners is not None:
+            objective["relax"] = _relax_payload(
+                record, slopes, winners, len(record.bounds) - 2
+            )
+        chain["objective"] = objective
+    return chain
 
 
 def record_chain(
@@ -108,75 +149,12 @@ def record_chain(
 
     Produces the same numbers as
     :func:`repro.analysis.symbolic.symbolic_bounds` (and
-    ``symbolic_objective_bounds`` for the objective), but records the
-    relaxation slopes actually used so the result is checkable.
+    ``symbolic_objective_bounds`` for the objective) — it is
+    :func:`~repro.analysis.symbolic.symbolic_screen` — and keeps the
+    relaxation slopes actually used, so the result is checkable.
     """
-    _check_supported(network, region)
-    input_lo = region.bounds[:, 0].copy()
-    input_hi = region.bounds[:, 1].copy()
-    input_box = (input_lo, input_hi)
-
-    computed: List[LayerBounds] = []
-    post_boxes: List[Tuple[np.ndarray, np.ndarray]] = []
-    slopes = _SlopeCache(computed)
-    chain_layers: List[Dict[str, Any]] = []
-    for index, layer in enumerate(network.layers):
-        if index == 0:
-            lo, hi = _interval_affine(
-                input_lo, input_hi, layer.weights, layer.bias
-            )
-            entry: Dict[str, Any] = {
-                "lower": lo.tolist(), "upper": hi.tolist(),
-            }
-        else:
-            lo, hi, per_lo, per_hi = _policy_backsubstitute(
-                network, slopes, post_boxes, input_box,
-                layer.weights.T, layer.bias, start=index - 1,
-            )
-            entry = {
-                "lower": lo.tolist(),
-                "upper": hi.tolist(),
-                "relax": _relax_payload(
-                    network, slopes, per_lo, per_hi, index - 1
-                ),
-            }
-        bounds = LayerBounds(lo, hi)
-        computed.append(bounds)
-        post_boxes.append(_post_box(bounds, layer.activation))
-        chain_layers.append(entry)
-
-    chain: Dict[str, Any] = {"layers": chain_layers}
-    obj_lo: Optional[float] = None
-    obj_hi: Optional[float] = None
-    if objective_coefficients is not None:
-        row = _objective_row(network, objective_coefficients)
-        seed, seed_bias = _objective_seed(network, row[np.newaxis, :])
-        if len(network.layers) == 1:
-            lo_arr = seed_bias + (
-                np.maximum(seed, 0.0) @ input_lo
-                + np.minimum(seed, 0.0) @ input_hi
-            )
-            hi_arr = seed_bias + (
-                np.maximum(seed, 0.0) @ input_hi
-                + np.minimum(seed, 0.0) @ input_lo
-            )
-            obj_lo, obj_hi = float(lo_arr[0]), float(hi_arr[0])
-            chain["objective"] = {"lower": obj_lo, "upper": obj_hi}
-        else:
-            start = len(network.layers) - 2
-            lo_b, hi_b, per_lo, per_hi = _policy_backsubstitute(
-                network, slopes, post_boxes, input_box, seed,
-                seed_bias, start=start,
-            )
-            obj_lo, obj_hi = float(lo_b[0]), float(hi_b[0])
-            chain["objective"] = {
-                "lower": obj_lo,
-                "upper": obj_hi,
-                "relax": _relax_payload(
-                    network, slopes, per_lo, per_hi, start
-                ),
-            }
-    return ChainRecord(computed, chain, obj_lo, obj_hi)
+    screen = symbolic_screen(network, region, objective_coefficients)
+    return ChainRecord(**vars(screen))
 
 
 def assemble_static_certificate(

@@ -288,7 +288,7 @@ class TestPlanPruning:
             tiny_net, split_options(split_depth=5),
             MILPOptions(time_limit=60.0),
         )
-        lo, _, _, _ = driver._prescreen(region, objective)
+        lo, _, _ = driver._prescreen(region, objective)
         plan = driver.plan(region, objective, threshold=lo - 1e3)
         assert plan.explored == 1
         assert plan.stalled == 1
@@ -308,8 +308,8 @@ class TestPlanPruning:
         # one child prunes immediately, so the gate must descend even
         # when the measured tightening alone looks insufficient.
         region = unit_region(tiny_net.input_dim)
-        _, hi, bounds, _ = driver._prescreen(region, objective)
-        dim = driver._split_dim(region, objective, bounds)
+        _, hi, screen = driver._prescreen(region, objective)
+        dim = driver._split_dim(region, screen.sensitivity)
         child_his = sorted(
             driver._prescreen(half, objective)[1]
             for half in region.bisect(dim)

@@ -9,7 +9,7 @@ family — are built once per session and shared by every bench.
 Benchmarks additionally publish machine-readable results: any test can
 take the ``bench_record`` fixture and append records grouped by kind;
 at session end each kind is written to ``BENCH_<kind>.json`` in the
-repository root (``BENCH_campaign.json``, ``BENCH_milp.json``).  The
+repository root (``BENCH_campaign.json``, ``BENCH_split.json``, ...).  The
 schema is documented in EXPERIMENTS.md.
 """
 

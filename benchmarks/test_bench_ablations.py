@@ -1,12 +1,9 @@
-"""Ablation benches for the verifier's design choices (DESIGN.md Sec. 5).
+"""Ablation bench for the verifier's bound tightening (DESIGN.md Sec. 5).
 
-1. bound tightening: LP-tightened vs symbolic vs plain interval bounds —
-   binary count and end-to-end verification time;
-2. LP backend: from-scratch revised simplex vs HiGHS inside
-   branch-and-bound — identical answers, different cost.
+LP-tightened vs symbolic vs plain interval bounds — binary count and
+end-to-end verification time.
 """
 
-import numpy as np
 import pytest
 
 from repro import casestudy
@@ -17,7 +14,6 @@ from repro.core.properties import OutputObjective
 from repro.core.verifier import Verdict, Verifier
 from repro.milp import MILPOptions
 from repro.nn.mdn import mu_lat_indices
-from repro.report import render_generic
 
 from conftest import TABLE_II_WIDTHS, TIME_LIMIT
 
@@ -93,86 +89,4 @@ class TestBoundTighteningAblation:
             rounds=1, iterations=1,
         )
         assert len(bounds) == len(network.layers)
-
-
-class TestLPBackendAblation:
-    def test_bench_backend_table(self, benchmark, subject, study, emit):
-        """Regenerates the backend-ablation table under --benchmark-only."""
-        network, region = subject
-        objective = OutputObjective.single(
-            mu_lat_indices(study.config.num_components)[0]
-        )
-
-        def run_both():
-            rows = []
-            for backend in ("highs", "revised"):
-                verifier = Verifier(
-                    network,
-                    EncoderOptions(bound_mode="lp"),
-                    MILPOptions(
-                        time_limit=TIME_LIMIT, lp_backend=backend
-                    ),
-                )
-                result = verifier.maximize(region, objective)
-                rows.append(
-                    [
-                        backend,
-                        result.verdict.value,
-                        f"{result.value:.5f}"
-                        if result.verdict is Verdict.MAX_FOUND
-                        else "-",
-                        f"{result.wall_time:.2f}s",
-                    ]
-                )
-            return rows
-
-        rows = benchmark.pedantic(run_both, rounds=1, iterations=1)
-        emit(
-            "\n"
-            + render_generic(
-                ["backend", "verdict", "max", "time"],
-                rows,
-                title="LP backend ablation",
-            )
-        )
-
-    def test_backends_agree_end_to_end(self, subject, study):
-        network, region = subject
-        objective = OutputObjective.single(
-            mu_lat_indices(study.config.num_components)[0]
-        )
-        rows = []
-        values = {}
-        for backend in ("highs", "revised"):
-            verifier = Verifier(
-                network,
-                EncoderOptions(bound_mode="lp"),
-                MILPOptions(time_limit=TIME_LIMIT, lp_backend=backend),
-            )
-            result = verifier.maximize(region, objective)
-            rows.append(
-                [
-                    backend,
-                    result.verdict.value,
-                    f"{result.value:.5f}"
-                    if result.verdict is Verdict.MAX_FOUND
-                    else "-",
-                    f"{result.wall_time:.2f}s",
-                    str(result.nodes),
-                ]
-            )
-            if result.verdict is Verdict.MAX_FOUND:
-                values[backend] = result.value
-        print()
-        print(
-            render_generic(
-                ["backend", "verdict", "max", "time", "nodes"],
-                rows,
-                title="LP backend ablation",
-            )
-        )
-        if len(values) == 2:
-            assert values["highs"] == pytest.approx(
-                values["revised"], abs=1e-4
-            )
 

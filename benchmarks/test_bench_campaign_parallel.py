@@ -103,14 +103,12 @@ class TestCampaignParallelBench:
             jobs=1, wall_time=serial_wall,
             cell_time=serial.total_cell_time,
             lp_iterations=serial.total_lp_iterations,
-            warm_start_hit_rate=serial.warm_start_hit_rate,
         )
         bench_record(
             "campaign", "matrix_parallel",
             jobs=PARALLEL_JOBS, wall_time=parallel_wall,
             cell_time=parallel.total_cell_time,
             lp_iterations=parallel.total_lp_iterations,
-            warm_start_hit_rate=parallel.warm_start_hit_rate,
             speedup=ratio,
         )
         emit("")

@@ -300,7 +300,6 @@ def verify_network(
     region: Optional[InputRegion] = None,
     jobs: Optional[int] = None,
     tracer=None,
-    lp_backend: str = "highs",
     alpha_iters: Optional[int] = None,
     split: bool = False,
     split_depth: Optional[int] = None,
@@ -311,10 +310,9 @@ def verify_network(
     The row is :func:`run_table_ii` over this one network: ``jobs``
     fans the per-component max queries out over a campaign worker pool
     (``None``/``1`` run them in process), and ``tracer`` turns on phase
-    spans and solver events either way.  ``lp_backend`` selects the
-    node-LP engine (see :class:`repro.milp.MILPOptions`).
-    ``alpha_iters`` tunes the ``bound_mode="alpha"`` optimiser (``None``
-    keeps the default).  ``split`` turns on input-region bisection
+    spans and solver events either way.  ``alpha_iters`` tunes the
+    ``bound_mode="alpha"`` optimiser (``None`` keeps the default).
+    ``split`` turns on input-region bisection
     (:mod:`repro.analysis.split`), with ``split_depth`` /
     ``split_min_width`` overriding its limits.
     """
@@ -326,7 +324,6 @@ def verify_network(
         bound_mode=bound_mode,
         region=region or operational_region(study, max_gap=max_gap),
         tracer=tracer,
-        lp_backend=lp_backend,
         alpha_iters=alpha_iters,
         split=split,
         split_depth=split_depth,
@@ -343,7 +340,6 @@ def table_ii_campaign(
     jobs: Optional[int] = None,
     cell_time_limit: Optional[float] = None,
     threshold: Optional[float] = None,
-    lp_backend: str = "highs",
     alpha_iters: Optional[int] = None,
     split: bool = False,
     split_depth: Optional[int] = None,
@@ -366,7 +362,7 @@ def table_ii_campaign(
             bound_mode, alpha_iters, split, split_depth,
             split_min_width, certify,
         ),
-        MILPOptions(time_limit=time_limit, lp_backend=lp_backend),
+        MILPOptions(time_limit=time_limit),
         jobs=jobs,
         cell_time_limit=cell_time_limit,
     )
@@ -453,7 +449,6 @@ def run_table_ii(
     region: Optional[InputRegion] = None,
     progress: Optional["ProgressHook"] = None,
     tracer=None,
-    lp_backend: str = "highs",
     alpha_iters: Optional[int] = None,
     split: bool = False,
     split_depth: Optional[int] = None,
@@ -473,7 +468,6 @@ def run_table_ii(
         region=region,
         jobs=jobs,
         cell_time_limit=cell_time_limit,
-        lp_backend=lp_backend,
         alpha_iters=alpha_iters,
         split=split,
         split_depth=split_depth,

@@ -46,7 +46,7 @@ from repro.highway import (
     generate_expert_dataset,
     overtaking_scene,
 )
-from repro.milp.branch_and_bound import LP_BACKENDS, MILPOptions
+from repro.milp.branch_and_bound import MILPOptions
 from repro.nn.mdn import mixture_from_raw
 from repro.nn.serialization import load_network, save_network
 from repro.nn.training import TrainingConfig
@@ -66,11 +66,6 @@ def _add_solver_args(parser: argparse.ArgumentParser) -> None:
         "--alpha-iters", type=int, default=None, metavar="N",
         help="projected-gradient iterations for --bound-mode alpha "
         "(default: engine default)",
-    )
-    parser.add_argument(
-        "--lp-backend", default="highs",
-        choices=LP_BACKENDS,
-        help="LP engine for node relaxations (certified proofs too)",
     )
 
 
@@ -445,7 +440,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             bound_mode=args.bound_mode,
             jobs=args.jobs if args.jobs != 1 else None,
             tracer=tracer,
-            lp_backend=args.lp_backend,
             alpha_iters=args.alpha_iters,
             split=args.split,
             split_depth=args.split_depth,
@@ -471,9 +465,7 @@ def _cmd_verify(args: argparse.Namespace) -> int:
                     args.split, args.split_depth, args.split_min_width,
                     certify=args.certify,
                 ),
-                MILPOptions(
-                    time_limit=args.time_limit, lp_backend=args.lp_backend
-                ),
+                MILPOptions(time_limit=args.time_limit),
                 tracer=tracer,
             )
             results = [
@@ -544,7 +536,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cell_time_limit=args.cell_budget,
         threshold=args.threshold,
-        lp_backend=args.lp_backend,
         alpha_iters=args.alpha_iters,
         split=args.split,
         split_depth=args.split_depth,

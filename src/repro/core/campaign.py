@@ -208,25 +208,6 @@ class CampaignReport:
         return sum(c.result.lp_iterations for c in self.cells)
 
     @property
-    def total_lp_iterations_saved(self) -> int:
-        """Estimated iterations avoided by basis-reuse warm starts."""
-        return sum(c.result.lp_iterations_saved for c in self.cells)
-
-    @property
-    def total_basis_rejections(self) -> int:
-        """Warm starts rejected (fell back to a cold node solve)."""
-        return sum(c.result.basis_rejections for c in self.cells)
-
-    @property
-    def warm_start_hit_rate(self) -> float:
-        """Campaign-wide warm-start hit rate (0.0 when never attempted)."""
-        attempts = sum(c.result.warm_start_attempts for c in self.cells)
-        if attempts == 0:
-            return 0.0
-        hits = sum(c.result.warm_start_hits for c in self.cells)
-        return hits / attempts
-
-    @property
     def total_alpha_iters(self) -> int:
         """Alpha-optimiser iterations across shared bounds and cells."""
         return self.bounds_alpha_iters + sum(
@@ -365,15 +346,6 @@ class CampaignReport:
                 f"region bisection: {self.split_proofs} sub-region"
                 f"{'s' if self.split_proofs != 1 else ''} pruned "
                 f"statically, {self.split_cells} solved by the MILP"
-            )
-        attempts = sum(c.result.warm_start_attempts for c in self.cells)
-        if attempts:
-            lines.append(
-                f"node LPs: {self.total_lp_iterations} simplex iterations; "
-                f"warm-start hit rate {self.warm_start_hit_rate:.0%} "
-                f"({attempts} attempts, "
-                f"{self.total_basis_rejections} rejected), "
-                f"~{self.total_lp_iterations_saved} iterations saved"
             )
         if self.total_alpha_iters:
             lines.append(

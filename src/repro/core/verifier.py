@@ -92,9 +92,8 @@ class VerificationResult:
     #: no MILP was ever built — see
     #: :func:`repro.analysis.symbolic.symbolic_objective_bounds`).
     solver: str = "milp"
-    #: Solver-telemetry snapshot threaded up from ``MILPResult.metrics``
-    #: (warm-start accounting and future instruments); the historical
-    #: attribute names below read from this mapping.
+    #: Telemetry snapshot (alpha-optimiser and split-driver counters);
+    #: the properties below read from this mapping.
     metrics: Dict[str, float] = dataclasses.field(default_factory=dict)
     #: Independent proof certificate (a ``repro-proof/1`` payload, see
     #: :mod:`repro.proof`) attached to VERIFIED verdicts when the query
@@ -112,29 +111,6 @@ class VerificationResult:
     def certified(self) -> bool:
         """True when a checker-accepted certificate is attached."""
         return self.certificate is not None
-
-    @property
-    def warm_start_attempts(self) -> int:
-        return int(self.metrics.get("warm_start_attempts", 0))
-
-    @property
-    def warm_start_hits(self) -> int:
-        return int(self.metrics.get("warm_start_hits", 0))
-
-    @property
-    def basis_rejections(self) -> int:
-        return int(self.metrics.get("basis_rejections", 0))
-
-    @property
-    def lp_iterations_saved(self) -> int:
-        return int(self.metrics.get("lp_iterations_saved", 0))
-
-    @property
-    def warm_start_hit_rate(self) -> float:
-        """Fraction of node LPs that reused the parent basis (0 if none)."""
-        if self.warm_start_attempts == 0:
-            return 0.0
-        return self.warm_start_hits / self.warm_start_attempts
 
     @property
     def alpha_iters(self) -> int:
@@ -182,7 +158,7 @@ def verdict_fingerprint(
     Two queries share a fingerprint iff they would run the exact same
     decision procedure: same network parameters, same region geometry,
     same objective functional, same kind/threshold and the same encoder
-    and MILP options (a different time limit or backend can change
+    and MILP options (a different time or node limit can change
     the verdict, so every option field participates).  This is the key
     of the cross-campaign verdict cache: repeated queries on the same
     cell cost one lookup instead of one solve.
@@ -298,14 +274,12 @@ def _lp_telemetry(result, bounds=None) -> dict:
     """Solver telemetry threaded from a MILPResult into a result.
 
     ``bounds`` may carry alpha-optimiser telemetry (an
-    :class:`repro.analysis.symbolic.AlphaBoundsList`); it is merged in
+    :class:`repro.analysis.symbolic.AlphaBoundsList`); it is recorded
     only when the query computed those bounds itself — shared
     precomputed bounds are attributed where they were computed.
     """
-    metrics = dict(result.metrics)
     stats = getattr(bounds, "alpha_stats", None)
-    if stats is not None:
-        merge_metrics(metrics, stats.as_metrics())
+    metrics = {} if stats is None else stats.as_metrics()
     return {
         "lp_iterations": result.lp_iterations,
         "metrics": metrics,
@@ -409,8 +383,7 @@ class Verifier:
         attach_objective(encoded, objective, maximize=True)
         own_bounds = encoded.bounds if precomputed_bounds is None else None
         with self.tracer.span(
-            "solve", backend=self.milp_options.lp_backend,
-            binaries=encoded.num_binaries,
+            "solve", binaries=encoded.num_binaries,
         ):
             result = solve_milp(
                 encoded.model, self.milp_options, tracer=self.tracer
@@ -700,8 +673,7 @@ class Verifier:
         attach_objective(encoded, prop.objective, maximize=True)
         own_bounds = encoded.bounds if precomputed_bounds is None else None
         with self.tracer.span(
-            "solve", backend=self.milp_options.lp_backend,
-            binaries=encoded.num_binaries,
+            "solve", binaries=encoded.num_binaries,
         ):
             result = solve_milp(
                 encoded.model, self.milp_options, tracer=self.tracer

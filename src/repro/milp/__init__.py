@@ -6,20 +6,14 @@ solver stack for that encoding:
 
 * :mod:`repro.milp.expr` / :mod:`repro.milp.model` — algebraic modelling
   layer (variables, linear expressions, constraints, objective);
-* :mod:`repro.milp.revised_simplex` — bounded-variable revised simplex,
-  written from scratch, with dual-simplex warm starting from a
-  caller-supplied basis (the pure-Python oracle);
-* :mod:`repro.milp.scipy_backend` — HiGHS LP backend with the same contract,
-  plus a persistent session that re-solves one LP warm after edits (the
-  default path and the cross-check oracle);
+* :mod:`repro.milp.scipy_backend` — the LP engine: a persistent HiGHS
+  session that re-solves one LP warm after cost, bound and size edits;
 * :mod:`repro.milp.branch_and_bound` — best-first/plunging MILP search with
-  pseudocost branching, basis-reuse warm starts, a rounding heuristic,
-  node/time budgets, proven dual bounds and a leaf-cover infeasibility
-  proof on every run.
+  pseudocost branching, a rounding heuristic, node/time budgets, proven
+  dual bounds and a leaf-cover infeasibility proof on every run.
 """
 
 from repro.milp.branch_and_bound import MILPOptions, solve_milp
-from repro.milp.revised_simplex import Basis, StandardLP
 from repro.milp.io import model_to_lp, write_lp
 from repro.milp.expr import (
     Constraint,
@@ -34,8 +28,6 @@ from repro.milp.solution import LPResult, MILPResult
 from repro.milp.status import SolveStatus
 
 __all__ = [
-    "Basis",
-    "StandardLP",
     "Constraint",
     "ConstraintOp",
     "LinExpr",

@@ -1,14 +1,13 @@
-"""Branch-and-bound for mixed-integer linear programs, warm-started.
+"""Branch-and-bound for mixed-integer linear programs.
 
 The engine is classical in shape — LP relaxation per node, pruning by
 bound, an LP-rounding primal heuristic — but the node loop is built for
 reoptimisation speed:
 
-* with the ``"revised"`` LP backend the model is standardised/densified
-  **once** at the root; every node carries its parent's optimal
-  :class:`~repro.milp.revised_simplex.Basis` and the child LP is solved by
-  **dual-simplex reoptimisation** after the single bound change, falling
-  back to a cold solve only when the warm start is rejected;
+* every node LP runs on one persistent HiGHS model
+  (:class:`~repro.milp.scipy_backend.HighsSession`): a node only resets
+  the column box, and HiGHS re-solves from the basis its previous node
+  left behind;
 * **pseudocost branching** learns per-column objective degradations
   from every solved child and steers branching toward columns that move
   the bound, falling back to the most fractional column until the first
@@ -21,14 +20,11 @@ Wall-clock and node budgets make ``time-out`` a first-class answer,
 matching the paper's Table II where the widest network exhausts its
 budget.  A node LP that fails numerically, or an integral LP point the
 model's feasibility check rejects, ends the search as ``error``: such a
-node is never pruned as if it were infeasible.  Warm-start telemetry
-(attempts, hits, rejections, estimated iterations saved) is recorded in a
-:class:`repro.obs.metrics.MetricsRegistry` and snapshotted onto every
-:class:`MILPResult`; with a :class:`repro.obs.Tracer` attached the
-search additionally emits one ``node`` event per processed node (depth,
-branch variable, LP iterations, warm-start hit/miss, bound) — enough to
-reconstruct the search tree — guarded by a single ``if`` so disabled
-tracing costs nothing on the hot loop.
+node is never pruned as if it were infeasible.  With a
+:class:`repro.obs.Tracer` attached the search emits one ``node`` event
+per processed node (depth, branch variable, LP iterations, bound) —
+enough to reconstruct the search tree — guarded by a single ``if`` so
+disabled tracing costs nothing on the hot loop.
 """
 
 from __future__ import annotations
@@ -45,13 +41,9 @@ import numpy as np
 from repro.milp.expr import Sense
 from repro.milp.model import Model
 from repro.tolerances import GAP_TOL, INTEGRALITY_TOL
-from repro.milp import revised_simplex, scipy_backend
+from repro.milp import scipy_backend
 from repro.milp.solution import LPResult, MILPResult
 from repro.milp.status import SolveStatus
-from repro.obs.metrics import MetricsRegistry
-
-#: Every accepted ``MILPOptions.lp_backend``.
-LP_BACKENDS = ("highs", "revised")
 
 
 @dataclasses.dataclass
@@ -59,14 +51,8 @@ class MILPOptions:
     """Tunables for :func:`solve_milp`.
 
     Attributes:
-        lp_backend: ``"highs"`` (SciPy's compiled HiGHS, one persistent
-            model per search re-solved warm at each node) or
-            ``"revised"`` (bounded-variable revised simplex with
-            basis-reuse warm starts).
         time_limit: Wall-clock budget in seconds.
         node_limit: Maximum branch-and-bound nodes to process.
-        warm_start: Reuse the parent basis at child nodes (only effective
-            with a warm-capable backend; see ``lp_backend``).
 
     There is no switch for certification: the search reads the model
     exactly as given and always records a leaf-cover infeasibility
@@ -74,10 +60,8 @@ class MILPOptions:
     and uncertified queries run the same search.
     """
 
-    lp_backend: str = "highs"
     time_limit: float = math.inf
     node_limit: int = 200000
-    warm_start: bool = True
 
 
 @dataclasses.dataclass(order=True)
@@ -89,8 +73,6 @@ class _Node:
     depth: int = dataclasses.field(compare=False, default=0)
     #: Parent node's tiebreak id (-1 at the root) — tree telemetry only.
     parent: int = dataclasses.field(compare=False, default=-1)
-    #: Parent's optimal basis — the warm-start seed for this node's LP.
-    basis: Optional[object] = dataclasses.field(compare=False, default=None)
     #: Column branched on to create this node (-1 at the root).
     branch_var: int = dataclasses.field(compare=False, default=-1)
     #: Down (-1) or up (+1) child of the branching.
@@ -187,43 +169,17 @@ class _Search:
         self.int_idx = np.array(model.integer_indices, dtype=int)
         self.root_lb = np.array([b[0] for b in bounds])
         self.root_ub = np.array([b[1] for b in bounds])
-        revised = options.lp_backend == "revised"
-        self.warm = options.warm_start and revised
-        self.std: Optional[revised_simplex.StandardLP] = (
-            revised_simplex.standardize(
-                self.c, A_ub, b_ub, A_eq, b_eq, bounds
-            )
-            if revised
-            else None
-        )
-        #: The ``"highs"`` backend keeps one compiled model for the whole
-        #: search; each node only resets the column box, and HiGHS
-        #: re-solves from the basis its previous node left behind.
-        self.session: Optional[scipy_backend.HighsSession] = (
-            scipy_backend.HighsSession(
-                self.c, A_ub, b_ub, A_eq, b_eq, bounds
-            )
-            if options.lp_backend == "highs"
-            else None
+        #: One compiled model for the whole search; each node only
+        #: resets the column box, and HiGHS re-solves from the basis its
+        #: previous node left behind.
+        self.session = scipy_backend.HighsSession(
+            self.c, A_ub, b_ub, A_eq, b_eq, bounds
         )
         self.pseudocosts = _Pseudocosts(self.n)
         self.incumbent_x: Optional[np.ndarray] = None
         self.incumbent_obj = math.inf  # internal minimisation objective
         self.nodes = 0
         self.lp_iterations = 0
-        # Warm-start accounting lives in the metrics registry; the
-        # counter objects are cached so hot-loop increments stay O(1).
-        self.metrics = MetricsRegistry()
-        self.warm_attempts = self.metrics.counter("warm_start_attempts")
-        self.warm_hits = self.metrics.counter("warm_start_hits")
-        self.basis_rejections = self.metrics.counter("basis_rejections")
-        self.iterations_saved = self.metrics.counter(
-            "lp_iterations_saved"
-        )
-        #: Warm-start outcome of the most recent ``_node_lp`` call, for
-        #: per-node trace events ("hit" / "miss" / "cold" / "off").
-        self.last_warm = "off"
-        self.root_cold_iterations = 0
         self.counter = itertools.count()
         self.heap: List[_Node] = []
         self.dive_stack: List[_Node] = []
@@ -234,29 +190,6 @@ class _Search:
     # -- helpers -----------------------------------------------------------
     def _timed_out(self) -> bool:
         return time.monotonic() - self.start > self.options.time_limit
-
-    def _node_lp(self, node: _Node) -> LPResult:
-        """Solve a node's LP relaxation, warm-starting when possible."""
-        if self.warm and node.basis is not None:
-            self.warm_attempts.inc()
-            result = revised_simplex.reoptimize(
-                self.std, node.basis, node.lb, node.ub,
-                max_iter=max(500, 4 * self.root_cold_iterations),
-            )
-            if result is not None:
-                self.warm_hits.inc()
-                self.iterations_saved.inc(max(
-                    0, self.root_cold_iterations - result.iterations
-                ))
-                self.last_warm = "hit"
-                return result
-            self.basis_rejections.inc()
-            self.last_warm = "miss"
-        else:
-            self.last_warm = "cold" if self.warm else "off"
-        if self.std is not None:
-            return revised_simplex.cold_solve(self.std, node.lb, node.ub)
-        return self.session.solve(lb=node.lb, ub=node.ub)
 
     def _try_incumbent(self, x: np.ndarray) -> bool:
         """Adopt ``x`` as the incumbent if it is better and feasible;
@@ -346,7 +279,7 @@ class _Search:
                 result.objective, next(self.counter),
                 node.lb.copy(), down_ub, node.depth + 1,
                 parent=node.tiebreak,
-                basis=result.basis, branch_var=j, branch_dir=-1,
+                branch_var=j, branch_dir=-1,
                 branch_frac=frac, parent_obj=result.objective,
             ))
         up_lb = node.lb.copy()
@@ -356,7 +289,7 @@ class _Search:
                 result.objective, next(self.counter),
                 up_lb, node.ub.copy(), node.depth + 1,
                 parent=node.tiebreak,
-                basis=result.basis, branch_var=j, branch_dir=+1,
+                branch_var=j, branch_dir=+1,
                 branch_frac=frac, parent_obj=result.objective,
             ))
         if len(children) < 2:
@@ -392,7 +325,6 @@ class _Search:
             "branch_var": node.branch_var,
             "branch_dir": node.branch_dir,
             "lp_iterations": result.iterations,
-            "warm": self.last_warm,
             "status": result.status.value,
         }
         if result.status is SolveStatus.OPTIMAL:
@@ -408,9 +340,8 @@ class _Search:
         root_node = _Node(
             -math.inf, next(self.counter), self.root_lb, self.root_ub, 0
         )
-        root = self._node_lp(root_node)
+        root = self.session.solve(lb=self.root_lb, ub=self.root_ub)
         self.lp_iterations += root.iterations
-        self.root_cold_iterations = root.iterations
         if self.trace is not None:
             self._node_event(root_node, root)
         if root.status is SolveStatus.INFEASIBLE:
@@ -467,7 +398,7 @@ class _Search:
                     self.heap.clear()
                     break
             self.nodes += 1
-            result = self._node_lp(node)
+            result = self.session.solve(lb=node.lb, ub=node.ub)
             self.lp_iterations += result.iterations
             if self.trace is not None:  # sole tracing cost when disabled
                 self._node_event(node, result)
@@ -514,25 +445,23 @@ class _Search:
         best_open_bound: float,
     ) -> MILPResult:
         wall = time.monotonic() - self.start
-        metrics = self.metrics.snapshot()
         if self.trace is not None:
             self.trace.event(
                 "search_done", status=status.value, nodes=self.nodes,
-                lp_iterations=self.lp_iterations, **metrics,
+                lp_iterations=self.lp_iterations,
             )
         if status in (SolveStatus.INFEASIBLE, SolveStatus.UNBOUNDED,
                       SolveStatus.ERROR):
             return MILPResult(
                 status, nodes=self.nodes,
                 lp_iterations=self.lp_iterations, wall_time=wall,
-                metrics=metrics, proof=self._proof_payload(status),
+                proof=self._proof_payload(status),
             )
         if status is SolveStatus.OPTIMAL:
             if self.incumbent_x is None:
                 return MILPResult(
                     SolveStatus.INFEASIBLE, nodes=self.nodes,
                     lp_iterations=self.lp_iterations, wall_time=wall,
-                    metrics=metrics,
                     proof=self._proof_payload(SolveStatus.INFEASIBLE),
                 )
             best_bound_internal = self.incumbent_obj
@@ -554,7 +483,6 @@ class _Search:
             nodes=self.nodes,
             lp_iterations=self.lp_iterations,
             wall_time=wall,
-            metrics=metrics,
             proof=self._proof_payload(status),
         )
 
@@ -572,9 +500,4 @@ def solve_milp(
     telemetry; ``None`` keeps the node loop instrumentation-free.
     """
     options = options or MILPOptions()
-    if options.lp_backend not in LP_BACKENDS:
-        raise ValueError(
-            f"unknown lp_backend {options.lp_backend!r}; "
-            f"expected one of {LP_BACKENDS}"
-        )
     return _Search(model, options, time.monotonic(), tracer=tracer).run()

@@ -1,4 +1,4 @@
-"""LP backend on SciPy's compiled HiGHS bindings.
+"""The LP engine: SciPy's compiled HiGHS bindings.
 
 Branch-and-bound and LP bound tightening issue many LPs that share one
 constraint matrix and differ only in their objective or column box.
@@ -11,9 +11,9 @@ LP bound tightening also grows the model layer by layer:
 ``addCols``/``addRows``) and the basis carries over, so one model
 serves every layer of a network.  Both hand HiGHS compressed triplets
 built straight from the dense rows with ``np.nonzero``.
-:func:`solve_lp` is a one-shot session with the same signature as the
-pure-Python :func:`repro.milp.revised_simplex.solve_lp`, so the test
-suite cross-checks the two against each other.
+:func:`solve_lp` is a one-shot session with a plain
+``(c, A_ub, b_ub, A_eq, b_eq, bounds)`` signature, which the test suite
+cross-checks against an independent from-scratch simplex.
 
 The bindings (``scipy.optimize._highspy._core``, the same ones SciPy's
 own ``method="highs"`` LP solver drives) ship with SciPy 1.15 and later;
@@ -304,11 +304,6 @@ def solve_lp(
     A_eq: Optional[np.ndarray] = None,
     b_eq: Optional[np.ndarray] = None,
     bounds: Optional[Sequence[Tuple[float, float]]] = None,
-    max_iter: int = 0,
 ) -> LPResult:
-    """Minimise ``c @ x`` with HiGHS.  Same contract as the revised simplex.
-
-    ``max_iter`` is accepted for interface parity and ignored (HiGHS has its
-    own internal limits).
-    """
+    """Minimise ``c @ x`` with HiGHS in a one-shot session."""
     return HighsSession(c, A_ub, b_ub, A_eq, b_eq, bounds).solve()

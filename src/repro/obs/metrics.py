@@ -1,11 +1,12 @@
-"""Counters, gauges and histograms behind the solver telemetry.
+"""Counters, gauges and histograms behind the worker-pool telemetry.
 
-The branch-and-bound search records its warm-start accounting into a
-:class:`MetricsRegistry`; :meth:`MetricsRegistry.snapshot` flattens it to
-a plain ``{name: number}`` dict that rides on ``MILPResult.metrics`` /
-``VerificationResult.metrics`` (picklable, JSON-ready).  The historical
-attributes (``warm_start_attempts`` and friends) remain available as
-properties reading from that mapping.
+The campaign worker pool (:mod:`repro.core.pool`) records its job,
+respawn and verdict-cache counters and its job-latency histogram into a
+:class:`MetricsRegistry`; :meth:`MetricsRegistry.snapshot` flattens it
+to a plain ``{name: number}`` dict (picklable, JSON-ready).
+:func:`merge_metrics` folds such flat dicts together — the same shape
+``VerificationResult.metrics`` carries for the alpha-optimiser and
+split-driver counters.
 
 Instruments are plain Python objects with ``__slots__`` so incrementing
 one in a hot loop costs an attribute add, nothing more.  Histograms

@@ -256,7 +256,6 @@ def build_search_tree(
             "branch_var": attrs.get("branch_var", -1),
             "branch_dir": attrs.get("branch_dir", 0),
             "lp_iterations": attrs.get("lp_iterations", 0),
-            "warm": attrs.get("warm", "off"),
             "bound": attrs.get("bound"),
             "status": attrs.get("status", ""),
         })
@@ -281,9 +280,9 @@ def tree_to_json(tree: Dict[str, Any]) -> str:
 def tree_to_dot(tree: Dict[str, Any]) -> str:
     """The search tree as a Graphviz digraph.
 
-    Warm-start hits are filled green-ish, rejected/cold solves grey,
-    non-optimal (pruned) nodes red-ish; edges are labelled with the
-    branching decision that created the child.
+    Nodes whose LP solved to optimality are filled grey, non-optimal
+    (pruned) nodes red-ish; edges are labelled with the branching
+    decision that created the child.
     """
     lines = [
         "digraph search_tree {",
@@ -294,17 +293,14 @@ def tree_to_dot(tree: Dict[str, Any]) -> str:
         known.add(node["id"])
         bound = node.get("bound")
         bound_text = f"{bound:.4g}" if isinstance(bound, float) else "-"
-        warm = node.get("warm", "off")
         if node.get("status") not in ("optimal", ""):
             color = "mistyrose"
-        elif warm == "hit":
-            color = "darkseagreen1"
         else:
             color = "gray92"
         label = (
             f"n{node['node']} d{node['depth']}\\n"
             f"bound {bound_text}\\n"
-            f"{node['lp_iterations']} it ({warm})"
+            f"{node['lp_iterations']} it"
         )
         lines.append(
             f'  "{node["id"]}" [label="{label}", fillcolor={color}];'

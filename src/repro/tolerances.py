@@ -13,14 +13,11 @@ used three different ``1e-6``/``1e-9`` literals for the same feasibility
 question, and the bounds layer a fourth.  Add new tolerances here, not
 inline.
 
-The constants fall into three families:
+The constants fall into two families:
 
 * **semantic tolerances** (``FEASIBILITY_TOL``, ``INTEGRALITY_TOL``,
   ``GAP_TOL``, ``REGION_TOL``, ``BOUND_CROSS_TOL``) — decide what counts
   as feasible / integral / crossed;
-* **LP numerics** (``LP_FEAS_TOL``, ``LP_DUAL_TOL``, ``LP_PIVOT_TOL``)
-  — internal to the simplex engines, tighter than the semantic layer so
-  LP noise never flips a semantic decision;
 * **safety margins** (``BOUND_MARGIN``) — slack deliberately *added*
   (e.g. to big-M coefficients) rather than compared against.
 """
@@ -49,19 +46,6 @@ GAP_TOL = 1e-6
 #: runtime monitors.
 REGION_TOL = 1e-6
 
-#: Primal feasibility tolerance inside the simplex engines.
-LP_FEAS_TOL = 1e-7
-
-#: Reduced-cost (dual feasibility) tolerance inside the simplex engines.
-LP_DUAL_TOL = 1e-7
-
-#: Minimum acceptable pivot magnitude; smaller pivots destroy precision.
-LP_PIVOT_TOL = 1e-7
-
-#: Generic "this float is zero" threshold for coefficient screening
-#: (basis algebra).
-EPS = 1e-9
-
 #: Slack *added* to every certified big-M bound by the encoder so LP
 #: round-off can never make a genuinely feasible activation infeasible.
 BOUND_MARGIN = 1e-6
@@ -75,9 +59,9 @@ PROOF_REPLAY_TOL = 1e-6
 
 #: Minimum strict slack a Farkas certificate must exhibit
 #: (``lower_bound(yᵀA·x) > yᵀb`` by at least this much) before the
-#: checker accepts the claimed LP infeasibility.  Matches the simplex
-#: engines' ``LP_FEAS_TOL`` so the checker never accepts what the
-#: solver would call feasible.
+#: checker accepts the claimed LP infeasibility.  Matches HiGHS's
+#: default primal feasibility tolerance (1e-7) so the checker never
+#: accepts what the solver would call feasible.
 PROOF_FARKAS_TOL = 1e-7
 
 #: Dual-sign slack: a certificate dual multiplier on a ``<=`` row may be

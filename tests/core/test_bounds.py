@@ -13,10 +13,11 @@ from repro.core.bounds import (
 )
 from repro.core.properties import InputRegion
 from repro.errors import EncodingError
-from repro.milp import revised_simplex
 from repro.milp.solution import LPResult
 from repro.milp.status import SolveStatus
 from repro.nn import FeedForwardNetwork
+
+from ..oracles import revised_simplex
 
 
 def unit_region(dim):

@@ -345,13 +345,13 @@ class TestParallel:
             if not np.isnan(s.result.value):
                 assert p.result.value == pytest.approx(s.result.value)
 
-    def test_revised_parallel_reproduces_serial_bit_for_bit(self):
-        """jobs=2 on the revised backend reproduces the serial verdicts,
-        values and node counts exactly."""
+    def test_parallel_reproduces_serial_bit_for_bit(self):
+        """jobs=2 reproduces the serial verdicts, values and node counts
+        exactly."""
         def build():
             c = VerificationCampaign(
                 EncoderOptions(bound_mode="interval"),
-                MILPOptions(time_limit=60.0, lp_backend="revised"),
+                MILPOptions(time_limit=60.0),
             )
             for seed in (0, 1):
                 c.add_network(FeedForwardNetwork.mlp(

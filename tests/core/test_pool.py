@@ -110,7 +110,7 @@ def a_result(verdict=Verdict.MAX_FOUND, value=1.25):
         num_binaries=4,
         description="unit",
         lp_iterations=42,
-        metrics={"warm_start_hits": 3.0},
+        metrics={"alpha_iters": 3.0},
     )
 
 
@@ -142,10 +142,10 @@ class TestVerdictCache:
         cache.put("fp", a_result())
         first = cache.get("fp")
         first.counterexample[0] = 99.0
-        first.metrics["warm_start_hits"] = -1.0
+        first.metrics["alpha_iters"] = -1.0
         second = cache.get("fp")
         assert second.counterexample[0] == 0.1
-        assert second.metrics["warm_start_hits"] == 3.0
+        assert second.metrics["alpha_iters"] == 3.0
 
     def test_spill_reloads_across_instances(self, tmp_path):
         path = str(tmp_path / "verdicts.jsonl")
@@ -204,10 +204,8 @@ class TestVerdictFingerprint:
         dict(encoder_options=EncoderOptions(bound_mode="lp")),
         dict(encoder_options=EncoderOptions(bound_mode="alpha")),
         dict(milp_options=MILPOptions(time_limit=30.0)),
-        dict(milp_options=MILPOptions(time_limit=60.0, warm_start=False)),
-        dict(milp_options=MILPOptions(
-            time_limit=60.0, lp_backend="revised",
-        )),
+        dict(milp_options=MILPOptions(time_limit=60.0, node_limit=1000)),
+        dict(encoder_options=EncoderOptions(bound_mode="interval", certify=True)),
     ])
     def test_any_input_change_changes_fingerprint(self, change):
         assert self.base() != self.base(**change)

@@ -1,7 +1,6 @@
 """Tests for branch-and-bound: correctness vs brute force, budgets, options."""
 
 import itertools
-import math
 
 import numpy as np
 import pytest
@@ -18,7 +17,6 @@ from repro.milp import (
     Sense,
     SolveStatus,
     VarType,
-    revised_simplex,
     scipy_backend,
     solve_milp,
 )
@@ -49,18 +47,11 @@ def brute_force_knapsack(values, weights, capacity) -> float:
 
 
 class TestKnapsackCorrectness:
-    @pytest.mark.parametrize("options", [
-        pytest.param(MILPOptions(lp_backend="highs"), id="highs"),
-        pytest.param(
-            MILPOptions(lp_backend="revised", warm_start=False),
-            id="revised_cold",
-        ),
-    ])
-    def test_small_knapsack(self, options):
+    def test_small_knapsack(self):
         values = [10, 13, 18, 31, 7, 15]
         weights = [1, 2, 3, 4, 5, 6]
         model = knapsack(values, weights, 10)
-        res = solve_milp(model, options)
+        res = solve_milp(model)
         assert res.status is SolveStatus.OPTIMAL
         assert res.objective == pytest.approx(
             brute_force_knapsack(values, weights, 10)
@@ -161,9 +152,12 @@ class TestInfeasibleAndBudgets:
 
 class TestOptions:
     def test_unknown_backend_rejected(self):
-        model = knapsack([1], [1], 1)
-        with pytest.raises(ValueError):
-            solve_milp(model, MILPOptions(lp_backend="gurobi"))
+        """HiGHS is the only LP engine: there is no backend option to
+        set, so a stale ``lp_backend`` or ``warm_start`` fails loudly."""
+        with pytest.raises(TypeError):
+            MILPOptions(lp_backend="gurobi")
+        with pytest.raises(TypeError):
+            MILPOptions(warm_start=False)
 
     def test_pure_lp_through_milp(self):
         model = Model()
@@ -173,11 +167,6 @@ class TestOptions:
         assert res.status is SolveStatus.OPTIMAL
         assert res.objective == pytest.approx(4.0)
         assert res.nodes <= 1
-
-    def test_removed_tableau_backend_rejected(self):
-        model = knapsack([1], [1], 1)
-        with pytest.raises(ValueError, match="'highs', 'revised'"):
-            solve_milp(model, MILPOptions(lp_backend="simplex"))
 
     @pytest.mark.parametrize("sense", [Sense.MAXIMIZE, Sense.MINIMIZE])
     def test_objective_constant_reported(self, sense):
@@ -200,7 +189,9 @@ class TestOptions:
 
 
 class TestWarmStartedSearch:
-    """The revised backend with basis reuse must agree with cold solves."""
+    """Every node LP re-solves warm on the search's one HiGHS session
+    (the basis its previous node left); the search must still land on
+    the brute-force optimum."""
 
     def _random_knapsack(self, rng, size=10):
         values = rng.integers(5, 60, size=size).tolist()
@@ -208,159 +199,54 @@ class TestWarmStartedSearch:
         capacity = int(sum(weights) // 2)
         return values, weights, capacity
 
-    def test_revised_warm_matches_cold_backends(self):
-        rng = np.random.default_rng(5)
-        for _ in range(8):
-            values, weights, capacity = self._random_knapsack(rng)
-            warm = solve_milp(
-                knapsack(values, weights, capacity),
-                MILPOptions(lp_backend="revised", warm_start=True),
-            )
-            cold = solve_milp(
-                knapsack(values, weights, capacity),
-                MILPOptions(lp_backend="revised", warm_start=False),
-            )
-            assert warm.status is SolveStatus.OPTIMAL
-            assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
-
-    def test_warm_start_telemetry_populated(self):
-        rng = np.random.default_rng(11)
-        values, weights, capacity = self._random_knapsack(rng, size=14)
-        model = knapsack(values, weights, capacity)
-        res = solve_milp(
-            model,
-            MILPOptions(lp_backend="revised", warm_start=True),
-        )
-        assert res.status is SolveStatus.OPTIMAL
-        if res.nodes > 1:
-            assert res.warm_start_attempts > 0
-            assert res.warm_start_hits <= res.warm_start_attempts
-            assert 0.0 <= res.warm_start_hit_rate <= 1.0
-            assert res.basis_rejections >= 0
-        assert res.lp_iterations > 0
-
-    def test_warm_start_off_runs_cold(self):
-        rng = np.random.default_rng(3)
-        values, weights, capacity = self._random_knapsack(rng)
-        model = knapsack(values, weights, capacity)
-        res = solve_milp(
-            model,
-            MILPOptions(lp_backend="revised", warm_start=False),
-        )
-        assert res.status is SolveStatus.OPTIMAL
-        assert res.warm_start_attempts == 0
-        assert res.objective == pytest.approx(
-            brute_force_knapsack(values, weights, capacity)
-        )
-
-    def test_warm_start_saves_lp_iterations(self):
-        """On a deep-ish tree, warm restarts cut total LP work."""
-        rng = np.random.default_rng(42)
-        values, weights, capacity = self._random_knapsack(rng, size=16)
-        model_w = knapsack(values, weights, capacity)
-        model_c = knapsack(values, weights, capacity)
-        warm = solve_milp(
-            model_w,
-            MILPOptions(lp_backend="revised", warm_start=True),
-        )
-        cold = solve_milp(
-            model_c,
-            MILPOptions(lp_backend="revised", warm_start=False),
-        )
-        assert warm.objective == pytest.approx(cold.objective, abs=1e-6)
-        if warm.nodes > 3:
-            assert warm.lp_iterations < cold.lp_iterations
-
-    def test_rejected_warm_start_falls_back_to_cold_identical_optimum(
-        self, monkeypatch
-    ):
-        """Every rejected warm start is re-solved cold, and the search
-        lands on the same optimum (never errors out, never drifts)."""
-        rng = np.random.default_rng(5)
-        values, weights, capacity = self._random_knapsack(rng, size=12)
-        options = MILPOptions(lp_backend="revised")
-        reference = solve_milp(knapsack(values, weights, capacity), options)
-        monkeypatch.setattr(
-            revised_simplex, "reoptimize", lambda *args, **kwargs: None
-        )
-        res = solve_milp(knapsack(values, weights, capacity), options)
-        assert res.status is SolveStatus.OPTIMAL
-        assert res.objective == pytest.approx(reference.objective, abs=1e-6)
-        assert res.warm_start_attempts > 0
-        assert res.basis_rejections == res.warm_start_attempts
-        assert res.warm_start_hits == 0
-
     def test_pseudocost_branching_matches_brute_force(self):
         rng = np.random.default_rng(21)
         values, weights, capacity = self._random_knapsack(rng, size=12)
-        res = solve_milp(
-            knapsack(values, weights, capacity),
-            MILPOptions(lp_backend="revised"),
-        )
+        res = solve_milp(knapsack(values, weights, capacity))
         assert res.objective == pytest.approx(
             brute_force_knapsack(values, weights, capacity)
         )
 
 
-#: Per backend, the node-LP entry points a search calls.
-_NODE_SOLVERS = {
-    "highs": [(scipy_backend.HighsSession, "solve")],
-    "revised": [(revised_simplex, "cold_solve"),
-                (revised_simplex, "reoptimize")],
-}
-
-
-def _fail_after_root(monkeypatch, backend):
+def _fail_after_root(monkeypatch):
     """Let the root LP solve normally, then fail every later node LP."""
     calls = []
-    for owner, name in _NODE_SOLVERS[backend]:
-        real = getattr(owner, name)
+    real = scipy_backend.HighsSession.solve
 
-        def solve(*args, _real=real, **kwargs):
-            calls.append(1)
-            if len(calls) == 1:
-                return _real(*args, **kwargs)
-            return LPResult(SolveStatus.ERROR)
+    def solve(*args, **kwargs):
+        calls.append(1)
+        if len(calls) == 1:
+            return real(*args, **kwargs)
+        return LPResult(SolveStatus.ERROR)
 
-        monkeypatch.setattr(owner, name, solve)
+    monkeypatch.setattr(scipy_backend.HighsSession, "solve", solve)
 
 
-@pytest.mark.parametrize("backend", sorted(_NODE_SOLVERS))
 class TestFailedNodeLP:
     """A node LP that fails proves nothing about its node: the search
     must end as ERROR instead of pruning the node as if infeasible."""
 
-    def _options(self, backend):
-        return MILPOptions(lp_backend=backend)
-
-    def test_search_ends_as_error(self, backend, monkeypatch):
+    def test_search_ends_as_error(self, monkeypatch):
         rng = np.random.default_rng(0)
         values = rng.integers(5, 60, size=10).tolist()
         weights = rng.integers(1, 12, size=10).tolist()
         capacity = int(sum(weights) // 2)
-        reference = solve_milp(
-            knapsack(values, weights, capacity), self._options(backend)
-        )
+        reference = solve_milp(knapsack(values, weights, capacity))
         assert reference.status is SolveStatus.OPTIMAL
         assert reference.nodes > 0  # the root alone does not settle it
-        _fail_after_root(monkeypatch, backend)
-        res = solve_milp(
-            knapsack(values, weights, capacity), self._options(backend)
-        )
+        _fail_after_root(monkeypatch)
+        res = solve_milp(knapsack(values, weights, capacity))
         assert res.status is SolveStatus.ERROR
         assert not res.has_incumbent
 
-    def test_verifier_reports_error_not_verified(self, backend, monkeypatch):
+    def test_verifier_reports_error_not_verified(self, monkeypatch):
         network = FeedForwardNetwork.mlp(
             2, [6, 6], 1, rng=np.random.default_rng(3)
         )
         region = InputRegion(np.array([[-2.0, 2.0]] * 2))
         # Interval bounds keep HiGHS out of the encoder, so the patched
         # solver sees only the search's node LPs.
-        verifier = Verifier(
-            network, EncoderOptions(bound_mode="interval"),
-            self._options(backend),
-        )
+        verifier = Verifier(network, EncoderOptions(bound_mode="interval"))
         top = verifier.maximize(region, OutputObjective.single(0))
         assert top.verdict is Verdict.MAX_FOUND
         prop = SafetyProperty(
@@ -372,7 +258,7 @@ class TestFailedNodeLP:
         assert reference.verdict is Verdict.VERIFIED
         assert reference.solver != "static"
         assert reference.nodes > 0
-        _fail_after_root(monkeypatch, backend)
+        _fail_after_root(monkeypatch)
         assert verifier.prove(prop).verdict is Verdict.ERROR
 
 

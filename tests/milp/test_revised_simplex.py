@@ -1,12 +1,9 @@
-"""Cross-check and warm-start tests for the bounded revised simplex.
+"""Cross-check tests for the bounded revised simplex LP oracle.
 
-The core of the suite pits :func:`repro.milp.revised_simplex.solve_lp`
-against SciPy's HiGHS backend on ~200 seeded random LPs with mixed
+The core of the suite pits the oracle's :func:`solve_lp` against SciPy's
+HiGHS backend on ~200 seeded random LPs with mixed
 free/boxed/one-sided/fixed variables, including degenerate and infeasible
 instances — the two solvers must agree on status and optimal objective.
-A second battery drives the dual-simplex :func:`reoptimize` path the way
-branch-and-bound does: solve, tighten one bound, warm-restart from the
-parent basis, and compare against a cold solve.
 """
 
 import math
@@ -14,9 +11,10 @@ import math
 import numpy as np
 import pytest
 
-from repro.milp import revised_simplex as rs
 from repro.milp.scipy_backend import solve_lp as solve_highs
 from repro.milp.status import SolveStatus
+
+from ..oracles import revised_simplex as rs
 
 NUM_RANDOM_LPS = 200
 
@@ -98,100 +96,8 @@ class TestRandomCrossCheck:
                           bounds=[(-math.inf, math.inf)])
         assert res.status is SolveStatus.UNBOUNDED
 
-    def test_result_carries_basis_and_reduced_costs(self):
-        res = rs.solve_lp(
-            np.array([1.0, 1.0]),
-            np.array([[1.0, 1.0]]),
-            np.array([4.0]),
-            bounds=[(0, 3), (0, 3)],
-        )
-        assert res.status is SolveStatus.OPTIMAL
-        assert res.basis is not None
-        assert res.reduced_costs is not None
-        assert res.reduced_costs.shape == (2,)
-        assert not res.warm_started
 
-
-class TestWarmStart:
-    def _family(self, rng):
-        n = int(rng.integers(2, 8))
-        m = int(rng.integers(1, 8))
-        c = np.round(rng.uniform(-5, 5, n), 3)
-        A = np.round(rng.uniform(-5, 5, (m, n)), 3)
-        b = np.round(rng.uniform(0, 30, m), 3)
-        lb = np.round(rng.uniform(-4, 0, n), 3)
-        ub = lb + np.round(rng.uniform(1, 8, n), 3)
-        return c, A, b, lb, ub
-
-    def test_reoptimize_matches_cold_after_bound_change(self):
-        """Branching simulation: tighten one bound, dual-reoptimize."""
-        rng = np.random.default_rng(77)
-        total_warm = total_cold = checked = 0
-        for k in range(60):
-            c, A, b, lb, ub = self._family(rng)
-            lp = rs.standardize(c, A, b, None, None, list(zip(lb, ub)))
-            root = rs.cold_solve(lp)
-            if root.status is not SolveStatus.OPTIMAL:
-                continue
-            j = int(rng.integers(len(lb)))
-            mid = (lb[j] + ub[j]) / 2
-            nlb, nub = lb.copy(), ub.copy()
-            if rng.integers(2):
-                nlb[j] = mid
-            else:
-                nub[j] = mid
-            warm = rs.reoptimize(lp, root.basis, nlb, nub)
-            cold = rs.cold_solve(lp, nlb, nub)
-            assert warm is not None, f"warm start rejected at {k}"
-            assert warm.status == cold.status
-            if warm.status is SolveStatus.OPTIMAL:
-                assert warm.objective == pytest.approx(
-                    cold.objective, abs=1e-6
-                )
-                assert warm.warm_started
-                checked += 1
-                total_warm += warm.iterations
-                total_cold += cold.iterations
-        assert checked > 20
-        # The point of the exercise: reoptimisation is much cheaper.
-        assert total_warm * 2 < total_cold
-
-    def test_reoptimize_detects_infeasible_child(self):
-        # x + y >= 5 with both boxes tightened to [0, 1] is empty.
-        c = np.array([1.0, 1.0])
-        A = np.array([[-1.0, -1.0]])
-        b = np.array([-5.0])
-        lp = rs.standardize(c, A, b, None, None, [(0, 10), (0, 10)])
-        root = rs.cold_solve(lp)
-        assert root.status is SolveStatus.OPTIMAL
-        warm = rs.reoptimize(
-            lp, root.basis,
-            np.array([0.0, 0.0]), np.array([1.0, 1.0]),
-        )
-        assert warm is not None
-        assert warm.status is SolveStatus.INFEASIBLE
-
-    def test_reoptimize_rejects_garbage_basis(self):
-        c = np.array([1.0, 1.0])
-        A = np.array([[1.0, 1.0]])
-        b = np.array([4.0])
-        lp = rs.standardize(c, A, b, None, None, [(0, 3), (0, 3)])
-        bogus = rs.Basis(
-            basic=np.array([0]),
-            status=np.array(
-                [rs.BASIC, rs.BASIC, rs.BASIC, rs.BASIC], dtype=np.int8
-            ),
-        )
-        assert rs.reoptimize(lp, bogus) is None
-
-    def test_reoptimize_rejects_wrong_shape_basis(self):
-        c = np.array([1.0])
-        lp = rs.standardize(c, None, None, None, None, [(0, 1)])
-        bogus = rs.Basis(
-            basic=np.array([0, 1]), status=np.zeros(9, dtype=np.int8)
-        )
-        assert rs.reoptimize(lp, bogus) is None
-
+class TestNodeBounds:
     def test_crossed_node_bounds_are_infeasible(self):
         c = np.array([1.0])
         lp = rs.standardize(c, None, None, None, None, [(0, 5)])

@@ -10,9 +10,10 @@ import sys
 import numpy as np
 import pytest
 
-from repro.milp import revised_simplex
 from repro.milp.scipy_backend import HighsSession, solve_lp
 from repro.milp.status import SolveStatus
+
+from ..oracles import revised_simplex
 
 
 class TestStatusMapping:

@@ -1,10 +1,10 @@
-"""A small LP corpus run against both LP backends.
+"""A small LP corpus run against HiGHS and the independent LP oracle.
 
-Every case is solved by the from-scratch revised simplex and by HiGHS
-(the cross-check oracle): equality rows, infeasible and unbounded LPs,
-free, upper-only, negative-lower-bound and fixed columns, and a
-degenerate vertex.  A property test pits the two against each other on
-random bounded LPs.
+Every case is solved by HiGHS (the prover's LP engine) and by the
+from-scratch revised simplex in ``tests/oracles``: equality rows,
+infeasible and unbounded LPs, free, upper-only, negative-lower-bound and
+fixed columns, and a degenerate vertex.  A property test pits the two
+against each other on random bounded LPs.
 """
 
 import math
@@ -14,16 +14,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.milp.revised_simplex import solve_lp as solve_revised
 from repro.milp.scipy_backend import solve_lp as solve_highs
 from repro.milp.status import SolveStatus
 
-#: Both LP backends, by their ``MILPOptions.lp_backend`` names.
+from ..oracles.revised_simplex import solve_lp as solve_revised
+
+#: HiGHS and the oracle, by name.
 SOLVERS = (("revised", solve_revised), ("highs", solve_highs))
 
 
 def solve_both(*args, **kwargs):
-    """Yield ``(backend name, LPResult)`` for each backend."""
+    """Yield ``(solver name, LPResult)`` for each solver."""
     for name, solve in SOLVERS:
         yield name, solve(*args, **kwargs)
 

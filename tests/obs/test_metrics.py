@@ -1,9 +1,5 @@
-"""Metrics-registry unit tests + telemetry-compat properties."""
+"""Metrics-registry unit tests + result telemetry properties."""
 
-import numpy as np
-
-from repro.milp.solution import MILPResult
-from repro.milp.status import SolveStatus
 from repro.obs.metrics import (
     Counter,
     Gauge,
@@ -80,68 +76,29 @@ class TestMergeMetrics:
         assert out == {"n": 6}
 
 
-class TestMILPResultCompat:
-    """PR 2's telemetry attributes must survive the registry fold."""
+class TestResultProperties:
+    """``VerificationResult``'s telemetry properties read its metrics."""
 
     def test_properties_read_from_metrics(self):
-        result = MILPResult(
-            SolveStatus.OPTIMAL,
-            x=np.zeros(1),
-            objective=1.0,
-            metrics={
-                "warm_start_attempts": 10,
-                "warm_start_hits": 7,
-                "basis_rejections": 3,
-                "lp_iterations_saved": 42,
-            },
-        )
-        assert result.warm_start_attempts == 10
-        assert result.warm_start_hits == 7
-        assert result.basis_rejections == 3
-        assert result.lp_iterations_saved == 42
-        assert result.warm_start_hit_rate == 0.7
-
-    def test_defaults_without_metrics(self):
-        result = MILPResult(SolveStatus.OPTIMAL)
-        assert result.warm_start_attempts == 0
-        assert result.warm_start_hit_rate == 0.0
-
-    def test_verification_result_compat(self):
         from repro.core.verifier import VerificationResult, Verdict
 
         result = VerificationResult(
-            verdict=Verdict.MAX_FOUND,
-            metrics={"warm_start_attempts": 4, "warm_start_hits": 2},
+            verdict=Verdict.VERIFIED,
+            metrics={
+                "alpha_iters": 12.0,
+                "alpha_improvement": 0.25,
+                "split_cells": 3.0,
+                "split_proofs": 5.0,
+            },
         )
-        assert result.warm_start_attempts == 4
-        assert result.warm_start_hit_rate == 0.5
+        assert result.alpha_iters == 12
+        assert result.alpha_improvement == 0.25
+        assert result.split_cells == 3
+        assert result.split_proofs == 5
 
-    def test_solver_populates_metrics(self):
-        from repro.milp import (
-            MILPOptions,
-            Model,
-            Sense,
-            VarType,
-            solve_milp,
-        )
+    def test_defaults_without_metrics(self):
+        from repro.core.verifier import VerificationResult, Verdict
 
-        model = Model("m")
-        xs = [
-            model.add_var(f"x{i}", vtype=VarType.BINARY)
-            for i in range(6)
-        ]
-        model.add_constr(sum((i + 1) * x for i, x in enumerate(xs)) <= 7)
-        model.set_objective(
-            sum((2 * i + 1) * x for i, x in enumerate(xs)),
-            sense=Sense.MAXIMIZE,
-        )
-        result = solve_milp(
-            model,
-            MILPOptions(lp_backend="revised", warm_start=True),
-        )
-        assert result.status is SolveStatus.OPTIMAL
-        assert "warm_start_attempts" in result.metrics
-        assert (
-            result.warm_start_attempts
-            == result.metrics["warm_start_attempts"]
-        )
+        result = VerificationResult(verdict=Verdict.MAX_FOUND)
+        assert result.alpha_iters == 0
+        assert result.split_cells == 0

@@ -1,31 +1,18 @@
-"""Bounded-variable revised simplex with dual-simplex warm starting.
+"""Bounded-variable revised simplex: the test suite's independent LP oracle.
 
-A textbook tableau simplex reduces every LP to ``A y = b, y >= 0`` by
-shifting, mirroring and *splitting* variables and by inflating finite upper
-bounds into explicit rows.  That is robust but wasteful inside
-branch-and-bound, where the verification encodings are dominated by box
-bounds and every node differs from its parent by a single bound change.
+Written from scratch in dense NumPy, sharing no code with HiGHS, so the
+tests can cross-check every LP the prover relies on — node relaxations,
+LP bound tightening, Farkas rays — against a second engine.  It is not
+on any proving path.
 
-This module keeps box bounds *native*:
-
-* the working system is ``A x = b`` with ``l <= x <= u`` per column — slack
-  columns absorb the inequality rows, nothing is split, and no bound ever
-  becomes a row;
-* a :class:`Basis` (basic column per row plus a nonbasic status per column)
-  fully describes a vertex and can be handed from a parent node to its
-  children;
-* :func:`reoptimize` restarts the **dual simplex** from a caller-supplied
-  basis after a bound change — the parent's basis stays dual feasible, so a
-  handful of dual pivots usually restores primal feasibility instead of a
-  from-scratch two-phase solve;
-* :func:`solve_lp` is the cold-start entry point with the same contract as
-  the other LP backends (phase 1 runs over per-row artificial columns that
-  are permanently fixed to zero afterwards, so the column space never
-  changes between cold and warm solves).
-
-The implementation is dense NumPy: ``B^{-1}`` is maintained explicitly with
-product-form pivot updates and periodic refactorisation.  Per-iteration cost
-matches a dense tableau; the win is the *iteration count* on warm starts.
+Box bounds stay *native*: the working system is ``A x = b`` with
+``l <= x <= u`` per column — slack columns absorb the inequality rows,
+nothing is split, and no bound ever becomes a row.  :func:`solve_lp` runs
+a two-phase primal simplex: phase 1 works over per-row artificial
+columns that are fixed to zero afterwards; an infeasible phase 1 leaves a
+Farkas ray in the same sign convention HiGHS rays follow
+(:class:`repro.milp.solution.LPResult`).  ``B^{-1}`` is maintained
+explicitly with product-form pivot updates and periodic refactorisation.
 """
 
 from __future__ import annotations
@@ -38,39 +25,24 @@ import numpy as np
 
 from repro.milp.solution import LPResult
 from repro.milp.status import SolveStatus
-from repro.tolerances import EPS, LP_DUAL_TOL, LP_FEAS_TOL, LP_PIVOT_TOL
 
 #: Nonbasic-at-lower-bound / nonbasic-at-upper-bound / basic / nonbasic free
 #: (free nonbasics rest at zero).
 AT_LOWER, AT_UPPER, BASIC, FREE = 0, 1, 2, 3
 
-_EPS = EPS
-_DUAL_TOL = LP_DUAL_TOL
-_FEAS_TOL = LP_FEAS_TOL
-_PIVOT_TOL = LP_PIVOT_TOL
+#: Generic "this float is zero" threshold (basis algebra, ratio ties).
+_EPS = 1e-9
+#: Reduced-cost (dual feasibility) tolerance.
+_DUAL_TOL = 1e-7
+#: Minimum acceptable pivot magnitude; smaller pivots destroy precision.
+_PIVOT_TOL = 1e-7
 _BLAND_AFTER = 2000
 _REFACTOR_EVERY = 64
 _MAX_ITER_DEFAULT = 50000
 
 
 class NumericalTrouble(RuntimeError):
-    """The factorisation degraded beyond repair (reject / fall back)."""
-
-
-@dataclasses.dataclass
-class Basis:
-    """A simplex basis: basic column per row, status per column.
-
-    ``basic`` has one entry per constraint row; ``status`` one entry per
-    column of the *standardised* problem (structurals, slacks, artificials).
-    """
-
-    basic: np.ndarray
-    status: np.ndarray
-
-    def copy(self) -> "Basis":
-        """Deep copy, so child nodes can pivot without aliasing."""
-        return Basis(self.basic.copy(), self.status.copy())
+    """The factorisation degraded beyond repair (the solve reports ERROR)."""
 
 
 @dataclasses.dataclass
@@ -182,34 +154,11 @@ class _Solver:
         self.status = np.full(self.n, AT_LOWER, dtype=np.int8)
         self.Binv = np.eye(self.m)
         self.x = np.zeros(self.n)
-        #: Infeasibility ray over the rows, set when a solve detects
-        #: primal infeasibility (dual unboundedness or a positive
-        #: phase-1 optimum).  Raw material for proof certificates.
+        #: Infeasibility ray over the rows, set when phase 1 ends with a
+        #: positive optimum (the primal has no feasible point).
         self.farkas_ray: Optional[np.ndarray] = None
 
     # -- basis management ---------------------------------------------------
-    def install(self, basis: Basis) -> None:
-        """Adopt a caller basis; raises on inconsistent or singular input."""
-        basic = np.asarray(basis.basic, dtype=np.int64)
-        status = np.asarray(basis.status, dtype=np.int8)
-        if basic.shape != (self.m,) or status.shape != (self.n,):
-            raise NumericalTrouble("basis shape does not match the LP")
-        if np.count_nonzero(status == BASIC) != self.m:
-            raise NumericalTrouble("basis has wrong number of basic columns")
-        if not np.all(status[basic] == BASIC):
-            raise NumericalTrouble("basic list and status array disagree")
-        nb_lower = (status == AT_LOWER) & np.isneginf(self.lower)
-        nb_upper = (status == AT_UPPER) & np.isposinf(self.upper)
-        if nb_lower.any() or nb_upper.any():
-            raise NumericalTrouble("nonbasic column rests on an infinite bound")
-        self.basic = basic.copy()
-        self.status = status.copy()
-        self.factorize()
-        self.compute_x()
-
-    def export(self) -> Basis:
-        return Basis(self.basic.copy(), self.status.copy())
-
     def factorize(self) -> None:
         B = self.A[:, self.basic]
         try:
@@ -231,9 +180,6 @@ class _Solver:
     def reduced_costs(self, cost: np.ndarray) -> np.ndarray:
         y = cost[self.basic] @ self.Binv
         return cost - y @ self.A
-
-    def objective(self) -> float:
-        return float(self.lp.c @ self.x)
 
     def _pivot_update(self, r: int, w: np.ndarray) -> None:
         """Product-form update of ``B^{-1}`` after ``basic[r]`` is replaced."""
@@ -321,77 +267,6 @@ class _Solver:
                 self.compute_x()
             self.iterations += 1
 
-    # -- dual simplex -------------------------------------------------------
-    def dual(self, cost: np.ndarray, max_iter: int) -> str:
-        """Restore primal feasibility while keeping dual feasibility.
-
-        Starts from a dual-feasible basis (e.g. a parent node's optimum
-        after a bound tightening) and pivots until every basic variable is
-        inside its box.  Returns ``feasible``, ``infeasible`` (dual
-        unbounded — the primal has no feasible point) or
-        ``iteration_limit``.
-        """
-        enterable = (self.upper - self.lower > _EPS) | (self.status == FREE)
-        while True:
-            if self.iterations >= max_iter:
-                return "iteration_limit"
-            self.compute_x()
-            if self.m == 0:
-                return "feasible"
-            xB = self.x[self.basic]
-            below = self.lower[self.basic] - xB
-            above = xB - self.upper[self.basic]
-            viol = np.maximum(below, above)
-            r = int(np.argmax(viol))
-            if viol[r] <= _FEAS_TOL:
-                return "feasible"
-            is_below = below[r] >= above[r]
-
-            alpha = self.Binv[r] @ self.A
-            a = -alpha if is_below else alpha
-            d = self.reduced_costs(cost)
-            nonbasic = self.status != BASIC
-            cand_lo = (
-                (self.status == AT_LOWER) & enterable & (a > _PIVOT_TOL)
-            )
-            cand_up = (
-                (self.status == AT_UPPER) & enterable & (a < -_PIVOT_TOL)
-            )
-            cand_fr = (
-                (self.status == FREE) & (np.abs(a) > _PIVOT_TOL)
-            )
-            mask = (cand_lo | cand_up | cand_fr) & nonbasic
-            candidates = np.flatnonzero(mask)
-            if candidates.size == 0:
-                # Dual unbounded: row r of the basis inverse is an
-                # infeasibility ray of the row system (sign chosen so
-                # the violated bound is approached from the right
-                # side).  Stashed for proof-certificate emission.
-                self.farkas_ray = (
-                    self.Binv[r].copy() if is_below else -self.Binv[r]
-                )
-                return "infeasible"
-            ratios = np.abs(d[candidates]) / np.abs(a[candidates])
-            bland = self.iterations >= _BLAND_AFTER
-            best = ratios.min()
-            ties = np.flatnonzero(ratios <= best + _EPS)
-            if bland:
-                q = int(candidates[ties.min()])
-            else:
-                tie_cols = candidates[ties]
-                q = int(tie_cols[np.argmax(np.abs(a[tie_cols]))])
-
-            leaving = int(self.basic[r])
-            self.status[leaving] = AT_LOWER if is_below else AT_UPPER
-            self.status[q] = BASIC
-            self.basic[r] = q
-            w = self.Binv @ self.A[:, q]
-            try:
-                self._pivot_update(r, w)
-            except NumericalTrouble:
-                self.factorize()
-            self.iterations += 1
-
 
 def _cold_start(
     solver: _Solver, lower: np.ndarray, upper: np.ndarray, max_iter: int
@@ -400,8 +275,7 @@ def _cold_start(
 
     Phase 1 relaxes each artificial's ``[0, 0]`` box to cover the initial
     row residual and minimises total artificial magnitude; afterwards the
-    boxes snap back to zero so warm restarts see an unchanged column space.
-    Returns ``optimal``, ``infeasible``, ``unbounded`` or
+    boxes snap back to zero.  Returns ``optimal``, ``infeasible``, ``unbounded`` or
     ``iteration_limit``.
     """
     lp = solver.lp
@@ -451,21 +325,15 @@ def _cold_start(
     return solver.primal(lp.c, max_iter)
 
 
-def _result(
-    solver: _Solver, warm_started: bool
-) -> LPResult:
+def _result(solver: _Solver) -> LPResult:
     """Package an optimal solver state as an :class:`LPResult`."""
     n_struct = solver.lp.num_structural
     x = solver.x[:n_struct].copy()
-    d = solver.reduced_costs(solver.lp.c)[:n_struct].copy()
     return LPResult(
         SolveStatus.OPTIMAL,
         x=x,
         objective=float(solver.lp.c[:n_struct] @ x),
         iterations=solver.iterations,
-        basis=solver.export(),
-        reduced_costs=d,
-        warm_started=warm_started,
     )
 
 
@@ -485,63 +353,16 @@ def cold_solve(
     except NumericalTrouble:
         return LPResult(SolveStatus.ERROR, iterations=solver.iterations)
     if outcome == "optimal":
-        return _result(solver, warm_started=False)
+        return _result(solver)
     if outcome == "infeasible":
         return LPResult(
             SolveStatus.INFEASIBLE,
             iterations=solver.iterations,
-            farkas=getattr(solver, "farkas_ray", None),
+            farkas=solver.farkas_ray,
         )
     if outcome == "unbounded":
         return LPResult(SolveStatus.UNBOUNDED, iterations=solver.iterations)
     return LPResult(SolveStatus.ERROR, iterations=solver.iterations)
-
-
-def reoptimize(
-    lp: StandardLP,
-    basis: Basis,
-    lb: Optional[np.ndarray] = None,
-    ub: Optional[np.ndarray] = None,
-    max_iter: int = _MAX_ITER_DEFAULT,
-) -> Optional[LPResult]:
-    """Dual-simplex reoptimisation from ``basis`` after a bound change.
-
-    Returns ``None`` when the warm start is *rejected* (singular or
-    inconsistent basis, iteration blow-up, numerical trouble) — the caller
-    falls back to a cold solve.  A genuine ``INFEASIBLE``/``UNBOUNDED``
-    answer is returned as such: dual unboundedness proves the node LP empty
-    and is a perfectly good pruning certificate.
-    """
-    lower, upper = lp.node_bounds(lb, ub)
-    if np.any(lower > upper + _EPS):
-        return LPResult(SolveStatus.INFEASIBLE)
-    solver = _Solver(lp, lower, upper)
-    try:
-        solver.install(basis)
-        outcome = solver.dual(lp.c, max_iter)
-        if outcome == "infeasible":
-            return LPResult(
-                SolveStatus.INFEASIBLE,
-                iterations=solver.iterations,
-                warm_started=True,
-                farkas=getattr(solver, "farkas_ray", None),
-            )
-        if outcome == "iteration_limit":
-            return None
-        # Polish: the dual run kept reduced costs feasible up to
-        # tolerance; a short primal pass certifies optimality.
-        outcome = solver.primal(lp.c, max_iter)
-    except NumericalTrouble:
-        return None
-    if outcome == "optimal":
-        return _result(solver, warm_started=True)
-    if outcome == "unbounded":
-        return LPResult(
-            SolveStatus.UNBOUNDED,
-            iterations=solver.iterations,
-            warm_started=True,
-        )
-    return None
 
 
 def solve_lp(
@@ -553,11 +374,7 @@ def solve_lp(
     bounds: Optional[Sequence[Tuple[float, float]]] = None,
     max_iter: int = _MAX_ITER_DEFAULT,
 ) -> LPResult:
-    """Cold-start entry point with the standard LP-backend contract.
-
-    The returned result additionally carries the structural reduced
-    costs and the optimal :class:`Basis`, which :func:`reoptimize` (and
-    the branch-and-bound warm path) consume.
-    """
+    """Minimise ``c @ x``; the signature of
+    :func:`repro.milp.scipy_backend.solve_lp`."""
     lp = standardize(c, A_ub, b_ub, A_eq, b_eq, bounds)
     return cold_solve(lp, max_iter=max_iter)

@@ -19,16 +19,11 @@ from repro.core.verifier import (
     result_to_dict,
 )
 from repro.milp import MILPOptions, SolveStatus, solve_milp
-from repro.milp.branch_and_bound import LP_BACKENDS
 from repro.milp.scipy_backend import HighsSession
-from repro.obs import RingBufferSink, Tracer
 from repro.proof.check import check_certificate
 from repro.proof.emit import assemble_milp_certificate, record_chain
 
 from .conftest import box_region, prove_certified
-
-#: The search's options, on each of :data:`LP_BACKENDS`.
-PROOF_MILP = [dict(lp_backend=backend) for backend in LP_BACKENDS]
 
 
 def _violation_model(network, threshold, bounds=None):
@@ -109,10 +104,7 @@ class TestChainRecord:
 
 
 class TestBranchAndBoundProof:
-    @pytest.mark.parametrize("backend", LP_BACKENDS)
-    def test_one_search_with_and_without_certify(
-        self, net2, net2_spread, backend
-    ):
+    def test_one_search_with_and_without_certify(self, net2, net2_spread):
         """Every search records a checkable leaf cover, so certifying a
         query changes its bounds source, never its search."""
         true_max, upper = net2_spread
@@ -122,7 +114,7 @@ class TestBranchAndBoundProof:
         record = record_chain(net2, region, objective.coefficients)
 
         encoded = _violation_model(net2, threshold, record.bounds)
-        result = solve_milp(encoded.model, MILPOptions(lp_backend=backend))
+        result = solve_milp(encoded.model)
         assert result.status is SolveStatus.INFEASIBLE
         assert result.proof["complete"]
         certificate = assemble_milp_certificate(
@@ -140,7 +132,7 @@ class TestBranchAndBoundProof:
         runs = [
             Verifier(
                 net2, EncoderOptions(bound_mode="lp", certify=certify),
-                MILPOptions(lp_backend=backend, time_limit=120.0),
+                MILPOptions(time_limit=120.0),
             ).prove(prop, precomputed_bounds=record.bounds)
             for certify in (False, True)
         ]
@@ -154,38 +146,29 @@ class TestBranchAndBoundProof:
         true_max, upper = net2_spread
         threshold = true_max + 0.25 * (upper - true_max)
         encoded = _violation_model(net2, threshold)
-        for options in PROOF_MILP:
-            result = solve_milp(encoded.model, MILPOptions(**options))
-            assert result.status is SolveStatus.INFEASIBLE
-            assert result.proof is not None
-            assert result.proof["complete"]
-            assert result.proof["leaves"]
-            for leaf in result.proof["leaves"]:
-                assert isinstance(leaf["fixed"], dict)
-                assert leaf["farkas"] is not None
+        result = solve_milp(encoded.model)
+        assert result.status is SolveStatus.INFEASIBLE
+        assert result.proof is not None
+        assert result.proof["complete"]
+        assert result.proof["leaves"]
+        for leaf in result.proof["leaves"]:
+            assert isinstance(leaf["fixed"], dict)
+            assert leaf["farkas"] is not None
 
 
-def _prove_traced(network, threshold, backend, certify, split=False):
-    """One decision query on ``backend``; the result and the backends
-    its ``solve`` spans ran on."""
-    sink = RingBufferSink()
+def _prove(network, threshold, certify, split=False):
+    """One decision query ``output 0 <= threshold`` on the unit box."""
     verifier = Verifier(
         network,
         EncoderOptions(
             bound_mode="lp", certify=certify, split=split, split_depth=3
         ),
-        MILPOptions(lp_backend=backend, time_limit=120.0),
-        tracer=Tracer([sink]),
+        MILPOptions(time_limit=120.0),
     )
-    result = verifier.prove(SafetyProperty(
+    return verifier.prove(SafetyProperty(
         name="q", region=box_region(2),
         objective=OutputObjective.single(0), threshold=float(threshold),
     ))
-    backends = {
-        r["attrs"]["backend"] for r in sink.records
-        if r["type"] == "span" and r["name"] == "solve"
-    }
-    return result, backends
 
 
 def _gap_thresholds(spread):
@@ -197,16 +180,14 @@ def _gap_thresholds(spread):
     ]
 
 
-class TestCertifiedBackends:
-    """A certified search runs on the configured LP backend and answers
-    like the uncertified one, with a certificate the checker accepts."""
+class TestCertifiedRuns:
+    """A certified search answers like the uncertified one, with a
+    certificate the checker accepts."""
 
-    @pytest.mark.parametrize("backend", LP_BACKENDS)
-    def test_certified_run_keeps_its_backend(self, net2, net2_spread, backend):
+    def test_certified_run_answers_like_plain(self, net2, net2_spread):
         for threshold in _gap_thresholds(net2_spread):
-            plain, _ = _prove_traced(net2, threshold, backend, False)
-            certified, backends = _prove_traced(net2, threshold, backend, True)
-            assert backends == {backend}
+            plain = _prove(net2, threshold, False)
+            certified = _prove(net2, threshold, True)
             assert certified.verdict is plain.verdict
             if certified.verdict is Verdict.VERIFIED:
                 assert certified.certificate is not None
@@ -255,7 +236,7 @@ class TestRayFaults:
         monkeypatch.setattr(HighsSession, "solve", faulty)
         true_max, upper = net2_spread
         threshold = true_max + gap_fraction * (upper - true_max)
-        result, _ = _prove_traced(net2, threshold, "highs", True, split)
+        result = _prove(net2, threshold, True, split)
         assert faults
         assert result.verdict is Verdict.VERIFIED
         assert result.certificate is None

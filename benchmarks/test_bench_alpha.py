@@ -192,9 +192,9 @@ class TestTableIIColumn:
         for sym, alpha in zip(sym_rows, alpha_rows):
             assert alpha.architecture == sym.architecture
             assert alpha.timed_out == sym.timed_out
-            if sym.max_lateral_velocity is not None:
-                assert alpha.max_lateral_velocity == pytest.approx(
-                    sym.max_lateral_velocity, abs=1e-6
+            if sym.max_velocity is not None:
+                assert alpha.max_velocity == pytest.approx(
+                    sym.max_velocity, abs=1e-6
                 )
 
     def test_alpha_never_more_binaries(self, columns):

@@ -10,11 +10,8 @@ import numpy as np
 import pytest
 
 from repro import casestudy
-from repro.core.encoder import EncoderOptions
 from repro.core.hints import SafetyHint
-from repro.core.verifier import Verdict, Verifier
-from repro.milp import MILPOptions
-from repro.nn.mdn import MDNLoss, mu_lat_indices
+from repro.nn.mdn import MDNLoss
 from repro.report import render_generic
 
 from conftest import TIME_LIMIT
@@ -38,15 +35,19 @@ def verified_maxima(study, hint_networks):
     region = casestudy.operational_region(study)
     results = {}
     for weight, network in hint_networks.items():
-        verifier = Verifier(
-            network,
-            EncoderOptions(bound_mode="lp"),
-            MILPOptions(time_limit=TIME_LIMIT),
-        )
-        results[weight] = verifier.max_lateral_velocity(
-            region, study.config.num_components
+        results[weight] = casestudy.verify_network(
+            study, network, time_limit=TIME_LIMIT, region=region
         )
     return results
+
+
+def _value(row):
+    """A Table II row's verified maximum as a table entry."""
+    if row.timed_out:
+        return "time-out"
+    if row.max_velocity is None:
+        return "n.a."
+    return f"{row.max_velocity:.4f}"
 
 
 class TestHintExperiment:
@@ -54,14 +55,9 @@ class TestHintExperiment:
         self, verified_maxima, study
     ):
         rows = []
-        for weight, result in sorted(verified_maxima.items()):
-            value = (
-                "time-out"
-                if result.verdict is Verdict.TIMEOUT
-                else f"{result.value:.4f}"
-            )
+        for weight, row in sorted(verified_maxima.items()):
             rows.append(
-                [f"{weight:g}", value, f"{result.wall_time:.1f}s"]
+                [f"{weight:g}", _value(row), f"{row.wall_time:.1f}s"]
             )
         print()
         print(
@@ -72,9 +68,9 @@ class TestHintExperiment:
             )
         )
         done = {
-            w: r.value
+            w: r.max_velocity
             for w, r in verified_maxima.items()
-            if r.verdict is Verdict.MAX_FOUND
+            if r.error is None and not r.timed_out
         }
         if 0.0 not in done or len(done) < 2:
             pytest.skip("verification timed out on this machine")
@@ -117,14 +113,9 @@ class TestHintBench:
 
         def build_rows():
             rows = []
-            for weight, result in sorted(verified_maxima.items()):
-                value = (
-                    "time-out"
-                    if result.verdict is Verdict.TIMEOUT
-                    else f"{result.value:.4f}"
-                )
+            for weight, row in sorted(verified_maxima.items()):
                 rows.append(
-                    [f"{weight:g}", value, f"{result.wall_time:.1f}s"]
+                    [f"{weight:g}", _value(row), f"{row.wall_time:.1f}s"]
                 )
             return rows
 

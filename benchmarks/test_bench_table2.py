@@ -54,7 +54,7 @@ class TestTableIIShape:
         print(render_table_ii(rows))
         # Every row either produced a maximum or an honest time-out.
         for row in rows:
-            assert row.timed_out or row.max_lateral_velocity is not None
+            assert row.timed_out or row.max_velocity is not None
 
     def test_cost_grows_with_width(self, table_rows):
         """Verification effort (binaries, then time) must trend upward."""
@@ -86,17 +86,17 @@ class TestTableIIShape:
         and what hints/repair fix — see the hints bench).
         """
         for width, row in table_rows.items():
-            if row.max_lateral_velocity is not None:
-                assert np.isfinite(row.max_lateral_velocity)
-                assert row.max_lateral_velocity > -5.0
+            if row.max_velocity is not None:
+                assert np.isfinite(row.max_velocity)
+                assert row.max_velocity > -5.0
 
     def test_maxima_not_monotone_guarantee(self, table_rows, study, family):
         """The paper's spread: different seeds/widths give different
         provable margins.  We assert the values are not all equal."""
         values = [
-            row.max_lateral_velocity
+            row.max_velocity
             for row in table_rows.values()
-            if row.max_lateral_velocity is not None
+            if row.max_velocity is not None
         ]
         if len(values) < 2:
             pytest.skip("not enough completed rows")
@@ -115,8 +115,8 @@ class TestDecisionQuery:
         row = table_rows[width]
         threshold = (
             3.0
-            if row.max_lateral_velocity is None
-            else max(3.0, row.max_lateral_velocity + 0.5)
+            if row.max_velocity is None
+            else max(3.0, row.max_velocity + 0.5)
         )
         verifier = Verifier(
             network,
@@ -162,4 +162,4 @@ class TestTableIIBench:
             )
 
         row = benchmark.pedantic(verify, rounds=1, iterations=1)
-        assert row.timed_out or row.max_lateral_velocity is not None
+        assert row.timed_out or row.max_velocity is not None

@@ -20,7 +20,6 @@ from repro.core.properties import InputRegion, OutputObjective
 from repro.core.quantized_verifier import QuantizedVerifier
 from repro.core.verifier import Verifier
 from repro.highway import DatasetSpec
-from repro.milp import MILPOptions
 from repro.nn import FeedForwardNetwork, QuantizedNetwork
 from repro.nn.training import TrainingConfig
 
@@ -46,19 +45,18 @@ def main() -> None:
         network = casestudy.train_hinted_predictor(
             study, width=6, hint_weight=weight, seed=0
         )
-        verifier = Verifier(
-            network,
-            EncoderOptions(bound_mode="lp"),
-            MILPOptions(time_limit=120.0),
+        row = casestudy.verify_network(
+            study, network, time_limit=120.0, region=region
         )
-        result = verifier.max_lateral_velocity(region, 2)
-        results[label] = result
+        results[label] = row
         print(
             f"  {label:7s}: verified max lateral velocity "
-            f"{result.value:8.4f} m/s  ({result.wall_time:.1f}s, "
-            f"{result.num_binaries} binaries)"
+            f"{row.max_velocity:8.4f} m/s  ({row.wall_time:.1f}s, "
+            f"{row.num_binaries} binaries)"
         )
-    improvement = results["plain"].value - results["hinted"].value
+    improvement = (
+        results["plain"].max_velocity - results["hinted"].max_velocity
+    )
     print(f"  hint effect: {improvement:+.4f} m/s "
           "(positive = safer, as the paper's perspective suggests)")
 

@@ -86,9 +86,9 @@ def main() -> None:
     print(render_table_ii(rows, decision_rows=[decision]))
     print()
     values = [
-        r.max_lateral_velocity
+        r.max_velocity
         for r in rows
-        if r.max_lateral_velocity is not None
+        if r.max_velocity is not None
     ]
     if len(values) > 1:
         print(

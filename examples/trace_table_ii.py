@@ -70,7 +70,7 @@ def main() -> None:
         tracer.close()
     for row in rows:
         print(f"  {row.architecture}: "
-              f"mu_lat <= {row.max_lateral_velocity}")
+              f"mu_lat <= {row.max_velocity}")
 
     records = load_trace(TRACE_PATH)
     print(f"\ntrace written to {TRACE_PATH} "

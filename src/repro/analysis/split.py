@@ -1,5 +1,4 @@
-"""Input-region bisection: the second, embarrassingly parallel
-completeness axis.
+"""Input-region bisection: the second completeness axis.
 
 Branch-and-bound makes the MILP complete by splitting on *ReLU phases*;
 this module adds the complementary axis of Wang et al., "Efficient
@@ -8,9 +7,11 @@ iterative input bisection) and Xiang et al., "Specification-Guided
 Safety Verification for Feedforward Neural Networks": split the *input
 box*, re-run the cheap symbolic/α prescreen on each sub-box, and hand
 only the survivors to the MILP.  Narrower boxes stabilise ReLUs, so
-every surviving shard carries fewer binaries than its parent — and
-shards are independent, which is exactly the shape the verification
-pool scales.
+every surviving shard carries fewer binaries than its parent.  Shards
+are independent, but on the Table II workloads a plan rarely keeps
+more than one or two, so :class:`RegionBisectionDriver` solves them one
+after the other under the query's one MILP deadline; a campaign gets
+its parallelism from independent cells instead.
 
 Each box is bounded once, by one fused symbolic pass
 (:func:`repro.analysis.symbolic.symbolic_screen`): the root reuses the
@@ -46,6 +47,7 @@ import numpy as np
 
 from repro.analysis.symbolic import (
     SymbolicScreen,
+    _check_supported,
     alpha_objective_bounds,
     input_sensitivity,
     symbolic_screen,
@@ -65,6 +67,7 @@ __all__ = [
     "SplitLeaf",
     "SplitPlan",
     "RegionBisectionDriver",
+    "bisects",
     "input_sensitivity",
 ]
 
@@ -152,14 +155,34 @@ class SplitPlan:
         return out
 
 
+def bisects(
+    network: FeedForwardNetwork, region: InputRegion, encoder_options
+) -> bool:
+    """Whether a :class:`~repro.core.verifier.Verifier` with these
+    options answers a query over ``region`` with the bisection driver.
+
+    Split must be on and the network shape inside the symbolic engine's
+    fragment; otherwise the unsplit MILP decides, exactly as without
+    ``--split``.
+    """
+    if not encoder_options.split:
+        return False
+    try:
+        _check_supported(network, region)
+    except EncodingError:
+        return False
+    return True
+
+
 class RegionBisectionDriver:
     """Split → prescreen → prune → solve the survivors.
 
     ``plan`` builds the frontier (pure analysis, no MILP); ``prove`` /
-    ``maximize`` additionally solve the surviving shards serially under
-    the MILP time budget and assemble the single parent verdict.  The
-    campaign's pooled path calls ``plan`` itself and fans the survivors
-    out as independent pool jobs instead.
+    ``maximize`` additionally solve the surviving shards one after the
+    other under one shared MILP deadline and assemble the single parent
+    verdict.  This is the only split executor: a
+    :class:`~repro.core.verifier.Verifier` with ``split`` on runs it,
+    and so does a campaign cell, inside its worker.
     """
 
     def __init__(
@@ -548,7 +571,7 @@ class RegionBisectionDriver:
         )
 
 
-# -- verdict assembly (shared by the serial and pooled paths) ---------------
+# -- verdict assembly ---------------------------------------------------------
 
 def _merge_leaf_telemetry(result, leaves) -> None:
     """Fold shard solver work into the assembled parent result.

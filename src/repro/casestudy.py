@@ -393,8 +393,9 @@ def table_ii_rows(
     """Fold a campaign report back into Table II rows (width order).
 
     Per network, the row aggregates that network's per-component max
-    queries exactly like :meth:`Verifier.max_lateral_velocity`: the value
-    is the best component maximum, the time is the summed cell time, and
+    queries: the value is the best component maximum — a sound upper
+    bound on the mixture-mean lateral velocity (see
+    :mod:`repro.nn.mdn`) — the time is the summed cell time, and
     any timed-out component marks the row timed out.  A component that
     neither solved nor timed out makes the whole row an error with no
     value: the other components' maximum would understate the true one.
@@ -422,7 +423,7 @@ def table_ii_rows(
         rows.append(
             TableIIRow(
                 architecture=network.architecture_id,
-                max_lateral_velocity=(
+                max_velocity=(
                     max(values) if values and not failed else None
                 ),
                 wall_time=sum(c.result.wall_time for c in cells),
@@ -548,7 +549,7 @@ def certify_predictor(
         artifact=census,
     )
     row = verify_network(study, network, time_limit=time_limit)
-    value = row.max_lateral_velocity
+    value = row.max_velocity
     verified = (
         row.error is None
         and value is not None

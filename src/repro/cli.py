@@ -12,8 +12,6 @@ The five pipeline stages map onto subcommands::
     python -m repro.cli certify  --data data.npz --net net.json
     python -m repro.cli figure1  --data data.npz --net net.json
     python -m repro.cli trace summarize out.jsonl
-    python -m repro.cli bench record BENCH_pool.json
-    python -m repro.cli bench report --threshold 1.5
 
 Every artifact is a plain file (``.npz`` dataset, ``.json`` network,
 ``.jsonl`` trace), so stages can run on different machines and be pinned
@@ -296,47 +294,6 @@ def _build_parser() -> argparse.ArgumentParser:
         "--cell", default=None, metavar="PREFIX",
         help="restrict to span ids with this prefix (campaign workers "
         "use 'c<index>.')",
-    )
-
-    bench = sub.add_parser(
-        "bench",
-        help="perf-regression tracking over BENCH_*.json artifacts",
-    )
-    bench_sub = bench.add_subparsers(dest="action", required=True)
-    record = bench_sub.add_parser(
-        "record",
-        help="append the given BENCH_*.json artifacts to the history",
-    )
-    record.add_argument(
-        "paths", nargs="+", help="BENCH_*.json artifact paths"
-    )
-    record.add_argument(
-        "--history", default="bench_history.jsonl", metavar="PATH",
-        help="repro-bench-history/1 JSONL store",
-    )
-    record.add_argument(
-        "--label", default="", help="run label (e.g. a commit sha)"
-    )
-    record.add_argument(
-        "--run", default=None,
-        help="explicit run id (default: derived from the timestamp)",
-    )
-    report_p = bench_sub.add_parser(
-        "report",
-        help="diff the newest recorded run against a baseline; exits "
-        "1 when any gated metric regressed past the threshold",
-    )
-    report_p.add_argument(
-        "--history", default="bench_history.jsonl", metavar="PATH",
-    )
-    report_p.add_argument(
-        "--baseline", default="prev",
-        help="'prev' (run before newest), 'first', or an explicit "
-        "run id",
-    )
-    report_p.add_argument(
-        "--threshold", type=float, default=1.5,
-        help="ratio past which a metric counts as regressed",
     )
     return parser
 
@@ -698,43 +655,6 @@ def _cmd_figure1(args: argparse.Namespace) -> int:
     return 0
 
 
-def _cmd_bench(args: argparse.Namespace) -> int:
-    from repro.obs.bench import (
-        compare,
-        load_history,
-        record_run,
-        render_report,
-    )
-
-    if args.action == "record":
-        appended = record_run(
-            args.history, args.paths, label=args.label, run=args.run,
-        )
-        for record in appended:
-            logger.info(
-                "recorded %s (%d records) as run %s",
-                record["kind"], len(record["records"]), record["run"],
-            )
-        if not appended:
-            logger.warning(
-                "no readable repro-bench/1 artifacts among: %s",
-                ", ".join(args.paths),
-            )
-            return 1
-        return 0
-    report = compare(
-        load_history(args.history),
-        baseline=args.baseline,
-        threshold=args.threshold,
-    )
-    logger.info(render_report(report))
-    if report.get("error"):
-        # Too little history to diff (e.g. CI's first recorded run):
-        # nothing to gate on, so pass rather than block the pipeline.
-        return 0
-    return 1 if report["regressions"] else 0
-
-
 def _cmd_trace(args: argparse.Namespace) -> int:
     from repro.obs.summarize import (
         build_search_tree,
@@ -786,7 +706,6 @@ def main(argv: Optional[List[str]] = None) -> int:
         "certify": _cmd_certify,
         "figure1": _cmd_figure1,
         "trace": _cmd_trace,
-        "bench": _cmd_bench,
     }
     return handlers[args.command](args)
 

@@ -23,9 +23,13 @@ Safety-Critical Deep Networks*):
   fan-out against a pool: forked
   :class:`repro.core.pool.VerificationPool` workers for parallel runs,
   an :class:`repro.core.pool.InProcessPool` (the caller is the one
-  worker) for serial ones.  Verdict cache, bounds prefetch, split-shard
-  assembly and trace relay therefore exist once, and serial and
-  parallel runs produce the same span ids.  An attached persistent pool
+  worker) for serial ones.  Verdict cache, bounds prefetch and trace
+  relay therefore exist once, and serial and parallel runs produce the
+  same span ids.  A cell with input-region bisection on is an ordinary
+  cell job too: its worker's :class:`~repro.core.verifier.Verifier`
+  runs :class:`repro.analysis.split.RegionBisectionDriver`, whose
+  shards share the cell's one MILP deadline and whose plan traces
+  under the cell's span.  An attached persistent pool
   (``campaign.run(pool=...)``) always runs the cells: consecutive
   campaigns reuse its warm workers, share one content-keyed bounds
   cache, and skip cells whose full query fingerprint already has a
@@ -39,7 +43,7 @@ import math
 import os
 import time
 import traceback
-from typing import TYPE_CHECKING, Callable, Dict, List, Optional, Tuple
+from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core import bounds as bounds_mod
 from repro.core.bounds import (
@@ -66,9 +70,6 @@ from repro.nn.network import FeedForwardNetwork
 from repro.obs.sinks import RingBufferSink
 from repro.obs.trace import Tracer, as_tracer
 from repro.report.tables import render_generic
-
-if TYPE_CHECKING:  # pragma: no cover - static-analysis imports only
-    from repro.analysis.symbolic import SymbolicScreen
 
 #: Explicit matrix mark for every verdict — no raw enum-value fallback.
 VERDICT_MARKS: Dict[Verdict, str] = {
@@ -378,10 +379,6 @@ class _CellTask:
     #: ``(run_id, span_id_prefix)`` when the campaign is traced; the
     #: worker builds a relay tracer from it (see :func:`_worker_tracer`).
     trace_cfg: Optional[Tuple[str, str]] = None
-    #: A bisection shard's prescreen from the parent's plan
-    #: (:attr:`repro.analysis.split.SplitLeaf.screen`), so the worker
-    #: does not bound the sub-region again.
-    screen: Optional["SymbolicScreen"] = None
 
 
 def _new_task(
@@ -506,89 +503,6 @@ def _error_cell(
     )
 
 
-@dataclasses.dataclass
-class _SplitState:
-    """In-flight fan-out of one cell into sub-region pool jobs.
-
-    The parent computed the bisection plan; each surviving sub-region
-    runs as an independent ``"cell"`` pool job (or resolves from the
-    verdict cache).  When the last shard lands, the shard results are
-    assembled into the *one* parent :class:`CampaignCell` — the shards
-    themselves never appear in the report, so ``total_cell_time`` and
-    ``speedup`` count sub-region work exactly once.  ``leaves`` holds
-    one slot per survivor, filled as shards land, so assembly sees the
-    results in survivor order whatever order they completed in.
-    """
-
-    task: _CellTask
-    plan: object  # repro.analysis.split.SplitPlan
-    leaves: List[Optional[VerificationResult]]
-    records: List[dict] = dataclasses.field(default_factory=list)
-
-    @property
-    def complete(self) -> bool:
-        return all(leaf is not None for leaf in self.leaves)
-
-
-def _assemble_split_cell(state: _SplitState) -> CampaignCell:
-    """The parent cell from a finished fan-out.
-
-    The cell's MILP time limit (already capped by any per-cell budget,
-    see :func:`_effective_milp_options`) bounds the **sum** of
-    sub-region solve time plus planning, the same rule
-    :meth:`repro.analysis.split.RegionBisectionDriver.prove` applies.
-    A fan-out whose summed time blew it reports TIMEOUT — never ERROR —
-    exactly like an unsplit cell that overran (see
-    :func:`_run_cell_task`).
-    """
-    from repro.analysis.split import assemble_max, assemble_prove
-    from repro.core.verifier import INFEASIBLE_REGION_MESSAGE
-
-    task = state.task
-    leaves = state.leaves
-    total = state.plan.wall_time + sum(r.wall_time for r in leaves)
-    if task.query.kind == "max":
-        empty = sum(
-            1 for r in leaves
-            if r.verdict is Verdict.ERROR
-            and r.description.startswith(INFEASIBLE_REGION_MESSAGE)
-        )
-        useful = [
-            r for r in leaves
-            if not (
-                r.verdict is Verdict.ERROR
-                and r.description.startswith(INFEASIBLE_REGION_MESSAGE)
-            )
-        ]
-        result = assemble_max(
-            task.query.objective, state.plan, useful,
-            wall_time=total, empty=empty,
-        )
-    else:
-        result = assemble_prove(
-            task.query.as_property(), state.plan, leaves,
-            task.network, wall_time=total,
-        )
-    limit = _effective_milp_options(task).time_limit
-    if (
-        total > limit
-        and result.verdict not in (Verdict.TIMEOUT, Verdict.ERROR)
-    ):
-        result = dataclasses.replace(
-            result,
-            verdict=Verdict.TIMEOUT,
-            description=(
-                f"{result.description} "
-                f"[time limit {limit:.1f}s exceeded "
-                f"across {len(leaves)} sub-regions: {total:.1f}s]"
-            ).strip(),
-        )
-    return CampaignCell(
-        task.network_name, task.query.name, result,
-        trace_records=state.records,
-    )
-
-
 def _run_cell_task(task: _CellTask) -> CampaignCell:
     """Worker: verify one cell; every failure becomes an ERROR cell."""
     start = time.monotonic()
@@ -632,13 +546,11 @@ def _run_cell_task(task: _CellTask) -> CampaignCell:
                         task.query.objective,
                         precomputed_bounds=task.bounds,
                         raise_on_infeasible=False,
-                        screen=task.screen,
                     )
                 else:
                     result = verifier.prove(
                         task.query.as_property(),
                         precomputed_bounds=task.bounds,
-                        screen=task.screen,
                     )
             except Exception:
                 span.set(verdict=Verdict.ERROR.value)
@@ -913,6 +825,8 @@ class VerificationCampaign:
         worker at all.  ``alpha_by_key`` collects the alpha telemetry
         of every shared bound set.
         """
+        from repro.analysis.split import bisects
+
         cells: List[Optional[CampaignCell]] = [None] * len(tasks)
         total = len(tasks)
         done_count = 0
@@ -926,10 +840,24 @@ class VerificationCampaign:
             if progress is not None:
                 progress(done_count, total, cell)
 
+        outstanding = 0
+        job_to_task: Dict[int, _CellTask] = {}
+        job_to_key: Dict[int, Tuple[str, str, str]] = {}
+        fingerprints: Dict[int, str] = {}
+
+        def dispatch_cell(task: _CellTask) -> None:
+            nonlocal outstanding
+            job = pool.submit_task("cell", task, fingerprints[task.index])
+            job_to_task[job.id] = task
+            outstanding += 1
+
         # Decided-before-solving cells (audit rejections) and verdict
         # cache hits run in-process: there is no solver work to fan out.
-        pending: List[_CellTask] = []
-        fingerprints: Dict[int, str] = {}
+        # A cell its verifier will bisect skips the bounds stage: the
+        # driver bounds every box once itself, the whole-region
+        # prescreen's screen being the plan's root, so the parent
+        # region's shared bound set would be dead weight.
+        by_key: Dict[Tuple[str, str, str], List[_CellTask]] = {}
         for task in tasks:
             if task.audit_error is not None:
                 finish(task, _run_cell_task(task))
@@ -941,149 +869,12 @@ class VerificationCampaign:
                 finish(task, CampaignCell(
                     task.network_name, task.query.name, cached
                 ))
-                continue
-            pending.append(task)
-
-        outstanding = 0
-        job_to_task: Dict[int, _CellTask] = {}
-        job_to_key: Dict[int, Tuple[str, str, str]] = {}
-        job_to_split: Dict[
-            int, Tuple[_SplitState, int, _CellTask, object]
-        ] = {}
-
-        def finish_memoised(task: _CellTask, cell: CampaignCell) -> None:
-            """Finish a cell decided in the parent, memoising its verdict."""
-            pool.verdict_cache.put(fingerprints[task.index], cell.result)
-            finish(task, cell)
-
-        def finish_split(state: _SplitState) -> None:
-            """Assemble and memoise one fan-out's parent cell."""
-            try:
-                cell = _assemble_split_cell(state)
-            except Exception as exc:
-                cell = _error_cell(
-                    state.task,
-                    f"{type(exc).__name__}: {exc}",
-                    traceback.format_exc(),
-                    0.0,
-                    records=state.records,
-                )
-            finish_memoised(state.task, cell)
-
-        def dispatch_split(task: _CellTask) -> bool:
-            """Fan one split-enabled cell out as sub-region jobs.
-
-            The bisection plan runs in the parent (the prescreen is
-            cheap symbolic work); each surviving sub-region becomes an
-            independent ``"cell"`` job carrying its *own* fingerprint,
-            so shard verdicts memoise in the verdict cache alongside
-            whole-cell ones — with distinct keys, because the shard's
-            region geometry (and its split-off encoder options) hash
-            differently from the parent's.  Returns ``False`` when the
-            network is outside the symbolic fragment: the cell then
-            runs unsplit, exactly as without ``--split``.
-            """
-            nonlocal outstanding
-            from repro.analysis.split import RegionBisectionDriver
-            from repro.errors import EncodingError
-
-            milp = _effective_milp_options(task)
-            root = None
-            if task.query.kind == "prove":
-                # Same order as Verifier.prove: the whole-region static
-                # prescreen decides first, so a root-provable cell
-                # reports ``solver="static"`` (with its certificate
-                # under certify) exactly as an unsplit query would.
-                # Its screen is the plan's root: bounded once.
-                static, root = Verifier(
-                    task.network, task.encoder_options, milp,
-                    tracer=tracer,
-                ).prescreen(task.query.as_property())
-                if static is not None:
-                    finish_memoised(task, CampaignCell(
-                        task.network_name, task.query.name, static,
-                    ))
-                    return True
-            driver = RegionBisectionDriver(
-                task.network, task.encoder_options, milp, tracer=tracer,
-            )
-            threshold = (
-                task.query.threshold if task.query.kind == "prove"
-                else None
-            )
-            try:
-                plan = driver.plan(
-                    task.query.region, task.query.objective, threshold,
-                    root=root,
-                )
-            except EncodingError:
-                return False
-            state = _SplitState(task, plan, [None] * len(plan.survivors))
-            if not plan.survivors:
-                finish_split(state)
-                return True
-            leaf_options = dataclasses.replace(
-                task.encoder_options, split=False,
-                static_prescreen=False,
-            )
-            for i, leaf in enumerate(plan.survivors):
-                leaf_task = dataclasses.replace(
-                    task,
-                    query=dataclasses.replace(
-                        task.query,
-                        name=f"{task.query.name}#s{i}",
-                        region=leaf.region,
-                    ),
-                    encoder_options=leaf_options,
-                    trace_cfg=(
-                        (tracer.run_id, f"c{task.index}.s{i}.")
-                        if tracer.enabled else None
-                    ),
-                    screen=leaf.screen,
-                )
-                leaf_fp = _task_fingerprint(leaf_task)
-                cached = pool.verdict_cache.get(leaf_fp)
-                if cached is not None:
-                    if leaf.slot is not None:
-                        # Certified shard verdicts memoise *with* their
-                        # certificate (the fingerprint hashes the
-                        # certify flag, so uncertified runs never
-                        # satisfy a certified shard).
-                        from repro.proof.emit import fill_leaf_slot
-
-                        fill_leaf_slot(leaf.slot, cached.certificate)
-                    state.leaves[i] = cached
-                    continue
-                job = pool.submit_task("cell", leaf_task, leaf_fp)
-                job_to_split[job.id] = (state, i, leaf_task, leaf)
-                outstanding += 1
-            if state.complete:
-                finish_split(state)
-            return True
-
-        # Split-enabled cells fan out *before* the bounds stage: the
-        # plan prescreens per sub-region itself, and each shard job
-        # computes its own (narrower, tighter) bounds — the parent
-        # region's bound set would be dead weight, so it is never
-        # computed.
-        if self.encoder_options.split:
-            pending = [
-                task for task in pending if not dispatch_split(task)
-            ]
-
-        # Stage 1: one pool job per unique unresolved bounds key; cached
-        # keys resolve instantly.  Submitted per-future (never a
-        # pool.map batch) so one crashing computation cannot take the
-        # others down with it.
-        by_key: Dict[Tuple[str, str, str], List[_CellTask]] = {}
-        for task in pending:
-            by_key.setdefault(task.bounds_key, []).append(task)
-
-        def dispatch_cell(task: _CellTask) -> None:
-            nonlocal outstanding
-            job = pool.submit_task("cell", task, fingerprints[task.index])
-            job_to_task[job.id] = task
-            outstanding += 1
+            elif bisects(
+                task.network, task.query.region, task.encoder_options
+            ):
+                dispatch_cell(task)
+            else:
+                by_key.setdefault(task.bounds_key, []).append(task)
 
         def resolve_key(key, entry) -> None:
             """Attach a bounds entry to its cells and dispatch them."""
@@ -1100,6 +891,10 @@ class VerificationCampaign:
                 else:
                     dispatch_cell(task)
 
+        # Stage 1: one pool job per unique unresolved bounds key; cached
+        # keys resolve instantly.  Submitted per-future (never a
+        # pool.map batch) so one crashing computation cannot take the
+        # others down with it.
         for i, (key, group) in enumerate(by_key.items()):
             entry = pool.bounds_cache.peek(key)
             if entry is not None:
@@ -1119,35 +914,6 @@ class VerificationCampaign:
         while outstanding:
             for job in pool.wait():
                 outstanding -= 1
-                split_entry = job_to_split.pop(job.id, None)
-                if split_entry is not None:
-                    state, i, leaf_task, leaf = split_entry
-                    if job.error is not None:
-                        # A crashed shard is a genuine fault, not a
-                        # budget overrun: the parent degrades to ERROR
-                        # (a shard *timeout* arrives as a TIMEOUT
-                        # result and assembles to a TIMEOUT parent).
-                        state.leaves[i] = VerificationResult(
-                            verdict=Verdict.ERROR,
-                            description=(
-                                "worker failed on sub-region "
-                                f"{leaf_task.query.region.name!r}: "
-                                f"{job.error.splitlines()[-1]}"
-                            ),
-                        )
-                    else:
-                        leaf_cell = job.result
-                        state.records.extend(leaf_cell.trace_records)
-                        if leaf.slot is not None:
-                            from repro.proof.emit import fill_leaf_slot
-
-                            fill_leaf_slot(
-                                leaf.slot, leaf_cell.result.certificate
-                            )
-                        state.leaves[i] = leaf_cell.result
-                    if state.complete:
-                        finish_split(state)
-                    continue
                 key = job_to_key.pop(job.id, None)
                 if key is not None:
                     if job.error is not None:

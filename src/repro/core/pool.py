@@ -26,8 +26,7 @@ Campaigns run every cell through a pool (see
 parallel runs build an ephemeral one, and serial runs use
 :class:`InProcessPool`, the same engine with the caller as its one
 worker.  Serial and parallel runs therefore share one verdict cache,
-bounds prefetch, split-shard assembly and trace relay, and produce the
-same span ids.
+bounds prefetch and trace relay, and produce the same span ids.
 """
 
 from __future__ import annotations

@@ -36,22 +36,19 @@ from repro.core.properties import (
     InputRegion,
     OutputObjective,
     SafetyProperty,
-    component_lateral_objectives,
 )
 from repro.errors import EncodingError
 from repro.milp.branch_and_bound import MILPOptions, solve_milp
 from repro.milp.status import SolveStatus
 from repro.nn.network import FeedForwardNetwork
-from repro.obs.metrics import merge_metrics
 from repro.obs.trace import as_tracer
 
 if TYPE_CHECKING:  # pragma: no cover - static-analysis imports only
     from repro.analysis.symbolic import SymbolicScreen
 
 
-#: Diagnostic for a max query over an empty input region.  The split
-#: assembly matches on it to tell "this sub-box is empty" (harmless — an
-#: empty shard cannot contain the maximum) from genuine shard failures.
+#: Diagnostic for a max query over an empty input region (raised, or
+#: carried by an ERROR result under ``raise_on_infeasible=False``).
 INFEASIBLE_REGION_MESSAGE = (
     "max query infeasible: the input region is empty"
 )
@@ -249,7 +246,9 @@ class TableIIRow:
     """One row of the paper's Table II."""
 
     architecture: str
-    max_lateral_velocity: Optional[float]
+    #: The verified maximum lateral velocity over the mixture
+    #: components, or ``None`` when no maximum was found.
+    max_velocity: Optional[float]
     wall_time: float
     timed_out: bool
     num_binaries: int = 0
@@ -262,10 +261,10 @@ class TableIIRow:
         """The row in the paper's Table II layout."""
         if self.error is not None:
             value = "n.a. (verification error)"
-        elif self.max_lateral_velocity is None:
+        elif self.max_velocity is None:
             value = "n.a. (unable to find maximum)"
         else:
-            value = f"{self.max_lateral_velocity:.6f}"
+            value = f"{self.max_velocity:.6f}"
         time_str = "time-out" if self.timed_out else f"{self.wall_time:.1f}s"
         return f"{self.architecture:>8}  {value:>32}  {time_str:>10}"
 
@@ -340,17 +339,11 @@ class Verifier:
             return result
 
     def _split_driver(self, region: InputRegion):
-        """The bisection driver, or ``None`` when split is off or the
-        network shape is outside the symbolic engine's fragment (the
-        unsplit MILP then decides, exactly as without ``--split``)."""
-        if not self.encoder_options.split:
-            return None
-        from repro.analysis.split import RegionBisectionDriver
-        from repro.analysis.symbolic import _check_supported
+        """The bisection driver, or ``None`` when the query does not
+        bisect (see :func:`repro.analysis.split.bisects`)."""
+        from repro.analysis.split import RegionBisectionDriver, bisects
 
-        try:
-            _check_supported(self.network, region)
-        except EncodingError:
+        if not bisects(self.network, region, self.encoder_options):
             return None
         return RegionBisectionDriver(
             self.network, self.encoder_options, self.milp_options,
@@ -610,11 +603,11 @@ class Verifier:
             certificate=certificate,
         )
 
-    def prescreen(
+    def _prescreen(
         self,
         prop: SafetyProperty,
-        precomputed_bounds: Optional[List[LayerBounds]] = None,
-        screen: Optional["SymbolicScreen"] = None,
+        precomputed_bounds: Optional[List[LayerBounds]],
+        screen: Optional["SymbolicScreen"],
     ) -> Tuple[Optional[VerificationResult], Optional["SymbolicScreen"]]:
         """The whole-region static prescreen of a decision query.
 
@@ -650,7 +643,7 @@ class Verifier:
         screen: Optional["SymbolicScreen"],
     ) -> VerificationResult:
         start = time.monotonic()
-        static, screen = self.prescreen(prop, precomputed_bounds, screen)
+        static, screen = self._prescreen(prop, precomputed_bounds, screen)
         if static is not None:
             return static
         driver = self._split_driver(prop.region)
@@ -733,59 +726,6 @@ class Verifier:
             description=prop.name,
             **_lp_telemetry(result, own_bounds),
         )
-
-    # -- the Table II experiment ----------------------------------------------------
-    def max_lateral_velocity(
-        self,
-        region: InputRegion,
-        num_components: int,
-    ) -> VerificationResult:
-        """Maximum suggested lateral velocity over all mixture components.
-
-        Bounds are computed once and shared by the per-component queries.
-        The result's value is ``max_k max_x mu_lat_k(x)`` — a sound upper
-        bound on the mixture-mean lateral velocity (see
-        :mod:`repro.nn.mdn`).
-        """
-        bounds = compute_bounds(
-            self.network, region, self.encoder_options,
-            tracer=self.tracer,
-        )
-        best: Optional[VerificationResult] = None
-        total_time = 0.0
-        total_nodes = 0
-        total_lp_iterations = 0
-        total_metrics: Dict[str, float] = {}
-        alpha_stats = getattr(bounds, "alpha_stats", None)
-        if alpha_stats is not None:
-            # The bounds were computed once here and shared by every
-            # per-component query; attribute the optimiser work once.
-            merge_metrics(total_metrics, alpha_stats.as_metrics())
-        timed_out = False
-        for objective in component_lateral_objectives(num_components):
-            result = self.maximize(
-                region, objective, precomputed_bounds=bounds
-            )
-            total_time += result.wall_time
-            total_nodes += result.nodes
-            total_lp_iterations += result.lp_iterations
-            merge_metrics(total_metrics, result.metrics)
-            if result.verdict is Verdict.TIMEOUT:
-                timed_out = True
-            if best is None or (
-                not math.isnan(result.value) and result.value > best.value
-            ):
-                best = result
-        assert best is not None
-        best = dataclasses.replace(
-            best,
-            wall_time=total_time,
-            nodes=total_nodes,
-            verdict=Verdict.TIMEOUT if timed_out else best.verdict,
-            lp_iterations=total_lp_iterations,
-            metrics=total_metrics,
-        )
-        return best
 
     def ambiguity_report(self, region: InputRegion) -> int:
         """Binary-variable count the encoding will need over this region."""

@@ -11,9 +11,6 @@ LP bound tightening also grows the model layer by layer:
 ``addCols``/``addRows``) and the basis carries over, so one model
 serves every layer of a network.  Both hand HiGHS compressed triplets
 built straight from the dense rows with ``np.nonzero``.
-:func:`solve_lp` is a one-shot session with a plain
-``(c, A_ub, b_ub, A_eq, b_eq, bounds)`` signature, which the test suite
-cross-checks against an independent from-scratch simplex.
 
 The bindings (``scipy.optimize._highspy._core``, the same ones SciPy's
 own ``method="highs"`` LP solver drives) ship with SciPy 1.15 and later;
@@ -296,14 +293,3 @@ class HighsSession:
             return None
         return -ray
 
-
-def solve_lp(
-    c: np.ndarray,
-    A_ub: Optional[np.ndarray] = None,
-    b_ub: Optional[np.ndarray] = None,
-    A_eq: Optional[np.ndarray] = None,
-    b_eq: Optional[np.ndarray] = None,
-    bounds: Optional[Sequence[Tuple[float, float]]] = None,
-) -> LPResult:
-    """Minimise ``c @ x`` with HiGHS in a one-shot session."""
-    return HighsSession(c, A_ub, b_ub, A_eq, b_eq, bounds).solve()

@@ -2,18 +2,17 @@
 
 Structured tracing (:mod:`repro.obs.trace`), metric instruments
 (:mod:`repro.obs.metrics`), pluggable sinks (:mod:`repro.obs.sinks`),
-trace analysis and search-tree export (:mod:`repro.obs.summarize`), the
-``repro.*`` logging hierarchy (:mod:`repro.obs.logconfig`) and the
-bench-history regression gate (:mod:`repro.obs.bench`).
+trace analysis and search-tree export (:mod:`repro.obs.summarize`) and
+the ``repro.*`` logging hierarchy (:mod:`repro.obs.logconfig`).
 
 The contract with the hot paths: everything here is **zero-cost when
 disabled** — callers default to :data:`NULL_TRACER`, whose spans and
 events are shared no-ops, and guard per-node event emission behind one
 ``is not None`` check.
 
-The bench-history and trace-summary names re-export lazily (PEP 562),
-as in :mod:`repro.core`: a process that only proves never loads
-:mod:`repro.obs.bench` or :mod:`repro.obs.summarize`.
+The trace-summary names re-export lazily (PEP 562), as in
+:mod:`repro.core`: a process that only proves never loads
+:mod:`repro.obs.summarize`.
 """
 
 from __future__ import annotations
@@ -42,13 +41,6 @@ from repro.obs.trace import (
 )
 
 if TYPE_CHECKING:  # pragma: no cover - static-analysis imports only
-    from repro.obs.bench import (  # noqa: F401
-        HISTORY_SCHEMA,
-        compare,
-        load_history,
-        record_run,
-        render_report,
-    )
     from repro.obs.summarize import (  # noqa: F401
         PHASES,
         TraceSummary,
@@ -62,10 +54,6 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis imports only
 
 #: Lazily re-exported submodule -> the names it defines.
 _LAZY: Dict[str, List[str]] = {
-    "bench": [
-        "HISTORY_SCHEMA", "compare", "load_history", "record_run",
-        "render_report",
-    ],
     "summarize": [
         "PHASES", "TraceSummary", "build_search_tree", "load_trace",
         "render_summary", "summarize_trace", "tree_to_dot", "tree_to_json",
@@ -80,7 +68,6 @@ __all__ = [
     "ConsoleSink",
     "Counter",
     "Gauge",
-    "HISTORY_SCHEMA",
     "Histogram",
     "JsonlSink",
     "MetricsRegistry",
@@ -95,16 +82,12 @@ __all__ = [
     "Tracer",
     "as_tracer",
     "build_search_tree",
-    "compare",
     "configure_logging",
     "get_logger",
-    "load_history",
     "load_trace",
     "merge_metrics",
     "new_run_id",
-    "record_run",
     "render_quantiles",
-    "render_report",
     "render_summary",
     "summarize_trace",
     "tree_to_dot",

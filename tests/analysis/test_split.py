@@ -587,44 +587,85 @@ class TestCampaignSplit:
         report = campaign.run()
         assert report.cells[0].result.verdict is Verdict.TIMEOUT
 
-    def test_shard_time_sum_bounded_by_milp_time_limit(self, tiny_net):
-        """With no cell budget, the MILP time limit bounds the summed
-        shard time, as in :meth:`RegionBisectionDriver.prove`."""
-        from repro.analysis.split import SplitLeaf, SplitPlan
-        from repro.core.campaign import (
-            CampaignQuery,
-            _assemble_split_cell,
-            _new_task,
-            _SplitState,
-        )
-        from repro.core.verifier import VerificationResult
-
-        region = unit_region(tiny_net.input_dim)
-        low, high = region.bisect(0)
-        plan = SplitPlan(survivors=[
-            SplitLeaf(low, depth=1, lower=0.0, upper=1.0),
-            SplitLeaf(high, depth=1, lower=0.0, upper=1.0),
-        ])
-        query = CampaignQuery(
-            "p", region, OutputObjective.single(0), threshold=1e6
-        )
-        task = _new_task(
-            0, "net", tiny_net, query, split_options(),
-            MILPOptions(time_limit=1.0), cell_time_limit=None,
+    @pytest.fixture(scope="class")
+    def gap_property(self, campaign_parts):
+        """A decision query that depth-4 bisection answers with at
+        least two MILP shards."""
+        network, region, objective = campaign_parts
+        optimum = Verifier(
+            network, EncoderOptions(bound_mode="symbolic"),
+            MILPOptions(time_limit=60.0),
+        ).maximize(region, objective).value
+        return SafetyProperty(
+            name="gap", region=region, objective=objective,
+            threshold=optimum + 0.2,
         )
 
-        def assembled(*walls):
-            leaves = [
-                VerificationResult(verdict=Verdict.VERIFIED, wall_time=w)
-                for w in walls
-            ]
-            return _assemble_split_cell(_SplitState(task, plan, leaves))
+    def test_shards_share_one_deadline(
+        self, campaign_parts, gap_property, monkeypatch
+    ):
+        """Each shard of a split cell solves against what the plan and
+        the earlier shards left of the cell's one MILP time limit,
+        never against the whole limit again."""
+        import repro.core.verifier as verifier_mod
+        from repro.core.campaign import VerificationCampaign
 
-        within = assembled(0.4, 0.4).result
-        assert within.verdict is Verdict.VERIFIED
-        over = assembled(0.6, 0.6).result
-        assert over.verdict is Verdict.TIMEOUT
-        assert "time limit 1.0s exceeded" in over.description
+        limits = []
+        solve = verifier_mod.solve_milp
+
+        def recording(model, options, **kwargs):
+            limits.append(options.time_limit)
+            return solve(model, options, **kwargs)
+
+        monkeypatch.setattr(verifier_mod, "solve_milp", recording)
+        campaign = VerificationCampaign(
+            split_options(split_depth=4), MILPOptions(time_limit=60.0),
+        )
+        campaign.add_network(campaign_parts[0])
+        campaign.add_property(gap_property)
+        (cell,) = campaign.run().cells
+        assert cell.result.verdict is Verdict.VERIFIED
+        assert cell.result.split_cells == len(limits) >= 2
+        assert all(0.0 < limit < 60.0 for limit in limits)
+        assert all(a > b for a, b in zip(limits, limits[1:]))
+
+    @pytest.mark.parametrize("jobs", [None, 2])
+    def test_traced_split_campaign_nests_under_cells(
+        self, campaign_parts, gap_property, jobs
+    ):
+        """The plan and its shards trace inside their campaign cell:
+        one ``cell`` span per cell, and every ``split``/``static``/
+        ``query`` span has one as its ancestor."""
+        from repro.core.campaign import VerificationCampaign
+        from repro.obs import RingBufferSink, Tracer
+
+        network, region, objective = campaign_parts
+        campaign = VerificationCampaign(
+            split_options(split_depth=4), MILPOptions(time_limit=60.0),
+        )
+        campaign.add_network(network)
+        campaign.add_max_query("max0", region, objective)
+        campaign.add_property(gap_property)
+        sink = RingBufferSink()
+        report = campaign.run(jobs=jobs, tracer=Tracer([sink]))
+        assert report.split_cells >= 2
+        spans = {
+            record["id"]: record for record in sink.records
+            if record["type"] == "span"
+        }
+        cells = [r for r in spans.values() if r["name"] == "cell"]
+        assert sorted(r["attrs"]["query"] for r in cells) == ["gap", "max0"]
+        nested = [
+            r for r in spans.values()
+            if r["name"] in ("split", "static", "query")
+        ]
+        assert {r["name"] for r in nested} == {"split", "static", "query"}
+        for record in nested:
+            ancestor = spans.get(record["parent"])
+            while ancestor is not None and ancestor["name"] != "cell":
+                ancestor = spans.get(ancestor["parent"])
+            assert ancestor is not None, record["name"]
+            assert ancestor["attrs"]["query"] in ("gap", "max0")
 
     def test_certified_shards_agree_serial_and_pooled(
         self, campaign_parts

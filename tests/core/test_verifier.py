@@ -127,23 +127,22 @@ class TestDecisionQueries:
 
 
 class TestCaseStudyQueries:
-    def test_max_lateral_velocity(self, small_study, small_predictor):
+    def test_max_velocity(self, small_study, small_predictor):
+        from repro import casestudy
+
         region = vehicle_on_left_region(small_study.encoder)
-        verifier = Verifier(
-            small_predictor,
-            EncoderOptions(bound_mode="lp"),
-            MILPOptions(time_limit=120.0),
+        row = casestudy.verify_network(
+            small_study, small_predictor, time_limit=120.0, region=region,
         )
-        result = verifier.max_lateral_velocity(region, 2)
-        assert result.verdict in (Verdict.MAX_FOUND, Verdict.TIMEOUT)
-        if result.verdict is Verdict.MAX_FOUND:
+        assert row.error is None
+        if not row.timed_out:
             # Sound upper bound on anything sampling can find.
             samples = region.sample(np.random.default_rng(0), 100)
             outs = small_predictor.forward(samples)
             from repro.nn.mdn import mu_lat_indices
 
             sampled = outs[:, mu_lat_indices(2)].max()
-            assert result.value >= sampled - 1e-6
+            assert row.max_velocity >= sampled - 1e-6
 
     def test_ambiguity_report(self, small_study, small_predictor):
         region = vehicle_on_left_region(small_study.encoder)

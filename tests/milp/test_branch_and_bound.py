@@ -21,6 +21,7 @@ from repro.milp import (
     solve_milp,
 )
 from repro.nn import FeedForwardNetwork
+from repro.obs import RingBufferSink, Tracer
 
 
 def knapsack(values, weights, capacity) -> Model:
@@ -148,6 +149,28 @@ class TestInfeasibleAndBudgets:
         model = knapsack(values, weights, 7)
         res = solve_milp(model)
         assert res.gap == pytest.approx(0.0)
+
+
+    def test_near_optimal_nodes_are_not_pruned(self):
+        """The search prunes a node only when its bound cannot beat the
+        incumbent by more than ``GAP_TOL``.  Here the first incumbent
+        (items 1 and 2, 16.01) is 0.02 short of the optimum (items 0
+        and 1, 16.03), so a pruning tolerance of 0.05 would stop at the
+        first incumbent."""
+        values = [13.02, 3.01, 13.0, 14.03, 14.02]
+        weights = [5, 1, 3, 6, 7]
+        sink = RingBufferSink()
+        res = solve_milp(knapsack(values, weights, 6), tracer=Tracer([sink]))
+        incumbents = [
+            -r["attrs"]["objective"] for r in sink.records
+            if r["name"] == "incumbent"
+        ]
+        assert incumbents[0] == pytest.approx(16.01)
+        assert res.status is SolveStatus.OPTIMAL
+        assert res.objective == pytest.approx(16.03, abs=1e-9)
+        assert res.objective == pytest.approx(
+            brute_force_knapsack(values, weights, 6), abs=1e-9
+        )
 
 
 class TestOptions:

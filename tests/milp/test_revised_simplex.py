@@ -11,10 +11,10 @@ import math
 import numpy as np
 import pytest
 
-from repro.milp.scipy_backend import solve_lp as solve_highs
 from repro.milp.status import SolveStatus
 
 from ..oracles import revised_simplex as rs
+from ..oracles.highs import solve_lp as solve_highs
 
 NUM_RANDOM_LPS = 200
 

@@ -10,10 +10,11 @@ import sys
 import numpy as np
 import pytest
 
-from repro.milp.scipy_backend import HighsSession, solve_lp
+from repro.milp.scipy_backend import HighsSession
 from repro.milp.status import SolveStatus
 
 from ..oracles import revised_simplex
+from ..oracles.highs import solve_lp
 
 
 class TestStatusMapping:

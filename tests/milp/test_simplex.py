@@ -14,9 +14,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.milp.scipy_backend import solve_lp as solve_highs
 from repro.milp.status import SolveStatus
 
+from ..oracles.highs import solve_lp as solve_highs
 from ..oracles.revised_simplex import solve_lp as solve_revised
 
 #: HiGHS and the oracle, by name.

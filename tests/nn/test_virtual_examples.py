@@ -92,9 +92,6 @@ class TestHintedPredictorVirtualExamples:
         maximum over the operational region (the perspective-iii
         result)."""
         from repro import casestudy
-        from repro.core.encoder import EncoderOptions
-        from repro.core.verifier import Verdict, Verifier
-        from repro.milp import MILPOptions
 
         region = casestudy.operational_region(small_study)
 
@@ -103,13 +100,11 @@ class TestHintedPredictorVirtualExamples:
                 small_study, width=4, hint_weight=weight,
                 hint_threshold=0.8, seed=0,
             )
-            result = Verifier(
-                net,
-                EncoderOptions(bound_mode="lp"),
-                MILPOptions(time_limit=120.0),
-            ).max_lateral_velocity(region, 2)
-            assert result.verdict in (Verdict.MAX_FOUND, Verdict.TIMEOUT)
-            return result.value
+            row = casestudy.verify_network(
+                small_study, net, time_limit=120.0, region=region,
+            )
+            assert row.error is None
+            return row.max_velocity
 
         hinted = verified_max(10.0)
         plain = verified_max(0.0)

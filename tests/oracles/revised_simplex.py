@@ -375,6 +375,6 @@ def solve_lp(
     max_iter: int = _MAX_ITER_DEFAULT,
 ) -> LPResult:
     """Minimise ``c @ x``; the signature of
-    :func:`repro.milp.scipy_backend.solve_lp`."""
+    :func:`tests.oracles.highs.solve_lp`."""
     lp = standardize(c, A_ub, b_ub, A_eq, b_eq, bounds)
     return cold_solve(lp, max_iter=max_iter)

@@ -63,8 +63,8 @@ class TestVerification:
         assert isinstance(row, TableIIRow)
         assert row.architecture == "I4x5"
         if not row.timed_out:
-            assert row.max_lateral_velocity is not None
-            assert np.isfinite(row.max_lateral_velocity)
+            assert row.max_velocity is not None
+            assert np.isfinite(row.max_velocity)
         assert row.wall_time > 0
 
     def test_verified_max_dominates_simulation(self, small_study, small_predictor):
@@ -81,7 +81,7 @@ class TestVerification:
         samples = region.sample(np.random.default_rng(1), 200)
         outs = small_predictor.forward(samples)
         sampled_max = outs[:, mu_lat_indices(2)].max()
-        assert row.max_lateral_velocity >= sampled_max - 1e-6
+        assert row.max_velocity >= sampled_max - 1e-6
 
 
     def test_run_table_ii_serial_parallel_equivalence(
@@ -98,24 +98,32 @@ class TestVerification:
         assert len(serial) == len(parallel) == 1
         assert serial[0].architecture == parallel[0].architecture
         if not (serial[0].timed_out or parallel[0].timed_out):
-            assert parallel[0].max_lateral_velocity == pytest.approx(
-                serial[0].max_lateral_velocity, abs=1e-6
+            assert parallel[0].max_velocity == pytest.approx(
+                serial[0].max_velocity, abs=1e-6
             )
 
     def test_run_table_ii_matches_verify_network(
         self, small_study, small_predictor
     ):
         """The single-network row and the swept row both reproduce the
-        Verifier's own aggregation, :meth:`Verifier.max_lateral_velocity`."""
-        from repro.core.verifier import Verifier
+        per-component :meth:`Verifier.maximize` queries they fold."""
+        from repro.core.properties import component_lateral_objectives
+        from repro.core.verifier import Verdict, Verifier
         from repro.milp.branch_and_bound import MILPOptions
 
         region = casestudy.operational_region(small_study)
-        reference = Verifier(
+        verifier = Verifier(
             small_predictor,
             casestudy._encoder_options("lp", None),
             MILPOptions(time_limit=120.0),
-        ).max_lateral_velocity(region, small_study.config.num_components)
+        )
+        components = [
+            verifier.maximize(region, objective)
+            for objective in component_lateral_objectives(
+                small_study.config.num_components
+            )
+        ]
+        timed_out = any(r.verdict is Verdict.TIMEOUT for r in components)
         direct = casestudy.verify_network(
             small_study, small_predictor, time_limit=120.0, region=region
         )
@@ -126,11 +134,13 @@ class TestVerification:
         for row in (direct, swept):
             assert row.architecture == small_predictor.architecture_id
             assert row.error is None
-            assert row.timed_out == reference.timed_out
-            assert row.num_binaries == reference.num_binaries
-            if not reference.timed_out:
-                assert row.max_lateral_velocity == pytest.approx(
-                    reference.value, abs=1e-6
+            assert row.timed_out == timed_out
+            assert row.num_binaries == max(
+                r.num_binaries for r in components
+            )
+            if not timed_out:
+                assert row.max_velocity == pytest.approx(
+                    max(r.value for r in components), abs=1e-6
                 )
 
 
@@ -161,7 +171,7 @@ class TestComponentFailure:
         row = casestudy.verify_network(
             small_study, small_predictor, time_limit=120.0
         )
-        assert row.max_lateral_velocity is None
+        assert row.max_velocity is None
         assert "mu_lat_comp1" in row.error
         assert "injected solver fault" in row.error
         assert "verification error" in row.render()

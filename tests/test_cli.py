@@ -566,55 +566,3 @@ class TestCampaignPool:
         )
         assert code == 0
         assert "pool:" in capsys.readouterr().out
-
-
-class TestBenchCLI:
-    @staticmethod
-    def _artifact(path, wall):
-        import json
-
-        path.write_text(json.dumps({
-            "schema": "repro-bench/1", "kind": "pool",
-            "full_scale": False,
-            "records": [{"name": "serial", "wall_time": wall}],
-        }))
-        return str(path)
-
-    def test_regression_gate_round_trip(self, tmp_path, capsys):
-        history = str(tmp_path / "bench_history.jsonl")
-        artifact = tmp_path / "BENCH_pool.json"
-        assert main(
-            ["bench", "record", self._artifact(artifact, 2.0),
-             "--history", history, "--run", "base"]
-        ) == 0
-        # Single run: report explains itself and passes (CI first run).
-        assert main(["bench", "report", "--history", history]) == 0
-        assert "at least two recorded runs" in capsys.readouterr().out
-        # Unchanged timings pass cleanly...
-        assert main(
-            ["bench", "record", self._artifact(artifact, 2.0),
-             "--history", history, "--run", "same"]
-        ) == 0
-        assert main(["bench", "report", "--history", history]) == 0
-        assert "0 regression(s)" in capsys.readouterr().out
-        # ...an injected 2x wall-time regression exits nonzero.
-        assert main(
-            ["bench", "record", self._artifact(artifact, 4.0),
-             "--history", history, "--run", "slow"]
-        ) == 0
-        assert main(["bench", "report", "--history", history]) == 1
-        out = capsys.readouterr().out
-        assert "REGRESSION" in out
-        assert "pool/serial/wall_time" in out
-        # Against the explicit unregressed baseline it still fails.
-        assert main(
-            ["bench", "report", "--history", history,
-             "--baseline", "base"]
-        ) == 1
-
-    def test_record_with_no_artifacts_fails(self, tmp_path):
-        code = main(
-            ["bench", "record", str(tmp_path / "missing.json"),
-             "--history", str(tmp_path / "h.jsonl")]
-        )
-        assert code == 1

@@ -60,8 +60,8 @@ def test_prover_imports_skip_scipy_optimize_and_campaign():
     assert highs is True
 
 
-def test_prover_imports_skip_bench_history_and_trace_summary():
-    unwanted = ("repro.obs.bench", "repro.obs.summarize")
+def test_prover_imports_skip_trace_summary():
+    unwanted = ("repro.obs.summarize",)
     loaded = _run(
         _PROVER_IMPORTS
         + f"import json; print(json.dumps(sorted(m for m in {unwanted!r} "
@@ -73,12 +73,12 @@ def test_prover_imports_skip_bench_history_and_trace_summary():
 def test_obs_lazy_exports_resolve():
     modules = _run(
         "import json\n"
-        "from repro.obs import PHASES, record_run\n"
+        "from repro.obs import PHASES\n"
         "import repro.obs as obs\n"
-        "print(json.dumps([record_run.__module__, obs.load_trace.__module__,\n"
+        "print(json.dumps([obs.load_trace.__module__,\n"
         "    sorted(set(obs.__all__) - set(dir(obs)))]))"
     )
-    assert modules == ["repro.obs.bench", "repro.obs.summarize", []]
+    assert modules == ["repro.obs.summarize", []]
 
 
 def test_import_core_alone_loads_no_submodule():

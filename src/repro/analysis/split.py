@@ -526,8 +526,18 @@ class RegionBisectionDriver:
         start: Optional[float] = None,
         raise_on_infeasible: bool = True,
     ) -> "VerificationResult":
-        """Max query via bisection; the optimum over shard optima."""
-        from repro.core.verifier import Verdict, VerificationResult
+        """Max query via bisection; the optimum over shard optima.
+
+        Only a shard whose MILP is infeasible counts as empty.  Any
+        other error of a shard (say a failed soundness self-check)
+        propagates, as it does from the unsplit verifier: skipping that
+        shard could report a value below the true maximum.
+        """
+        from repro.core.verifier import (
+            INFEASIBLE_REGION_MESSAGE,
+            Verdict,
+            VerificationResult,
+        )
 
         t0 = start if start is not None else time.monotonic()
         deadline = t0 + self.milp_options.time_limit
@@ -540,11 +550,14 @@ class RegionBisectionDriver:
             if remaining <= 0.0:
                 timed_out = True
                 break
-            try:
-                result = self._leaf_verifier(remaining).maximize(
-                    leaf.region, objective, screen=leaf.screen
-                )
-            except EncodingError:
+            result = self._leaf_verifier(remaining).maximize(
+                leaf.region, objective, screen=leaf.screen,
+                raise_on_infeasible=False,
+            )
+            if (
+                result.verdict is Verdict.ERROR
+                and result.description.startswith(INFEASIBLE_REGION_MESSAGE)
+            ):
                 # A linear side constraint can empty a sub-box even
                 # when the parent region is non-empty; an empty shard
                 # simply cannot contain the maximum.
@@ -552,15 +565,12 @@ class RegionBisectionDriver:
                 continue
             leaves.append(result)
         if not leaves and empty and not timed_out:
-            from repro.core.verifier import INFEASIBLE_REGION_MESSAGE
-
             if raise_on_infeasible:
                 raise EncodingError(INFEASIBLE_REGION_MESSAGE)
-            message = INFEASIBLE_REGION_MESSAGE
             return VerificationResult(
                 verdict=Verdict.ERROR,
                 wall_time=time.monotonic() - t0,
-                description=message,
+                description=INFEASIBLE_REGION_MESSAGE,
                 solver="split",
                 metrics=plan.as_metrics(),
             )

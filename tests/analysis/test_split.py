@@ -354,8 +354,8 @@ class TestBudgetAccounting:
         assert result.wall_time < budget + 1.5  # one shard of overshoot
 
     def test_missing_shard_assembles_to_timeout(self, tiny_net, objective):
-        # Pooled-path semantics: fewer leaf results than survivors (a
-        # shard still in flight when the budget died) is TIMEOUT.
+        # Fewer leaf results than survivors (the shared deadline ran
+        # out before every survivor was solved) is TIMEOUT.
         driver = RegionBisectionDriver(
             tiny_net, split_options(), MILPOptions(time_limit=60.0)
         )
@@ -512,6 +512,47 @@ class TestSoundness:
                 verifier.maximize(
                     unit_region(2), OutputObjective.single(0)
                 )
+
+    def test_failed_shard_self_check_is_an_error(self, monkeypatch):
+        """A shard whose replayed optimum disagrees with its MILP is an
+        error, never an empty shard: dropping it would report the other
+        shard's optimum as the maximum."""
+        from repro.core.campaign import VerificationCampaign
+
+        # A max plan on this net keeps two MILP shards.
+        network = FeedForwardNetwork.mlp(
+            2, [8], 1, rng=np.random.default_rng(0)
+        )
+        region = unit_region(2, name="two_shards")
+        objective = OutputObjective.single(0)
+        options = split_options(split_depth=3)
+        plan = RegionBisectionDriver(
+            network, options, MILPOptions(time_limit=60.0)
+        ).plan(region, objective, threshold=None)
+        assert len(plan.survivors) == 2
+
+        replay = Verifier._replay
+        calls = []
+
+        def corrupt_first(self, encoded, solution, objective):
+            witness, value = replay(self, encoded, solution, objective)
+            calls.append(value)
+            return witness, value + (1.0 if len(calls) == 1 else 0.0)
+
+        monkeypatch.setattr(Verifier, "_replay", corrupt_first)
+        verifier = Verifier(network, options, MILPOptions(time_limit=60.0))
+        with pytest.raises(EncodingError, match="soundness self-check"):
+            verifier.maximize(region, objective)
+
+        calls.clear()
+        campaign = VerificationCampaign(
+            options, MILPOptions(time_limit=60.0)
+        )
+        campaign.add_network(network)
+        campaign.add_max_query("max0", region, objective)
+        (cell,) = campaign.run().cells
+        assert cell.result.verdict is Verdict.ERROR
+        assert "soundness self-check" in cell.result.description
 
 
 # -- campaign equivalence (serial vs pooled) --------------------------------

@@ -483,9 +483,11 @@ class RegionBisectionDriver:
     ) -> "VerificationResult":
         """Decision query via bisection; one assembled parent verdict.
 
-        The MILP time budget bounds the **sum** of shard solve times
-        (each shard gets the remaining slice of one shared deadline); a
-        budget exhausted mid-split reports TIMEOUT, never ERROR.
+        The MILP time limit bounds the whole query: the plan and every
+        shard's bounding, encoding and search spend from one deadline
+        that starts with the query (each shard gets what is left of it,
+        and its search what is left after its bounding); a budget
+        exhausted mid-split reports TIMEOUT, never ERROR.
         ``root`` is the region's screen when the caller's whole-region
         prescreen already computed it (see :meth:`plan`).
         """

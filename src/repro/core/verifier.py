@@ -379,7 +379,8 @@ class Verifier:
             "solve", binaries=encoded.num_binaries,
         ):
             result = solve_milp(
-                encoded.model, self.milp_options, tracer=self.tracer
+                encoded.model, self._search_options(start),
+                tracer=self.tracer,
             )
         wall = time.monotonic() - start
 
@@ -669,7 +670,8 @@ class Verifier:
             "solve", binaries=encoded.num_binaries,
         ):
             result = solve_milp(
-                encoded.model, self.milp_options, tracer=self.tracer
+                encoded.model, self._search_options(start),
+                tracer=self.tracer,
             )
         wall = time.monotonic() - start
 
@@ -736,6 +738,20 @@ class Verifier:
         return total_ambiguous(bounds, self.network)
 
     # -- internals --------------------------------------------------------------------
+    def _search_options(self, start: float) -> MILPOptions:
+        """The MILP options with what is left of the query's time limit.
+
+        Bounding, encoding and the search spend from one budget that
+        starts with the query (``start``), so the search gets the limit
+        less the time already spent, and at least 0.01 s, but never
+        more than the whole limit: a zero limit still means no search.
+        """
+        limit = self.milp_options.time_limit
+        left = limit - (time.monotonic() - start)
+        return dataclasses.replace(
+            self.milp_options, time_limit=max(left, min(limit, 0.01))
+        )
+
     def _replay(
         self,
         encoded: EncodedNetwork,

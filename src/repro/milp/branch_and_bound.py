@@ -51,7 +51,10 @@ class MILPOptions:
     """Tunables for :func:`solve_milp`.
 
     Attributes:
-        time_limit: Wall-clock budget in seconds.
+        time_limit: Wall-clock budget in seconds of one search.  A
+            ``Verifier`` query passes the search what is left of this
+            limit after its bounding and encoding, so the whole query,
+            not only its search, stays within it.
         node_limit: Maximum branch-and-bound nodes to process.
 
     There is no switch for certification: the search reads the model

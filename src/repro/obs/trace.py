@@ -51,10 +51,13 @@ class Span:
     Attributes are structured (``span.set(nodes=31)`` merges more in at
     any point before exit).  Durations come from ``time.perf_counter``
     (monotonic — an NTP clock step can never produce a negative or
-    inflated ``wall``); each record additionally carries one epoch
-    timestamp (``t_start``, from ``time.time``) so records from different
-    processes on one machine can still be ordered against each other.
-    CPU time uses ``time.process_time``.
+    inflated ``wall``).  Epoch timestamps (``t_start``/``t_end``) are the
+    tracer's epoch anchor plus the ``perf_counter`` reading (see
+    :class:`Tracer`), the same clock events are stamped with, so one
+    tracer's records are ordered by their timestamps even across a
+    wall-clock step, and records from different processes on one
+    machine can still be ordered against each other.  CPU time uses
+    ``time.process_time``.
     """
 
     __slots__ = (
@@ -83,16 +86,15 @@ class Span:
 
     def __enter__(self) -> "Span":
         self.span_id, self.parent_id = self._tracer._open(self)
-        self.t_start = time.time()
         self.perf_start = time.perf_counter()
+        self.t_start = self._tracer.epoch + self.perf_start
         self.cpu_start = time.process_time()
         return self
 
     def __exit__(self, exc_type, exc, tb) -> bool:
-        self.wall = time.perf_counter() - self.perf_start
-        # Derived from the monotonic duration, not a second wall-clock
-        # read: ``t_end - t_start == wall`` holds even across NTP steps.
-        self.t_end = self.t_start + self.wall
+        perf_end = time.perf_counter()
+        self.wall = perf_end - self.perf_start
+        self.t_end = self._tracer.epoch + perf_end
         self.cpu = time.process_time() - self.cpu_start
         if exc_type is not None:
             self.attrs.setdefault("error", exc_type.__name__)
@@ -121,6 +123,11 @@ class Tracer:
     ``id_prefix`` namespaces span ids so records produced by independent
     tracers (one per campaign worker cell) stay distinguishable after
     they are merged into one trace.
+
+    ``epoch`` anchors the tracer's one clock: ``time.time()`` at
+    construction less ``time.perf_counter()`` then.  Span and event
+    timestamps are ``epoch`` plus a ``perf_counter`` reading, epoch
+    seconds that never step back.
     """
 
     enabled = True
@@ -136,6 +143,7 @@ class Tracer:
         self._prefix = id_prefix
         self._ids = itertools.count(1)
         self._stack: List[Span] = []
+        self.epoch = time.time() - time.perf_counter()
 
     # -- recording ---------------------------------------------------------
     def span(self, name: str, **attrs: Any) -> Span:
@@ -149,7 +157,7 @@ class Tracer:
             "name": name,
             "run": self.run_id,
             "span": self._stack[-1].span_id if self._stack else None,
-            "t": time.time(),
+            "t": self.epoch + time.perf_counter(),
             "attrs": attrs,
         })
 

@@ -11,15 +11,21 @@ stack cannot also hide here.
 What gets replayed, per certificate kind:
 
 ``static``
-    The back-substitution chain is replayed layer by layer.  Each
-    recorded relaxation is first re-validated as a sound ReLU
-    relaxation (lower slopes in ``[0, 1]``; upper lines dominate
-    ``relu`` at both endpoints of the already-validated input interval,
-    which suffices by convexity), then the affine forms are pushed to
-    the input box with plain matmuls and concretised at every stop.
-    The claimed bounds must be no tighter than the replayed ones, and
-    the replayed objective upper bound must clear ``threshold -
-    margin``.
+    The back-substitution chain is replayed in one stacked backward
+    sweep.  Every recorded relaxation is first re-validated as a sound
+    ReLU relaxation (lower slopes in ``[0, 1]``; upper lines dominate
+    ``relu`` at both endpoints of the claimed interval, which suffices
+    by convexity), all entries' relaxations of one layer at once.  Then
+    the rows of every layer entry and of the objective are pushed to
+    the input box together with plain matmuls, each entry's rows
+    joining at its own layer, and concretised at every stop.  The
+    claimed bounds must be no tighter than the replayed ones, and the
+    replayed objective upper bound must clear ``threshold - margin``.
+    The entries need not be replayed in order: every bound a replay
+    relies on (a relaxation's interval, a concretisation box) is a
+    claimed bound that is itself in the certificate and is checked
+    against its own replay, so a certificate passes only if all of them
+    hold at once, whichever is checked first.
 
 ``milp``
     The checker rebuilds the big-M encoding *clean-room* from the
@@ -56,7 +62,7 @@ Failures are structured findings with the ``A3xx`` codes documented in
 from __future__ import annotations
 
 import hashlib
-from typing import Any, Dict, List, Optional, Sequence, Tuple
+from typing import Any, Dict, List, NamedTuple, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -103,7 +109,7 @@ def _as_array(value: Any, shape: Tuple[int, ...], what: str) -> np.ndarray:
         raise _Malformed(
             f"{what} has shape {arr.shape}, expected {shape}"
         )
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise _Malformed(f"{what} contains non-finite values")
     return arr
 
@@ -224,12 +230,6 @@ def _interval_affine(
     return lo @ w_pos + hi @ w_neg + bias, hi @ w_pos + lo @ w_neg + bias
 
 
-def _conc_lo(
-    coef: np.ndarray, bias: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> np.ndarray:
-    return bias + np.maximum(coef, 0.0) @ lo + np.minimum(coef, 0.0) @ hi
-
-
 def _conc_hi(
     coef: np.ndarray, bias: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
@@ -238,125 +238,212 @@ def _conc_hi(
 
 # -- chain replay ------------------------------------------------------------
 
-def _parse_relax(
-    raw: Any, k: int, m: int, n_k: int, what: str
-) -> Dict[str, np.ndarray]:
-    if not isinstance(raw, dict) or str(k) not in raw:
-        raise _Malformed(f"{what} has no relaxation for ReLU layer {k}")
-    entry = raw[str(k)]
-    if not isinstance(entry, dict):
-        raise _Malformed(f"{what} relaxation for layer {k} is not an object")
-    try:
-        return {
-            "up_slope": _as_array(
-                entry["up_slope"], (n_k,), f"{what}.relax[{k}].up_slope"
-            ),
-            "up_icept": _as_array(
-                entry["up_icept"], (n_k,), f"{what}.relax[{k}].up_icept"
-            ),
-            "lo_lower": _as_array(
-                entry["lo_lower"], (m, n_k), f"{what}.relax[{k}].lo_lower"
-            ),
-            "up_lower": _as_array(
-                entry["up_lower"], (m, n_k), f"{what}.relax[{k}].up_lower"
-            ),
-        }
-    except KeyError as exc:
-        raise _Malformed(
-            f"{what} relaxation for layer {k} is missing {exc}"
-        ) from exc
+class _Target(NamedTuple):
+    """One replayed part of a chain: a layer entry or the objective.
+
+    Its rows ``coef @ v + bias`` range over the post-activations ``v``
+    of layer ``join`` (the input box when ``join`` is -1) and enter the
+    sweep there; ``relax[k]`` is its recorded ``(up_slope, up_icept,
+    lo_lower, up_lower)`` for every ReLU layer ``k <= join``.
+    """
+
+    name: str
+    join: int
+    coef: np.ndarray
+    bias: np.ndarray
+    relax: Dict[int, Tuple[np.ndarray, ...]]
 
 
-def _validate_relax(
-    report: AuditReport,
-    subject: str,
-    relax: Dict[str, np.ndarray],
-    layer_lo: np.ndarray,
-    layer_hi: np.ndarray,
-) -> bool:
-    """Soundness of one recorded relaxation (A304 on failure).
+_RELAX_KEYS = ("up_slope", "up_icept", "lo_lower", "up_lower")
+
+
+def _target(
+    layers: _Layers,
+    what: str,
+    entry: Dict[str, Any],
+    join: int,
+    coef: np.ndarray,
+    bias: np.ndarray,
+) -> _Target:
+    """Parse one target's recorded relaxations (A301 on any defect)."""
+    raw = entry.get("relax")
+    m = coef.shape[0]
+    relax: Dict[int, Tuple[np.ndarray, ...]] = {}
+    for k in range(join + 1):
+        if layers[k][2] != "relu":
+            continue
+        n_k = layers[k][1].shape[0]
+        if not isinstance(raw, dict) or str(k) not in raw:
+            raise _Malformed(f"{what} has no relaxation for ReLU layer {k}")
+        record = raw[str(k)]
+        if not isinstance(record, dict):
+            raise _Malformed(
+                f"{what} relaxation for layer {k} is not an object"
+            )
+        shapes = ((n_k,), (n_k,), (m, n_k), (m, n_k))
+        try:
+            relax[k] = tuple(
+                _as_array(record[key], shape, f"{what}.relax[{k}].{key}")
+                for key, shape in zip(_RELAX_KEYS, shapes)
+            )
+        except KeyError as exc:
+            raise _Malformed(
+                f"{what} relaxation for layer {k} is missing {exc}"
+            ) from exc
+    return _Target(what, join, coef, bias, relax)
+
+
+def _unsound(target: _Target, claimed: List[_Box]) -> List[str]:
+    """A304 messages for every unsound relaxation of one target.
 
     Lower lines ``relu(z) >= alpha z`` are sound for *every* ``z`` iff
     ``0 <= alpha <= 1``.  Upper lines ``relu(z) <= s z + t`` are affine
     and ``relu`` is convex, so dominating at both endpoints of the
-    validated interval implies dominating on all of it.
+    claimed interval implies dominating on all of it.
     """
-    ok = True
-    for key in ("lo_lower", "up_lower"):
-        slopes = relax[key]
-        if np.any(slopes < 0.0) or np.any(slopes > 1.0):
-            report.add(
-                "A304", Severity.ERROR, subject,
-                f"{key} slope outside [0, 1] "
-                f"(range [{slopes.min():.6g}, {slopes.max():.6g}])",
-            )
-            ok = False
-    slope = relax["up_slope"]
-    icept = relax["up_icept"]
-    for z in (layer_lo, layer_hi):
-        gap = np.maximum(z, 0.0) - (slope * z + icept)
-        if np.any(gap > PROOF_REPLAY_TOL):
-            report.add(
-                "A304", Severity.ERROR, subject,
-                "upper relaxation line falls below relu at an interval "
-                f"endpoint (worst violation {gap.max():.6g})",
-            )
-            ok = False
-            break
-    return ok
+    messages = []
+    for k, (up_slope, up_icept, lo_lower, up_lower) in target.relax.items():
+        for key, slopes in (("lo_lower", lo_lower), ("up_lower", up_lower)):
+            if np.any(slopes < 0.0) or np.any(slopes > 1.0):
+                messages.append(
+                    f"{key} slope outside [0, 1] "
+                    f"(range [{slopes.min():.6g}, {slopes.max():.6g}])"
+                )
+        for z in claimed[k]:
+            gap = np.maximum(z, 0.0) - (up_slope * z + up_icept)
+            if np.any(gap > PROOF_REPLAY_TOL):
+                messages.append(
+                    "upper relaxation line falls below relu at an "
+                    f"interval endpoint (worst violation {gap.max():.6g})"
+                )
+                break
+    return messages
 
 
-def _replay(
+def _report_unsound(
+    report: AuditReport,
+    subject: str,
+    target: _Target,
+    claimed: List[_Box],
+) -> None:
+    for message in _unsound(target, claimed):
+        report.add(
+            "A304", Severity.ERROR, f"{subject}.{target.name}", message
+        )
+
+
+def _sweep(
     layers: _Layers,
-    relax: Dict[int, Dict[str, np.ndarray]],
+    claimed: List[_Box],
     post_boxes: List[_Box],
     input_box: _Box,
-    coef: np.ndarray,
-    bias: np.ndarray,
-    start: int,
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Anytime backward substitution with the certificate's relaxations.
+    targets: List[_Target],
+) -> Tuple[int, List[_Box]]:
+    """Validate and replay every target of a chain in one backward sweep.
 
-    Mirrors the emitting engine's arithmetic exactly (same operation
-    order), but takes every slope from the certificate — the claimed
-    bounds must be reproducible from the recorded evidence alone.
+    ``targets`` come in chain order, so their ``join`` layers never
+    decrease.  Returns ``(first, replayed)``: ``first`` is the index of
+    the first target with an unsound relaxation (``len(targets)`` when
+    all are sound), and ``replayed`` holds the replayed ``(lower,
+    upper)`` of ``targets[:first]``.
+
+    The sweep takes the targets in reverse, so the rows active at layer
+    ``k`` (those of every target joining at ``k`` or above) are a
+    prefix of the final row order and each target's slopes stack once
+    per layer.  Every target travels as ``[C; -C]``: a lower bound is
+    the negated upper bound of the negated row, whose negative part
+    takes the lower line ``lo_lower`` where an upper row takes
+    ``up_lower``.  Rows are separable, so each target's replay is the
+    backward substitution of its rows alone, concretised at every stop
+    with the claimed boxes.
     """
-    up_coef = coef.copy()
-    up_bias = bias.copy()
-    lo_coef = coef.copy()
-    lo_bias = bias.copy()
-    box_lo, box_hi = post_boxes[start]
-    best_hi = _conc_hi(up_coef, up_bias, box_lo, box_hi)
-    best_lo = _conc_lo(lo_coef, lo_bias, box_lo, box_hi)
-    for k in range(start, -1, -1):
-        weights, layer_bias, activation = layers[k]
+    if not targets:
+        return 0, []
+    order = targets[::-1]
+    top = order[0].join
+    sound = True
+    stacks: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
+    for k in range(top + 1):
+        if layers[k][2] != "relu":
+            continue
+        active = [t.relax[k] for t in order if t.join >= k]
+        # One row per active target for the chord, one per active row
+        # (upper rows, then negated lower rows) for the negative side.
+        up_slope = np.array([r[0] for r in active])
+        up_icept = np.array([r[1] for r in active])
+        neg_slope = np.concatenate([a for r in active for a in (r[3], r[2])])
+        stacks[k] = (up_slope, up_icept, neg_slope)
+        # relu(z) at the claimed endpoints is the post-activation box.
+        (lo, hi), (relu_lo, relu_hi) = claimed[k], post_boxes[k]
+        gap = np.maximum(
+            relu_lo - (up_slope * lo + up_icept),
+            relu_hi - (up_slope * hi + up_icept),
+        )
+        if (
+            gap.max() > PROOF_REPLAY_TOL
+            or neg_slope.min() < 0.0 or neg_slope.max() > 1.0
+        ):
+            sound = False
+            break
+    if not sound:
+        # Rare: find the culprit target by target, then replay the
+        # sound targets before it.
+        first = next(
+            i for i, target in enumerate(targets)
+            if _unsound(target, claimed)
+        )
+        return first, _sweep(
+            layers, claimed, post_boxes, input_box, targets[:first]
+        )[1]
+
+    # owner[r]: the position in ``order`` of the target row r belongs to.
+    owner = np.repeat(
+        np.arange(len(order)), [2 * t.coef.shape[0] for t in order]
+    )
+    # At layer j the coefficients range over its post-activations.
+    coef = np.zeros((0, order[0].coef.shape[1]))
+    bias = np.zeros(0)
+    best = np.zeros(0)
+    joined = 0
+    for j in range(top, -2, -1):
+        seeds = []
+        while joined < len(order) and order[joined].join == j:
+            seeds.append(order[joined])
+            joined += 1
+        if seeds:
+            coef = np.concatenate(
+                [coef] + [c for t in seeds for c in (t.coef, -t.coef)]
+            )
+            bias = np.concatenate(
+                [bias] + [b for t in seeds for b in (t.bias, -t.bias)]
+            )
+        box = post_boxes[j] if j >= 0 else input_box
+        hi = _conc_hi(coef, bias, *box)
+        rows = best.shape[0]
+        best = np.concatenate([np.minimum(best, hi[:rows]), hi[rows:]])
+        if j < 0:
+            break
+        weights, layer_bias, activation = layers[j]
         if activation == "relu":
-            entry = relax[k]
-            us = entry["up_slope"]
-            ui = entry["up_icept"]
-            up_pos = np.maximum(up_coef, 0.0)
-            up_neg = np.minimum(up_coef, 0.0)
-            up_bias = up_bias + up_pos @ ui
-            up_coef = up_pos * us + up_neg * entry["up_lower"]
-            lo_pos = np.maximum(lo_coef, 0.0)
-            lo_neg = np.minimum(lo_coef, 0.0)
-            lo_bias = lo_bias + lo_neg @ ui
-            lo_coef = lo_pos * entry["lo_lower"] + lo_neg * us
-        up_bias = up_bias + up_coef @ layer_bias
-        lo_bias = lo_bias + lo_coef @ layer_bias
-        up_coef = up_coef @ weights.T
-        lo_coef = lo_coef @ weights.T
-        if k > 0:
-            box_lo, box_hi = post_boxes[k - 1]
-        else:
-            box_lo, box_hi = input_box
-        best_hi = np.minimum(
-            best_hi, _conc_hi(up_coef, up_bias, box_lo, box_hi)
-        )
-        best_lo = np.maximum(
-            best_lo, _conc_lo(lo_coef, lo_bias, box_lo, box_hi)
-        )
-    return best_lo, best_hi
+            up_slope, up_icept, neg_slope = stacks[j]
+            row_owner = owner[: coef.shape[0]]
+            pos = np.maximum(coef, 0.0)
+            bias = bias + (pos * up_icept[row_owner]).sum(axis=1)
+            coef = (
+                pos * up_slope[row_owner]
+                + np.minimum(coef, 0.0) * neg_slope
+            )
+        bias = bias + coef @ layer_bias
+        coef = coef @ weights.T
+
+    replayed: List[_Box] = []
+    offset = 0
+    for target in order:
+        m = target.coef.shape[0]
+        upper = best[offset: offset + m]
+        replayed.append((-best[offset + m: offset + 2 * m], upper))
+        offset += 2 * m
+    return len(targets), replayed[::-1]
 
 
 def _check_chain(
@@ -375,6 +462,10 @@ def _check_chain(
     replay, in layer order — exactly what the MILP rebuild needs.
     ``objective_bounds`` is the **replayed** objective interval, which
     is what threshold checks must use.
+
+    Findings come in the order an entry-by-entry replay meets them:
+    the A305 gaps of the entries before the first target with an
+    unsound relaxation, then that target's A304 findings.
     """
     if not isinstance(chain, dict) or "layers" not in chain:
         raise _Malformed("chain has no layers")
@@ -384,105 +475,85 @@ def _check_chain(
             f"chain has {len(entries) if isinstance(entries, list) else '?'}"
             f" layer entries, network has {len(layers)}"
         )
-    validated: List[_Box] = []
+    claimed: List[_Box] = []
     post_boxes: List[_Box] = []
-    ok = True
     for i, entry in enumerate(entries):
-        weights, bias, activation = layers[i]
-        n_i = bias.shape[0]
+        n_i = layers[i][1].shape[0]
         what = f"chain.layer{i}"
         if not isinstance(entry, dict):
             raise _Malformed(f"{what} is not an object")
         lo_c = _as_array(entry.get("lower"), (n_i,), f"{what}.lower")
         hi_c = _as_array(entry.get("upper"), (n_i,), f"{what}.upper")
-        if i == 0:
-            replay_lo, replay_hi = _interval_affine(
-                input_box[0], input_box[1], weights, bias
-            )
-        else:
-            relax: Dict[int, Dict[str, np.ndarray]] = {}
-            relax_ok = True
-            for k in range(i):
-                if layers[k][2] != "relu":
-                    continue
-                n_k = layers[k][1].shape[0]
-                relax[k] = _parse_relax(
-                    entry.get("relax"), k, n_i, n_k, what
-                )
-                if not _validate_relax(
-                    report, f"{subject}.{what}", relax[k],
-                    validated[k][0], validated[k][1],
-                ):
-                    relax_ok = False
-            if not relax_ok:
-                return None, None
-            replay_lo, replay_hi = _replay(
-                layers, relax, post_boxes, input_box,
-                weights.T.copy(), bias.copy(), start=i - 1,
-            )
-        low_gap = float(np.max(lo_c - replay_lo))
-        high_gap = float(np.max(replay_hi - hi_c))
-        if low_gap > PROOF_REPLAY_TOL or high_gap > PROOF_REPLAY_TOL:
-            report.add(
-                "A305", Severity.ERROR, f"{subject}.{what}",
-                "claimed bounds are tighter than the replayed chain "
-                f"supports (lower gap {low_gap:.6g}, upper gap "
-                f"{high_gap:.6g})",
-            )
-            ok = False
-        validated.append((lo_c, hi_c))
-        if activation == "relu":
+        claimed.append((lo_c, hi_c))
+        if layers[i][2] == "relu":
             post_boxes.append(
                 (np.maximum(lo_c, 0.0), np.maximum(hi_c, 0.0))
             )
         else:
             post_boxes.append((lo_c, hi_c))
-    if not ok:
-        return None, None
 
-    obj_bounds: Optional[Tuple[float, float]] = None
+    targets = [
+        _target(
+            layers, f"chain.layer{i}", entries[i], i - 1,
+            layers[i][0].T, layers[i][1],
+        )
+        for i in range(1, len(layers))
+    ]
     if objective_row is not None:
         obj_entry = chain.get("objective")
         if not isinstance(obj_entry, dict):
             raise _Malformed("chain has no objective entry")
         out_w, out_b, _ = layers[-1]
-        seed = (objective_row[np.newaxis, :] @ out_w.T)
-        seed_bias = objective_row[np.newaxis, :] @ out_b
-        if len(layers) == 1:
-            replay_lo = _conc_lo(seed, seed_bias, *input_box)
-            replay_hi = _conc_hi(seed, seed_bias, *input_box)
-        else:
-            relax = {}
-            for k in range(len(layers) - 1):
-                if layers[k][2] != "relu":
-                    continue
-                n_k = layers[k][1].shape[0]
-                relax[k] = _parse_relax(
-                    obj_entry.get("relax"), k, 1, n_k, "chain.objective"
-                )
-                if not _validate_relax(
-                    report, f"{subject}.chain.objective", relax[k],
-                    validated[k][0], validated[k][1],
-                ):
-                    return validated, None
-            replay_lo, replay_hi = _replay(
-                layers, relax, post_boxes, input_box,
-                seed.copy(), seed_bias.copy(), start=len(layers) - 2,
-            )
-        claimed_lo = float(obj_entry.get("lower", -np.inf))
-        claimed_hi = float(obj_entry.get("upper", np.inf))
-        low_gap = claimed_lo - float(replay_lo[0])
-        high_gap = float(replay_hi[0]) - claimed_hi
+        targets.append(_target(
+            layers, "chain.objective", obj_entry, len(layers) - 2,
+            objective_row[np.newaxis, :] @ out_w.T,
+            objective_row[np.newaxis, :] @ out_b,
+        ))
+    first, replayed = _sweep(
+        layers, claimed, post_boxes, input_box, targets
+    )
+    # Layer 0's interval image of the input box is exact.
+    replayed.insert(0, _interval_affine(*input_box, *layers[0][:2]))
+
+    ok = True
+    for i, ((lo_c, hi_c), (replay_lo, replay_hi)) in enumerate(
+        zip(claimed, replayed)
+    ):
+        low_gap = float((lo_c - replay_lo).max())
+        high_gap = float((replay_hi - hi_c).max())
         if low_gap > PROOF_REPLAY_TOL or high_gap > PROOF_REPLAY_TOL:
             report.add(
-                "A305", Severity.ERROR, f"{subject}.chain.objective",
-                "claimed objective bounds are tighter than the replayed "
-                f"chain supports (lower gap {low_gap:.6g}, upper gap "
+                "A305", Severity.ERROR, f"{subject}.chain.layer{i}",
+                "claimed bounds are tighter than the replayed chain "
+                f"supports (lower gap {low_gap:.6g}, upper gap "
                 f"{high_gap:.6g})",
             )
-            return validated, None
-        obj_bounds = (float(replay_lo[0]), float(replay_hi[0]))
-    return validated, obj_bounds
+            ok = False
+    if first < len(layers) - 1:
+        _report_unsound(report, subject, targets[first], claimed)
+        return None, None
+    if not ok:
+        return None, None
+    if objective_row is None:
+        return claimed, None
+    if first < len(targets):
+        _report_unsound(report, subject, targets[first], claimed)
+        return claimed, None
+
+    replay_lo, replay_hi = replayed[-1]
+    claimed_lo = float(obj_entry.get("lower", -np.inf))
+    claimed_hi = float(obj_entry.get("upper", np.inf))
+    low_gap = claimed_lo - float(replay_lo[0])
+    high_gap = float(replay_hi[0]) - claimed_hi
+    if low_gap > PROOF_REPLAY_TOL or high_gap > PROOF_REPLAY_TOL:
+        report.add(
+            "A305", Severity.ERROR, f"{subject}.chain.objective",
+            "claimed objective bounds are tighter than the replayed "
+            f"chain supports (lower gap {low_gap:.6g}, upper gap "
+            f"{high_gap:.6g})",
+        )
+        return claimed, None
+    return claimed, (float(replay_lo[0]), float(replay_hi[0]))
 
 
 def _check_threshold(

@@ -1,6 +1,7 @@
 """Verifier tests: max queries, decision queries, Table II plumbing."""
 
 import math
+import time
 
 import numpy as np
 import pytest
@@ -124,6 +125,66 @@ class TestDecisionQueries:
         # The witness genuinely violates the property on the real net.
         outputs = verifier.network.forward(result.counterexample)[0]
         assert not prop.holds_on(outputs, tol=1e-4)
+
+
+class TestTimeBudget:
+    """Bounding and search spend from one time limit: the search gets
+    what is left of it, not the whole limit again."""
+
+    BOUNDING_S = 0.2
+
+    @pytest.fixture()
+    def search_limits(self, monkeypatch):
+        import repro.core.encoder as encoder
+        import repro.core.verifier as verifier_module
+
+        compute_bounds = encoder.compute_bounds
+        solve_milp = verifier_module.solve_milp
+        limits = []
+
+        def slow_bounds(*args, **kwargs):
+            time.sleep(self.BOUNDING_S)
+            return compute_bounds(*args, **kwargs)
+
+        def recording_solve(model, options, **kwargs):
+            limits.append(options.time_limit)
+            return solve_milp(model, options, **kwargs)
+
+        monkeypatch.setattr(encoder, "compute_bounds", slow_bounds)
+        monkeypatch.setattr(verifier_module, "solve_milp", recording_solve)
+        return limits
+
+    def test_maximize(self, verifier, search_limits):
+        result = verifier.maximize(unit_region(6), OutputObjective.single(0))
+        assert result.verdict is Verdict.MAX_FOUND
+        assert len(search_limits) == 1
+        limit = verifier.milp_options.time_limit
+        assert 0.0 < search_limits[0] <= limit - self.BOUNDING_S
+
+    def test_prove(self, verifier, search_limits):
+        value = verifier.maximize(
+            unit_region(6), OutputObjective.single(0)
+        ).value
+        del search_limits[:]
+        result = verifier.prove(SafetyProperty(
+            name="too_tight",
+            region=unit_region(6),
+            objective=OutputObjective.single(0),
+            threshold=value - 0.2,
+        ))
+        assert result.verdict is Verdict.FALSIFIED
+        assert len(search_limits) == 1
+        limit = verifier.milp_options.time_limit
+        assert 0.0 < search_limits[0] <= limit - self.BOUNDING_S
+
+    def test_spent_budget_leaves_a_floor(self, search_limits):
+        verifier = Verifier(
+            FeedForwardNetwork.mlp(6, [8, 8], 3, rng=np.random.default_rng(7)),
+            EncoderOptions(bound_mode="lp"),
+            MILPOptions(time_limit=0.5 * self.BOUNDING_S),
+        )
+        verifier.maximize(unit_region(6), OutputObjective.single(0))
+        assert search_limits == [0.01]
 
 
 class TestCaseStudyQueries:

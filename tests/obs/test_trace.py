@@ -176,13 +176,41 @@ class TestMonotonicDurations:
             pass
         (rec,) = sink.records
         assert rec["wall"] >= 0.0
-        assert rec["t_start"] == 1_000_000.0
-        # t_end is derived from t_start + wall, never a second epoch
+        # The tracer read the epoch clock once, at construction; the
+        # span is stamped from that anchor on the monotonic clock.
+        assert rec["t_start"] == pytest.approx(1_000_000.0, abs=1.0)
+        # t_end comes from the same anchor, never a second epoch
         # reading, so the interval stays self-consistent.
         assert rec["t_end"] >= rec["t_start"]
         assert rec["t_end"] == pytest.approx(
             rec["t_start"] + rec["wall"]
         )
+
+    def test_epoch_step_keeps_record_order(self, monkeypatch):
+        """Spans and events share one clock: a backwards epoch step
+        mid-span cannot stamp a later record earlier."""
+        import time as time_mod
+
+        epoch = time_mod.time
+        sink = RingBufferSink()
+        tracer = Tracer([sink])
+        with tracer.span("outer"):
+            tracer.event("before")
+            monkeypatch.setattr(time_mod, "time", lambda: epoch() - 3600.0)
+            tracer.event("after")
+            with tracer.span("inner"):
+                tracer.event("inside")
+        records = sink.records
+        assert [r["name"] for r in records] == [
+            "before", "after", "inside", "inner", "outer",
+        ]
+        times = [
+            r["t_end"] if r["type"] == "span" else r["t"] for r in records
+        ]
+        assert times == sorted(times)
+        outer, inner = records[-1], records[-2]
+        assert outer["t_start"] <= records[0]["t"]
+        assert outer["t_start"] <= inner["t_start"] <= records[2]["t"]
 
     def test_wall_tracks_real_elapsed_time(self):
         import time as time_mod

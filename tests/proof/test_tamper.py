@@ -84,6 +84,56 @@ class TestSlopeTamper:
         assert "A304" in codes(report)
 
 
+def middle_relax(cert):
+    """The recorded relaxation of ReLU layer 0 in the middle layer entry
+    of a static certificate's chain (the fixture net has three layers)."""
+    entries = cert["chain"]["layers"]
+    assert len(entries) == 3
+    return entries[1]["relax"]["0"]
+
+
+def subjects(report, code):
+    return [d.subject for d in report.diagnostics if d.code == code]
+
+
+class TestMiddleEntryTamper:
+    """Every layer entry's evidence is checked, not only the objective's."""
+
+    def test_lower_slope_out_of_band(self, static_cert):
+        middle_relax(static_cert)["lo_lower"][0][0] = 1.5
+        report = check_certificate(static_cert)
+        assert report.has_errors
+        assert subjects(report, "A304") == ["certificate.chain.layer1"]
+
+    def test_upper_line_below_relu(self, static_cert):
+        middle_relax(static_cert)["up_icept"][0] -= 10.0
+        report = check_certificate(static_cert)
+        assert report.has_errors
+        assert subjects(report, "A304") == ["certificate.chain.layer1"]
+
+    def test_claimed_upper_too_tight(self, static_cert):
+        static_cert["chain"]["layers"][1]["upper"][0] -= 1e-3
+        report = check_certificate(static_cert)
+        assert report.has_errors
+        assert subjects(report, "A305") == ["certificate.chain.layer1"]
+
+    def test_nan_in_relaxation(self, static_cert):
+        middle_relax(static_cert)["up_lower"][0][0] = float("nan")
+        report = check_certificate(static_cert)
+        assert report.has_errors
+        assert codes(report) == ["A301"]
+        (finding,) = report.diagnostics
+        assert "chain.layer1.relax[0].up_lower" in finding.message
+
+    def test_wrong_shape_relaxation(self, static_cert):
+        del middle_relax(static_cert)["lo_lower"][-1]
+        report = check_certificate(static_cert)
+        assert report.has_errors
+        assert codes(report) == ["A301"]
+        (finding,) = report.diagnostics
+        assert "chain.layer1.relax[0].lo_lower" in finding.message
+
+
 class TestSplitTreeTamper:
     """A306 — the partition tree no longer tiles the parent box."""
 

@@ -460,11 +460,13 @@ class RegionBisectionDriver:
         The plan already prescreened every survivor, and the shard is
         handed that screen (:attr:`SplitLeaf.screen`), so it neither
         re-screens nor re-bounds its box; ``split=False`` stops the
-        leaf from recursing.
+        leaf from recursing.  The shard does not check its own
+        certificate: its evidence is checked once, as a leaf of the
+        parent's tree (:func:`assemble_prove`).
         """
         from repro.core.verifier import Verifier
 
-        return Verifier(
+        verifier = Verifier(
             self.network,
             dataclasses.replace(
                 self.encoder_options, split=False, static_prescreen=False,
@@ -474,6 +476,8 @@ class RegionBisectionDriver:
             ),
             tracer=self.tracer,
         )
+        verifier._gates_certificates = False
+        return verifier
 
     def prove(
         self,

@@ -95,9 +95,10 @@ class VerificationResult:
     #: Independent proof certificate (a ``repro-proof/1`` payload, see
     #: :mod:`repro.proof`) attached to VERIFIED verdicts when the query
     #: ran with ``EncoderOptions.certify``.  Every certificate is
-    #: re-checked with :func:`repro.proof.check.check_certificate`
-    #: before being attached; a verdict the checker cannot confirm
-    #: ships *without* a certificate rather than with a broken one.
+    #: checked once with :func:`repro.proof.check.check_certificate`
+    #: before being attached (a split proof's as a whole tree); a
+    #: verdict the checker cannot confirm ships *without* a certificate
+    #: rather than with a broken one.
     certificate: Optional[Dict] = None
 
     @property
@@ -294,6 +295,10 @@ class Verifier:
     trace answers "where did the time go" per query.  The default is the
     shared no-op tracer.
     """
+
+    #: Whether :meth:`_checked` replays a certificate before it is
+    #: attached; off only for a bisection shard's verifier.
+    _gates_certificates = True
 
     def __init__(
         self,
@@ -573,10 +578,17 @@ class Verifier:
 
         Nothing the checker rejects is ever attached to a result — a
         broken emitter degrades to "no certificate", never to a
-        certificate that fails downstream audits.
+        certificate that fails downstream audits.  This is the only
+        check a static or MILP certificate gets on the proving path.
+        A bisection shard's verifier skips it
+        (:attr:`_gates_certificates`): the shard's certificate only
+        fills a leaf of the parent's partition tree, and
+        :func:`repro.proof.emit.assemble_split_certificate` checks the
+        whole tree once, so a bad shard still costs the parent its
+        certificate.
         """
-        if certificate is None:
-            return None
+        if certificate is None or not self._gates_certificates:
+            return certificate
         from repro.proof.check import check_certificate
 
         return None if check_certificate(certificate).has_errors \

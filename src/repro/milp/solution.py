@@ -27,8 +27,9 @@ class LPResult:
             and ``min (y @ A) x > y @ b`` over the column box, the form
             :mod:`repro.proof.check` accepts as is.  The raw evidence
             behind proof-certificate Farkas leaves
-            (:mod:`repro.proof.emit`), which re-checks every ray before
-            it enters a certificate.
+            (:mod:`repro.proof.emit`); the checker checks every ray
+            once, with its certificate, before the certificate is
+            attached to a result.
     """
 
     status: SolveStatus

@@ -41,7 +41,16 @@ What gets replayed, per certificate kind:
     The partition tree is walked from the parent box; child boxes are
     re-derived from the recorded split dimension (midpoint bisection),
     so the tree provably tiles the parent, and each leaf is checked as
-    a ``static``/``milp`` sub-certificate over its derived box.
+    a ``static``/``milp`` sub-certificate over its derived box.  All
+    leaves share the network, so their chains are parsed together,
+    field by field, and replayed in the same single sweep, each row
+    concretised with its own leaf's claimed boxes and input box; the
+    objective is replayed for the ``pruned``/``static`` leaves only.
+    The threshold and leaf-cover checks then run leaf by leaf, depth
+    first.  A ``static``/``milp`` certificate is the one-leaf case.
+    When the tree does not tile the parent (A306) or any leaf's chain
+    has a finding, the leaves are checked one at a time instead, so the
+    findings come in the order of a depth-first walk.
 
 Failures are structured findings with the ``A3xx`` codes documented in
 :mod:`repro.analysis.audit`:
@@ -100,18 +109,36 @@ class _Malformed(Exception):
 
 # -- parsing -----------------------------------------------------------------
 
-def _as_array(value: Any, shape: Tuple[int, ...], what: str) -> np.ndarray:
+def _finite(arr: np.ndarray) -> bool:
+    # Counting beats a boolean reduction on arrays this small.
+    return np.count_nonzero(np.isfinite(arr)) == arr.size
+
+
+def _stacked(
+    values: List[Any], shape: Tuple[int, ...], what: str
+) -> np.ndarray:
+    """One ``(len(values),) + shape`` array from one value per chain.
+
+    A single chain's value is parsed on its own, so its A301 message
+    names the shape of one chain's array.
+    """
+    one = len(values) == 1
+    expected = shape if one else (len(values),) + shape
     try:
-        arr = np.asarray(value, dtype=float)
+        arr = np.asarray(values[0] if one else values, dtype=float)
     except (TypeError, ValueError) as exc:
         raise _Malformed(f"{what} is not numeric: {exc}") from exc
-    if arr.shape != shape:
+    if arr.shape != expected:
         raise _Malformed(
-            f"{what} has shape {arr.shape}, expected {shape}"
+            f"{what} has shape {arr.shape}, expected {expected}"
         )
-    if not np.isfinite(arr).all():
+    if not _finite(arr):
         raise _Malformed(f"{what} contains non-finite values")
-    return arr
+    return arr[np.newaxis] if one else arr
+
+
+def _as_array(value: Any, shape: Tuple[int, ...], what: str) -> np.ndarray:
+    return _stacked([value], shape, what)[0]
 
 
 def _parse_layers(payload: Any) -> _Layers:
@@ -152,7 +179,7 @@ def _parse_layers(payload: Any) -> _Layers:
                 f"network layer {index}: unsupported activation "
                 f"{activation!r}"
             )
-        if not (np.all(np.isfinite(weights)) and np.all(np.isfinite(bias))):
+        if not (_finite(weights) and _finite(bias)):
             raise _Malformed(
                 f"network layer {index} contains non-finite parameters"
             )
@@ -230,28 +257,42 @@ def _interval_affine(
     return lo @ w_pos + hi @ w_neg + bias, hi @ w_pos + lo @ w_neg + bias
 
 
-def _conc_hi(
-    coef: np.ndarray, bias: np.ndarray, lo: np.ndarray, hi: np.ndarray
-) -> np.ndarray:
-    return bias + np.maximum(coef, 0.0) @ hi + np.minimum(coef, 0.0) @ lo
-
-
 # -- chain replay ------------------------------------------------------------
 
 class _Target(NamedTuple):
-    """One replayed part of a chain: a layer entry or the objective.
+    """One replayed part of a set of chains: a layer entry or the objective.
 
     Its rows ``coef @ v + bias`` range over the post-activations ``v``
     of layer ``join`` (the input box when ``join`` is -1) and enter the
-    sweep there; ``relax[k]`` is its recorded ``(up_slope, up_icept,
-    lo_lower, up_lower)`` for every ReLU layer ``k <= join``.
+    sweep there, once for every chain in ``leaves`` (indices into the
+    chains replayed together).  ``relax[k]`` stacks those chains'
+    recorded ``(up_slope, up_icept, lo_lower, up_lower)`` for every ReLU
+    layer ``k <= join``: one row per chain for the chord, one per chain
+    and row (chain by chain) for the lower slopes.
     """
 
     name: str
     join: int
     coef: np.ndarray
     bias: np.ndarray
+    leaves: np.ndarray
     relax: Dict[int, Tuple[np.ndarray, ...]]
+
+
+class _Chains(NamedTuple):
+    """Parsed chains of leaves that share one network.
+
+    ``claimed[i]`` and ``post_boxes[i]`` hold layer ``i``'s claimed
+    pre-activation box and its post-activation image, one row per
+    chain; ``objectives`` are the objective entries of the chains whose
+    objective is replayed, in the order of the objective target's
+    ``leaves``.
+    """
+
+    claimed: List[_Box]
+    post_boxes: List[_Box]
+    targets: List[_Target]
+    objectives: List[Dict[str, Any]]
 
 
 _RELAX_KEYS = ("up_slope", "up_icept", "lo_lower", "up_lower")
@@ -260,37 +301,139 @@ _RELAX_KEYS = ("up_slope", "up_icept", "lo_lower", "up_lower")
 def _target(
     layers: _Layers,
     what: str,
-    entry: Dict[str, Any],
+    entries: Sequence[Dict[str, Any]],
     join: int,
     coef: np.ndarray,
     bias: np.ndarray,
+    leaves: np.ndarray,
 ) -> _Target:
     """Parse one target's recorded relaxations (A301 on any defect)."""
-    raw = entry.get("relax")
     m = coef.shape[0]
     relax: Dict[int, Tuple[np.ndarray, ...]] = {}
     for k in range(join + 1):
         if layers[k][2] != "relu":
             continue
         n_k = layers[k][1].shape[0]
-        if not isinstance(raw, dict) or str(k) not in raw:
-            raise _Malformed(f"{what} has no relaxation for ReLU layer {k}")
-        record = raw[str(k)]
-        if not isinstance(record, dict):
-            raise _Malformed(
-                f"{what} relaxation for layer {k} is not an object"
-            )
+        records = []
+        for entry in entries:
+            raw = entry.get("relax")
+            if not isinstance(raw, dict) or str(k) not in raw:
+                raise _Malformed(
+                    f"{what} has no relaxation for ReLU layer {k}"
+                )
+            record = raw[str(k)]
+            if not isinstance(record, dict):
+                raise _Malformed(
+                    f"{what} relaxation for layer {k} is not an object"
+                )
+            records.append(record)
         shapes = ((n_k,), (n_k,), (m, n_k), (m, n_k))
         try:
-            relax[k] = tuple(
-                _as_array(record[key], shape, f"{what}.relax[{k}].{key}")
+            up_slope, up_icept, lo_lower, up_lower = (
+                _stacked(
+                    [record[key] for record in records], shape,
+                    f"{what}.relax[{k}].{key}",
+                )
                 for key, shape in zip(_RELAX_KEYS, shapes)
             )
         except KeyError as exc:
             raise _Malformed(
                 f"{what} relaxation for layer {k} is missing {exc}"
             ) from exc
-    return _Target(what, join, coef, bias, relax)
+        relax[k] = (
+            up_slope, up_icept,
+            lo_lower.reshape(-1, n_k), up_lower.reshape(-1, n_k),
+        )
+    return _Target(what, join, coef, bias, leaves, relax)
+
+
+def _parse_chains(
+    layers: _Layers,
+    chains: Sequence[Any],
+    objective_row: Optional[np.ndarray],
+    objective_leaves: Sequence[int],
+) -> _Chains:
+    """Parse the chains of leaves that share one network, field by field.
+
+    Every (entry, key) becomes one array with a leading row per chain.
+    The objective target covers only the chains in
+    ``objective_leaves``.  On a single chain the A301 findings are
+    those of parsing that chain alone.
+    """
+    columns = []
+    for chain in chains:
+        if not isinstance(chain, dict) or "layers" not in chain:
+            raise _Malformed("chain has no layers")
+        entries = chain["layers"]
+        if not isinstance(entries, list) or len(entries) != len(layers):
+            raise _Malformed(
+                "chain has "
+                f"{len(entries) if isinstance(entries, list) else '?'}"
+                f" layer entries, network has {len(layers)}"
+            )
+        columns.append(entries)
+    by_layer = list(zip(*columns))
+    claimed: List[_Box] = []
+    post_boxes: List[_Box] = []
+    for i, entries in enumerate(by_layer):
+        n_i = layers[i][1].shape[0]
+        what = f"chain.layer{i}"
+        if not all(isinstance(entry, dict) for entry in entries):
+            raise _Malformed(f"{what} is not an object")
+        lo_c = _stacked(
+            [entry.get("lower") for entry in entries], (n_i,),
+            f"{what}.lower",
+        )
+        hi_c = _stacked(
+            [entry.get("upper") for entry in entries], (n_i,),
+            f"{what}.upper",
+        )
+        claimed.append((lo_c, hi_c))
+        if layers[i][2] == "relu":
+            post_boxes.append(
+                (np.maximum(lo_c, 0.0), np.maximum(hi_c, 0.0))
+            )
+        else:
+            post_boxes.append((lo_c, hi_c))
+
+    every = np.arange(len(chains))
+    targets = [
+        _target(
+            layers, f"chain.layer{i}", by_layer[i], i - 1,
+            layers[i][0].T, layers[i][1], every,
+        )
+        for i in range(1, len(layers))
+    ]
+    objectives = [chains[leaf].get("objective") for leaf in objective_leaves]
+    if objectives:
+        if not all(isinstance(entry, dict) for entry in objectives):
+            raise _Malformed("chain has no objective entry")
+        out_w, out_b, _ = layers[-1]
+        targets.append(_target(
+            layers, "chain.objective", objectives, len(layers) - 2,
+            objective_row[np.newaxis, :] @ out_w.T,
+            objective_row[np.newaxis, :] @ out_b,
+            np.asarray(objective_leaves),
+        ))
+    return _Chains(claimed, post_boxes, targets, objectives)
+
+
+def _claimed_objective(entry: Dict[str, Any]) -> Tuple[float, float]:
+    """An objective entry's claimed ``(lower, upper)``.
+
+    A side left out claims nothing (an infinite bound); a side that is
+    not a number is a malformed certificate.
+    """
+    claims = []
+    for key, default in (("lower", -np.inf), ("upper", np.inf)):
+        value = entry.get(key, default)
+        try:
+            claims.append(float(value))
+        except (TypeError, ValueError) as exc:
+            raise _Malformed(
+                f"chain.objective.{key} is not a number: {value!r}"
+            ) from exc
+    return claims[0], claims[1]
 
 
 def _unsound(target: _Target, claimed: List[_Box]) -> List[str]:
@@ -310,6 +453,7 @@ def _unsound(target: _Target, claimed: List[_Box]) -> List[str]:
                     f"(range [{slopes.min():.6g}, {slopes.max():.6g}])"
                 )
         for z in claimed[k]:
+            z = z[target.leaves]
             gap = np.maximum(z, 0.0) - (up_slope * z + up_icept)
             if np.any(gap > PROOF_REPLAY_TOL):
                 messages.append(
@@ -339,46 +483,62 @@ def _sweep(
     input_box: _Box,
     targets: List[_Target],
 ) -> Tuple[int, List[_Box]]:
-    """Validate and replay every target of a chain in one backward sweep.
+    """Validate and replay every target of a set of chains in one sweep.
 
-    ``targets`` come in chain order, so their ``join`` layers never
-    decrease.  Returns ``(first, replayed)``: ``first`` is the index of
-    the first target with an unsound relaxation (``len(targets)`` when
-    all are sound), and ``replayed`` holds the replayed ``(lower,
-    upper)`` of ``targets[:first]``.
+    The chains share the network; the boxes (``claimed``,
+    ``post_boxes``, ``input_box``) hold one row per chain.  ``targets``
+    come in chain order, so their ``join`` layers never decrease.
+    Returns ``(first, replayed)``: ``first`` is the index of the first
+    target with an unsound relaxation in any chain (``len(targets)``
+    when all are sound), and ``replayed`` holds the replayed ``(lower,
+    upper)`` of ``targets[:first]``, one row per chain of the target.
 
     The sweep takes the targets in reverse, so the rows active at layer
     ``k`` (those of every target joining at ``k`` or above) are a
     prefix of the final row order and each target's slopes stack once
-    per layer.  Every target travels as ``[C; -C]``: a lower bound is
-    the negated upper bound of the negated row, whose negative part
-    takes the lower line ``lo_lower`` where an upper row takes
-    ``up_lower``.  Rows are separable, so each target's replay is the
-    backward substitution of its rows alone, concretised at every stop
-    with the claimed boxes.
+    per layer.  Every target travels as ``[C; -C]``, ``C`` repeated for
+    each of its chains: a lower bound is the negated upper bound of the
+    negated row, whose negative part takes the lower line ``lo_lower``
+    where an upper row takes ``up_lower``.  Rows are separable, so each
+    row's replay is the backward substitution of that row alone,
+    concretised at every stop with its own chain's claimed boxes.
     """
     if not targets:
         return 0, []
     order = targets[::-1]
     top = order[0].join
+    # group_leaf[g]: the chain of (target, chain) group g, numbered in
+    # ``order``.  A target's rows are its groups' upper rows, then their
+    # negated lower rows; owner[r] is the group of row r.
+    group_leaf = np.concatenate([t.leaves for t in order])
+    block_group: List[int] = []
+    block_size: List[int] = []
+    for target in order:
+        groups = list(range(len(block_group) // 2,
+                            len(block_group) // 2 + len(target.leaves)))
+        block_group += groups + groups
+        block_size += [target.coef.shape[0]] * (2 * len(groups))
+    owner = np.repeat(block_group, block_size)
+    # pick[r]: row r's own chain in the raveled (rows, chains) matrix of
+    # its concretisations over every chain's box.
+    pick = (
+        np.arange(owner.shape[0]) * input_box[0].shape[0]
+        + group_leaf.take(owner)
+    )
+
     sound = True
     stacks: Dict[int, Tuple[np.ndarray, np.ndarray, np.ndarray]] = {}
     for k in range(top + 1):
         if layers[k][2] != "relu":
             continue
         active = [t.relax[k] for t in order if t.join >= k]
-        # One row per active target for the chord, one per active row
-        # (upper rows, then negated lower rows) for the negative side.
-        up_slope = np.array([r[0] for r in active])
-        up_icept = np.array([r[1] for r in active])
+        up_slope = np.concatenate([r[0] for r in active])
+        up_icept = np.concatenate([r[1] for r in active])
         neg_slope = np.concatenate([a for r in active for a in (r[3], r[2])])
         stacks[k] = (up_slope, up_icept, neg_slope)
-        # relu(z) at the claimed endpoints is the post-activation box.
-        (lo, hi), (relu_lo, relu_hi) = claimed[k], post_boxes[k]
-        gap = np.maximum(
-            relu_lo - (up_slope * lo + up_icept),
-            relu_hi - (up_slope * hi + up_icept),
-        )
+        # Both claimed endpoints of each group's chain.
+        z = np.array(claimed[k]).take(group_leaf[: up_slope.shape[0]], axis=1)
+        gap = np.maximum(z, 0.0) - (up_slope * z + up_icept)
         if (
             gap.max() > PROOF_REPLAY_TOL
             or neg_slope.min() < 0.0 or neg_slope.max() > 1.0
@@ -396,10 +556,6 @@ def _sweep(
             layers, claimed, post_boxes, input_box, targets[:first]
         )[1]
 
-    # owner[r]: the position in ``order`` of the target row r belongs to.
-    owner = np.repeat(
-        np.arange(len(order)), [2 * t.coef.shape[0] for t in order]
-    )
     # At layer j the coefficients range over its post-activations.
     coef = np.zeros((0, order[0].coef.shape[1]))
     bias = np.zeros(0)
@@ -411,28 +567,30 @@ def _sweep(
             seeds.append(order[joined])
             joined += 1
         if seeds:
-            coef = np.concatenate(
-                [coef] + [c for t in seeds for c in (t.coef, -t.coef)]
-            )
-            bias = np.concatenate(
-                [bias] + [b for t in seeds for b in (t.bias, -t.bias)]
-            )
-        box = post_boxes[j] if j >= 0 else input_box
-        hi = _conc_hi(coef, bias, *box)
-        rows = best.shape[0]
-        best = np.concatenate([np.minimum(best, hi[:rows]), hi[rows:]])
+            coef = np.concatenate([coef] + [
+                c for t in seeds
+                for c in [t.coef] * len(t.leaves) + [-t.coef] * len(t.leaves)
+            ])
+            bias = np.concatenate([bias] + [
+                b for t in seeds
+                for b in [t.bias] * len(t.leaves) + [-t.bias] * len(t.leaves)
+            ])
+        rows = coef.shape[0]
+        pos = np.maximum(coef, 0.0)
+        neg = np.minimum(coef, 0.0)
+        # Concretise every row over every chain's box; keep its own.
+        box_lo, box_hi = post_boxes[j] if j >= 0 else input_box
+        hi = bias + (pos @ box_hi.T + neg @ box_lo.T).take(pick[:rows])
+        old = best.shape[0]
+        best = np.concatenate([np.minimum(best, hi[:old]), hi[old:]])
         if j < 0:
             break
         weights, layer_bias, activation = layers[j]
         if activation == "relu":
             up_slope, up_icept, neg_slope = stacks[j]
-            row_owner = owner[: coef.shape[0]]
-            pos = np.maximum(coef, 0.0)
-            bias = bias + (pos * up_icept[row_owner]).sum(axis=1)
-            coef = (
-                pos * up_slope[row_owner]
-                + np.minimum(coef, 0.0) * neg_slope
-            )
+            row_owner = owner[:rows]
+            bias = bias + (pos * up_icept.take(row_owner, axis=0)).sum(axis=1)
+            coef = pos * up_slope.take(row_owner, axis=0) + neg * neg_slope
         bias = bias + coef @ layer_bias
         coef = coef @ weights.T
 
@@ -440,10 +598,23 @@ def _sweep(
     offset = 0
     for target in order:
         m = target.coef.shape[0]
-        upper = best[offset: offset + m]
-        replayed.append((-best[offset + m: offset + 2 * m], upper))
-        offset += 2 * m
+        size = 2 * len(target.leaves) * m
+        block = best[offset: offset + size].reshape(2, len(target.leaves), m)
+        replayed.append((-block[1], block[0]))
+        offset += size
     return len(targets), replayed[::-1]
+
+
+def _replay(
+    layers: _Layers, input_box: _Box, chains: _Chains
+) -> Tuple[int, List[_Box]]:
+    """:func:`_sweep` over parsed chains, with layer 0's exact interval
+    image of the input box put in front of the replayed entries."""
+    first, replayed = _sweep(
+        layers, chains.claimed, chains.post_boxes, input_box, chains.targets
+    )
+    replayed.insert(0, _interval_affine(*input_box, *layers[0][:2]))
+    return first, replayed
 
 
 def _check_chain(
@@ -467,57 +638,16 @@ def _check_chain(
     the A305 gaps of the entries before the first target with an
     unsound relaxation, then that target's A304 findings.
     """
-    if not isinstance(chain, dict) or "layers" not in chain:
-        raise _Malformed("chain has no layers")
-    entries = chain["layers"]
-    if not isinstance(entries, list) or len(entries) != len(layers):
-        raise _Malformed(
-            f"chain has {len(entries) if isinstance(entries, list) else '?'}"
-            f" layer entries, network has {len(layers)}"
-        )
-    claimed: List[_Box] = []
-    post_boxes: List[_Box] = []
-    for i, entry in enumerate(entries):
-        n_i = layers[i][1].shape[0]
-        what = f"chain.layer{i}"
-        if not isinstance(entry, dict):
-            raise _Malformed(f"{what} is not an object")
-        lo_c = _as_array(entry.get("lower"), (n_i,), f"{what}.lower")
-        hi_c = _as_array(entry.get("upper"), (n_i,), f"{what}.upper")
-        claimed.append((lo_c, hi_c))
-        if layers[i][2] == "relu":
-            post_boxes.append(
-                (np.maximum(lo_c, 0.0), np.maximum(hi_c, 0.0))
-            )
-        else:
-            post_boxes.append((lo_c, hi_c))
-
-    targets = [
-        _target(
-            layers, f"chain.layer{i}", entries[i], i - 1,
-            layers[i][0].T, layers[i][1],
-        )
-        for i in range(1, len(layers))
-    ]
-    if objective_row is not None:
-        obj_entry = chain.get("objective")
-        if not isinstance(obj_entry, dict):
-            raise _Malformed("chain has no objective entry")
-        out_w, out_b, _ = layers[-1]
-        targets.append(_target(
-            layers, "chain.objective", obj_entry, len(layers) - 2,
-            objective_row[np.newaxis, :] @ out_w.T,
-            objective_row[np.newaxis, :] @ out_b,
-        ))
-    first, replayed = _sweep(
-        layers, claimed, post_boxes, input_box, targets
+    parsed = _parse_chains(
+        layers, [chain], objective_row,
+        [] if objective_row is None else [0],
     )
-    # Layer 0's interval image of the input box is exact.
-    replayed.insert(0, _interval_affine(*input_box, *layers[0][:2]))
-
+    first, replayed = _replay(
+        layers, (input_box[0][np.newaxis], input_box[1][np.newaxis]), parsed
+    )
     ok = True
     for i, ((lo_c, hi_c), (replay_lo, replay_hi)) in enumerate(
-        zip(claimed, replayed)
+        zip(parsed.claimed, replayed)
     ):
         low_gap = float((lo_c - replay_lo).max())
         high_gap = float((replay_hi - hi_c).max())
@@ -530,19 +660,19 @@ def _check_chain(
             )
             ok = False
     if first < len(layers) - 1:
-        _report_unsound(report, subject, targets[first], claimed)
+        _report_unsound(report, subject, parsed.targets[first], parsed.claimed)
         return None, None
     if not ok:
         return None, None
+    validated = [(lo[0], hi[0]) for lo, hi in parsed.claimed]
     if objective_row is None:
-        return claimed, None
-    if first < len(targets):
-        _report_unsound(report, subject, targets[first], claimed)
-        return claimed, None
+        return validated, None
+    if first < len(parsed.targets):
+        _report_unsound(report, subject, parsed.targets[first], parsed.claimed)
+        return validated, None
 
-    replay_lo, replay_hi = replayed[-1]
-    claimed_lo = float(obj_entry.get("lower", -np.inf))
-    claimed_hi = float(obj_entry.get("upper", np.inf))
+    (replay_lo,), (replay_hi,) = replayed[-1]
+    claimed_lo, claimed_hi = _claimed_objective(parsed.objectives[0])
     low_gap = claimed_lo - float(replay_lo[0])
     high_gap = float(replay_hi[0]) - claimed_hi
     if low_gap > PROOF_REPLAY_TOL or high_gap > PROOF_REPLAY_TOL:
@@ -552,8 +682,8 @@ def _check_chain(
             f"chain supports (lower gap {low_gap:.6g}, upper gap "
             f"{high_gap:.6g})",
         )
-        return claimed, None
-    return claimed, (float(replay_lo[0]), float(replay_hi[0]))
+        return validated, None
+    return validated, (float(replay_lo[0]), float(replay_hi[0]))
 
 
 def _check_threshold(
@@ -871,7 +1001,171 @@ def _check_milp_leaves(
     return ok
 
 
-# -- split trees -------------------------------------------------------------
+# -- certificate leaves and split trees --------------------------------------
+
+def _check_leaf(
+    report: AuditReport,
+    subject: str,
+    layers: _Layers,
+    box: np.ndarray,
+    constraints: List[Tuple[Dict[int, float], float]],
+    objective_row: np.ndarray,
+    threshold: float,
+    margin: float,
+    node: Dict[str, Any],
+    replay: Optional[
+        Tuple[Optional[List[_Box]], Optional[Tuple[float, float]]]
+    ] = None,
+) -> None:
+    """Check one ``static``/``pruned`` or ``milp`` proof over ``box``.
+
+    ``node`` is a whole certificate or a split tree's leaf.  ``replay``
+    is what :func:`_check_chain` would return for its chain, when a
+    sweep over every leaf of a tree already replayed it cleanly;
+    without it the chain is checked here.
+    """
+    milp = node.get("kind") == KIND_MILP
+    try:
+        if replay is None:
+            replay = _check_chain(
+                report, subject, layers, (box[:, 0].copy(), box[:, 1].copy()),
+                node.get("chain"), None if milp else objective_row,
+            )
+        validated, obj_bounds = replay
+        if milp and validated is not None:
+            _check_milp_leaves(
+                report, subject, layers, box, constraints, validated,
+                margin, objective_row, threshold, node.get("leaves"),
+            )
+        elif not milp and obj_bounds is not None:
+            _check_threshold(
+                report, subject, obj_bounds[1], threshold, margin
+            )
+    except _Malformed as exc:
+        report.add("A301", Severity.ERROR, subject, str(exc))
+
+
+class _TreeLeaf(NamedTuple):
+    """A split tree's leaf with its re-derived box, or, when ``defect``
+    is set, the A306 finding that stands in for a malformed subtree."""
+
+    subject: str
+    box: np.ndarray
+    node: Any
+    defect: Optional[str] = None
+
+
+def _tree_leaves(
+    subject: str, box: np.ndarray, node: Any, out: List[_TreeLeaf]
+) -> None:
+    """Collect a split tree's leaves depth first; child boxes are
+    re-derived here.
+
+    The certificate records only the split dimension per internal node;
+    the checker bisects at the midpoint itself (the same closed-halves
+    rule the driver uses), so a tree that verifies necessarily tiles
+    the parent box — there is no recorded geometry to tamper with.
+    """
+    if not isinstance(node, dict):
+        out.append(_TreeLeaf(subject, box, node, "tree node is not an object"))
+        return
+    if "split_dim" in node:
+        try:
+            dim = int(node["split_dim"])
+        except (TypeError, ValueError):
+            out.append(_TreeLeaf(
+                subject, box, node,
+                f"split_dim {node.get('split_dim')!r} is not an integer",
+            ))
+            return
+        if not 0 <= dim < box.shape[0]:
+            out.append(_TreeLeaf(
+                subject, box, node,
+                f"split dimension {dim} out of range for input dim "
+                f"{box.shape[0]}",
+            ))
+            return
+        lo, hi = float(box[dim, 0]), float(box[dim, 1])
+        if lo >= hi:
+            out.append(_TreeLeaf(
+                subject, box, node, f"split on zero-width dimension {dim}"
+            ))
+            return
+        missing = [key for key in ("low", "high") if key not in node]
+        if missing:
+            out.append(_TreeLeaf(
+                subject, box, node,
+                f"internal node is missing child(ren) {missing}; the "
+                "tree does not tile the parent box",
+            ))
+            return
+        mid = 0.5 * (lo + hi)
+        for key, child_interval in (("low", (lo, mid)), ("high", (mid, hi))):
+            child_box = box.copy()
+            child_box[dim] = child_interval
+            _tree_leaves(f"{subject}.{key}", child_box, node[key], out)
+        return
+    kind = node.get("kind")
+    if kind not in ("pruned", KIND_STATIC, KIND_MILP):
+        out.append(_TreeLeaf(
+            subject, box, node, f"leaf node has unknown kind {kind!r}"
+        ))
+        return
+    out.append(_TreeLeaf(subject, box, node))
+
+
+def _replay_leaves(
+    layers: _Layers,
+    leaves: List[_TreeLeaf],
+    objective_row: np.ndarray,
+) -> Optional[List[Tuple[List[_Box], Optional[Tuple[float, float]]]]]:
+    """Every leaf's chain parsed together and replayed in one sweep.
+
+    Returns, per leaf, what :func:`_check_chain` returns for its chain
+    (the objective is replayed for ``pruned``/``static`` leaves only),
+    or ``None`` when any leaf's chain would yield a finding: the caller
+    then checks leaf by leaf, so every finding keeps its place.
+    """
+    input_box = (
+        np.array([leaf.box[:, 0] for leaf in leaves]),
+        np.array([leaf.box[:, 1] for leaf in leaves]),
+    )
+    objective_leaves = [
+        index for index, leaf in enumerate(leaves)
+        if leaf.node.get("kind") != KIND_MILP
+    ]
+    try:
+        parsed = _parse_chains(
+            layers, [leaf.node.get("chain") for leaf in leaves],
+            objective_row, objective_leaves,
+        )
+        claims = np.array(
+            [_claimed_objective(entry) for entry in parsed.objectives]
+        ).reshape(-1, 2)
+    except _Malformed:
+        return None
+    first, replayed = _replay(layers, input_box, parsed)
+    if first < len(parsed.targets):
+        return None
+    for (lo_c, hi_c), (replay_lo, replay_hi) in zip(parsed.claimed, replayed):
+        if max((lo_c - replay_lo).max(), (replay_hi - hi_c).max()) > (
+            PROOF_REPLAY_TOL
+        ):
+            return None
+    objective: List[Optional[Tuple[float, float]]] = [None] * len(leaves)
+    if objective_leaves:
+        replay_lo, replay_hi = (side[:, 0] for side in replayed[-1])
+        if np.any(claims[:, 0] - replay_lo > PROOF_REPLAY_TOL) or np.any(
+            replay_hi - claims[:, 1] > PROOF_REPLAY_TOL
+        ):
+            return None
+        for index, lo, hi in zip(objective_leaves, replay_lo, replay_hi):
+            objective[index] = (float(lo), float(hi))
+    return [
+        ([(lo[index], hi[index]) for lo, hi in parsed.claimed], bounds)
+        for index, bounds in enumerate(objective)
+    ]
+
 
 def _check_tree(
     report: AuditReport,
@@ -883,99 +1177,29 @@ def _check_tree(
     threshold: float,
     margin: float,
     node: Any,
-) -> bool:
-    """Recursive split-tree walk; child boxes are re-derived here.
+) -> None:
+    """Check a split tree: its tiling, then every leaf as a sub-proof.
 
-    The certificate records only the split dimension per internal node;
-    the checker bisects at the midpoint itself (the same closed-halves
-    rule the driver uses), so a tree that verifies necessarily tiles
-    the parent box — there is no recorded geometry to tamper with.
+    A well-formed tree's leaf chains are replayed together in one
+    sweep, and then each leaf's threshold or leaf-cover check runs in
+    depth-first order.  When the tree has an A306 defect, or any leaf's
+    chain would yield a finding, the leaves are checked one by one
+    instead, so every finding comes in the order of a depth-first walk.
     """
-    if not isinstance(node, dict):
-        report.add(
-            "A306", Severity.ERROR, subject, "tree node is not an object"
+    leaves: List[_TreeLeaf] = []
+    _tree_leaves(subject, box, node, leaves)
+    replays = None
+    if all(leaf.defect is None for leaf in leaves):
+        replays = _replay_leaves(layers, leaves, objective_row)
+    for index, leaf in enumerate(leaves):
+        if leaf.defect is not None:
+            report.add("A306", Severity.ERROR, leaf.subject, leaf.defect)
+            continue
+        _check_leaf(
+            report, leaf.subject, layers, leaf.box, constraints,
+            objective_row, threshold, margin, leaf.node,
+            None if replays is None else replays[index],
         )
-        return False
-    if "split_dim" in node:
-        try:
-            dim = int(node["split_dim"])
-        except (TypeError, ValueError):
-            report.add(
-                "A306", Severity.ERROR, subject,
-                f"split_dim {node.get('split_dim')!r} is not an integer",
-            )
-            return False
-        if not 0 <= dim < box.shape[0]:
-            report.add(
-                "A306", Severity.ERROR, subject,
-                f"split dimension {dim} out of range for input dim "
-                f"{box.shape[0]}",
-            )
-            return False
-        lo, hi = float(box[dim, 0]), float(box[dim, 1])
-        if lo >= hi:
-            report.add(
-                "A306", Severity.ERROR, subject,
-                f"split on zero-width dimension {dim}",
-            )
-            return False
-        missing = [key for key in ("low", "high") if key not in node]
-        if missing:
-            report.add(
-                "A306", Severity.ERROR, subject,
-                f"internal node is missing child(ren) {missing}; the "
-                "tree does not tile the parent box",
-            )
-            return False
-        mid = 0.5 * (lo + hi)
-        ok = True
-        for key, child_interval in (("low", (lo, mid)), ("high", (mid, hi))):
-            child_box = box.copy()
-            child_box[dim] = child_interval
-            if not _check_tree(
-                report, f"{subject}.{key}", layers, child_box,
-                constraints, objective_row, threshold, margin,
-                node[key],
-            ):
-                ok = False
-        return ok
-
-    kind = node.get("kind")
-    input_box = (box[:, 0].copy(), box[:, 1].copy())
-    if kind in ("pruned", "static"):
-        try:
-            validated, obj_bounds = _check_chain(
-                report, subject, layers, input_box, node.get("chain"),
-                objective_row,
-            )
-        except _Malformed as exc:
-            report.add("A301", Severity.ERROR, subject, str(exc))
-            return False
-        if obj_bounds is None:
-            return False
-        return _check_threshold(
-            report, subject, obj_bounds[1], threshold, margin
-        )
-    if kind == "milp":
-        try:
-            validated, _ = _check_chain(
-                report, subject, layers, input_box, node.get("chain"),
-                None,
-            )
-            if validated is None:
-                return False
-            return _check_milp_leaves(
-                report, subject, layers, box, constraints, validated,
-                margin, objective_row, threshold, node.get("leaves"),
-            )
-        except _Malformed as exc:
-            report.add("A301", Severity.ERROR, subject, str(exc))
-            return False
-    report.add(
-        "A306", Severity.ERROR, subject,
-        f"leaf node has unknown kind {kind!r}",
-    )
-    return False
 
 
 # -- entry points ------------------------------------------------------------
@@ -1021,34 +1245,16 @@ def check_certificate(
         report.add("A301", Severity.ERROR, subject, str(exc))
         return report
 
-    input_box = (box[:, 0].copy(), box[:, 1].copy())
-    try:
-        if kind == KIND_STATIC:
-            _, obj_bounds = _check_chain(
-                report, subject, layers, input_box, cert.get("chain"),
-                objective_row,
-            )
-            if obj_bounds is not None:
-                _check_threshold(
-                    report, subject, obj_bounds[1], threshold, margin
-                )
-        elif kind == KIND_MILP:
-            validated, _ = _check_chain(
-                report, subject, layers, input_box, cert.get("chain"),
-                None,
-            )
-            if validated is not None:
-                _check_milp_leaves(
-                    report, subject, layers, box, constraints, validated,
-                    margin, objective_row, threshold, cert.get("leaves"),
-                )
-        elif kind == KIND_SPLIT:  # kind was validated against KINDS
-            _check_tree(
-                report, subject, layers, box, constraints,
-                objective_row, threshold, margin, cert.get("tree"),
-            )
-    except _Malformed as exc:
-        report.add("A301", Severity.ERROR, subject, str(exc))
+    if kind == KIND_SPLIT:
+        _check_tree(
+            report, subject, layers, box, constraints, objective_row,
+            threshold, margin, cert.get("tree"),
+        )
+    else:  # kind was validated against KINDS
+        _check_leaf(
+            report, subject, layers, box, constraints, objective_row,
+            threshold, margin, cert,
+        )
     return report
 
 

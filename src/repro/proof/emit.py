@@ -19,11 +19,13 @@ Two jobs:
 
 * :func:`assemble_milp_certificate` converts a branch-and-bound proof
   record (leaf literals + per-leaf standardized dual rays) into the
-  named-row Farkas leaves of the certificate format.  Each ray is
-  *self-validated* against the same clean-room encoding rebuild the
-  checker uses, so a wrong or missing ray from the LP backend can never
-  produce a certificate the checker would reject — it produces no
-  certificate at all, which is an honest (and visible) failure.
+  named-row Farkas leaves of the certificate format.  The conversion
+  checks nothing: every certificate passes the independent checker
+  once before it is attached to a result — an unsplit proof's through
+  :meth:`repro.core.verifier.Verifier._checked`, a split shard's as
+  part of its parent's tree in :func:`assemble_split_certificate` —
+  so a wrong ray from the LP backend costs the certificate (an honest
+  and visible failure), never yields one the checker would reject.
 """
 
 from __future__ import annotations
@@ -33,14 +35,11 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.audit import AuditReport
 from repro.analysis.symbolic import (
     SymbolicScreen,
-    _objective_row,
     _SlopeCache,
     symbolic_screen,
 )
-from repro.core.bounds import LayerBounds
 from repro.proof import check as _check
 from repro.proof.certificate import (
     KIND_MILP,
@@ -177,44 +176,24 @@ def assemble_static_certificate(
     )
 
 
-def _checker_layers(network: Any) -> List[Tuple[np.ndarray, np.ndarray, str]]:
-    return [
-        (layer.weights, layer.bias, layer.activation)
-        for layer in network.layers
-    ]
-
-
 def milp_proof_leaves(
-    model: Any,
-    proof: Mapping[str, Any],
-    network: Any,
-    region: Any,
-    validated: List[LayerBounds],
-    margin: float,
-    objective_row: np.ndarray,
-    threshold: float,
+    model: Any, proof: Mapping[str, Any]
 ) -> Optional[List[Dict[str, Any]]]:
-    """Named, self-validated Farkas leaves from a B&B proof record.
+    """Named Farkas leaves from a B&B proof record.
 
     ``proof`` is the raw :attr:`repro.milp.solution.MILPResult.proof`
     payload: per leaf, the fixed integer columns and the standardized
     dual ray in :attr:`repro.milp.solution.LPResult.farkas` form
     (``y >= 0`` on the ``<=`` rows).  Column indices become variable
-    names, ray entries become per-row multipliers keyed by constraint
-    name, and every converted leaf is immediately re-checked with the
-    checker's own Farkas arithmetic.  Returns ``None`` as soon as any
-    leaf cannot be certified.
+    names and ray entries become per-row multipliers keyed by
+    constraint name; nothing is checked here, the checker does that
+    once for the whole certificate.  Returns ``None`` when the record
+    is incomplete or a leaf has no ray of the model's row count.
     """
     if not proof.get("complete", False):
         return None
     ub_names, eq_names = model.row_names()
     row_names = ub_names + eq_names
-    constraints = [c.as_indexed() for c in region.constraints]
-    bounds_pairs = [(b.lower, b.upper) for b in validated]
-    rows, var_bounds, _ = _check._rebuild_encoding(
-        _checker_layers(network), region.bounds, constraints,
-        bounds_pairs, margin, objective_row, threshold,
-    )
     leaves: List[Dict[str, Any]] = []
     for leaf in proof.get("leaves", []):
         farkas = leaf.get("farkas")
@@ -223,21 +202,15 @@ def milp_proof_leaves(
         ray = np.asarray(farkas, dtype=float)
         if ray.shape != (len(row_names),):
             return None
-        literals = {
-            model.variables[col].name: int(value)
-            for col, value in leaf.get("fixed", {}).items()
-        }
-        named = {
-            row_names[r]: float(v) for r, v in enumerate(ray) if v != 0.0
-        }
-        if not _check._check_farkas(
-            AuditReport(), "emit", rows, var_bounds, literals, named
-        ):
-            return None
         leaves.append({
             "kind": "farkas",
-            "literals": literals,
-            "dual": named,
+            "literals": {
+                model.variables[col].name: int(value)
+                for col, value in leaf.get("fixed", {}).items()
+            },
+            "dual": {
+                row_names[r]: float(v) for r, v in enumerate(ray) if v != 0.0
+            },
         })
     return leaves
 
@@ -256,11 +229,7 @@ def assemble_milp_certificate(
     """A ``milp`` certificate, or ``None`` when the proof is incomplete."""
     if proof is None:
         return None
-    objective_row = _objective_row(network, objective.coefficients)
-    leaves = milp_proof_leaves(
-        model, proof, network, region, record.bounds, margin,
-        objective_row, threshold,
-    )
+    leaves = milp_proof_leaves(model, proof)
     if leaves is None:
         return None
     return build_certificate(
@@ -306,10 +275,12 @@ def assemble_split_certificate(
 ) -> Optional[Dict[str, Any]]:
     """A ``split`` certificate, or ``None`` when any slot stayed empty.
 
-    The assembled tree is immediately replayed through the checker, so
-    a drifted leaf (a shard solved over a box that no longer matches
-    the midpoint re-derivation) yields no certificate rather than a
-    rejected one.
+    The assembled tree is immediately replayed through the checker, and
+    this is the only check its shards' evidence gets: a shard's chain
+    and Farkas leaves are checked as leaves of the tree, not on their
+    own first.  A bad shard leaf, or a drifted one (a shard solved over
+    a box that no longer matches the midpoint re-derivation), yields no
+    certificate rather than a rejected one.
     """
     if tree is None or not _slots_filled(tree):
         return None

@@ -24,12 +24,18 @@ from repro.analysis.audit import AuditReport, Severity
 from repro.proof.check import (
     _as_array,
     _Box,
-    _conc_hi,
+    _claimed_objective,
     _interval_affine,
     _Layers,
     _Malformed,
 )
 from repro.tolerances import PROOF_REPLAY_TOL
+
+
+def _conc_hi(
+    coef: np.ndarray, bias: np.ndarray, lo: np.ndarray, hi: np.ndarray
+) -> np.ndarray:
+    return bias + np.maximum(coef, 0.0) @ hi + np.minimum(coef, 0.0) @ lo
 
 
 def _conc_lo(
@@ -250,8 +256,7 @@ def check_chain(
                 layers, relax, post_boxes, input_box,
                 seed.copy(), seed_bias.copy(), start=len(layers) - 2,
             )
-        claimed_lo = float(obj_entry.get("lower", -np.inf))
-        claimed_hi = float(obj_entry.get("upper", np.inf))
+        claimed_lo, claimed_hi = _claimed_objective(obj_entry)
         low_gap = claimed_lo - float(replay_lo[0])
         high_gap = float(replay_hi[0]) - claimed_hi
         if low_gap > PROOF_REPLAY_TOL or high_gap > PROOF_REPLAY_TOL:

@@ -7,6 +7,8 @@ targeted perturbation, and asserts the independent replay catches it.
 
 from __future__ import annotations
 
+import pytest
+
 from repro.proof.check import check_certificate
 
 from .test_check import codes
@@ -153,3 +155,45 @@ class TestSplitTreeTamper:
         report = check_certificate(split_cert)
         assert report.has_errors
         assert "A306" in codes(report)
+
+
+def tree_leaves(node, subject="certificate"):
+    """``(subject, leaf)`` of a split tree's leaves, depth first."""
+    if "split_dim" in node:
+        for key in ("low", "high"):
+            yield from tree_leaves(node[key], f"{subject}.{key}")
+    else:
+        yield subject, node
+
+
+NON_NUMBERS = {"null": None, "list": [1.0], "text": "x"}
+
+
+class TestObjectiveBoundTamper:
+    """A301 — a claimed objective bound that is not a number is a
+    malformed certificate, not a crash of the checker."""
+
+    @pytest.mark.parametrize("key", ["lower", "upper"])
+    @pytest.mark.parametrize("value", sorted(NON_NUMBERS))
+    def test_static(self, static_cert, key, value):
+        static_cert["chain"]["objective"][key] = NON_NUMBERS[value]
+        report = check_certificate(static_cert)
+        assert report.has_errors
+        assert codes(report) == ["A301"]
+        (finding,) = report.diagnostics
+        assert finding.subject == "certificate"
+        assert f"chain.objective.{key}" in finding.message
+
+    @pytest.mark.parametrize("value", sorted(NON_NUMBERS))
+    def test_split_leaf(self, split_cert, value):
+        subject, leaf = next(
+            (subject, leaf) for subject, leaf in tree_leaves(split_cert["tree"])
+            if leaf["kind"] in ("pruned", "static")
+        )
+        leaf["chain"]["objective"]["upper"] = NON_NUMBERS[value]
+        report = check_certificate(split_cert)
+        assert report.has_errors
+        assert codes(report) == ["A301"]
+        (finding,) = report.diagnostics
+        assert finding.subject == subject
+        assert "chain.objective.upper" in finding.message

@@ -11,7 +11,10 @@ Two pillars, both of which run *before* any solver:
   seeds its per-neuron LPs from symbolic bounds (interval → symbolic →
   LP).  :func:`symbolic_objective_bounds` bounds a linear output
   functional directly, which is how decision queries get proved with
-  ``solver="static"`` and no MILP at all.
+  ``solver="static"`` and no MILP at all.  Its relaxation slopes come
+  from three fixed policies only, so every such bound is one the
+  independent checker replays: certified and uncertified queries run
+  the same prescreen.
 
 * :mod:`repro.analysis.audit` — a static soundness auditor over trained
   networks, input regions and emitted MILP encodings, producing
@@ -42,10 +45,6 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis imports only
         audit_region,
     )
     from repro.analysis.symbolic import (  # noqa: F401
-        AlphaStats,
-        alpha_bounds,
-        alpha_objective_bounds,
-        alpha_objective_bounds_batch,
         symbolic_bounds,
         symbolic_objective_bounds,
         symbolic_objective_bounds_batch,
@@ -63,10 +62,6 @@ _AUDIT_NAMES = frozenset(
 )
 _SYMBOLIC_NAMES = frozenset(
     {
-        "AlphaStats",
-        "alpha_bounds",
-        "alpha_objective_bounds",
-        "alpha_objective_bounds_batch",
         "symbolic_bounds",
         "symbolic_objective_bounds",
         "symbolic_objective_bounds_batch",

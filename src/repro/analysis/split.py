@@ -5,10 +5,10 @@ this module adds the complementary axis of Wang et al., "Efficient
 Formal Safety Analysis of Neural Networks" (symbolic intervals +
 iterative input bisection) and Xiang et al., "Specification-Guided
 Safety Verification for Feedforward Neural Networks": split the *input
-box*, re-run the cheap symbolic/α prescreen on each sub-box, and hand
-only the survivors to the MILP.  Narrower boxes stabilise ReLUs, so
-every surviving shard carries fewer binaries than its parent.  Shards
-are independent, but on the Table II workloads a plan rarely keeps
+box*, re-run the cheap fixed-policy symbolic prescreen on each sub-box,
+and hand only the survivors to the MILP.  Narrower boxes stabilise
+ReLUs, so every surviving shard carries fewer binaries than its parent.
+Shards are independent, but on the Table II workloads a plan rarely keeps
 more than one or two, so :class:`RegionBisectionDriver` solves them one
 after the other under the query's one MILP deadline; a campaign gets
 its parallelism from independent cells instead.
@@ -17,9 +17,11 @@ Each box is bounded once, by one fused symbolic pass
 (:func:`repro.analysis.symbolic.symbolic_screen`): the root reuses the
 whole-region prescreen the verifier already ran, every survivor
 carries its screen (:attr:`SplitLeaf.screen`) into its shard — the
-certified shard encodes from its chain record, the uncertified one
-seeds LP tightening with its symbolic bounds — and the split dimension
-comes from the sensitivity the same pass computed.
+certified shard encodes from its chain, the uncertified one seeds LP
+tightening with its symbolic bounds — and the split dimension comes
+from the sensitivity the same pass computed.  Certified and
+uncertified plans make the same screens; a certified plan also
+serializes each pruned box's chain into its tree.
 
 The split dimension is chosen by **sensitivity**: the back-substituted
 affine forms of the objective (computed by the prescreen itself)
@@ -48,7 +50,6 @@ import numpy as np
 from repro.analysis.symbolic import (
     SymbolicScreen,
     _check_supported,
-    alpha_objective_bounds,
     input_sensitivity,
     symbolic_screen,
 )
@@ -95,10 +96,9 @@ class SplitLeaf:
     #: Certify mode: this leaf's node in :attr:`SplitPlan.tree`, to be
     #: filled with the shard's own proof evidence once it is solved.
     slot: Optional[Dict] = None
-    #: The sub-region's prescreen (a :class:`repro.proof.emit.ChainRecord`
-    #: in certify mode): the shard encodes from its bounds (certified)
-    #: or seeds LP tightening with them, instead of bounding the box
-    #: again.
+    #: The sub-region's prescreen: the shard encodes from its bounds
+    #: (certified) or seeds LP tightening with them, instead of
+    #: bounding the box again.
     screen: Optional[SymbolicScreen] = None
 
 
@@ -124,8 +124,6 @@ class SplitPlan:
     #: Sound upper bound on the objective over the whole parent region
     #: (max of every explored node's prescreen upper).
     upper_bound: float = -math.inf
-    #: Alpha-optimiser telemetry accumulated across prescreens.
-    metrics: Dict[str, float] = dataclasses.field(default_factory=dict)
     #: Certify mode (decision queries only): the partition tree for the
     #: ``split`` certificate.  Internal nodes carry ``split_dim`` and
     #: ``low``/``high`` children; pruned leaves already carry their
@@ -142,8 +140,7 @@ class SplitPlan:
 
     def as_metrics(self) -> Dict[str, float]:
         """Plan accounting as flat result/span metric entries."""
-        out = dict(self.metrics)
-        out.update({
+        return {
             "split_cells": float(len(self.survivors)),
             "split_proofs": float(self.proofs),
             "split_explored": float(self.explored),
@@ -151,8 +148,7 @@ class SplitPlan:
             "split_stalled": float(self.stalled),
             "split_max_depth": float(self.max_depth),
             "split_plan_time": float(self.wall_time),
-        })
-        return out
+        }
 
 
 def bisects(
@@ -212,7 +208,6 @@ class RegionBisectionDriver:
         self,
         region: InputRegion,
         objective: OutputObjective,
-        certify: bool = False,
         screen: Optional[SymbolicScreen] = None,
     ) -> Tuple[float, float, SymbolicScreen]:
         """Sound objective bounds over one sub-region, and its screen.
@@ -222,36 +217,12 @@ class RegionBisectionDriver:
         layer bounds the shard reuses, the objective bounds and the
         sensitivity the split dimension is chosen by.  ``screen`` may
         carry that pass when the caller already ran it (the root).
-        With ``certify`` the pass is a
-        :func:`repro.proof.emit.record_chain` — same numbers, plus the
-        relaxation evidence a pruned node embeds in the split
-        certificate.  Otherwise ``bound_mode="alpha"`` optimises the
-        objective row itself, seeded from the screen's layer bounds.
         """
         if screen is None:
-            if certify:
-                from repro.proof.emit import record_chain
-
-                screen = record_chain(
-                    self.network, region, objective.coefficients
-                )
-            else:
-                screen = symbolic_screen(
-                    self.network, region, objective.coefficients
-                )
-        options = self.encoder_options
-        if certify or options.bound_mode != "alpha":
-            return screen.objective_lower, screen.objective_upper, screen
-        from repro.analysis.symbolic import AlphaStats
-
-        stats = AlphaStats()
-        lo, hi = alpha_objective_bounds(
-            self.network, region, objective.coefficients,
-            bounds=screen.bounds, iters=options.alpha_iters,
-            lr=options.alpha_lr, stats=stats,
-        )
-        merge_metrics(self._plan_metrics, stats.as_metrics())
-        return lo, hi, screen
+            screen = symbolic_screen(
+                self.network, region, objective.coefficients
+            )
+        return screen.objective_lower, screen.objective_upper, screen
 
     def _split_dim(
         self,
@@ -287,9 +258,8 @@ class RegionBisectionDriver:
         """Bisect the region into a pruned frontier of MILP shards.
 
         Every box is bounded once: ``root`` may carry the region's own
-        screen from the whole-region prescreen (a
-        :class:`repro.proof.emit.ChainRecord` in certify mode), and
-        each survivor keeps its screen for its MILP shard.
+        screen from the whole-region prescreen, and each survivor keeps
+        its screen for its MILP shard.
 
         With a ``threshold`` (decision query) a node is pruned as soon
         as its prescreen upper bound clears ``threshold -
@@ -314,7 +284,6 @@ class RegionBisectionDriver:
         to the unsplit MILP.
         """
         t0 = time.monotonic()
-        self._plan_metrics: Dict[str, float] = {}
         margin = self.encoder_options.bound_margin
         survivors: List[SplitLeaf] = []
         proofs = explored = degenerate = stalled = max_depth = 0
@@ -335,7 +304,7 @@ class RegionBisectionDriver:
         ) as span:
             stack: List[Tuple] = [
                 (region, 0)
-                + self._prescreen(region, objective, certify, root)
+                + self._prescreen(region, objective, root)
                 + (tree,)
             ]
             while stack:
@@ -351,8 +320,10 @@ class RegionBisectionDriver:
                 if hi <= cutoff:
                     proofs += 1
                     if slot is not None:
+                        from repro.proof.emit import chain_payload
+
                         slot["kind"] = "pruned"
-                        slot["chain"] = screen.chain
+                        slot["chain"] = chain_payload(screen)
                     self.tracer.event(
                         "split", action="prune", region=node.name,
                         depth=depth, upper=hi, cutoff=cutoff,
@@ -378,9 +349,7 @@ class RegionBisectionDriver:
                 children = []
                 child_slots = ({}, {}) if slot is not None else (None, None)
                 for half, child_slot in zip(node.bisect(dim), child_slots):
-                    c_lo, c_hi, c_screen = self._prescreen(
-                        half, objective, certify
-                    )
+                    c_lo, c_hi, c_screen = self._prescreen(half, objective)
                     best_lower = max(best_lower, c_lo)
                     children.append((
                         half, depth + 1, c_lo, c_hi, c_screen, child_slot,
@@ -448,7 +417,6 @@ class RegionBisectionDriver:
             max_depth=max_depth,
             wall_time=time.monotonic() - t0,
             upper_bound=upper_bound,
-            metrics=self._plan_metrics,
             tree=tree,
             margin=margin,
         )

@@ -270,18 +270,15 @@ def operational_region(
 
 def _encoder_options(
     bound_mode: str,
-    alpha_iters: Optional[int],
     split: bool = False,
     split_depth: Optional[int] = None,
     split_min_width: Optional[float] = None,
     certify: bool = False,
 ) -> EncoderOptions:
-    """Encoder options with the alpha/split/certify overrides applied."""
+    """Encoder options with the split/certify overrides applied."""
     options = EncoderOptions(
         bound_mode=bound_mode, split=split, certify=certify
     )
-    if alpha_iters is not None:
-        options = dataclasses.replace(options, alpha_iters=alpha_iters)
     if split_depth is not None:
         options = dataclasses.replace(options, split_depth=split_depth)
     if split_min_width is not None:
@@ -300,7 +297,6 @@ def verify_network(
     region: Optional[InputRegion] = None,
     jobs: Optional[int] = None,
     tracer=None,
-    alpha_iters: Optional[int] = None,
     split: bool = False,
     split_depth: Optional[int] = None,
     split_min_width: Optional[float] = None,
@@ -310,9 +306,7 @@ def verify_network(
     The row is :func:`run_table_ii` over this one network: ``jobs``
     fans the per-component max queries out over a campaign worker pool
     (``None``/``1`` run them in process), and ``tracer`` turns on phase
-    spans and solver events either way.  ``alpha_iters`` tunes the
-    ``bound_mode="alpha"`` optimiser (``None`` keeps the default).
-    ``split`` turns on input-region bisection
+    spans and solver events either way.  ``split`` turns on input-region bisection
     (:mod:`repro.analysis.split`), with ``split_depth`` /
     ``split_min_width`` overriding its limits.
     """
@@ -324,7 +318,6 @@ def verify_network(
         bound_mode=bound_mode,
         region=region or operational_region(study, max_gap=max_gap),
         tracer=tracer,
-        alpha_iters=alpha_iters,
         split=split,
         split_depth=split_depth,
         split_min_width=split_min_width,
@@ -340,7 +333,6 @@ def table_ii_campaign(
     jobs: Optional[int] = None,
     cell_time_limit: Optional[float] = None,
     threshold: Optional[float] = None,
-    alpha_iters: Optional[int] = None,
     split: bool = False,
     split_depth: Optional[int] = None,
     split_min_width: Optional[float] = None,
@@ -359,8 +351,7 @@ def table_ii_campaign(
     region = region or operational_region(study)
     campaign = VerificationCampaign(
         _encoder_options(
-            bound_mode, alpha_iters, split, split_depth,
-            split_min_width, certify,
+            bound_mode, split, split_depth, split_min_width, certify,
         ),
         MILPOptions(time_limit=time_limit),
         jobs=jobs,
@@ -450,7 +441,6 @@ def run_table_ii(
     region: Optional[InputRegion] = None,
     progress: Optional["ProgressHook"] = None,
     tracer=None,
-    alpha_iters: Optional[int] = None,
     split: bool = False,
     split_depth: Optional[int] = None,
     split_min_width: Optional[float] = None,
@@ -469,7 +459,6 @@ def run_table_ii(
         region=region,
         jobs=jobs,
         cell_time_limit=cell_time_limit,
-        alpha_iters=alpha_iters,
         split=split,
         split_depth=split_depth,
         split_min_width=split_min_width,
@@ -581,7 +570,7 @@ def certify_predictor(
         region = operational_region(study)
         verifier = Verifier(
             network,
-            _encoder_options("lp", None, certify=True),
+            _encoder_options("lp", certify=True),
             MILPOptions(time_limit=time_limit),
         )
         certificates = {}

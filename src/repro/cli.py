@@ -60,11 +60,6 @@ def _add_solver_args(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--components", type=int, default=2)
     parser.add_argument("--time-limit", type=float, default=300.0)
     parser.add_argument("--bound-mode", default="lp", choices=BOUND_MODES)
-    parser.add_argument(
-        "--alpha-iters", type=int, default=None, metavar="N",
-        help="projected-gradient iterations for --bound-mode alpha "
-        "(default: engine default)",
-    )
 
 
 def _add_split_args(parser: argparse.ArgumentParser) -> None:
@@ -397,7 +392,6 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             bound_mode=args.bound_mode,
             jobs=args.jobs if args.jobs != 1 else None,
             tracer=tracer,
-            alpha_iters=args.alpha_iters,
             split=args.split,
             split_depth=args.split_depth,
             split_min_width=args.split_min_width,
@@ -418,8 +412,8 @@ def _cmd_verify(args: argparse.Namespace) -> int:
             verifier = Verifier(
                 network,
                 casestudy._encoder_options(
-                    args.bound_mode, args.alpha_iters,
-                    args.split, args.split_depth, args.split_min_width,
+                    args.bound_mode, args.split, args.split_depth,
+                    args.split_min_width,
                     certify=args.certify,
                 ),
                 MILPOptions(time_limit=args.time_limit),
@@ -493,7 +487,6 @@ def _cmd_campaign(args: argparse.Namespace) -> int:
         jobs=args.jobs,
         cell_time_limit=args.cell_budget,
         threshold=args.threshold,
-        alpha_iters=args.alpha_iters,
         split=args.split,
         split_depth=args.split_depth,
         split_min_width=args.split_min_width,

@@ -30,13 +30,6 @@ from repro.nn.layers import DenseLayer
 from repro.nn.network import FeedForwardNetwork
 from repro.tolerances import BOUND_CROSS_TOL, FEASIBILITY_TOL
 
-#: Default projected-gradient settings for ``bound_mode="alpha"``.
-#: Defined here (not in :mod:`repro.analysis.symbolic`, which imports
-#: this module) so the cache-key and encoder layers can reference them
-#: without an import cycle.
-DEFAULT_ALPHA_ITERS = 20
-DEFAULT_ALPHA_LR = 0.5
-
 
 @dataclasses.dataclass
 class LayerBounds:
@@ -282,47 +275,6 @@ def lp_tightened_bounds(
     return bounds
 
 
-def encode_bound_mode(
-    bound_mode: str,
-    alpha_iters: Optional[int] = None,
-    alpha_lr: Optional[float] = None,
-) -> str:
-    """Serialise a bound mode plus its engine settings into one token.
-
-    Every mode except ``alpha`` keeps its bare name (so existing cache
-    keys and JSONL spills stay valid); ``alpha`` folds its optimiser
-    settings in, because two alpha runs with different iteration budgets
-    compute *different* bounds and must never share a cache entry.
-    """
-    if bound_mode != "alpha":
-        return bound_mode
-    iters = DEFAULT_ALPHA_ITERS if alpha_iters is None else int(alpha_iters)
-    lr = DEFAULT_ALPHA_LR if alpha_lr is None else float(alpha_lr)
-    return f"alpha;iters={iters};lr={lr!r}"
-
-
-def decode_bound_mode(token: str) -> Tuple[str, int, float]:
-    """Invert :func:`encode_bound_mode`.
-
-    Returns ``(mode, alpha_iters, alpha_lr)``; the alpha settings are
-    the defaults for non-alpha modes and for a bare ``"alpha"``.
-    """
-    if not token.startswith("alpha"):
-        return token, DEFAULT_ALPHA_ITERS, DEFAULT_ALPHA_LR
-    parts = token.split(";")
-    iters = DEFAULT_ALPHA_ITERS
-    lr = DEFAULT_ALPHA_LR
-    for part in parts[1:]:
-        name, _, value = part.partition("=")
-        if name == "iters":
-            iters = int(value)
-        elif name == "lr":
-            lr = float(value)
-        else:
-            raise EncodingError(f"bad bound-mode token {token!r}")
-    return parts[0], iters, lr
-
-
 def bounds_cache_key(
     network: FeedForwardNetwork,
     region: InputRegion,
@@ -331,10 +283,9 @@ def bounds_cache_key(
     """Content key identifying one bound computation.
 
     Combines the network's parameter fingerprint, the region's geometry
-    fingerprint and the bound engine (a bare mode name or an
-    :func:`encode_bound_mode` token carrying engine settings), so
-    equal-but-distinct objects share an entry and recycled ``id()``
-    values can never alias two different computations.
+    fingerprint and the bound mode's name, so equal-but-distinct
+    objects share an entry and recycled ``id()`` values can never alias
+    two different computations.
     """
     return (network.fingerprint(), region.fingerprint(), bound_mode)
 
@@ -353,11 +304,6 @@ def freeze_bounds(
         for layer in bounds:
             layer.lower.setflags(write=False)
             layer.upper.setflags(write=False)
-        fixed = getattr(bounds, "fixed_bounds", None)
-        if fixed is not None and fixed is not bounds:
-            for layer in fixed:
-                layer.lower.setflags(write=False)
-                layer.upper.setflags(write=False)
     return bounds
 
 
@@ -399,15 +345,6 @@ class BoundsCache:
         bounds, error = entry
         if bounds is None:
             return None, error
-        stats = getattr(bounds, "alpha_stats", None)
-        if stats is not None:
-            # Preserve the alpha telemetry and phase-1 bounds riding on
-            # an AlphaBoundsList (lazy import: symbolic imports us).
-            from repro.analysis.symbolic import AlphaBoundsList
-
-            return AlphaBoundsList(
-                bounds, stats, getattr(bounds, "fixed_bounds", None)
-            ), error
         return list(bounds), error
 
     def peek(
@@ -529,10 +466,7 @@ def compute_bounds_entry(
     from repro.core.encoder import EncoderOptions, compute_bounds
 
     try:
-        mode, alpha_iters, alpha_lr = decode_bound_mode(bound_mode)
-        options = EncoderOptions(
-            bound_mode=mode, alpha_iters=alpha_iters, alpha_lr=alpha_lr
-        )
+        options = EncoderOptions(bound_mode=bound_mode)
         return compute_bounds(network, region, options, tracer=tracer), None
     except Exception:
         return None, traceback.format_exc()

@@ -46,11 +46,7 @@ import traceback
 from typing import Callable, Dict, List, Optional, Tuple
 
 from repro.core import bounds as bounds_mod
-from repro.core.bounds import (
-    LayerBounds,
-    bounds_cache_key,
-    encode_bound_mode,
-)
+from repro.core.bounds import LayerBounds, bounds_cache_key
 from repro.core.encoder import EncoderOptions
 from repro.core.pool import InProcessPool, VerificationPool
 from repro.core.properties import (
@@ -163,12 +159,6 @@ class CampaignReport:
     cells: List[CampaignCell]
     wall_time: float = 0.0
     jobs: int = 1
-    #: Alpha-optimiser telemetry of the campaign's *shared* bound sets
-    #: (one per unique bounds key; cache hits count the iterations
-    #: embodied in the reused bounds).  Per-cell optimiser work — e.g.
-    #: static alpha proofs — lives in the cells' own metrics.
-    bounds_alpha_iters: int = 0
-    bounds_alpha_improvement: float = 0.0
 
     @property
     def all_passed(self) -> bool:
@@ -207,13 +197,6 @@ class CampaignReport:
     def total_lp_iterations(self) -> int:
         """Simplex iterations summed over every cell's node LPs."""
         return sum(c.result.lp_iterations for c in self.cells)
-
-    @property
-    def total_alpha_iters(self) -> int:
-        """Alpha-optimiser iterations across shared bounds and cells."""
-        return self.bounds_alpha_iters + sum(
-            c.result.alpha_iters for c in self.cells
-        )
 
     @property
     def static_proofs(self) -> int:
@@ -348,14 +331,6 @@ class CampaignReport:
                 f"{'s' if self.split_proofs != 1 else ''} pruned "
                 f"statically, {self.split_cells} solved by the MILP"
             )
-        if self.total_alpha_iters:
-            lines.append(
-                f"alpha bounds: {self.total_alpha_iters} optimiser "
-                f"iterations ({self.bounds_alpha_iters} in shared bound "
-                f"sets), mean bound-width improvement "
-                f"{self.bounds_alpha_improvement:.1%} vs fixed-policy "
-                "symbolic"
-            )
         return "\n".join(lines)
 
 
@@ -390,16 +365,7 @@ def _new_task(
     milp_options: MILPOptions,
     cell_time_limit: Optional[float],
 ) -> _CellTask:
-    """A cell task keyed on its bound engine's settings token.
-
-    The token carries the alpha-optimiser settings, so alpha runs with
-    different iteration/step settings never share bound sets.
-    """
-    token = encode_bound_mode(
-        encoder_options.bound_mode,
-        encoder_options.alpha_iters,
-        encoder_options.alpha_lr,
-    )
+    """A cell task keyed on its network, region and bound mode."""
     return _CellTask(
         index=index,
         network_name=network_name,
@@ -408,7 +374,9 @@ def _new_task(
         encoder_options=encoder_options,
         milp_options=milp_options,
         cell_time_limit=cell_time_limit,
-        bounds_key=bounds_cache_key(network, query.region, token),
+        bounds_key=bounds_cache_key(
+            network, query.region, encoder_options.bound_mode
+        ),
     )
 
 
@@ -711,7 +679,6 @@ class VerificationCampaign:
         if tracer.enabled:
             for task in tasks:
                 task.trace_cfg = (tracer.run_id, f"c{task.index}.")
-        alpha_by_key: Dict[Tuple[str, str, str], object] = {}
         owned = pool is None
         if owned:
             if workers > 1 and len(tasks) > 1:
@@ -723,23 +690,14 @@ class VerificationCampaign:
                 pool = InProcessPool()
                 workers = 1
         try:
-            cells = self._run_pooled(
-                tasks, pool, progress, tracer, alpha_by_key
-            )
+            cells = self._run_pooled(tasks, pool, progress, tracer)
         finally:
             if owned:
                 pool.shutdown()
-        alpha_stats = list(alpha_by_key.values())
         report = CampaignReport(
             cells=cells,
             wall_time=time.monotonic() - start,
             jobs=workers,
-            bounds_alpha_iters=sum(s.iters for s in alpha_stats),
-            bounds_alpha_improvement=(
-                sum(s.improvement for s in alpha_stats) / len(alpha_stats)
-                if alpha_stats
-                else 0.0
-            ),
         )
         if tracer.enabled:
             tracer.event(
@@ -810,7 +768,6 @@ class VerificationCampaign:
         pool,
         progress: Optional[ProgressHook],
         tracer,
-        alpha_by_key: Dict[Tuple[str, str, str], object],
     ) -> List[CampaignCell]:
         """Pipelined two-stage fan-out with per-key fault isolation.
 
@@ -822,8 +779,7 @@ class VerificationCampaign:
         out of the whole stage and aborted the campaign.  A crashed
         cell job becomes an ERROR cell for that cell alone.  Cells
         whose query fingerprint has a memoised verdict never reach a
-        worker at all.  ``alpha_by_key`` collects the alpha telemetry
-        of every shared bound set.
+        worker at all.
         """
         from repro.analysis.split import bisects
 
@@ -879,9 +835,6 @@ class VerificationCampaign:
         def resolve_key(key, entry) -> None:
             """Attach a bounds entry to its cells and dispatch them."""
             bounds, error = entry
-            stats = getattr(bounds, "alpha_stats", None)
-            if stats is not None:
-                alpha_by_key.setdefault(key, stats)
             for task in by_key[key]:
                 task.bounds, task.bounds_error = bounds, error
                 if error is not None:

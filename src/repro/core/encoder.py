@@ -23,8 +23,6 @@ from typing import Dict, List, Optional
 import numpy as np
 
 from repro.core.bounds import (
-    DEFAULT_ALPHA_ITERS,
-    DEFAULT_ALPHA_LR,
     LayerBounds,
     interval_bounds,
     lp_tightened_bounds,
@@ -43,7 +41,7 @@ from repro.tolerances import BOUND_MARGIN, SPLIT_MIN_WIDTH
 DEFAULT_SPLIT_DEPTH = 4
 
 #: Every accepted ``EncoderOptions.bound_mode``, loosest to tightest.
-BOUND_MODES = ("interval", "symbolic", "alpha", "lp")
+BOUND_MODES = ("interval", "symbolic", "lp")
 
 
 @dataclasses.dataclass
@@ -71,24 +69,17 @@ class EncoderOptions:
     """Encoding tunables."""
 
     #: "interval" (cheap), "symbolic" (DeepPoly back-substitution with
-    #: anytime concretisation, provably no looser than interval), "alpha"
-    #: (symbolic with per-(row, neuron) lower slopes refined by projected
-    #: gradient ascent — provably dominates symbolic) or "lp" (tightest;
-    #: per-neuron LPs seeded from symbolic bounds — interval → symbolic →
-    #: LP; recommended, the paper-scale instances are intractable without
-    #: it).  :data:`BOUND_MODES` lists them.
+    #: anytime concretisation, provably no looser than interval) or "lp"
+    #: (tightest; per-neuron LPs seeded from symbolic bounds — interval →
+    #: symbolic → LP; recommended, the paper-scale instances are
+    #: intractable without it).  :data:`BOUND_MODES` lists them; any
+    #: other value raises :class:`~repro.errors.EncodingError`.
     bound_mode: str = "lp"
     #: Extra slack added to every big-M bound for numerical safety.
     bound_margin: float = BOUND_MARGIN
     #: Try a symbolic static proof before building a MILP for decision
     #: queries (see :meth:`repro.core.verifier.Verifier.prove`).
     static_prescreen: bool = True
-    #: Projected-gradient iterations and initial step size for
-    #: ``bound_mode="alpha"`` (ignored by the other modes, but always
-    #: part of the options token so verdict fingerprints distinguish
-    #: differently-tuned alpha runs).
-    alpha_iters: int = DEFAULT_ALPHA_ITERS
-    alpha_lr: float = DEFAULT_ALPHA_LR
     #: Input-region bisection (:mod:`repro.analysis.split`): when the
     #: static prescreen fails, recursively bisect the input box along
     #: the most sensitive dimension, re-prescreen each sub-region and
@@ -109,6 +100,13 @@ class EncoderOptions:
     #: Part of the options token, so certified verdict fingerprints
     #: never collide with uncertified ones.
     certify: bool = False
+
+    def __post_init__(self) -> None:
+        if self.bound_mode not in BOUND_MODES:
+            raise EncodingError(
+                f"unknown bound_mode {self.bound_mode!r} "
+                f"(expected one of {BOUND_MODES})"
+            )
 
 
 @dataclasses.dataclass
@@ -160,14 +158,6 @@ def compute_bounds(
             from repro.analysis.symbolic import symbolic_bounds
 
             bounds = seed_bounds or symbolic_bounds(network, region)
-        elif options.bound_mode == "alpha":
-            from repro.analysis.symbolic import alpha_bounds
-
-            bounds = alpha_bounds(
-                network, region,
-                iters=options.alpha_iters, lr=options.alpha_lr,
-            )
-            span.set(**bounds.alpha_stats.as_metrics())
         elif options.bound_mode == "lp":
             # Seed the per-neuron LPs from symbolic bounds: the tighter
             # seed sharpens every triangle relaxation the LPs optimise

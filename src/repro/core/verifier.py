@@ -89,8 +89,8 @@ class VerificationResult:
     #: no MILP was ever built — see
     #: :func:`repro.analysis.symbolic.symbolic_objective_bounds`).
     solver: str = "milp"
-    #: Telemetry snapshot (alpha-optimiser and split-driver counters);
-    #: the properties below read from this mapping.
+    #: Telemetry snapshot (split-driver counters); the properties
+    #: below read from this mapping.
     metrics: Dict[str, float] = dataclasses.field(default_factory=dict)
     #: Independent proof certificate (a ``repro-proof/1`` payload, see
     #: :mod:`repro.proof`) attached to VERIFIED verdicts when the query
@@ -109,16 +109,6 @@ class VerificationResult:
     def certified(self) -> bool:
         """True when a checker-accepted certificate is attached."""
         return self.certificate is not None
-
-    @property
-    def alpha_iters(self) -> int:
-        """Projected-gradient iterations spent optimising bound slopes."""
-        return int(self.metrics.get("alpha_iters", 0))
-
-    @property
-    def alpha_improvement(self) -> float:
-        """Relative bound-width shrinkage vs fixed-policy symbolic."""
-        return float(self.metrics.get("alpha_improvement", 0.0))
 
     @property
     def split_cells(self) -> int:
@@ -270,22 +260,6 @@ class TableIIRow:
         return f"{self.architecture:>8}  {value:>32}  {time_str:>10}"
 
 
-def _lp_telemetry(result, bounds=None) -> dict:
-    """Solver telemetry threaded from a MILPResult into a result.
-
-    ``bounds`` may carry alpha-optimiser telemetry (an
-    :class:`repro.analysis.symbolic.AlphaBoundsList`); it is recorded
-    only when the query computed those bounds itself — shared
-    precomputed bounds are attributed where they were computed.
-    """
-    stats = getattr(bounds, "alpha_stats", None)
-    metrics = {} if stats is None else stats.as_metrics()
-    return {
-        "lp_iterations": result.lp_iterations,
-        "metrics": metrics,
-    }
-
-
 class Verifier:
     """Verification engine bound to one network.
 
@@ -379,7 +353,6 @@ class Verifier:
             seed_bounds=None if screen is None else screen.bounds,
         )
         attach_objective(encoded, objective, maximize=True)
-        own_bounds = encoded.bounds if precomputed_bounds is None else None
         with self.tracer.span(
             "solve", binaries=encoded.num_binaries,
         ):
@@ -407,7 +380,7 @@ class Verifier:
                 nodes=result.nodes,
                 num_binaries=encoded.num_binaries,
                 description=objective.description,
-                **_lp_telemetry(result, own_bounds),
+                lp_iterations=result.lp_iterations,
             )
         if result.status in (SolveStatus.TIMEOUT, SolveStatus.NODE_LIMIT):
             witness = None
@@ -426,7 +399,7 @@ class Verifier:
                 nodes=result.nodes,
                 num_binaries=encoded.num_binaries,
                 description=objective.description,
-                **_lp_telemetry(result, own_bounds),
+                lp_iterations=result.lp_iterations,
             )
         if result.status is SolveStatus.INFEASIBLE:
             message = INFEASIBLE_REGION_MESSAGE
@@ -438,7 +411,7 @@ class Verifier:
                 nodes=result.nodes,
                 num_binaries=encoded.num_binaries,
                 description=message,
-                **_lp_telemetry(result, own_bounds),
+                lp_iterations=result.lp_iterations,
             )
         return VerificationResult(
             verdict=Verdict.ERROR,
@@ -446,7 +419,7 @@ class Verifier:
             nodes=result.nodes,
             num_binaries=encoded.num_binaries,
             description=objective.description,
-            **_lp_telemetry(result, own_bounds),
+            lp_iterations=result.lp_iterations,
         )
 
     def prove(
@@ -457,12 +430,13 @@ class Verifier:
     ) -> VerificationResult:
         """Decision query: prove ``objective <= threshold`` on the region.
 
-        Encodes the *violation* (objective >= threshold) and checks
-        feasibility: infeasible means the property holds.  ``screen``
-        is the region's prescreen when the caller already computed it
-        (a bisection shard): its :class:`~repro.proof.emit.ChainRecord`
-        under ``certify``, else its
-        :class:`~repro.analysis.symbolic.SymbolicScreen`.  It is used
+        A static prescreen runs first (:meth:`_prescreen`); when it is
+        inconclusive the query encodes the *violation* (objective >=
+        threshold) and checks feasibility: infeasible means the
+        property holds.  Certified and uncertified queries screen with
+        the same fixed-policy chain.  ``screen`` is the region's
+        :class:`~repro.analysis.symbolic.SymbolicScreen` when the
+        caller already computed it (a bisection shard); it is used
         instead of bounding the region again.
         """
         with self.tracer.span(
@@ -473,105 +447,6 @@ class Verifier:
             result = self._prove(prop, precomputed_bounds, screen)
             span.set(verdict=result.verdict.value, nodes=result.nodes)
             return result
-
-    def _static_prove(
-        self,
-        prop: SafetyProperty,
-        precomputed_bounds: Optional[List[LayerBounds]],
-        start: float,
-        screen: Optional["SymbolicScreen"],
-    ) -> Tuple[Optional[VerificationResult], Optional["SymbolicScreen"]]:
-        """Try to prove the property symbolically, without any MILP.
-
-        Back-substitutes the objective functional to the input region
-        (see :func:`repro.analysis.symbolic.symbolic_screen`); when the
-        resulting sound upper bound clears the threshold — with the
-        encoder's numeric safety margin to spare — the property is
-        VERIFIED with ``solver="static"``.  The result is ``None`` when
-        the bound is inconclusive or the network shape is unsupported,
-        in which case the caller falls back to the full MILP decision
-        procedure.  ``precomputed_bounds`` (any sound layer bounds, e.g.
-        the cell's shared LP-tightened set) sharpen the relaxations.
-
-        Returns ``(result, screen)``: without precomputed bounds or the
-        alpha optimiser the bound comes from the region's fixed-policy
-        :class:`~repro.analysis.symbolic.SymbolicScreen` (``screen``,
-        when given, else computed here), which is handed back for reuse.
-        """
-        if not self.encoder_options.static_prescreen:
-            return None, screen
-        from repro.analysis.symbolic import (
-            AlphaStats,
-            alpha_objective_bounds,
-            symbolic_objective_bounds,
-            symbolic_screen,
-        )
-
-        options = self.encoder_options
-        stats: Optional[AlphaStats] = None
-        try:
-            with self.tracer.span(
-                "static", property=prop.name,
-                network=self.network.architecture_id,
-            ) as span:
-                if options.bound_mode == "alpha":
-                    # Optimise the objective bound itself: the one-shot
-                    # functional is exactly where per-row alphas pay off.
-                    stats = AlphaStats()
-                    _, upper = alpha_objective_bounds(
-                        self.network,
-                        prop.region,
-                        prop.objective.coefficients,
-                        bounds=precomputed_bounds,
-                        iters=options.alpha_iters,
-                        lr=options.alpha_lr,
-                        stats=stats,
-                    )
-                elif precomputed_bounds is not None:
-                    _, upper = symbolic_objective_bounds(
-                        self.network,
-                        prop.region,
-                        prop.objective.coefficients,
-                        bounds=precomputed_bounds,
-                    )
-                else:
-                    if screen is None:
-                        screen = symbolic_screen(
-                            self.network, prop.region,
-                            prop.objective.coefficients,
-                        )
-                    upper = screen.objective_upper
-                proved = upper <= prop.threshold - options.bound_margin
-                span.set(upper=upper, proved=proved)
-        except EncodingError:
-            return None, None  # unsupported shape: the MILP path decides
-        if not proved:
-            return None, screen
-        return VerificationResult(
-            verdict=Verdict.VERIFIED,
-            value=prop.threshold,
-            best_bound=upper,
-            wall_time=time.monotonic() - start,
-            description=prop.name,
-            solver="static",
-            metrics={} if stats is None else stats.as_metrics(),
-        ), screen
-
-    def _certify_record(self, prop: SafetyProperty):
-        """Fixed-policy chain evidence for a certified decision query.
-
-        Returns ``None`` when the network shape is outside the symbolic
-        engine's fragment — the query then runs (and answers) exactly as
-        without ``certify``, just without a certificate.
-        """
-        from repro.proof.emit import record_chain
-
-        try:
-            return record_chain(
-                self.network, prop.region, prop.objective.coefficients
-            )
-        except EncodingError:
-            return None
 
     def _checked(self, certificate: Optional[Dict]) -> Optional[Dict]:
         """Gate a freshly assembled certificate through the checker.
@@ -594,28 +469,6 @@ class Verifier:
         return None if check_certificate(certificate).has_errors \
             else certificate
 
-    def _certified_static_prove(
-        self, prop: SafetyProperty, record, start: float
-    ) -> Optional[VerificationResult]:
-        """The certify-mode static prescreen (fixed-policy chain only)."""
-        from repro.proof.emit import assemble_static_certificate
-
-        certificate = self._checked(assemble_static_certificate(
-            self.network, prop.region, prop.objective, prop.threshold,
-            self.encoder_options.bound_margin, prop.name, record,
-        ))
-        if certificate is None:
-            return None
-        return VerificationResult(
-            verdict=Verdict.VERIFIED,
-            value=prop.threshold,
-            best_bound=record.objective_upper,
-            wall_time=time.monotonic() - start,
-            description=prop.name,
-            solver="static",
-            certificate=certificate,
-        )
-
     def _prescreen(
         self,
         prop: SafetyProperty,
@@ -624,30 +477,83 @@ class Verifier:
     ) -> Tuple[Optional[VerificationResult], Optional["SymbolicScreen"]]:
         """The whole-region static prescreen of a decision query.
 
-        Returns ``(result, screen)``.  ``result`` is a
-        ``solver="static"`` VERIFIED result when the symbolic bound
-        clears the threshold, else ``None`` (the MILP must decide).
-        Under ``certify`` the fixed-policy chain decides instead, so a
-        static proof ships a checked certificate.  ``screen`` is the
-        region's bounding pass — its
-        :class:`~repro.proof.emit.ChainRecord` under ``certify``, else
-        its :class:`~repro.analysis.symbolic.SymbolicScreen` or
-        ``None`` — which the bisection plan, the MILP encoding and LP
-        tightening of the same query reuse.  A ``screen`` passed in is
-        used instead of computing it.
+        Back-substitutes the objective functional to the input region
+        with the fixed-policy chain
+        (:func:`repro.analysis.symbolic.symbolic_screen`); when the
+        resulting sound upper bound clears the threshold — with the
+        encoder's numeric safety margin to spare — the property is
+        VERIFIED with ``solver="static"``, no MILP built.  Under
+        ``certify`` that result carries the chain as a checked
+        ``static`` certificate; a chain the checker rejects falls
+        through to the MILP.  An uncertified query with
+        ``precomputed_bounds`` (any sound layer bounds, e.g. the cell's
+        shared LP-tightened set) bounds the objective over them
+        instead, which sharpens the relaxations.
+
+        Returns ``(result, screen)``: ``result`` is ``None`` when the
+        MILP must decide, and ``screen`` is the region's
+        :class:`~repro.analysis.symbolic.SymbolicScreen` (the one
+        passed in, else computed here when the prescreen or the
+        certificate needs it; ``None`` when the network shape is
+        outside the symbolic fragment).  The bisection plan, the MILP
+        encoding and LP tightening of the same query reuse it.
         """
+        from repro.analysis.symbolic import (
+            symbolic_objective_bounds,
+            symbolic_screen,
+        )
+
         start = time.monotonic()
         options = self.encoder_options
+        coefficients = prop.objective.coefficients
+        try:
+            if not options.static_prescreen:
+                if screen is None and options.certify:
+                    # A certified MILP encodes with the chain's bounds.
+                    screen = symbolic_screen(
+                        self.network, prop.region, coefficients
+                    )
+                return None, screen
+            with self.tracer.span(
+                "static", property=prop.name,
+                network=self.network.architecture_id,
+            ) as span:
+                if precomputed_bounds is not None and not options.certify:
+                    _, upper = symbolic_objective_bounds(
+                        self.network, prop.region, coefficients,
+                        bounds=precomputed_bounds,
+                    )
+                else:
+                    if screen is None:
+                        screen = symbolic_screen(
+                            self.network, prop.region, coefficients
+                        )
+                    upper = screen.objective_upper
+                proved = upper <= prop.threshold - options.bound_margin
+                span.set(upper=upper, proved=proved)
+        except EncodingError:
+            return None, None  # unsupported shape: the MILP path decides
+        if not proved:
+            return None, screen
+        certificate = None
         if options.certify:
-            if screen is None:
-                screen = self._certify_record(prop)
-            if screen is not None:
-                static = (
-                    self._certified_static_prove(prop, screen, start)
-                    if options.static_prescreen else None
-                )
-                return static, screen
-        return self._static_prove(prop, precomputed_bounds, start, screen)
+            from repro.proof.emit import assemble_static_certificate
+
+            certificate = self._checked(assemble_static_certificate(
+                self.network, prop.region, prop.objective, prop.threshold,
+                options.bound_margin, prop.name, screen,
+            ))
+            if certificate is None:
+                return None, screen
+        return VerificationResult(
+            verdict=Verdict.VERIFIED,
+            value=prop.threshold,
+            best_bound=upper,
+            wall_time=time.monotonic() - start,
+            description=prop.name,
+            solver="static",
+            certificate=certificate,
+        ), screen
 
     def _prove(
         self,
@@ -662,11 +568,11 @@ class Verifier:
         driver = self._split_driver(prop.region)
         if driver is not None:
             return driver.prove(prop, start=start, root=screen)
-        record = screen if self.encoder_options.certify else None
-        if record is not None:
+        certify = self.encoder_options.certify and screen is not None
+        if certify:
             # Encode with the chain's bounds, which the checker
             # re-derives; the search is the uncertified one.
-            precomputed_bounds = record.bounds
+            precomputed_bounds = screen.bounds
         encoded = encode_network(
             self.network,
             prop.region,
@@ -677,7 +583,6 @@ class Verifier:
         )
         attach_violation_constraint(encoded, prop.objective, prop.threshold)
         attach_objective(encoded, prop.objective, maximize=True)
-        own_bounds = encoded.bounds if precomputed_bounds is None else None
         with self.tracer.span(
             "solve", binaries=encoded.num_binaries,
         ):
@@ -689,13 +594,13 @@ class Verifier:
 
         if result.status is SolveStatus.INFEASIBLE:
             certificate = None
-            if record is not None:
+            if certify:
                 from repro.proof.emit import assemble_milp_certificate
 
                 certificate = self._checked(assemble_milp_certificate(
                     self.network, prop.region, prop.objective,
                     prop.threshold, self.encoder_options.bound_margin,
-                    prop.name, record, encoded.model, result.proof,
+                    prop.name, screen, encoded.model, result.proof,
                 ))
             return VerificationResult(
                 verdict=Verdict.VERIFIED,
@@ -705,7 +610,7 @@ class Verifier:
                 num_binaries=encoded.num_binaries,
                 description=prop.name,
                 certificate=certificate,
-                **_lp_telemetry(result, own_bounds),
+                lp_iterations=result.lp_iterations,
             )
         if result.has_incumbent:
             witness, replayed = self._replay(
@@ -721,7 +626,7 @@ class Verifier:
                     nodes=result.nodes,
                     num_binaries=encoded.num_binaries,
                     description=prop.name,
-                    **_lp_telemetry(result, own_bounds),
+                    lp_iterations=result.lp_iterations,
                 )
         if result.status in (SolveStatus.TIMEOUT, SolveStatus.NODE_LIMIT):
             return VerificationResult(
@@ -730,7 +635,7 @@ class Verifier:
                 nodes=result.nodes,
                 num_binaries=encoded.num_binaries,
                 description=prop.name,
-                **_lp_telemetry(result, own_bounds),
+                lp_iterations=result.lp_iterations,
             )
         return VerificationResult(
             verdict=Verdict.ERROR,
@@ -738,7 +643,7 @@ class Verifier:
             nodes=result.nodes,
             num_binaries=encoded.num_binaries,
             description=prop.name,
-            **_lp_telemetry(result, own_bounds),
+            lp_iterations=result.lp_iterations,
         )
 
     def ambiguity_report(self, region: InputRegion) -> int:

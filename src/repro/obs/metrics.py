@@ -5,8 +5,7 @@ respawn and verdict-cache counters and its job-latency histogram into a
 :class:`MetricsRegistry`; :meth:`MetricsRegistry.snapshot` flattens it
 to a plain ``{name: number}`` dict (picklable, JSON-ready).
 :func:`merge_metrics` folds such flat dicts together — the same shape
-``VerificationResult.metrics`` carries for the alpha-optimiser and
-split-driver counters.
+``VerificationResult.metrics`` carries for the split-driver counters.
 
 Instruments are plain Python objects with ``__slots__`` so incrementing
 one in a hot loop costs an attribute add, nothing more.  Histograms

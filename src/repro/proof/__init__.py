@@ -33,10 +33,10 @@ if TYPE_CHECKING:  # pragma: no cover - static-analysis imports only
         check_certificate_file,
     )
     from repro.proof.emit import (  # noqa: F401
-        ChainRecord,
         assemble_milp_certificate,
         assemble_split_certificate,
         assemble_static_certificate,
+        chain_payload,
         fill_leaf_slot,
         record_chain,
     )
@@ -55,10 +55,10 @@ _CERTIFICATE_NAMES = frozenset(
 _CHECK_NAMES = frozenset({"check_certificate", "check_certificate_file"})
 _EMIT_NAMES = frozenset(
     {
-        "ChainRecord",
         "assemble_milp_certificate",
         "assemble_split_certificate",
         "assemble_static_certificate",
+        "chain_payload",
         "fill_leaf_slot",
         "record_chain",
     }

@@ -6,16 +6,18 @@ symbolic engine and the MILP stack, because it runs inside the prover.
 
 Two jobs:
 
-* :func:`record_chain` runs the fixed-policy symbolic prescreen
-  (:func:`repro.analysis.symbolic.symbolic_screen`) and keeps, per
-  (target layer, ReLU layer) pair, which policy won each row — enough
-  to rebuild exactly the relaxation slopes it used, the chord upper
-  line plus the per-row lower slopes — so the checker can replay every
-  claimed bound without knowing anything about the policy search.  The
-  evidence is lazy: a :class:`ChainRecord` is a picklable record of
-  arrays, bounded once per box and handed from the prescreen to the
-  bisection plan and the MILP shards, and it serializes its JSON
-  ``chain`` only when a certificate embeds it.
+* :func:`chain_payload` serializes a fixed-policy
+  :class:`~repro.analysis.symbolic.SymbolicScreen` — the one prescreen
+  every decision query runs, certified or not — into a certificate's
+  ``chain``.  The screen keeps, per (target layer, ReLU layer) pair,
+  which policy won each row; that is enough to rebuild exactly the
+  relaxation slopes it used, the chord upper line plus the per-row
+  lower slopes, so the checker can replay every claimed bound without
+  knowing anything about the policy search.  A screen is a picklable
+  record of arrays, bounded once per box and handed from the prescreen
+  to the bisection plan and the MILP shards; only a certificate (or a
+  pruned node of a certified split tree) that embeds it pays for the
+  JSON, once.
 
 * :func:`assemble_milp_certificate` converts a branch-and-bound proof
   record (leaf literals + per-leaf standardized dual rays) into the
@@ -30,7 +32,6 @@ Two jobs:
 
 from __future__ import annotations
 
-import dataclasses
 from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
@@ -49,40 +50,17 @@ from repro.proof.certificate import (
 )
 
 __all__ = [
-    "ChainRecord",
     "assemble_milp_certificate",
     "assemble_split_certificate",
     "assemble_static_certificate",
+    "chain_payload",
     "fill_leaf_slot",
     "record_chain",
 ]
 
 
-@dataclasses.dataclass
-class ChainRecord(SymbolicScreen):
-    """Fixed-policy bounds plus the evidence behind them.
-
-    The evidence is kept as arrays (the winning policy per row and
-    side, see :class:`~repro.analysis.symbolic.SymbolicScreen`); the
-    serialized ``chain`` a certificate embeds is built on first access
-    and then kept.  Most records never reach a certificate — a split
-    node that is bisected further, or a query that is falsified — so
-    they never pay for it.
-    """
-
-    _chain: Optional[Dict[str, Any]] = dataclasses.field(
-        default=None, repr=False, compare=False
-    )
-
-    @property
-    def chain(self) -> Dict[str, Any]:
-        if self._chain is None:
-            self._chain = _serialize_chain(self)
-        return self._chain
-
-
 def _relax_payload(
-    record: ChainRecord,
+    screen: SymbolicScreen,
     slopes: _SlopeCache,
     winners: Tuple[np.ndarray, np.ndarray],
     start: int,
@@ -96,7 +74,7 @@ def _relax_payload(
     win_lo, win_hi = winners
     relax: Dict[str, Dict[str, Any]] = {}
     for k in range(start + 1):
-        if record.activations[k] != "relu":
+        if screen.activations[k] != "relu":
             continue
         up_slope, up_icept = slopes.upper(k)
         stack = slopes.lower(k)[:, 0]
@@ -109,31 +87,31 @@ def _relax_payload(
     return relax
 
 
-def _serialize_chain(record: ChainRecord) -> Dict[str, Any]:
-    """The certificate's ``chain`` payload from a record's arrays."""
-    slopes = _SlopeCache(record.bounds)
+def chain_payload(screen: SymbolicScreen) -> Dict[str, Any]:
+    """The certificate's ``chain`` payload from a screen's arrays."""
+    slopes = _SlopeCache(screen.bounds)
     layers: List[Dict[str, Any]] = []
     for index, (bounds, winners) in enumerate(
-        zip(record.bounds, record.winners)
+        zip(screen.bounds, screen.winners)
     ):
         entry: Dict[str, Any] = {
             "lower": bounds.lower.tolist(), "upper": bounds.upper.tolist(),
         }
         if winners is not None:  # layer 0's interval image is exact
             entry["relax"] = _relax_payload(
-                record, slopes, winners, index - 1
+                screen, slopes, winners, index - 1
             )
         layers.append(entry)
     chain: Dict[str, Any] = {"layers": layers}
-    if record.objective_upper is not None:
+    if screen.objective_upper is not None:
         objective: Dict[str, Any] = {
-            "lower": record.objective_lower,
-            "upper": record.objective_upper,
+            "lower": screen.objective_lower,
+            "upper": screen.objective_upper,
         }
-        winners = record.winners[len(record.bounds)]
+        winners = screen.winners[len(screen.bounds)]
         if winners is not None:
             objective["relax"] = _relax_payload(
-                record, slopes, winners, len(record.bounds) - 2
+                screen, slopes, winners, len(screen.bounds) - 2
             )
         chain["objective"] = objective
     return chain
@@ -143,17 +121,15 @@ def record_chain(
     network: Any,
     region: Any,
     objective_coefficients: Optional[Mapping[int, float]] = None,
-) -> ChainRecord:
+) -> SymbolicScreen:
     """Fixed-policy symbolic bounds with full replay evidence.
 
-    Produces the same numbers as
-    :func:`repro.analysis.symbolic.symbolic_bounds` (and
-    ``symbolic_objective_bounds`` for the objective) — it is
-    :func:`~repro.analysis.symbolic.symbolic_screen` — and keeps the
-    relaxation slopes actually used, so the result is checkable.
+    This is :func:`~repro.analysis.symbolic.symbolic_screen`: the same
+    numbers as :func:`repro.analysis.symbolic.symbolic_bounds` (and
+    ``symbolic_objective_bounds`` for the objective), plus the winning
+    policies that :func:`chain_payload` turns into a checkable chain.
     """
-    screen = symbolic_screen(network, region, objective_coefficients)
-    return ChainRecord(**vars(screen))
+    return symbolic_screen(network, region, objective_coefficients)
 
 
 def assemble_static_certificate(
@@ -163,16 +139,16 @@ def assemble_static_certificate(
     threshold: float,
     margin: float,
     name: str,
-    record: ChainRecord,
+    screen: SymbolicScreen,
 ) -> Optional[Dict[str, Any]]:
     """A ``static`` certificate, or ``None`` if the chain does not prove."""
-    if record.objective_upper is None:
+    if screen.objective_upper is None:
         return None
-    if record.objective_upper > threshold - margin:
+    if screen.objective_upper > threshold - margin:
         return None
     return build_certificate(
         KIND_STATIC, network, region, objective, threshold, margin,
-        name=name, chain=record.chain,
+        name=name, chain=chain_payload(screen),
     )
 
 
@@ -222,7 +198,7 @@ def assemble_milp_certificate(
     threshold: float,
     margin: float,
     name: str,
-    record: ChainRecord,
+    screen: SymbolicScreen,
     model: Any,
     proof: Optional[Mapping[str, Any]],
 ) -> Optional[Dict[str, Any]]:
@@ -234,7 +210,7 @@ def assemble_milp_certificate(
         return None
     return build_certificate(
         KIND_MILP, network, region, objective, threshold, margin,
-        name=name, chain=record.chain, leaves=leaves,
+        name=name, chain=chain_payload(screen), leaves=leaves,
     )
 
 

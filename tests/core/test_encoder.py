@@ -195,3 +195,61 @@ class TestViolationConstraint:
             enc3.output_exprs[0], sense=Sense.MAXIMIZE
         )
         assert solve_milp(enc3.model).status is SolveStatus.INFEASIBLE
+
+
+class TestBoundModeValidation:
+    """An unknown bound mode is refused when the options are built,
+    before any query path can run on it.  A static proof and a
+    certified MILP never consult the bound engine, so they used to
+    answer under any mode string."""
+
+    @pytest.fixture
+    def kernel_calls(self, monkeypatch):
+        import repro.analysis.symbolic as symbolic
+
+        calls = []
+        kernel = symbolic._run_backward
+
+        def counting(*args, **kwargs):
+            calls.append(1)
+            return kernel(*args, **kwargs)
+
+        monkeypatch.setattr(symbolic, "_run_backward", counting)
+        return calls
+
+    @pytest.mark.parametrize("mode", ["bogus", "alpha"])
+    @pytest.mark.parametrize("case", ["static", "certified_milp",
+                                      "uncertified_milp"])
+    def test_unknown_mode_raises_before_any_query(
+        self, tiny_net, kernel_calls, mode, case
+    ):
+        from repro.analysis.symbolic import symbolic_objective_bounds
+        from repro.core.encoder import BOUND_MODES
+        from repro.core.properties import SafetyProperty
+        from repro.core.verifier import Verifier
+
+        region = unit_region(6)
+        _, upper = symbolic_objective_bounds(tiny_net, region, {0: 1.0})
+        kernel_calls.clear()
+        prop = SafetyProperty(
+            name=case, region=region, objective=OutputObjective.single(0),
+            threshold=upper + 1.0 if case == "static" else upper - 1.0,
+        )
+        with pytest.raises(EncodingError) as info:
+            Verifier(
+                tiny_net,
+                EncoderOptions(
+                    bound_mode=mode, certify=case != "uncertified_milp"
+                ),
+                MILPOptions(time_limit=30.0),
+            ).prove(prop)
+        assert repr(mode) in str(info.value)
+        assert repr(BOUND_MODES) in str(info.value)
+        assert BOUND_MODES == ("interval", "symbolic", "lp")
+        assert kernel_calls == []  # no bounding ran
+
+    def test_replace_validates_too(self):
+        import dataclasses
+
+        with pytest.raises(EncodingError):
+            dataclasses.replace(EncoderOptions(), bound_mode="alpha")

@@ -110,7 +110,7 @@ def a_result(verdict=Verdict.MAX_FOUND, value=1.25):
         num_binaries=4,
         description="unit",
         lp_iterations=42,
-        metrics={"alpha_iters": 3.0},
+        metrics={"split_cells": 3.0},
     )
 
 
@@ -142,10 +142,10 @@ class TestVerdictCache:
         cache.put("fp", a_result())
         first = cache.get("fp")
         first.counterexample[0] = 99.0
-        first.metrics["alpha_iters"] = -1.0
+        first.metrics["split_cells"] = -1.0
         second = cache.get("fp")
         assert second.counterexample[0] == 0.1
-        assert second.metrics["alpha_iters"] == 3.0
+        assert second.metrics["split_cells"] == 3.0
 
     def test_spill_reloads_across_instances(self, tmp_path):
         path = str(tmp_path / "verdicts.jsonl")
@@ -202,7 +202,7 @@ class TestVerdictFingerprint:
         dict(kind="prove"),
         dict(threshold=2.0),
         dict(encoder_options=EncoderOptions(bound_mode="lp")),
-        dict(encoder_options=EncoderOptions(bound_mode="alpha")),
+        dict(encoder_options=EncoderOptions(bound_mode="symbolic")),
         dict(milp_options=MILPOptions(time_limit=30.0)),
         dict(milp_options=MILPOptions(time_limit=60.0, node_limit=1000)),
         dict(encoder_options=EncoderOptions(bound_mode="interval", certify=True)),
@@ -210,48 +210,110 @@ class TestVerdictFingerprint:
     def test_any_input_change_changes_fingerprint(self, change):
         assert self.base() != self.base(**change)
 
-    def test_alpha_tuning_changes_fingerprint(self):
-        """Two alpha runs with different optimiser settings produce
-        different bounds, so they must never share a cached verdict."""
-        base = self.base(
-            encoder_options=EncoderOptions(bound_mode="alpha")
-        )
-        retuned = self.base(
-            encoder_options=EncoderOptions(
-                bound_mode="alpha", alpha_iters=5
-            )
-        )
-        relearned = self.base(
-            encoder_options=EncoderOptions(
-                bound_mode="alpha", alpha_lr=0.1
-            )
-        )
-        assert len({base, retuned, relearned}) == 3
 
-    def test_alpha_tuning_changes_bounds_cache_key(self):
-        from repro.core.bounds import (
-            bounds_cache_key,
-            decode_bound_mode,
-            encode_bound_mode,
-        )
+def _pre_upgrade_fingerprint(network, region, objective, kind, threshold,
+                             encoder_options, milp_options):
+    """The verdict fingerprint as it was computed while the encoder
+    options still carried the slope optimiser's two fields (at their
+    defaults, 20 iterations and step 0.5)."""
+    import dataclasses
+    import hashlib
 
-        net = make_net()
-        region = unit_region()
-        keys = {
-            bounds_cache_key(net, region, encode_bound_mode(*cfg))
-            for cfg in [
-                ("symbolic", None, None),
-                ("alpha", None, None),
-                ("alpha", 5, None),
-                ("alpha", None, 0.1),
-            ]
-        }
-        assert len(keys) == 4
-        # Plain modes keep their bare token so pre-existing cache
-        # spills stay valid; alpha tokens round-trip their tuning.
-        assert encode_bound_mode("symbolic", None, None) == "symbolic"
-        token = encode_bound_mode("alpha", 5, 0.1)
-        assert decode_bound_mode(token) == ("alpha", 5, 0.1)
+    def token(fields):
+        return ";".join(f"{k}={fields[k]!r}" for k in sorted(fields))
+
+    encoder = dataclasses.asdict(encoder_options)
+    encoder.update(alpha_iters=20, alpha_lr=0.5)
+    digest = hashlib.sha256()
+    digest.update(network.fingerprint().encode())
+    digest.update(region.fingerprint().encode())
+    for idx in sorted(objective.coefficients):
+        digest.update(f"{idx}:{objective.coefficients[idx]!r};".encode())
+    digest.update(f"|{kind}|{threshold!r}|".encode())
+    digest.update(token(encoder).encode())
+    digest.update(b"|")
+    digest.update(token(dataclasses.asdict(milp_options)).encode())
+    return digest.hexdigest()
+
+
+class TestCacheUpgrade:
+    """Caches spilled before the slope optimiser was removed."""
+
+    def test_old_alpha_options_token_misses(self, tmp_path):
+        """A verdict cached under the old options token is never served:
+        the two optimiser fields left the token, so every fingerprint
+        changed and such a cell is solved afresh."""
+        import dataclasses
+
+        from repro.core.verifier import _options_token
+
+        assert {f.name for f in dataclasses.fields(EncoderOptions)}.isdisjoint(
+            {"alpha_iters", "alpha_lr"}
+        )
+        assert "alpha" not in _options_token(EncoderOptions())
+        net, region = make_net(), unit_region()
+        objective = OutputObjective.single(0)
+        old = _pre_upgrade_fingerprint(
+            net, region, objective, "max", 0.0, ENC, MILP
+        )
+        assert old != verdict_fingerprint(
+            net, region, objective, "max", 0.0, ENC, MILP
+        )
+        stale = a_result(value=123.0)
+        VerdictCache(spill_path=str(tmp_path / "verdicts.jsonl")).put(
+            old, stale
+        )
+        from repro.core.pool import InProcessPool
+
+        with InProcessPool(cache_dir=str(tmp_path)) as pool:
+            campaign = VerificationCampaign(ENC, MILP)
+            campaign.add_network(net)
+            campaign.add_max_query("max0", region, objective)
+            (cell,) = campaign.run(pool=pool).cells
+        assert cell.result.verdict is Verdict.MAX_FOUND
+        assert cell.result.value != 123.0
+        assert "verdict_cache_hit" not in cell.result.metrics
+
+    def test_alpha_bounds_spill_entry_loads_but_never_hits(self, tmp_path):
+        """A ``bounds.jsonl`` line keyed by an alpha token still loads;
+        no bound mode reaches it, and a bare ``lp`` line in the same
+        file still hits."""
+        import json
+
+        from repro.core.bounds import bounds_cache_key, interval_bounds
+        from repro.core.encoder import BOUND_MODES
+
+        net, region = make_net(), unit_region()
+        real = interval_bounds(net, region)
+
+        def line(mode, shift):
+            return json.dumps({
+                "key": list(bounds_cache_key(net, region, mode)),
+                "error": None,
+                "layers": [
+                    {
+                        "lower": (b.lower - shift).tolist(),
+                        "upper": (b.upper + shift).tolist(),
+                    }
+                    for b in real
+                ],
+            })
+
+        path = tmp_path / "bounds.jsonl"
+        path.write_text(
+            line("alpha;iters=20;lr=0.5", 7.0) + "\n"
+            + line("lp", 1.0) + "\n"
+        )
+        cache = BoundsCache(spill_path=str(path))
+        assert len(cache) == 2
+        got, error = cache.lookup(net, region, "lp")
+        assert error is None and cache.hits == 1
+        assert np.array_equal(got[0].lower, real[0].lower - 1.0)
+        for mode in BOUND_MODES:
+            got, _ = cache.lookup(net, region, mode)
+            assert not np.array_equal(got[0].lower, real[0].lower - 7.0)
+        assert cache.hits == 2  # only the two "lp" lookups
+        assert cache.misses == 2  # interval and symbolic computed
 
 
 class TestTornSpill:

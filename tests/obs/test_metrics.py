@@ -84,15 +84,8 @@ class TestResultProperties:
 
         result = VerificationResult(
             verdict=Verdict.VERIFIED,
-            metrics={
-                "alpha_iters": 12.0,
-                "alpha_improvement": 0.25,
-                "split_cells": 3.0,
-                "split_proofs": 5.0,
-            },
+            metrics={"split_cells": 3.0, "split_proofs": 5.0},
         )
-        assert result.alpha_iters == 12
-        assert result.alpha_improvement == 0.25
         assert result.split_cells == 3
         assert result.split_proofs == 5
 
@@ -100,5 +93,5 @@ class TestResultProperties:
         from repro.core.verifier import VerificationResult, Verdict
 
         result = VerificationResult(verdict=Verdict.MAX_FOUND)
-        assert result.alpha_iters == 0
         assert result.split_cells == 0
+        assert result.split_proofs == 0

@@ -114,7 +114,7 @@ class TestVerification:
         region = casestudy.operational_region(small_study)
         verifier = Verifier(
             small_predictor,
-            casestudy._encoder_options("lp", None),
+            casestudy._encoder_options("lp"),
             MILPOptions(time_limit=120.0),
         )
         components = [

@@ -27,6 +27,7 @@ import pytest
 
 from repro import casestudy
 from repro.analysis.split import RegionBisectionDriver
+from repro.analysis.symbolic import symbolic_screen
 from repro.core.encoder import EncoderOptions
 from repro.core.properties import InputRegion, OutputObjective
 from repro.milp import MILPOptions
@@ -158,7 +159,9 @@ class TestStaticPruning:
             )
             proofs = explored = survivors = 0
             for region in epsilon_boxes(study):
-                lo, hi, _ = driver._prescreen(region, objective)
+                hi = symbolic_screen(
+                    network, region, objective.coefficients
+                ).objective_upper
                 center = objective.value(
                     network.forward(region.center())[0]
                 )

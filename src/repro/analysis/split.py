@@ -13,13 +13,17 @@ more than one or two, so :class:`RegionBisectionDriver` solves them one
 after the other under the query's one MILP deadline; a campaign gets
 its parallelism from independent cells instead.
 
-Each box is bounded once, by one fused symbolic pass
-(:func:`repro.analysis.symbolic.symbolic_screen`): the root reuses the
-whole-region prescreen the verifier already ran, every survivor
-carries its screen (:attr:`SplitLeaf.screen`) into its shard — the
-certified shard encodes from its chain, the uncertified one seeds LP
-tightening with its symbolic bounds — and the split dimension comes
-from the sensitivity the same pass computed.  Certified and
+Each box is bounded once, and both halves of a bisection are bounded
+in one call (:func:`repro.analysis.symbolic.symbolic_screens`): one
+backward pass per layer screens the pair, with the objective joined to
+the output layer's pass.  The root reuses the whole-region prescreen
+the verifier already ran, every survivor carries its screen
+(:attr:`SplitLeaf.screen`) into its shard — the certified shard
+encodes from its chain, the uncertified one seeds LP tightening with
+its symbolic bounds — and the split dimension comes from the
+sensitivity the same pass computed.  The depth-first order, the stall
+gate and the running best lower bound see the two halves one after
+the other, as if they had been screened apart.  Certified and
 uncertified plans make the same screens; a certified plan also
 serializes each pruned box's chain into its tree.
 
@@ -50,8 +54,10 @@ import numpy as np
 from repro.analysis.symbolic import (
     SymbolicScreen,
     _check_supported,
+    _objective_row,
     input_sensitivity,
     symbolic_screen,
+    symbolic_screens,
 )
 from repro.core.properties import (
     InputRegion,
@@ -152,19 +158,23 @@ class SplitPlan:
 
 
 def bisects(
-    network: FeedForwardNetwork, region: InputRegion, encoder_options
+    network: FeedForwardNetwork,
+    region: InputRegion,
+    objective: OutputObjective,
+    encoder_options,
 ) -> bool:
     """Whether a :class:`~repro.core.verifier.Verifier` with these
     options answers a query over ``region`` with the bisection driver.
 
-    Split must be on and the network shape inside the symbolic engine's
-    fragment; otherwise the unsplit MILP decides, exactly as without
-    ``--split``.
+    Split must be on and the network shape and the objective inside the
+    symbolic engine's fragment; otherwise the unsplit MILP decides,
+    exactly as without ``--split``.
     """
     if not encoder_options.split:
         return False
     try:
         _check_supported(network, region)
+        _objective_row(network, objective.coefficients)
     except EncodingError:
         return False
     return True
@@ -204,26 +214,6 @@ class RegionBisectionDriver:
         self.depth = max(int(self.encoder_options.split_depth), 0)
 
     # -- planning -----------------------------------------------------------
-    def _prescreen(
-        self,
-        region: InputRegion,
-        objective: OutputObjective,
-        screen: Optional[SymbolicScreen] = None,
-    ) -> Tuple[float, float, SymbolicScreen]:
-        """Sound objective bounds over one sub-region, and its screen.
-
-        Returns ``(lower, upper, screen)``: one fused symbolic pass
-        (:func:`repro.analysis.symbolic.symbolic_screen`) gives the
-        layer bounds the shard reuses, the objective bounds and the
-        sensitivity the split dimension is chosen by.  ``screen`` may
-        carry that pass when the caller already ran it (the root).
-        """
-        if screen is None:
-            screen = symbolic_screen(
-                self.network, region, objective.coefficients
-            )
-        return screen.objective_lower, screen.objective_upper, screen
-
     def _split_dim(
         self,
         region: InputRegion,
@@ -280,8 +270,9 @@ class RegionBisectionDriver:
         ``2**depth`` MILPs.
 
         Raises :class:`~repro.errors.EncodingError` when the network
-        shape is unsupported by the symbolic engine — callers fall back
-        to the unsplit MILP.
+        shape or the objective is outside the symbolic engine's
+        fragment; :func:`bisects` keeps such queries on the unsplit
+        MILP.
         """
         t0 = time.monotonic()
         margin = self.encoder_options.bound_margin
@@ -302,13 +293,14 @@ class RegionBisectionDriver:
             depth_limit=self.depth, min_width=self.min_width,
             network=self.network.architecture_id,
         ) as span:
-            stack: List[Tuple] = [
-                (region, 0)
-                + self._prescreen(region, objective, root)
-                + (tree,)
-            ]
+            if root is None:
+                root = symbolic_screen(
+                    self.network, region, objective.coefficients
+                )
+            stack: List[Tuple] = [(region, 0, root, tree)]
             while stack:
-                node, depth, lo, hi, screen, slot = stack.pop()
+                node, depth, screen, slot = stack.pop()
+                lo, hi = screen.objective_lower, screen.objective_upper
                 explored += 1
                 max_depth = max(max_depth, depth)
                 upper_bound = max(upper_bound, hi)
@@ -346,21 +338,27 @@ class RegionBisectionDriver:
                         region=node.name, depth=depth, upper=hi,
                     )
                     continue
-                children = []
+                halves = node.bisect(dim)
+                child_screens = symbolic_screens(
+                    self.network, halves, objective.coefficients
+                )
                 child_slots = ({}, {}) if slot is not None else (None, None)
-                for half, child_slot in zip(node.bisect(dim), child_slots):
-                    c_lo, c_hi, c_screen = self._prescreen(half, objective)
-                    best_lower = max(best_lower, c_lo)
-                    children.append((
-                        half, depth + 1, c_lo, c_hi, c_screen, child_slot,
-                    ))
+                children = [
+                    (half, depth + 1, c_screen, child_slot)
+                    for half, c_screen, child_slot in zip(
+                        halves, child_screens, child_slots
+                    )
+                ]
+                for c_screen in child_screens:
+                    best_lower = max(best_lower, c_screen.objective_lower)
                 if threshold is None:
                     cutoff = best_lower - margin
-                improvement = max(
-                    0.0, hi - max(child[3] for child in children)
-                )
+                improvement = max(0.0, hi - max(
+                    c_screen.objective_upper for c_screen in child_screens
+                ))
                 prunable = any(
-                    child[3] <= cutoff for child in children
+                    c_screen.objective_upper <= cutoff
+                    for c_screen in child_screens
                 )
                 remaining = self.depth - depth
                 if not prunable and (

@@ -5,7 +5,7 @@ every bound in this module.  It bounds *upper* sides only: a lower
 bound on a row ``c`` is the negated upper bound of ``-c``, so each
 batch of target rows ``C`` travels as ``[C; -C]`` through a single
 pass, and the lower-relaxation slopes come from one per-layer
-``(policies, 1, n)`` stack broadcast over a policy-major view of the
+``(policies, n)`` stack broadcast over a policy-major view of the
 rows.
 
 The bound is DeepPoly-style anytime back-substitution (Singh et al.;
@@ -22,33 +22,43 @@ propagation exactly and the result is provably no looser than
 fixed, the winning policy per row is all the independent checker needs
 to replay a bound (:mod:`repro.proof`).
 
-Relaxation slopes are computed once per layer and shared across every
-target layer and policy via :class:`_SlopeCache`.
+**One pass per layer.**  A layer pass makes one kernel call per layer
+after the first.  The objective's rows start where the output layer's
+do (at the last hidden layer, with the same slopes), so they join the
+output layer's call: a screen costs ``len(network.layers) - 1`` calls
+in all.  Relaxation slopes are computed once per layer, right after
+its bounds.
+
+**Boxes are a leading axis.**  The pass bounds a batch of ``B`` input
+boxes at once.  The rows stay 2-D and box-major, ``(B * R, n)``, so
+each weight product is one 2-D matrix product over every box; only the
+slope multiply and the concretisation, whose vectors differ per box,
+see the box axis, and each box is concretised by the same
+matrix-vector product it would get alone.
 
 Only the box part of an :class:`~repro.core.properties.InputRegion` is
 used; ignoring its linear constraints is sound (they can only shrink
 the true reachable set).
 
-:func:`symbolic_objective_bounds` runs the same machinery seeded with a
-linear functional of the *outputs* instead of a layer's weight rows —
-the one-shot bound that lets decision queries be proved statically,
-with no MILP ever built (see
-:meth:`repro.core.verifier.Verifier.prove`).  The ``_batch`` variant
+:func:`symbolic_screens` is the prescreen of a batch of boxes: layer
+bounds, objective bounds and the per-input sensitivity the bisection
+driver splits on (:func:`input_sensitivity`), with the winning
+policies and slopes as certificate evidence.  The bisection driver
+screens both halves of a split in one call; :func:`symbolic_screen`
+is the one-box case.  The prover bounds each box once and hands the
+:class:`SymbolicScreen` on — to the bisection plan, to the MILP shards
+and to LP bound tightening — instead of recomputing it.
+:func:`symbolic_objective_bounds` bounds a linear functional of the
+*outputs* the same way — the one-shot bound that lets decision queries
+be proved statically, with no MILP ever built (see
+:meth:`repro.core.verifier.Verifier.prove`); the ``_batch`` variant
 pushes many objective rows through one shared substitution chain.
-
-:func:`symbolic_screen` is the prescreen of one box in one fused pass:
-layer bounds, objective bounds and the per-input sensitivity the
-bisection driver splits on (:func:`input_sensitivity`), with the
-winning policies as certificate evidence.  The prover bounds each box
-once with it and hands the :class:`SymbolicScreen` on — to the
-bisection plan, to the MILP shards and to LP bound tightening — instead
-of recomputing it.
 """
 
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Mapping, Optional, Sequence, Tuple
+from typing import List, Mapping, Optional, Sequence, Tuple
 
 import numpy as np
 
@@ -65,6 +75,7 @@ __all__ = [
     "symbolic_objective_bounds",
     "symbolic_objective_bounds_batch",
     "symbolic_screen",
+    "symbolic_screens",
 ]
 
 #: Activations the backward relaxation knows how to traverse.
@@ -74,11 +85,26 @@ _SUPPORTED = ("relu", "identity")
 #: backward pass stacks all of them and keeps the elementwise best.
 POLICIES = ("area", "zero", "one")
 
+#: One ReLU layer's relaxation: chord ``(up_slope, up_icept)`` and the
+#: ``(policies, n)`` lower-slope stack, each with a leading box axis
+#: inside a pass and without one in a :class:`SymbolicScreen`.
+Relaxation = Tuple[np.ndarray, np.ndarray, np.ndarray]
 
-def _upper_slopes(
-    lower: np.ndarray, upper: np.ndarray
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Per-neuron ``(slope, intercept)`` of the chord upper relaxation."""
+#: Per-layer post-activation boxes ``(lo, hi)``, each ``(B, n)``.
+Boxes = Tuple[np.ndarray, np.ndarray]
+
+
+def _relaxation(lower: np.ndarray, upper: np.ndarray) -> Relaxation:
+    """Slopes of a ReLU layer's relaxation from its pre-activation bounds.
+
+    The upper line is the chord, ``up_slope * z + up_icept``.  Row
+    ``i`` of the lower stack holds the slope of ``relu(z) >= alpha z``
+    under ``POLICIES[i]`` (area, zero, one); the lower line always
+    passes through the origin, so there is no intercept.  For unstable
+    neurons ``"area"`` picks the area-optimal ``alpha in {0, 1}`` and
+    ``"zero"``/``"one"`` force it — all three are sound, and which one
+    is tightest depends on the downstream coefficient signs.
+    """
     active = lower >= 0.0
     unstable = (~active) & (upper > 0.0)
     chord = np.where(
@@ -86,75 +112,46 @@ def _upper_slopes(
     )
     up_slope = np.where(active, 1.0, chord)
     up_icept = np.where(unstable, -chord * lower, 0.0)
-    return up_slope, up_icept
-
-
-def _policy_slopes(lower: np.ndarray, upper: np.ndarray) -> np.ndarray:
-    """Lower-relaxation slopes of every policy, as one ``(p, 1, n)`` stack.
-
-    Row ``i`` holds the slope of ``relu(z) >= alpha z`` under
-    ``POLICIES[i]`` (area, zero, one).  The lower line always passes
-    through the origin, so there is no intercept.  For unstable neurons
-    ``"area"`` picks the area-optimal ``alpha in {0, 1}`` and
-    ``"zero"``/``"one"`` force it — all three are sound, and which one
-    is tightest depends on the downstream coefficient signs.  The middle axis lets the stack
-    broadcast over a policy-major ``(p, rows, n)`` view of the rows.
-    """
-    active = lower >= 0.0
-    unstable = (~active) & (upper > 0.0)
     area = np.where(unstable, upper >= -lower, active)
     stack = np.array([area, active, active | unstable], dtype=float)
-    return stack[:, np.newaxis, :]
+    return up_slope, up_icept, stack.swapaxes(0, 1)
 
 
-class _SlopeCache:
-    """Lazy per-layer relaxation slopes over a growing bounds list.
+def _box_dot(rows: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """``rows[i] @ vectors[b]`` for the box ``b`` that owns row ``i``.
 
-    One instance is shared by every target layer and policy of a
-    propagation run, so slopes for layer ``k`` are computed exactly
-    once instead of once per (target, policy) pair.
-    Entries are read only after ``computed[k]`` is final, so growing
-    the underlying list is safe.
+    ``rows`` are box-major ``(B * R, n)`` and ``vectors`` ``(B, n)``.
+    Each box is one matrix-vector product, batched over the boxes.  A
+    lone box skips the batch axis: the result is the same to the bit,
+    and the batched call costs about 10 % of a one-box screen in numpy
+    call overhead.
     """
-
-    def __init__(self, computed: List[LayerBounds]) -> None:
-        self._computed = computed
-        self._upper: Dict[int, Tuple[np.ndarray, np.ndarray]] = {}
-        self._lower: Dict[int, np.ndarray] = {}
-
-    def upper(self, k: int) -> Tuple[np.ndarray, np.ndarray]:
-        if k not in self._upper:
-            b = self._computed[k]
-            self._upper[k] = _upper_slopes(b.lower, b.upper)
-        return self._upper[k]
-
-    def lower(self, k: int) -> np.ndarray:
-        """The ``(p, 1, n)`` policy stack of :func:`_policy_slopes`."""
-        if k not in self._lower:
-            b = self._computed[k]
-            self._lower[k] = _policy_slopes(b.lower, b.upper)
-        return self._lower[k]
+    boxes, n = vectors.shape
+    if boxes == 1:
+        return rows @ vectors[0]
+    return np.matmul(
+        rows.reshape(boxes, -1, n), vectors[:, :, np.newaxis]
+    ).reshape(-1)
 
 
 def _concretize_hi(
     coef: np.ndarray, bias: np.ndarray, lo: np.ndarray, hi: np.ndarray
 ) -> np.ndarray:
-    """Maximum of ``coef @ v + bias`` over the box ``[lo, hi]``."""
+    """Maximum of each row ``coef @ v + bias`` over its box ``[lo, hi]``."""
     pos = np.maximum(coef, 0.0)
     neg = np.minimum(coef, 0.0)
-    return bias + pos @ hi + neg @ lo
+    return bias + _box_dot(pos, hi) + _box_dot(neg, lo)
 
 
-def _post_box(
-    layer_bounds: LayerBounds, activation: str
-) -> Tuple[np.ndarray, np.ndarray]:
-    """Post-activation box of a layer from its pre-activation bounds."""
+def _hidden_stop(
+    lower: np.ndarray, upper: np.ndarray, activation: str
+) -> Tuple[Boxes, Optional[Relaxation]]:
+    """A hidden layer as a stop of the backward pass: its
+    post-activation box and, for a ReLU, its relaxation."""
     if activation == "relu":
-        return (
-            np.maximum(layer_bounds.lower, 0.0),
-            np.maximum(layer_bounds.upper, 0.0),
-        )
-    return layer_bounds.lower, layer_bounds.upper
+        post_box = (np.maximum(lower, 0.0), np.maximum(upper, 0.0))
+        return post_box, _relaxation(lower, upper)
+    return (lower, upper), None
 
 
 def _check_supported(
@@ -172,42 +169,31 @@ def _check_supported(
         )
 
 
-def _input_box(region: InputRegion) -> Tuple[np.ndarray, np.ndarray]:
-    return region.bounds[:, 0].copy(), region.bounds[:, 1].copy()
-
-
-def _both_sides(
-    coef: np.ndarray, bias: np.ndarray, copies: int = 1
-) -> Tuple[np.ndarray, np.ndarray]:
-    """``[C; -C]`` (repeated ``copies`` times): the kernel bounds upper
-    sides only, and the lower bound of a row is the negated upper bound
-    of its negation."""
-    return (
-        np.concatenate([coef, -coef] * copies),
-        np.concatenate([bias, -bias] * copies),
-    )
+def _input_boxes(regions: Sequence[InputRegion]) -> Boxes:
+    bounds = np.array([region.bounds for region in regions])
+    return bounds[:, :, 0].copy(), bounds[:, :, 1].copy()
 
 
 def _run_backward(
     network: FeedForwardNetwork,
-    slopes: _SlopeCache,
-    post_boxes: List[Tuple[np.ndarray, np.ndarray]],
-    input_box: Tuple[np.ndarray, np.ndarray],
+    relaxations: List[Optional[Relaxation]],
+    post_boxes: List[Boxes],
+    input_box: Boxes,
     coef: np.ndarray,
     bias: np.ndarray,
     start: int,
 ) -> Tuple[np.ndarray, np.ndarray]:
     """The backward kernel: upper bounds of a batch of affine forms.
 
-    The ``(rows, n)`` coefficients arrive expressed over the
-    *post-activations of layer ``start``* as policy-major row groups,
-    one per entry of :data:`POLICIES`, and are pushed backward one
-    layer at a time.  At a ReLU layer a positive coefficient takes the
-    chord, a negative one the lower line, whose ``(p, 1, n)`` policy
-    stack (:meth:`_SlopeCache.lower`) is broadcast over the
-    ``(p, rows / p, n)`` view of the rows.  Lower bounds are upper
-    bounds of negated rows (see :func:`_both_sides`), so there is one
-    code path.
+    The ``(B * R, n)`` coefficients arrive expressed over the
+    *post-activations of layer ``start``*, box-major, each box's ``R``
+    rows as policy-major groups, one per entry of :data:`POLICIES`, and
+    are pushed backward one layer at a time.  At a ReLU layer a
+    positive coefficient takes the chord, a negative one the lower line
+    of its row's policy: the ``(B, policies, n)`` stack is broadcast
+    over the ``(B, policies, R / policies, n)`` view of the rows.
+    Lower bounds are upper bounds of negated rows, so there is one code
+    path.
 
     The forms are concretised at every stop (the first equals interval
     propagation) and the elementwise best is returned.
@@ -218,16 +204,20 @@ def _run_backward(
     best = _concretize_hi(coef, bias, *post_boxes[start])
     for k in range(start, -1, -1):
         layer_k = network.layers[k]
-        if layer_k.activation == "relu":
-            us, ui = slopes.upper(k)
-            ls = slopes.lower(k)
+        if relaxations[k] is not None:
+            up_slope, up_icept, stack = relaxations[k]
+            boxes, policies, n = stack.shape
             # The lower line has no intercept: only the chord adds bias.
             pos = np.maximum(coef, 0.0)
             neg = np.minimum(coef, 0.0)
-            bias = bias + pos @ ui
-            coef = pos * us + (
-                neg.reshape(ls.shape[0], -1, neg.shape[1]) * ls
-            ).reshape(neg.shape)
+            bias = bias + _box_dot(pos, up_icept)
+            coef = (
+                pos.reshape(boxes, -1, n) * up_slope[:, np.newaxis]
+                + (
+                    neg.reshape(boxes, policies, -1, n)
+                    * stack[:, :, np.newaxis]
+                ).reshape(boxes, -1, n)
+            ).reshape(-1, n)
         # identity: coefficients pass through unchanged.
 
         # Through the affine part of layer k: z_k = a_{k-1} @ W_k + b_k.
@@ -247,93 +237,71 @@ def _collapse_crossed(lo: np.ndarray, hi: np.ndarray) -> None:
         hi[crossed] = mid
 
 
+#: Bounds of ``m`` target rows over ``B`` boxes: ``(lo, hi, win_lo,
+#: win_hi, area)``, the first four ``(B, m)`` and ``area`` the
+#: area-policy input coefficients ``(B, 2, m, n_in)`` of ``C`` and ``-C``.
+Rows = Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+
+
 def _policy_backsubstitute(
     network: FeedForwardNetwork,
-    slopes: _SlopeCache,
-    post_boxes: List[Tuple[np.ndarray, np.ndarray]],
-    input_box: Tuple[np.ndarray, np.ndarray],
+    relaxations: List[Optional[Relaxation]],
+    post_boxes: List[Boxes],
+    input_box: Boxes,
     coef: np.ndarray,
     bias: np.ndarray,
     start: int,
-) -> Tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Backward substitution under every slope policy in one batch.
+) -> Rows:
+    """Both sides of ``m`` target rows, every policy, every box: one call.
 
-    The ``m`` target rows and their negations are replicated once per
-    policy into a single policy-major ``(p * 2m)``-row matrix, so one
-    kernel pass bounds both sides under every policy, with the policy
-    slopes broadcast from the cached ``(p, 1, n)`` stacks.  Each policy
-    yields sound bounds, so the elementwise best across them is sound
-    too; which policy wins depends on the signs the coefficients pick
-    up as they travel backward, which is why no single choice dominates.
-
-    Returns ``(best_lo, best_hi, per_lo, per_hi, input_coef)`` where the
-    ``per_*`` arrays hold the per-policy values with shape
-    ``(policies, m)`` — whose arg-best per row is the winning policy a
-    certificate records — and ``input_coef`` the ``(policies, 2m,
-    n_in)`` input coefficients (rows ``C`` then ``-C``).
+    The rows and their negations are replicated once per policy and per
+    box into a single box-major, policy-major ``(B * p * 2m)``-row
+    matrix.  Each policy yields sound bounds, so the elementwise best
+    across them is sound too; which policy wins depends on the signs
+    the coefficients pick up as they travel backward, which is why no
+    single choice dominates.  The arg-best per row is the winning
+    policy a certificate records.
     """
+    boxes = len(input_box[0])
     m = coef.shape[0]
     p = len(POLICIES)
-    rows, rows_bias = _both_sides(coef, bias, copies=p)
     hi_all, input_coef = _run_backward(
-        network, slopes, post_boxes, input_box, rows, rows_bias, start,
+        network, relaxations, post_boxes, input_box,
+        np.concatenate([coef, -coef] * (boxes * p)),
+        np.concatenate([bias, -bias] * (boxes * p)),
+        start,
     )
-    per = hi_all.reshape(p, 2, m)
-    per_hi = per[:, 0]
-    per_lo = -per[:, 1]
-    best_lo = per_lo.max(axis=0)
-    best_hi = per_hi.min(axis=0)
+    per = hi_all.reshape(boxes, p, 2, m)
+    per_hi = per[:, :, 0]
+    per_lo = -per[:, :, 1]
+    best_lo = per_lo.max(axis=1)
+    best_hi = per_hi.min(axis=1)
     _collapse_crossed(best_lo, best_hi)
-    return best_lo, best_hi, per_lo, per_hi, input_coef.reshape(p, 2 * m, -1)
+    area = input_coef.reshape(boxes, p, 2, m, -1)[:, POLICIES.index("area")]
+    return best_lo, best_hi, per_lo.argmax(axis=1), per_hi.argmin(axis=1), area
 
 
-def _layer_pass(
-    network: FeedForwardNetwork,
-    input_box: Tuple[np.ndarray, np.ndarray],
-) -> Tuple[List[LayerBounds], List[Tuple[np.ndarray, np.ndarray]],
-           _SlopeCache, List[Optional[Tuple[np.ndarray, np.ndarray]]]]:
-    """Fixed-policy pre-activation bounds of every layer.
-
-    Returns ``(bounds, post_boxes, slopes, winners)``; ``winners[i]``
-    is ``(win_lo, win_hi)``, the policy index that won each row of
-    layer ``i`` (``None`` for layer 0, whose interval image is exact).
-    """
-    input_lo, input_hi = input_box
-    computed: List[LayerBounds] = []
-    post_boxes: List[Tuple[np.ndarray, np.ndarray]] = []
-    winners: List[Optional[Tuple[np.ndarray, np.ndarray]]] = []
-    slopes = _SlopeCache(computed)
-    for index, layer in enumerate(network.layers):
-        if index == 0:
-            # Affine over the input box: the interval image is exact.
-            lo, hi = _interval_affine(
-                input_lo, input_hi, layer.weights, layer.bias
-            )
-            winners.append(None)
-        else:
-            lo, hi, per_lo, per_hi, _ = _policy_backsubstitute(
-                network, slopes, post_boxes, input_box,
-                layer.weights.T, layer.bias, start=index - 1,
-            )
-            winners.append((per_lo.argmax(axis=0), per_hi.argmin(axis=0)))
-        bounds = LayerBounds(lo, hi)
-        computed.append(bounds)
-        post_boxes.append(_post_box(bounds, layer.activation))
-    return computed, post_boxes, slopes, winners
+def _take(result: Rows, rows: slice) -> Rows:
+    """The target rows ``rows`` of a :func:`_policy_backsubstitute`
+    result."""
+    lo, hi, win_lo, win_hi, area = result
+    return (
+        lo[:, rows], hi[:, rows], win_lo[:, rows], win_hi[:, rows],
+        area[:, :, rows],
+    )
 
 
-def symbolic_bounds(
-    network: FeedForwardNetwork, region: InputRegion
-) -> List[LayerBounds]:
-    """Pre-activation bounds for every layer via symbolic propagation.
+#: Objective bounds over ``B`` boxes: ``(lo, hi, winners, sensitivity)``
+#: with ``lo``/``hi`` ``(B, m)``, ``winners`` ``(win_lo, win_hi)`` (``None``
+#: for a single-layer network, which needs no relaxation) and the
+#: ``(B, n_in)`` sensitivity of :func:`input_sensitivity`.
+Objective = Tuple[np.ndarray, np.ndarray,
+                  Optional[Tuple[np.ndarray, np.ndarray]], np.ndarray]
 
-    Provably no looser than :func:`repro.core.bounds.interval_bounds`
-    on every neuron (the first concretisation stop *is* the interval
-    value); typically far tighter on deep layers, where interval
-    propagation compounds its per-layer over-approximation.
-    """
-    _check_supported(network, region)
-    return _layer_pass(network, _input_box(region))[0]
+
+def _objective(result: Rows) -> Objective:
+    lo, hi, win_lo, win_hi, area = result
+    return lo, hi, (win_lo, win_hi), np.abs(area).max(axis=(1, 2))
 
 
 def _objective_row(
@@ -361,52 +329,98 @@ def _objective_seed(
     """Fold objective rows through the output layer's affine part:
     ``objective = c @ (a_{L-1} @ W_L + b_L)``."""
     out_layer = network.layers[-1]
-    seed = rows @ out_layer.weights.T
-    seed_bias = rows @ out_layer.bias
-    return seed, seed_bias
+    return rows @ out_layer.weights.T, rows @ out_layer.bias
 
 
 def _objective_pass(
     network: FeedForwardNetwork,
-    computed: List[LayerBounds],
-    input_box: Tuple[np.ndarray, np.ndarray],
+    relaxations: List[Optional[Relaxation]],
+    post_boxes: List[Boxes],
+    input_box: Boxes,
     rows: np.ndarray,
-    slopes: Optional[_SlopeCache] = None,
-    post_boxes: Optional[List[Tuple[np.ndarray, np.ndarray]]] = None,
-) -> Tuple[np.ndarray, np.ndarray,
-           Optional[Tuple[np.ndarray, np.ndarray]], np.ndarray]:
-    """Fixed-policy bounds on objective rows over layer bounds.
+) -> Objective:
+    """Fixed-policy bounds on objective rows over known layer bounds.
 
-    Returns ``(lo, hi, winners, area_coef)``: ``winners`` as in
-    :func:`_layer_pass` (``None`` for a single-layer network, which
-    needs no relaxation) and ``area_coef`` the area-policy input
-    coefficients of the rows ``C`` then ``-C``, the source of
-    :func:`input_sensitivity`.  ``slopes``/``post_boxes`` may carry
-    the ones the layer pass built over ``computed``.
+    The seeded rows are pushed back from the last hidden layer; a
+    single-layer network concretises them at the input box directly.
     """
     seed, seed_bias = _objective_seed(network, rows)
-    if len(network.layers) == 1:
-        both, both_bias = _both_sides(seed, seed_bias)
-        hi_all = _concretize_hi(both, both_bias, *input_box)
-        m = rows.shape[0]
-        return -hi_all[m:], hi_all[:m], None, both
-    if post_boxes is None:
-        post_boxes = [
-            _post_box(lb, layer.activation)
-            for lb, layer in zip(computed, network.layers)
-        ]
-    if slopes is None:
-        slopes = _SlopeCache(list(computed))
-    lo, hi, per_lo, per_hi, input_coef = _policy_backsubstitute(
-        network, slopes, post_boxes, input_box, seed, seed_bias,
-        start=len(network.layers) - 2,
-    )
-    winners = (per_lo.argmax(axis=0), per_hi.argmin(axis=0))
-    return lo, hi, winners, input_coef[POLICIES.index("area")]
+    if len(network.layers) > 1:
+        return _objective(_policy_backsubstitute(
+            network, relaxations, post_boxes, input_box, seed, seed_bias,
+            start=len(network.layers) - 2,
+        ))
+    boxes, m = len(input_box[0]), rows.shape[0]
+    hi_all = _concretize_hi(
+        np.concatenate([seed, -seed] * boxes),
+        np.concatenate([seed_bias, -seed_bias] * boxes), *input_box,
+    ).reshape(boxes, 2, m)
+    sensitivity = np.tile(np.abs(seed).max(axis=0), (boxes, 1))
+    return -hi_all[:, 1], hi_all[:, 0], None, sensitivity
 
 
-def _sensitivity(area_coef: np.ndarray) -> np.ndarray:
-    return np.abs(area_coef).max(axis=0)
+def _layer_pass(
+    network: FeedForwardNetwork,
+    input_box: Boxes,
+    objective_rows: Optional[np.ndarray] = None,
+) -> Tuple[List[Boxes], List[Optional[Relaxation]],
+           List[Optional[Tuple[np.ndarray, np.ndarray]]],
+           Optional[Objective]]:
+    """Fixed-policy pre-activation bounds of every layer over ``B`` boxes.
+
+    Returns ``(bounds, relaxations, winners, objective)``:
+    ``bounds[i]`` is ``(lo, hi)`` of layer ``i``, ``relaxations[k]``
+    the slopes of hidden layer ``k`` (``None`` unless it is a ReLU),
+    ``winners[i]`` ``(win_lo, win_hi)``, the policy index that won each
+    row of layer ``i`` (``None`` for layer 0, whose interval image is
+    exact), and ``objective`` the bounds of ``objective_rows``, which
+    join the output layer's kernel call.
+    """
+    last = len(network.layers) - 1
+    bounds: List[Boxes] = []
+    post_boxes: List[Boxes] = []
+    relaxations: List[Optional[Relaxation]] = []
+    winners: List[Optional[Tuple[np.ndarray, np.ndarray]]] = []
+    objective: Optional[Objective] = None
+    for index, layer in enumerate(network.layers):
+        if index == 0:
+            # Affine over the input box: the interval image is exact.
+            # Each box is its own vector-matrix product.
+            lo, hi = (
+                image[:, 0] for image in _interval_affine(
+                    input_box[0][:, np.newaxis], input_box[1][:, np.newaxis],
+                    layer.weights, layer.bias,
+                )
+            )
+            winners.append(None)
+        else:
+            coef, bias = layer.weights.T, layer.bias
+            joined = index == last and objective_rows is not None
+            if joined:
+                seed, seed_bias = _objective_seed(network, objective_rows)
+                coef = np.concatenate([coef, seed])
+                bias = np.concatenate([bias, seed_bias])
+            result = _policy_backsubstitute(
+                network, relaxations, post_boxes, input_box,
+                coef, bias, start=index - 1,
+            )
+            if joined:
+                objective = _objective(
+                    _take(result, slice(layer.fan_out, None))
+                )
+                result = _take(result, slice(None, layer.fan_out))
+            lo, hi, win_lo, win_hi, _ = result
+            winners.append((win_lo, win_hi))
+        bounds.append((lo, hi))
+        if index < last:
+            post_box, relaxation = _hidden_stop(lo, hi, layer.activation)
+            post_boxes.append(post_box)
+            relaxations.append(relaxation)
+    if objective_rows is not None and objective is None:
+        objective = _objective_pass(
+            network, relaxations, post_boxes, input_box, objective_rows
+        )
+    return bounds, relaxations, winners, objective
 
 
 @dataclasses.dataclass
@@ -415,21 +429,75 @@ class SymbolicScreen:
 
     ``bounds`` equal :func:`symbolic_bounds` over the box, the
     objective bounds equal :func:`symbolic_objective_bounds` over them
-    and ``sensitivity`` equals :func:`input_sensitivity`, all from one
-    kernel pass per layer plus one for the objective.  ``winners``
-    (per layer, then the objective) and ``activations`` are the
-    evidence :func:`repro.proof.emit.chain_payload` serialises.  Arrays
-    and tuples only, no closures: a screen pickles into pool jobs.
+    and ``sensitivity`` equals :func:`input_sensitivity`.  A screen
+    comes from one kernel call per layer after the first, with the
+    objective joined to the output layer's call, and both halves of a
+    bisection are screened in the same calls
+    (:func:`symbolic_screens`).  ``winners`` (per layer, then the
+    objective) and ``relaxations`` — per hidden layer, the
+    ``(up_slope, up_icept, policy stack)`` the pass used, ``None``
+    unless it is a ReLU — are the evidence
+    :func:`repro.proof.emit.chain_payload` serialises.  Arrays and
+    tuples only, no closures: a screen pickles into pool jobs.
     """
 
     bounds: List[LayerBounds]
     objective_lower: Optional[float] = None
     objective_upper: Optional[float] = None
     sensitivity: Optional[np.ndarray] = None
-    activations: Tuple[str, ...] = ()
     winners: List[Optional[Tuple[np.ndarray, np.ndarray]]] = (
         dataclasses.field(default_factory=list)
     )
+    relaxations: List[Optional[Relaxation]] = dataclasses.field(
+        default_factory=list
+    )
+
+
+def symbolic_screens(
+    network: FeedForwardNetwork,
+    regions: Sequence[InputRegion],
+    coefficients: Optional[Mapping[int, float]] = None,
+) -> List[SymbolicScreen]:
+    """Layer bounds, objective bounds and input sensitivity of each box.
+
+    The fixed-policy prescreen of every box in one layer pass: what
+    :func:`symbolic_bounds`, :func:`symbolic_objective_bounds` and
+    :func:`input_sensitivity` would give for each, computed once.
+    Without ``coefficients`` only the layer bounds are computed.  An
+    unsupported shape or objective raises
+    :class:`~repro.errors.EncodingError` before any bound is computed.
+    """
+    for region in regions:
+        _check_supported(network, region)
+    rows = None
+    if coefficients is not None:
+        rows = _objective_row(network, coefficients)[np.newaxis, :]
+    bounds, relaxations, winners, objective = _layer_pass(
+        network, _input_boxes(regions), rows
+    )
+    screens = []
+    for b in range(len(regions)):
+        screen = SymbolicScreen(
+            bounds=[LayerBounds(lo[b], hi[b]) for lo, hi in bounds],
+            winners=[
+                None if w is None else (w[0][b], w[1][b]) for w in winners
+            ],
+            relaxations=[
+                None if r is None else (r[0][b], r[1][b], r[2][b])
+                for r in relaxations
+            ],
+        )
+        if objective is not None:
+            lo, hi, obj_winners, sensitivity = objective
+            screen.objective_lower = float(lo[b, 0])
+            screen.objective_upper = float(hi[b, 0])
+            screen.sensitivity = sensitivity[b]
+            screen.winners.append(
+                None if obj_winners is None
+                else (obj_winners[0][b], obj_winners[1][b])
+            )
+        screens.append(screen)
+    return screens
 
 
 def symbolic_screen(
@@ -437,32 +505,46 @@ def symbolic_screen(
     region: InputRegion,
     coefficients: Optional[Mapping[int, float]] = None,
 ) -> SymbolicScreen:
-    """Layer bounds, objective bounds and input sensitivity of one box.
+    """:func:`symbolic_screens` of one box."""
+    return symbolic_screens(network, [region], coefficients)[0]
 
-    The fixed-policy prescreen in one pass over the box: what
-    :func:`symbolic_bounds`, :func:`symbolic_objective_bounds` and
-    :func:`input_sensitivity` would give, computed once.  Without
-    ``coefficients`` only the layer bounds are computed.
+
+def symbolic_bounds(
+    network: FeedForwardNetwork, region: InputRegion
+) -> List[LayerBounds]:
+    """Pre-activation bounds for every layer via symbolic propagation.
+
+    Provably no looser than :func:`repro.core.bounds.interval_bounds`
+    on every neuron (the first concretisation stop *is* the interval
+    value); typically far tighter on deep layers, where interval
+    propagation compounds its per-layer over-approximation.
     """
+    return symbolic_screen(network, region).bounds
+
+
+def _objective_over(
+    network: FeedForwardNetwork,
+    region: InputRegion,
+    coefficient_rows: Sequence[Mapping[int, float]],
+    bounds: Optional[List[LayerBounds]],
+) -> Objective:
+    """Bounds of objective rows over ``bounds``, or over the region's
+    own layer pass (joined with it) when there are none."""
     _check_supported(network, region)
-    input_box = _input_box(region)
-    computed, post_boxes, slopes, winners = _layer_pass(network, input_box)
-    screen = SymbolicScreen(
-        bounds=computed,
-        activations=tuple(layer.activation for layer in network.layers),
-        winners=winners,
-    )
-    if coefficients is not None:
-        row = _objective_row(network, coefficients)
-        lo, hi, obj_winners, area_coef = _objective_pass(
-            network, computed, input_box, row[np.newaxis, :],
-            slopes=slopes, post_boxes=post_boxes,
+    rows = np.stack([_objective_row(network, c) for c in coefficient_rows])
+    input_box = _input_boxes([region])
+    if bounds is None:
+        return _layer_pass(network, input_box, rows)[3]
+    post_boxes: List[Boxes] = []
+    relaxations: List[Optional[Relaxation]] = []
+    for layer_bounds, layer in zip(bounds[:-1], network.layers):
+        post_box, relaxation = _hidden_stop(
+            layer_bounds.lower[np.newaxis], layer_bounds.upper[np.newaxis],
+            layer.activation,
         )
-        screen.objective_lower = float(lo[0])
-        screen.objective_upper = float(hi[0])
-        screen.sensitivity = _sensitivity(area_coef)
-        winners.append(obj_winners)
-    return screen
+        post_boxes.append(post_box)
+        relaxations.append(relaxation)
+    return _objective_pass(network, relaxations, post_boxes, input_box, rows)
 
 
 def input_sensitivity(
@@ -480,14 +562,9 @@ def input_sensitivity(
     :class:`SymbolicScreen` carries it).  ``bounds`` may carry
     precomputed symbolic layer bounds to reuse.
     """
-    computed = bounds if bounds is not None else symbolic_bounds(
-        network, region
-    )
-    row = _objective_row(network, objective.coefficients)
-    area_coef = _objective_pass(
-        network, computed, _input_box(region), row[np.newaxis, :]
-    )[3]
-    return _sensitivity(area_coef)
+    return _objective_over(
+        network, region, [objective.coefficients], bounds
+    )[3][0]
 
 
 def symbolic_objective_bounds_batch(
@@ -503,17 +580,10 @@ def symbolic_objective_bounds_batch(
     chain (stacked into one coefficient matrix), so bounding ``m``
     objectives costs one propagation instead of ``m``.
     """
-    _check_supported(network, region)
-    rows = np.stack(
-        [_objective_row(network, c) for c in coefficient_rows]
+    lo, hi, _, _ = _objective_over(
+        network, region, coefficient_rows, bounds
     )
-    computed = bounds if bounds is not None else symbolic_bounds(
-        network, region
-    )
-    lo, hi, _, _ = _objective_pass(
-        network, computed, _input_box(region), rows
-    )
-    return lo, hi
+    return lo[0], hi[0]
 
 
 def symbolic_objective_bounds(

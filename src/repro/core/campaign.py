@@ -826,7 +826,8 @@ class VerificationCampaign:
                     task.network_name, task.query.name, cached
                 ))
             elif bisects(
-                task.network, task.query.region, task.encoder_options
+                task.network, task.query.region, task.query.objective,
+                task.encoder_options,
             ):
                 dispatch_cell(task)
             else:

@@ -288,12 +288,10 @@ def encode_network(
         )
 
 
-def attach_objective(
-    encoded: EncodedNetwork,
-    objective: OutputObjective,
-    maximize: bool = True,
-) -> None:
-    """Set the model objective to a linear functional of the outputs."""
+def _objective_expr(
+    encoded: EncodedNetwork, objective: OutputObjective
+) -> LinExpr:
+    """The objective as a linear expression of the encoded outputs."""
     expr = LinExpr()
     for idx, coef in objective.coefficients.items():
         if not 0 <= idx < len(encoded.output_exprs):
@@ -302,8 +300,18 @@ def attach_objective(
                 f"{len(encoded.output_exprs)}"
             )
         expr = expr + coef * encoded.output_exprs[idx]
+    return expr
+
+
+def attach_objective(
+    encoded: EncodedNetwork,
+    objective: OutputObjective,
+    maximize: bool = True,
+) -> None:
+    """Set the model objective to a linear functional of the outputs."""
     encoded.model.set_objective(
-        expr, sense=Sense.MAXIMIZE if maximize else Sense.MINIMIZE
+        _objective_expr(encoded, objective),
+        sense=Sense.MAXIMIZE if maximize else Sense.MINIMIZE,
     )
 
 
@@ -317,10 +325,9 @@ def attach_violation_constraint(
     Used by decision queries: the property holds iff the resulting model
     is infeasible.
     """
-    expr = LinExpr()
-    for idx, coef in objective.coefficients.items():
-        expr = expr + coef * encoded.output_exprs[idx]
-    encoded.model.add_constr(expr >= threshold, name="violation")
+    encoded.model.add_constr(
+        _objective_expr(encoded, objective) >= threshold, name="violation"
+    )
 
 
 def _affine(

@@ -317,12 +317,16 @@ class Verifier:
             span.set(verdict=result.verdict.value, nodes=result.nodes)
             return result
 
-    def _split_driver(self, region: InputRegion):
+    def _split_driver(
+        self, region: InputRegion, objective: OutputObjective
+    ):
         """The bisection driver, or ``None`` when the query does not
         bisect (see :func:`repro.analysis.split.bisects`)."""
         from repro.analysis.split import RegionBisectionDriver, bisects
 
-        if not bisects(self.network, region, self.encoder_options):
+        if not bisects(
+            self.network, region, objective, self.encoder_options
+        ):
             return None
         return RegionBisectionDriver(
             self.network, self.encoder_options, self.milp_options,
@@ -338,7 +342,7 @@ class Verifier:
         screen: Optional["SymbolicScreen"],
     ) -> VerificationResult:
         start = time.monotonic()
-        driver = self._split_driver(region)
+        driver = self._split_driver(region, objective)
         if driver is not None:
             return driver.maximize(
                 region, objective, start=start,
@@ -565,7 +569,7 @@ class Verifier:
         static, screen = self._prescreen(prop, precomputed_bounds, screen)
         if static is not None:
             return static
-        driver = self._split_driver(prop.region)
+        driver = self._split_driver(prop.region, prop.objective)
         if driver is not None:
             return driver.prove(prop, start=start, root=screen)
         certify = self.encoder_options.certify and screen is not None

@@ -10,10 +10,11 @@ Two jobs:
   :class:`~repro.analysis.symbolic.SymbolicScreen` — the one prescreen
   every decision query runs, certified or not — into a certificate's
   ``chain``.  The screen keeps, per (target layer, ReLU layer) pair,
-  which policy won each row; that is enough to rebuild exactly the
-  relaxation slopes it used, the chord upper line plus the per-row
-  lower slopes, so the checker can replay every claimed bound without
-  knowing anything about the policy search.  A screen is a picklable
+  which policy won each row, and per ReLU layer the slopes its pass
+  used; together they give exactly the relaxation each row was bounded
+  with, the chord upper line plus the per-row lower slopes, so the
+  checker can replay every claimed bound without knowing anything
+  about the policy search.  A screen is a picklable
   record of arrays, bounded once per box and handed from the prescreen
   to the bisection plan and the MILP shards; only a certificate (or a
   pruned node of a certified split tree) that embeds it pays for the
@@ -36,11 +37,7 @@ from typing import Any, Dict, List, Mapping, Optional, Tuple
 
 import numpy as np
 
-from repro.analysis.symbolic import (
-    SymbolicScreen,
-    _SlopeCache,
-    symbolic_screen,
-)
+from repro.analysis.symbolic import SymbolicScreen, symbolic_screen
 from repro.proof import check as _check
 from repro.proof.certificate import (
     KIND_MILP,
@@ -61,23 +58,22 @@ __all__ = [
 
 def _relax_payload(
     screen: SymbolicScreen,
-    slopes: _SlopeCache,
     winners: Tuple[np.ndarray, np.ndarray],
     start: int,
 ) -> Dict[str, Dict[str, Any]]:
     """Winning-policy slope matrices for every ReLU layer up to ``start``.
 
-    The stacked pass is row-separable, so replaying row ``r`` with the
-    slope vectors of its winning policy reproduces the best bound for
-    that row exactly.
+    The slopes are the ones the screen's own pass used.  The stacked
+    pass is row-separable, so replaying row ``r`` with the slope
+    vectors of its winning policy reproduces the best bound for that
+    row exactly.
     """
     win_lo, win_hi = winners
     relax: Dict[str, Dict[str, Any]] = {}
-    for k in range(start + 1):
-        if screen.activations[k] != "relu":
+    for k, relaxation in enumerate(screen.relaxations[:start + 1]):
+        if relaxation is None:
             continue
-        up_slope, up_icept = slopes.upper(k)
-        stack = slopes.lower(k)[:, 0]
+        up_slope, up_icept, stack = relaxation
         relax[str(k)] = {
             "up_slope": up_slope.tolist(),
             "up_icept": up_icept.tolist(),
@@ -89,7 +85,6 @@ def _relax_payload(
 
 def chain_payload(screen: SymbolicScreen) -> Dict[str, Any]:
     """The certificate's ``chain`` payload from a screen's arrays."""
-    slopes = _SlopeCache(screen.bounds)
     layers: List[Dict[str, Any]] = []
     for index, (bounds, winners) in enumerate(
         zip(screen.bounds, screen.winners)
@@ -98,9 +93,7 @@ def chain_payload(screen: SymbolicScreen) -> Dict[str, Any]:
             "lower": bounds.lower.tolist(), "upper": bounds.upper.tolist(),
         }
         if winners is not None:  # layer 0's interval image is exact
-            entry["relax"] = _relax_payload(
-                screen, slopes, winners, index - 1
-            )
+            entry["relax"] = _relax_payload(screen, winners, index - 1)
         layers.append(entry)
     chain: Dict[str, Any] = {"layers": layers}
     if screen.objective_upper is not None:
@@ -111,7 +104,7 @@ def chain_payload(screen: SymbolicScreen) -> Dict[str, Any]:
         winners = screen.winners[len(screen.bounds)]
         if winners is not None:
             objective["relax"] = _relax_payload(
-                screen, slopes, winners, len(screen.bounds) - 2
+                screen, winners, len(screen.bounds) - 2
             )
         chain["objective"] = objective
     return chain

@@ -3,7 +3,8 @@
 The kernel bounds upper sides only and gets lower bounds from negated
 rows, with every slope policy in one batch.  Here it is compared with a
 naive reference written out per policy, per side and per row, and the
-split and MILP paths are checked to run it exactly once per box.
+split and MILP paths are checked to run it exactly once per layer for
+each box, or for each pair of sibling boxes.
 """
 
 import numpy as np
@@ -235,19 +236,22 @@ def gap_query(tiny_net):
     )
 
 
-def _boxes(result):
-    """Boxes the plan bounded: every explored node, plus the two
-    children a stalled node screened before staying whole."""
-    return int(
-        result.metrics["split_explored"]
-        + 2 * result.metrics["split_stalled"]
-    )
+def _screen_calls(result):
+    """Screen calls a split proof made: the root's, plus one per
+    bisection for both halves.  Every explored node but the root is
+    half of a screened pair, and a stalled node screened a pair before
+    staying whole."""
+    explored = int(result.metrics["split_explored"])
+    stalled = int(result.metrics["split_stalled"])
+    assert explored % 2 == 1
+    return 1 + (explored - 1) // 2 + stalled
 
 
 class TestEachBoxBoundedOnce:
-    """One chain per box is one kernel pass per layer after the first,
-    plus one for the objective: ``len(network.layers)`` passes.  No
-    root, shard or sensitivity pass comes on top."""
+    """One screen call is one kernel pass per layer after the first;
+    the objective joins the output layer's pass, and both halves of a
+    bisection share one call: ``len(network.layers) - 1`` passes per
+    call.  No root, shard or sensitivity pass comes on top."""
 
     @pytest.mark.parametrize("certify", [True, False])
     def test_split_proof(self, tiny_net, gap_query, kernel_passes,
@@ -263,7 +267,7 @@ class TestEachBoxBoundedOnce:
         if certify:
             assert result.certificate["kind"] == "split"
         assert len(kernel_passes) == (
-            len(tiny_net.layers) * _boxes(result)
+            (len(tiny_net.layers) - 1) * _screen_calls(result)
         )
 
     def test_certified_campaign_fan_out(self, tiny_net, gap_query,
@@ -280,7 +284,7 @@ class TestEachBoxBoundedOnce:
         assert cell.result.verdict is Verdict.VERIFIED
         assert cell.result.certificate["kind"] == "split"
         assert len(kernel_passes) == (
-            len(tiny_net.layers) * _boxes(cell.result)
+            (len(tiny_net.layers) - 1) * _screen_calls(cell.result)
         )
 
     def test_unsplit_milp_proof(self, tiny_net, gap_query, kernel_passes):
@@ -289,4 +293,18 @@ class TestEachBoxBoundedOnce:
         ).prove(gap_query)
         assert result.verdict is Verdict.VERIFIED
         assert result.solver != "static"
-        assert len(kernel_passes) == len(tiny_net.layers)
+        assert len(kernel_passes) == len(tiny_net.layers) - 1
+
+    def test_bisection_halves_share_one_call_per_layer(
+        self, tiny_net, gap_query, kernel_passes
+    ):
+        """A plan of depth 1 screens the root, then both of its halves
+        together (whether it descends or stalls): two calls of one
+        pass per layer after the first."""
+        from repro.analysis.split import RegionBisectionDriver
+
+        plan = RegionBisectionDriver(
+            tiny_net, EncoderOptions(split=True, split_depth=1),
+        ).plan(gap_query.region, gap_query.objective, gap_query.threshold)
+        assert (plan.explored - 1) // 2 + plan.stalled == 1
+        assert len(kernel_passes) == 2 * (len(tiny_net.layers) - 1)

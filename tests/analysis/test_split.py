@@ -24,6 +24,7 @@ from repro.analysis.split import (
     assemble_prove,
     input_sensitivity,
 )
+from repro.analysis.symbolic import symbolic_screen, symbolic_screens
 from repro.core.encoder import EncoderOptions
 from repro.core.properties import (
     InputRegion,
@@ -288,7 +289,9 @@ class TestPlanPruning:
             tiny_net, split_options(split_depth=5),
             MILPOptions(time_limit=60.0),
         )
-        lo, _, _ = driver._prescreen(region, objective)
+        lo = symbolic_screen(
+            tiny_net, region, objective.coefficients
+        ).objective_lower
         plan = driver.plan(region, objective, threshold=lo - 1e3)
         assert plan.explored == 1
         assert plan.stalled == 1
@@ -308,11 +311,12 @@ class TestPlanPruning:
         # one child prunes immediately, so the gate must descend even
         # when the measured tightening alone looks insufficient.
         region = unit_region(tiny_net.input_dim)
-        _, hi, screen = driver._prescreen(region, objective)
+        screen = symbolic_screen(tiny_net, region, objective.coefficients)
         dim = driver._split_dim(region, screen.sensitivity)
         child_his = sorted(
-            driver._prescreen(half, objective)[1]
-            for half in region.bisect(dim)
+            child.objective_upper for child in symbolic_screens(
+                tiny_net, region.bisect(dim), objective.coefficients
+            )
         )
         if child_his[0] == pytest.approx(child_his[1]):
             pytest.skip("children indistinguishable on this network")
@@ -512,6 +516,54 @@ class TestSoundness:
                 verifier.maximize(
                     unit_region(2), OutputObjective.single(0)
                 )
+
+    @pytest.mark.parametrize("case", ["relu_output", "index_out_of_range",
+                                      "negative_index"])
+    @pytest.mark.parametrize("certify", [False, True])
+    def test_unsupported_objective_falls_back_to_unsplit(
+        self, case, certify, monkeypatch
+    ):
+        """An objective the symbolic engine refuses keeps a split query
+        on the unsplit MILP path: the same error as without ``--split``,
+        and the bisection driver never runs."""
+        import repro.analysis.split as split_module
+
+        rng = np.random.default_rng(0)
+        activation = "relu" if case == "relu_output" else "identity"
+        network = FeedForwardNetwork([
+            DenseLayer(rng.standard_normal((2, 4)),
+                       rng.standard_normal(4), "relu"),
+            DenseLayer(rng.standard_normal((4, 1)),
+                       rng.standard_normal(1), activation),
+        ])
+        index = {"index_out_of_range": 3, "negative_index": -1}.get(case, 0)
+        objective = OutputObjective({index: 1.0})
+        prop = SafetyProperty(
+            name=case, region=unit_region(2), objective=objective,
+            threshold=0.5,
+        )
+
+        def no_plan(*args, **kwargs):
+            raise AssertionError("the bisection driver ran")
+
+        monkeypatch.setattr(
+            split_module.RegionBisectionDriver, "plan", no_plan
+        )
+        messages = []
+        for split in (False, True):
+            verifier = Verifier(
+                network,
+                EncoderOptions(split=split, certify=certify),
+                MILPOptions(time_limit=5.0),
+            )
+            for query in (
+                lambda: verifier.prove(prop),
+                lambda: verifier.maximize(prop.region, objective),
+            ):
+                with pytest.raises(EncodingError) as info:
+                    query()
+                messages.append(str(info.value))
+        assert messages[:2] == messages[2:]
 
     def test_failed_shard_self_check_is_an_error(self, monkeypatch):
         """A shard whose replayed optimum disagrees with its MILP is an

@@ -18,7 +18,9 @@ encoded *without* a binary — which is why bound tightening
 from __future__ import annotations
 
 import dataclasses
-from typing import Dict, List, Optional
+import functools
+import itertools
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -30,7 +32,14 @@ from repro.core.bounds import (
 )
 from repro.core.properties import InputRegion, OutputObjective
 from repro.errors import EncodingError
-from repro.milp.expr import LinExpr, Sense, Variable, VarType
+from repro.milp.expr import (
+    Constraint,
+    ConstraintOp,
+    LinExpr,
+    Sense,
+    Variable,
+    VarType,
+)
 from repro.milp.model import Model
 from repro.nn.network import FeedForwardNetwork
 from repro.obs.trace import as_tracer
@@ -129,6 +138,58 @@ class EncodedNetwork:
     def input_point(self, x: np.ndarray) -> np.ndarray:
         """Extract the input sub-vector from a full MILP solution."""
         return np.array([x[var.index] for var in self.input_vars])
+
+    def complete(self, x: np.ndarray) -> np.ndarray:
+        """Complete a model point from its inputs by a forward pass.
+
+        The input columns of ``x`` are clipped into the region's box;
+        then, layer by layer, each ambiguous neuron's pre-activation
+        ``z`` is evaluated from the columns already filled (one
+        matrix-vector product per layer), its ``a`` column set to
+        ``max(z, 0)`` and its ``d`` column to ``z > 0``.  The result
+        satisfies every ReLU row up to round-off, so it is feasible
+        unless a region or ``violation`` row fails, and its objective is
+        the network's output at the clipped input.  This is the search's
+        primal heuristic (``solve_milp(..., complete=encoded.complete)``).
+        """
+        inputs, lower, upper, layers = self._forward_layers
+        point = np.array(x, dtype=float)
+        point[inputs] = np.minimum(np.maximum(point[inputs], lower), upper)
+        for pre, const, a_cols, d_cols in layers:
+            z = pre @ point + const
+            point[a_cols] = np.maximum(z, 0.0)
+            point[d_cols] = z > 0.0
+        return point
+
+    @functools.cached_property
+    def _forward_layers(
+        self,
+    ) -> Tuple[np.ndarray, np.ndarray, np.ndarray, List[tuple]]:
+        """:meth:`complete`'s arrays: the input columns and their box,
+        then per hidden layer with ambiguous neurons the dense
+        pre-activation rows over model columns, their constants and the
+        neurons' ``a`` and ``d`` columns."""
+        model = self.model
+        inputs = np.array([var.index for var in self.input_vars], dtype=int)
+        lower = np.array([model.lb[i] for i in inputs], dtype=float)
+        upper = np.array([model.ub[i] for i in inputs], dtype=float)
+        layers = []
+        for _, group in itertools.groupby(
+            self.neurons, key=lambda neuron: neuron.layer
+        ):
+            group = list(group)
+            pre = np.zeros((len(group), model.num_vars))
+            for row, neuron in zip(pre, group):
+                row[list(neuron.pre_coeffs)] = list(
+                    neuron.pre_coeffs.values()
+                )
+            layers.append((
+                pre,
+                np.array([neuron.pre_const for neuron in group]),
+                np.array([neuron.a_col for neuron in group], dtype=int),
+                np.array([neuron.d_col for neuron in group], dtype=int),
+            ))
+        return inputs, lower, upper, layers
 
 
 def compute_bounds(
@@ -251,17 +312,30 @@ def encode_network(
                     continue
                 a = model.add_var(f"a_{li}_{j}", lb=0.0, ub=max(hi, 0.0))
                 d = model.add_var(f"d_{li}_{j}", vtype=VarType.BINARY)
-                model.add_constr(
-                    a.to_expr() - pre >= 0, name=f"relu_ge_{li}_{j}"
-                )
-                # a <= z - l (1 - d)  <=>  a - z - l d <= -l
-                model.add_constr(
-                    a.to_expr() - pre - lo * d <= -lo,
-                    name=f"relu_up_{li}_{j}",
-                )
-                model.add_constr(
-                    a.to_expr() - hi * d <= 0, name=f"relu_cap_{li}_{j}"
-                )
+                # The rows are written as ``expr op 0`` directly, with the
+                # coefficients, constant and key order that LinExpr
+                # arithmetic gives ``a - z >= 0`` and the rest (it
+                # negates a term as ``0.0 - c``): the same model, bit
+                # for bit, without the temporary expressions.
+                a_minus_z = {a.index: 1.0}
+                for idx, coef in pre.coeffs.items():
+                    a_minus_z[idx] = 0.0 - coef
+                const = 0.0 - pre.constant
+                model.add_constr(Constraint(
+                    LinExpr(a_minus_z, const), ConstraintOp.GE,
+                    f"relu_ge_{li}_{j}",
+                ))
+                # a <= z - l (1 - d)  <=>  a - z - l d + l <= 0
+                a_minus_z[d.index] = -lo
+                model.add_constr(Constraint(
+                    LinExpr(a_minus_z, const + lo), ConstraintOp.LE,
+                    f"relu_up_{li}_{j}",
+                ))
+                # a <= u d  <=>  a - u d <= 0
+                model.add_constr(Constraint(
+                    LinExpr({a.index: 1.0, d.index: -hi}), ConstraintOp.LE,
+                    f"relu_cap_{li}_{j}",
+                ))
                 binaries.append(d)
                 neurons.append(ReluNeuron(
                     layer=li,

@@ -362,7 +362,7 @@ class Verifier:
         ):
             result = solve_milp(
                 encoded.model, self._search_options(start),
-                tracer=self.tracer,
+                tracer=self.tracer, complete=encoded.complete,
             )
         wall = time.monotonic() - start
 
@@ -592,7 +592,7 @@ class Verifier:
         ):
             result = solve_milp(
                 encoded.model, self._search_options(start),
-                tracer=self.tracer,
+                tracer=self.tracer, complete=encoded.complete,
             )
         wall = time.monotonic() - start
 

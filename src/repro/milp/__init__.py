@@ -9,7 +9,7 @@ solver stack for that encoding:
 * :mod:`repro.milp.scipy_backend` — the LP engine: a persistent HiGHS
   session that re-solves one LP warm after cost, bound and size edits;
 * :mod:`repro.milp.branch_and_bound` — best-first/plunging MILP search with
-  pseudocost branching, a rounding heuristic, node/time budgets, proven
+  pseudocost branching, forward-pass completion, node/time budgets, proven
   dual bounds and a leaf-cover infeasibility proof on every run.
 """
 

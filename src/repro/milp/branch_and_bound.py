@@ -1,8 +1,8 @@
 """Branch-and-bound for mixed-integer linear programs.
 
 The engine is classical in shape — LP relaxation per node, pruning by
-bound, an LP-rounding primal heuristic — but the node loop is built for
-reoptimisation speed:
+bound, forward-pass completion as its primal heuristic — but the node
+loop is built for reoptimisation speed:
 
 * every node LP runs on one persistent HiGHS model
   (:class:`~repro.milp.scipy_backend.HighsSession`): a node only resets
@@ -14,7 +14,15 @@ reoptimisation speed:
   child has been solved;
 * node selection is a **best-first/plunging hybrid**: after branching the
   search dives on the most promising child to find incumbents early,
-  returning to the global best-bound node when a dive is pruned.
+  returning to the global best-bound node when a dive is pruned;
+* per-node bookkeeping (fractional columns, pseudocost scores, the
+  fixed literals of a pruned leaf) is array arithmetic over the integer
+  columns, not a Python loop;
+* a caller that knows how to complete an LP point into a feasible one
+  (an encoded ReLU network does: a forward pass from the point's
+  inputs, :meth:`repro.core.encoder.EncodedNetwork.complete`) hands the
+  search a ``complete`` hook, and every branched node's completion is an
+  incumbent candidate.
 
 Wall-clock and node budgets make ``time-out`` a first-class answer,
 matching the paper's Table II where the widest network exhausts its
@@ -34,13 +42,19 @@ import heapq
 import itertools
 import math
 import time
-from typing import List, Optional, Tuple
+from typing import Callable, List, Optional, Tuple
 
 import numpy as np
 
 from repro.milp.expr import Sense
 from repro.milp.model import Model
-from repro.tolerances import GAP_TOL, INTEGRALITY_TOL
+from repro.tolerances import (
+    BRANCH_DOMAIN_TOL,
+    GAP_TOL,
+    INCUMBENT_IMPROVEMENT_TOL,
+    INCUMBENT_TOL,
+    INTEGRALITY_TOL,
+)
 from repro.milp import scipy_backend
 from repro.milp.solution import LPResult, MILPResult
 from repro.milp.status import SolveStatus
@@ -115,41 +129,45 @@ class _Pseudocosts:
             self.sum_up[j] += gain / denom
             self.cnt_up[j] += 1
 
-    def _estimate(self, sums, counts, j: int) -> float:
-        if counts[j]:
-            return sums[j] / counts[j]
+    @staticmethod
+    def _estimates(
+        sums: np.ndarray, counts: np.ndarray, cols: np.ndarray
+    ) -> np.ndarray:
+        """Per-column mean degradation; a column never branched on in
+        this direction gets the mean over the initialised ones (1.0
+        while there are none)."""
         total = counts.sum()
-        if total:
-            return float(sums.sum() / total)  # average of initialised
-        return 1.0
+        fallback = float(sums.sum() / total) if total else 1.0
+        seen = counts[cols]
+        return np.divide(
+            sums[cols], seen, out=np.full(len(cols), fallback),
+            where=seen > 0,
+        )
 
-    def score(self, j: int, frac: float) -> float:
-        down = self._estimate(self.sum_down, self.cnt_down, j) * frac
-        up = self._estimate(self.sum_up, self.cnt_up, j) * (1.0 - frac)
-        return max(down, 1e-6) * max(up, 1e-6)
+    def scores(self, cols: np.ndarray, frac: np.ndarray) -> np.ndarray:
+        """Product score of branching on each of ``cols`` at fractional
+        parts ``frac``."""
+        down = self._estimates(self.sum_down, self.cnt_down, cols) * frac
+        up = self._estimates(self.sum_up, self.cnt_up, cols) * (1.0 - frac)
+        return np.maximum(down, 1e-6) * np.maximum(up, 1e-6)
 
     def initialised(self) -> bool:
         return bool(self.cnt_down.sum() or self.cnt_up.sum())
 
 
 def _pick_branch_var(
-    fractional: List[Tuple[int, float]], pseudocosts: _Pseudocosts
+    cols: np.ndarray, values: np.ndarray, pseudocosts: _Pseudocosts
 ) -> int:
-    """Choose the column to branch on among fractional integer columns."""
+    """Choose the column to branch on among the fractional integer
+    columns ``cols`` (LP values ``values``); ties go to the first."""
+    frac = values - np.floor(values)
     if pseudocosts.initialised():
-        return max(
-            fractional,
-            key=lambda item: pseudocosts.score(
-                item[0], item[1] - math.floor(item[1])
-            ),
-        )[0]
-    # Cold start: the most fractional column (largest distance to the
-    # nearest integer).
-    return max(
-        fractional,
-        key=lambda item: min(item[1] - math.floor(item[1]),
-                             math.ceil(item[1]) - item[1]),
-    )[0]
+        scores = pseudocosts.scores(cols, frac)
+    else:
+        # Cold start: the most fractional column (largest distance to
+        # the nearest integer).
+        scores = np.minimum(frac, np.ceil(values) - values)
+    return int(cols[np.argmax(scores)])
 
 
 class _Search:
@@ -158,9 +176,11 @@ class _Search:
     def __init__(
         self, model: Model, options: MILPOptions, start: float,
         tracer=None,
+        complete: Optional[Callable[[np.ndarray], np.ndarray]] = None,
     ) -> None:
         self.options = options
         self.model = model
+        self.complete = complete
         self.start = start
         #: ``None`` when tracing is off — the hot node loop pays one
         #: ``is not None`` check and nothing else.
@@ -172,6 +192,11 @@ class _Search:
         self.int_idx = np.array(model.integer_indices, dtype=int)
         self.root_lb = np.array([b[0] for b in bounds])
         self.root_ub = np.array([b[1] for b in bounds])
+        int_lb = self.root_lb[self.int_idx]
+        int_ub = self.root_ub[self.int_idx]
+        #: Root box of the integer columns, and which of them are free
+        #: there (leaf recording compares node boxes against it).
+        self.int_root = (int_lb, int_ub, int_lb != int_ub)
         #: One compiled model for the whole search; each node only
         #: resets the column box, and HiGHS re-solves from the basis its
         #: previous node left behind.
@@ -198,8 +223,8 @@ class _Search:
         """Adopt ``x`` as the incumbent if it is better and feasible;
         returns whether it was adopted."""
         obj = float(self.c @ x)
-        if obj >= self.incumbent_obj - 1e-12 or not self.model.is_feasible(
-            x, tol=1e-5
+        if obj >= self.incumbent_obj - INCUMBENT_IMPROVEMENT_TOL or (
+            not self.model.is_feasible(x, tol=INCUMBENT_TOL)
         ):
             return False
         self.incumbent_obj = obj
@@ -208,13 +233,10 @@ class _Search:
             self.trace.event("incumbent", objective=obj, nodes=self.nodes)
         return True
 
-    def _rounding_candidates(self, x: np.ndarray) -> None:
-        if self.int_idx.size == 0:
-            return
-        rounded = x.copy()
-        rounded[self.int_idx] = np.round(rounded[self.int_idx])
-        rounded = np.clip(rounded, self.root_lb, self.root_ub)
-        self._try_incumbent(rounded)
+    def _try_completion(self, x: np.ndarray) -> None:
+        """Offer the completion of LP point ``x`` as an incumbent."""
+        if self.complete is not None:
+            self._try_incumbent(self.complete(x))
 
     # -- infeasibility-proof recording --------------------------------------
     def _record_leaf(
@@ -237,20 +259,21 @@ class _Search:
         if farkas is None:
             self.proof_incomplete = True
             return
-        fixed: dict = {}
-        for j in map(int, self.int_idx):
-            if node_lb[j] == node_ub[j]:
-                if self.root_lb[j] != self.root_ub[j]:
-                    fixed[j] = int(round(node_lb[j]))
-            elif (
-                node_lb[j] != self.root_lb[j]
-                or node_ub[j] != self.root_ub[j]
-            ):
-                self.proof_incomplete = True
-                return
-        self.proof_leaves.append(
-            {"fixed": fixed, "farkas": np.asarray(farkas, dtype=float)}
-        )
+        int_lb, int_ub, free = self.int_root
+        lb = node_lb[self.int_idx]
+        ub = node_ub[self.int_idx]
+        fixed = lb == ub
+        if (~fixed & ((lb != int_lb) | (ub != int_ub))).any():
+            self.proof_incomplete = True
+            return
+        literals = fixed & free
+        self.proof_leaves.append({
+            "fixed": dict(zip(
+                self.int_idx[literals].tolist(),
+                np.round(lb[literals]).astype(int).tolist(),
+            )),
+            "farkas": np.asarray(farkas, dtype=float),
+        })
 
     def _proof_payload(self, status: SolveStatus) -> dict:
         """The ``MILPResult.proof`` dict."""
@@ -262,13 +285,12 @@ class _Search:
             "leaves": self.proof_leaves,
         }
 
-    def _fractional(self, x: np.ndarray) -> List[Tuple[int, float]]:
-        """Integer columns whose LP value is fractional at ``x``."""
-        return [
-            (int(j), float(x[j]))
-            for j in self.int_idx
-            if abs(x[j] - round(x[j])) > INTEGRALITY_TOL
-        ]
+    def _fractional(self, x: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+        """Integer columns whose LP value is fractional at ``x``, and
+        those values."""
+        values = x[self.int_idx]
+        mask = np.abs(values - np.round(values)) > INTEGRALITY_TOL
+        return self.int_idx[mask], values[mask]
 
     def _push_children(self, node: _Node, result: LPResult, j: int) -> None:
         """Branch on column ``j``; dive on the more promising child."""
@@ -277,7 +299,7 @@ class _Search:
         children: List[_Node] = []
         down_ub = node.ub.copy()
         down_ub[j] = math.floor(xj)
-        if down_ub[j] >= node.lb[j] - 1e-9:
+        if down_ub[j] >= node.lb[j] - BRANCH_DOMAIN_TOL:
             children.append(_Node(
                 result.objective, next(self.counter),
                 node.lb.copy(), down_ub, node.depth + 1,
@@ -287,7 +309,7 @@ class _Search:
             ))
         up_lb = node.lb.copy()
         up_lb[j] = math.ceil(xj)
-        if up_lb[j] <= node.ub[j] + 1e-9:
+        if up_lb[j] <= node.ub[j] + BRANCH_DOMAIN_TOL:
             children.append(_Node(
                 result.objective, next(self.counter),
                 up_lb, node.ub.copy(), node.depth + 1,
@@ -361,8 +383,8 @@ class _Search:
                                 objective_constant, -math.inf)
 
         x = root.x
-        fractional = self._fractional(x)
-        if not fractional:
+        cols, values = self._fractional(x)
+        if not cols.size:
             # An integral relaxation point is never part of an
             # infeasibility cover.  If the feasibility check rejects it,
             # the root proves nothing: dropping it would turn a
@@ -374,8 +396,8 @@ class _Search:
             )
             return self._finish(status, sign, objective_constant,
                                 root.objective)
-        self._rounding_candidates(x)
-        j = _pick_branch_var(fractional, self.pseudocosts)
+        self._try_completion(x)
+        j = _pick_branch_var(cols, values, self.pseudocosts)
         self._push_children(root_node, root, j)
 
         best_open_bound = root.objective
@@ -423,8 +445,8 @@ class _Search:
                 continue
             x = result.x
             assert x is not None
-            fractional = self._fractional(x)
-            if not fractional:
+            cols, values = self._fractional(x)
+            if not cols.size:
                 # Integral leaf — never part of an infeasibility cover.
                 # It beats the incumbent (checked above), so a rejected
                 # point leaves its node unresolved, like a failed LP.
@@ -433,8 +455,8 @@ class _Search:
                     status = SolveStatus.ERROR
                     break
                 continue
-            self._rounding_candidates(x)
-            j = _pick_branch_var(fractional, self.pseudocosts)
+            self._try_completion(x)
+            j = _pick_branch_var(cols, values, self.pseudocosts)
             self._push_children(node, result, j)
 
         return self._finish(status, sign, objective_constant,
@@ -452,6 +474,7 @@ class _Search:
             self.trace.event(
                 "search_done", status=status.value, nodes=self.nodes,
                 lp_iterations=self.lp_iterations,
+                lp_seconds=self.session.lp_seconds,
             )
         if status in (SolveStatus.INFEASIBLE, SolveStatus.UNBOUNDED,
                       SolveStatus.ERROR):
@@ -494,6 +517,7 @@ def solve_milp(
     model: Model,
     options: Optional[MILPOptions] = None,
     tracer=None,
+    complete: Optional[Callable[[np.ndarray], np.ndarray]] = None,
 ) -> MILPResult:
     """Solve a MILP model; returns the best incumbent and a proven bound.
 
@@ -501,6 +525,14 @@ def solve_milp(
     *model's* sense (a maximisation model gets an upper best_bound).
     ``tracer`` (a :class:`repro.obs.Tracer`) enables per-node search-tree
     telemetry; ``None`` keeps the node loop instrumentation-free.
+    ``complete`` maps a fractional LP point to a candidate point of the
+    model (for an encoded network, :meth:`EncodedNetwork.complete
+    <repro.core.encoder.EncodedNetwork.complete>`); each candidate still
+    has to pass :meth:`Model.is_feasible <repro.milp.model.Model.is_feasible>`
+    before it becomes the incumbent.  Without it the search has no
+    primal heuristic: incumbents come from integral LP points only.
     """
     options = options or MILPOptions()
-    return _Search(model, options, time.monotonic(), tracer=tracer).run()
+    return _Search(
+        model, options, time.monotonic(), tracer=tracer, complete=complete,
+    ).run()

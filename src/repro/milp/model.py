@@ -184,9 +184,15 @@ class Model:
         The cached arrays are returned read-only; the ``bounds`` list is a
         fresh copy per call.
         """
+        c, A_ub, b_ub, A_eq, b_eq, bounds = self._dense()[:6]
+        return c, A_ub, b_ub, A_eq, b_eq, list(bounds)
+
+    def _dense(self) -> tuple:
+        """The cached dense view: :meth:`dense_arrays`' six entries
+        (``bounds`` as a tuple), then the column bounds as two arrays and
+        the integer columns' indices."""
         if self._dense_cache is not None:
-            c, A_ub, b_ub, A_eq, b_eq, bounds = self._dense_cache
-            return c, A_ub, b_ub, A_eq, b_eq, list(bounds)
+            return self._dense_cache
         n = self.num_vars
         c = np.zeros(n)
         for idx, coef in self.objective.coeffs.items():
@@ -217,12 +223,17 @@ class Model:
         b_ub = np.array(ub_rhs) if ub_rhs else None
         A_eq = np.array(eq_rows) if eq_rows else None
         b_eq = np.array(eq_rhs) if eq_rhs else None
-        bounds = list(zip(self.lb, self.ub))
-        for arr in (c, A_ub, b_ub, A_eq, b_eq):
+        lb = np.array(self.lb, dtype=float)
+        ub = np.array(self.ub, dtype=float)
+        integer = np.array(self.integer_indices, dtype=np.intp)
+        for arr in (c, A_ub, b_ub, A_eq, b_eq, lb, ub, integer):
             if arr is not None:
                 arr.setflags(write=False)
-        self._dense_cache = (c, A_ub, b_ub, A_eq, b_eq, tuple(bounds))
-        return c, A_ub, b_ub, A_eq, b_eq, bounds
+        self._dense_cache = (
+            c, A_ub, b_ub, A_eq, b_eq, tuple(zip(self.lb, self.ub)),
+            lb, ub, integer,
+        )
+        return self._dense_cache
 
     def row_names(self) -> Tuple[List[str], List[str]]:
         """Constraint names in :meth:`dense_arrays` row order.
@@ -249,15 +260,25 @@ class Model:
     def is_feasible(
         self, x: Sequence[float], tol: float = FEASIBILITY_TOL
     ) -> bool:
-        """Check bounds, constraints and integrality of a candidate point."""
-        assignment = {i: float(x[i]) for i in range(self.num_vars)}
-        for i in range(self.num_vars):
-            if not (self.lb[i] - tol <= assignment[i] <= self.ub[i] + tol):
-                return False
-            if self.vtypes[i] is not VarType.CONTINUOUS:
-                if abs(assignment[i] - round(assignment[i])) > tol:
-                    return False
-        return all(c.satisfied(assignment, tol) for c in self.constraints)
+        """Check bounds, constraints and integrality of a candidate point.
+
+        One dense pass over the cached :meth:`dense_arrays` view, each
+        test within ``tol``: column bounds, distance of integer columns
+        to the nearest integer, ``A_ub @ x - b_ub`` (``>=`` rows negated)
+        and ``|A_eq @ x - b_eq|``.  A NaN anywhere fails.
+        """
+        _, A_ub, b_ub, A_eq, b_eq, _, lb, ub, integer = self._dense()
+        x = np.asarray(x, dtype=float)
+        xi = x[integer]
+        feasible = (
+            ((x >= lb - tol) & (x <= ub + tol)).all()
+            and (np.abs(xi - np.rint(xi)) <= tol).all()
+        )
+        if feasible and A_ub is not None:
+            feasible = (A_ub @ x - b_ub <= tol).all()
+        if feasible and A_eq is not None:
+            feasible = (np.abs(A_eq @ x - b_eq) <= tol).all()
+        return bool(feasible)
 
     def copy(self) -> "Model":
         """Deep copy of the model (fresh variable handles, same structure)."""

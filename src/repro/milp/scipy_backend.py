@@ -32,6 +32,7 @@ import importlib.util
 import math
 import os
 import sys
+import time
 from types import ModuleType
 from typing import Optional, Sequence, Tuple
 
@@ -108,7 +109,8 @@ class HighsSession:
     Every edit overwrites the whole vector, so a solve's answer depends
     only on the LP and the arguments in effect, never on which earlier
     solves the session ran (only the starting basis, hence the speed,
-    does).
+    does).  :attr:`lp_seconds` adds up the wall seconds spent inside
+    HiGHS's ``run``, so a caller can tell simplex time from its own.
     """
 
     def __init__(
@@ -146,6 +148,7 @@ class HighsSession:
         ):
             raise ValueError("LP data contains NaN or infinite coefficients")
         self.num_vars = n
+        self.lp_seconds = 0.0
         self._cols = np.arange(n, dtype=np.int32)
         self._lb, self._ub = lb, ub
         self._crossed = bool(np.any(lb > ub))
@@ -244,7 +247,7 @@ class HighsSession:
             new_ub = self._ub if ub is None else np.array(ub, dtype=float)
             if np.isnan(new_lb).any() or np.isnan(new_ub).any():
                 raise ValueError("LP data contains NaN or infinite coefficients")
-            crossed = bool(np.any(new_lb > new_ub))
+            crossed = bool((new_lb > new_ub).any())
             if not crossed and h.changeColsBounds(
                 n, self._cols, new_lb, new_ub
             ) == error:
@@ -252,22 +255,23 @@ class HighsSession:
             self._lb, self._ub, self._crossed = new_lb, new_ub, crossed
         if self._crossed:
             return LPResult(SolveStatus.INFEASIBLE)
+        tick = time.perf_counter()
         h.run()
-        iterations = int(h.getInfo().simplex_iteration_count or 0)
+        iterations = h.getInfoValue("simplex_iteration_count")[1]
         if h.getModelStatus() not in _STATUS_MAP:
             # A warm start can stall undecided (kUnknown or "unbounded
             # or infeasible") where a presolved cold solve decides:
             # drop the basis and retry once before reporting ERROR.
             h.clearSolver()
             h.run()
-            iterations += int(h.getInfo().simplex_iteration_count or 0)
+            iterations += h.getInfoValue("simplex_iteration_count")[1]
+        self.lp_seconds += time.perf_counter() - tick
         status = _STATUS_MAP.get(h.getModelStatus(), SolveStatus.ERROR)
-        info = h.getInfo()
         if status is SolveStatus.OPTIMAL:
             return LPResult(
                 status,
                 x=np.asarray(h.getSolution().col_value, dtype=float),
-                objective=float(info.objective_function_value),
+                objective=h.getObjectiveValue(),
                 iterations=iterations,
             )
         if status is SolveStatus.INFEASIBLE:

@@ -83,6 +83,10 @@ class TraceSummary:
     split_bisections: int = 0
     split_pruned: int = 0
     split_milp: int = 0
+    #: Seconds the searches spent inside HiGHS's node LPs (the
+    #: ``lp_seconds`` of every ``search_done`` event): what is left of
+    #: the ``solve`` phase is model setup and search bookkeeping.
+    lp_seconds: float = 0.0
 
     @property
     def phase_coverage(self) -> float:
@@ -160,6 +164,12 @@ def summarize_trace(
             split_actions.count("milp")
             + split_actions.count("degenerate")
         ),
+        lp_seconds=sum(
+            float(e["attrs"].get("lp_seconds", 0.0))
+            for e in events
+            if e.get("name") == "search_done"
+            and isinstance(e.get("attrs"), dict)
+        ),
     )
 
 
@@ -206,6 +216,13 @@ def render_summary(summary: TraceSummary) -> str:
         f"total {summary.total_wall:.3f}s serial-equivalent; phases cover "
         f"{summary.phase_coverage:.0%}"
     )
+    solve = summary.phase_wall.get("solve", 0.0)
+    if solve > 0.0:
+        lines.append(
+            f"solve: node LPs {summary.lp_seconds:.3f}s of {solve:.3f}s "
+            f"(LP share {summary.lp_seconds / solve:.0%}); the rest is "
+            f"model setup and search bookkeeping"
+        )
     if summary.split_bisections or summary.split_pruned or summary.split_milp:
         lines.append(
             f"region bisection: {summary.split_bisections} bisection(s) "

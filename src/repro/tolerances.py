@@ -5,8 +5,8 @@ feasible", "is this value integral", "did these bounds cross" — lives
 here under one name, so the solver, the encoder and the static auditor
 (:mod:`repro.analysis.audit`) agree on what the words mean.  A bound the
 encoder certifies with ``BOUND_CROSS_TOL`` slack is exactly the bound
-the auditor re-checks; a point the branch-and-bound accepts as integral
-under ``INTEGRALITY_TOL`` is exactly what ``Model.is_feasible`` accepts.
+the auditor re-checks; a point branch-and-bound adopts as its incumbent
+is one ``Model.is_feasible`` accepts under ``INCUMBENT_TOL``.
 
 Scattered inline constants drift: before this module, the MILP layer
 used three different ``1e-6``/``1e-9`` literals for the same feasibility
@@ -30,12 +30,28 @@ from __future__ import annotations
 BOUND_CROSS_TOL = 1e-9
 
 #: Constraint/bound feasibility slack for *semantic* feasibility checks:
-#: ``Model.is_feasible``, ``Constraint.satisfied``, incumbent
-#: acceptance.
+#: the default of ``Model.is_feasible`` and ``Constraint.satisfied``.
 FEASIBILITY_TOL = 1e-6
 
+#: Bound, row and integrality slack under which branch-and-bound adopts
+#: a point as its incumbent (``Model.is_feasible(x, tol=INCUMBENT_TOL)``).
+#: Looser than ``FEASIBILITY_TOL``: an LP vertex carries the simplex's
+#: own primal residuals, and a rejected integral leaf ends the search as
+#: ``error``.
+INCUMBENT_TOL = 1e-5
+
+#: Objective improvement a candidate must show over the incumbent
+#: before branch-and-bound runs the feasibility check on it.
+INCUMBENT_IMPROVEMENT_TOL = 1e-12
+
+#: Slack under which a branching child's domain counts as non-empty
+#: (a down child needs ``floor(x_j) >= lb_j - BRANCH_DOMAIN_TOL``).
+BRANCH_DOMAIN_TOL = 1e-9
+
 #: Distance from the nearest integer under which a value counts as
-#: integral (branch-and-bound, the auditor's phase checks).
+#: integral (which LP points branch-and-bound branches on, the auditor's
+#: phase checks).  An integral leaf then still has to pass
+#: ``Model.is_feasible`` under ``INCUMBENT_TOL``.
 INTEGRALITY_TOL = 1e-6
 
 #: Absolute best-bound-vs-incumbent gap at which branch-and-bound

@@ -121,8 +121,7 @@ class TestInfeasibleAndBudgets:
         assert not res.has_incumbent
 
     def test_node_limit_reports_bound(self):
-        # A knapsack too big to finish in 1 node but with a rounding
-        # incumbent available.
+        # A knapsack too big to finish in 1 node.
         rng = np.random.default_rng(0)
         values = rng.integers(10, 100, size=25).tolist()
         weights = rng.integers(5, 40, size=25).tolist()

@@ -33,6 +33,13 @@ def node_event(span, node, parent, **attrs):
     }
 
 
+def search_done(span, **attrs):
+    return {
+        "type": "event", "name": "search_done", "run": "r", "span": span,
+        "t": 0.0, "attrs": {"status": "optimal", "nodes": 1, **attrs},
+    }
+
+
 class TestSummarize:
     def test_phase_accounting(self):
         records = [
@@ -71,6 +78,43 @@ class TestSummarize:
         assert "bounds" in text and "solve" in text
         assert "50%" in text
         assert "slowest cells" in text
+
+    def test_lp_share_of_solve(self):
+        records = [
+            span_rec("query", 1.0, span_id="1", network="n",
+                     objective="o", verdict="max_found"),
+            span_rec("solve", 0.5, parent="1", span_id="2"),
+            search_done("2", lp_seconds=0.2),
+            search_done("2", lp_seconds=0.1),
+        ]
+        summary = summarize_trace(records)
+        assert abs(summary.lp_seconds - 0.3) < 1e-12
+        text = render_summary(summary)
+        assert "solve: node LPs 0.300s of 0.500s (LP share 60%)" in text
+
+    def test_no_lp_line_without_solve(self):
+        records = [span_rec("query", 1.0, span_id="1")]
+        assert "LP share" not in render_summary(summarize_trace(records))
+
+    def test_live_search_reports_its_lp_seconds(self):
+        from repro.milp import Model, Sense, VarType, solve_milp
+
+        model = Model("m")
+        xs = [
+            model.add_var(f"x{i}", vtype=VarType.BINARY) for i in range(8)
+        ]
+        model.add_constr(sum((i % 3 + 1) * x for i, x in enumerate(xs)) <= 5)
+        model.set_objective(
+            sum((7 * i % 5 + 1) * x for i, x in enumerate(xs)),
+            sense=Sense.MAXIMIZE,
+        )
+        sink = RingBufferSink()
+        tracer = Tracer([sink])
+        with tracer.span("solve"):
+            solve_milp(model, tracer=tracer)
+        summary = summarize_trace(sink.records)
+        assert 0.0 < summary.lp_seconds <= summary.phase_wall["solve"]
+        assert "LP share" in render_summary(summary)
 
     def test_empty_trace(self):
         summary = summarize_trace([])

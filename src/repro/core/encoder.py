@@ -60,7 +60,8 @@ class ReluNeuron:
     ``pre_coeffs``/``pre_const`` give the pre-activation
     ``z = sum(pre_coeffs[j] * x_j) + pre_const`` over model columns (the
     encoding has no explicit ``z`` variable); ``lower``/``upper`` are the
-    *unpadded* pre-activation bounds the encoding certified.
+    pre-activation bounds padded by ``bound_margin``: the big-M
+    constants of the neuron's rows.
     """
 
     layer: int
@@ -130,6 +131,11 @@ class EncodedNetwork:
     #: Per ambiguous neuron: the ``(z, a, d, l, u)`` layout the encoding
     #: audit checks (``z`` as an affine form over model columns).
     neurons: List[ReluNeuron] = dataclasses.field(default_factory=list)
+    #: ``(objective, |lambda|)`` of the last :meth:`_sensitivity` call.
+    _sensitivity_cache: Optional[Tuple[LinExpr, np.ndarray]] = (
+        dataclasses.field(default=None, init=False, repr=False,
+                          compare=False)
+    )
 
     @property
     def num_binaries(self) -> int:
@@ -160,6 +166,73 @@ class EncodedNetwork:
             point[a_cols] = np.maximum(z, 0.0)
             point[d_cols] = z > 0.0
         return point
+
+    def branch_scores(self, x: np.ndarray, cols: np.ndarray) -> np.ndarray:
+        """Score branching on each phase column in ``cols`` at LP point
+        ``x``: how much that neuron's relaxation overestimates the
+        objective there.
+
+        A neuron's score is its relaxation gap ``a - max(z, 0)`` at ``x``
+        (``z`` from its pre-activation row, one matrix-vector product
+        over every ambiguous neuron) times ``|lambda|``, the objective's
+        coefficient on its ``a`` column back-substituted through every
+        later layer's pre-activation rows, each scaled by that layer's
+        triangle slope ``u / (u - l)``.  ``lambda`` depends only on the
+        encoding and its objective, so it is computed once per objective.
+        This is the search's branching rule
+        (``solve_milp(..., branch_scores=encoded.branch_scores)``); the
+        directed constraint refinement of Wang et al., "Efficient Formal
+        Safety Analysis of Neural Networks".
+        """
+        pre, const, a_cols, position, _ = self._score_rows
+        gap = x[a_cols] - np.maximum(pre @ x + const, 0.0)
+        pick = position[cols]
+        return gap[pick] * self._sensitivity()[pick]
+
+    @functools.cached_property
+    def _score_rows(self) -> Tuple[np.ndarray, ...]:
+        """:meth:`branch_scores`' arrays, one entry per ambiguous neuron
+        in encoding order: the :attr:`_forward_layers` pre-activation
+        rows and constants stacked, the ``a`` columns, each model
+        column's neuron (``-1`` off the ``d`` columns) and the triangle
+        slopes ``u / (u - l)`` from the padded bounds."""
+        neurons = self.neurons
+        position = np.full(self.model.num_vars, -1, dtype=int)
+        position[[neuron.d_col for neuron in neurons]] = np.arange(
+            len(neurons)
+        )
+        upper = np.array([neuron.upper for neuron in neurons])
+        lower = np.array([neuron.lower for neuron in neurons])
+        return (
+            np.vstack([layer[0] for layer in self._forward_layers[3]]),
+            np.array([neuron.pre_const for neuron in neurons]),
+            np.array([neuron.a_col for neuron in neurons], dtype=int),
+            position,
+            upper / (upper - lower),
+        )
+
+    def _sensitivity(self) -> np.ndarray:
+        """``|lambda|`` per ambiguous neuron for the model's current
+        objective (see :meth:`branch_scores`), cached per objective."""
+        objective = self.model.objective
+        cached = self._sensitivity_cache
+        if cached is not None and cached[0] is objective:
+            return cached[1]
+        pre, _, a_cols, _, slope = self._score_rows
+        lam = np.zeros(self.model.num_vars)
+        lam[list(objective.coeffs)] = list(objective.coeffs.values())
+        # A layer's rows reference only earlier layers' columns, so by the
+        # time a layer is reached from the top its ``lambda`` is final.
+        stop = len(a_cols)
+        for layer in reversed(self._forward_layers[3]):
+            start = stop - len(layer[2])
+            lam += (lam[a_cols[start:stop]] * slope[start:stop]) @ (
+                pre[start:stop]
+            )
+            stop = start
+        sensitivity = np.abs(lam[a_cols])
+        self._sensitivity_cache = (objective, sensitivity)
+        return sensitivity
 
     @functools.cached_property
     def _forward_layers(

@@ -363,6 +363,7 @@ class Verifier:
             result = solve_milp(
                 encoded.model, self._search_options(start),
                 tracer=self.tracer, complete=encoded.complete,
+                branch_scores=encoded.branch_scores,
             )
         wall = time.monotonic() - start
 
@@ -593,6 +594,7 @@ class Verifier:
             result = solve_milp(
                 encoded.model, self._search_options(start),
                 tracer=self.tracer, complete=encoded.complete,
+                branch_scores=encoded.branch_scores,
             )
         wall = time.monotonic() - start
 

@@ -8,9 +8,11 @@ solver stack for that encoding:
   layer (variables, linear expressions, constraints, objective);
 * :mod:`repro.milp.scipy_backend` — the LP engine: a persistent HiGHS
   session that re-solves one LP warm after cost, bound and size edits;
-* :mod:`repro.milp.branch_and_bound` — best-first/plunging MILP search with
-  pseudocost branching, forward-pass completion, node/time budgets, proven
-  dual bounds and a leaf-cover infeasibility proof on every run.
+* :mod:`repro.milp.branch_and_bound` — best-first/plunging MILP search
+  that branches on the caller's column scores (an encoded network's
+  neuron scores; most-fractional without them), with forward-pass
+  completion, node/time budgets, proven dual bounds and a leaf-cover
+  infeasibility proof on every run.
 """
 
 from repro.milp.branch_and_bound import MILPOptions, solve_milp

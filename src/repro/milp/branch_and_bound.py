@@ -8,14 +8,16 @@ loop is built for reoptimisation speed:
   (:class:`~repro.milp.scipy_backend.HighsSession`): a node only resets
   the column box, and HiGHS re-solves from the basis its previous node
   left behind;
-* **pseudocost branching** learns per-column objective degradations
-  from every solved child and steers branching toward columns that move
-  the bound, falling back to the most fractional column until the first
-  child has been solved;
+* **branching** takes the caller's per-column scores when it has them:
+  an encoded ReLU network scores each fractional phase column by how
+  much its neuron's relaxation overestimates the objective at the LP
+  point (:meth:`repro.core.encoder.EncodedNetwork.branch_scores`).  A
+  model without scores, or a node where no score is positive, branches
+  on the most fractional column;
 * node selection is a **best-first/plunging hybrid**: after branching the
   search dives on the most promising child to find incumbents early,
   returning to the global best-bound node when a dive is pruned;
-* per-node bookkeeping (fractional columns, pseudocost scores, the
+* per-node bookkeeping (fractional columns, branching scores, the
   fixed literals of a pruned leaf) is array arithmetic over the integer
   columns, not a Python loop;
 * a caller that knows how to complete an LP point into a feasible one
@@ -24,15 +26,18 @@ loop is built for reoptimisation speed:
   search a ``complete`` hook, and every branched node's completion is an
   incumbent candidate.
 
+The search imports nothing from the encoder: both network hooks are
+plain callables over LP points.
+
 Wall-clock and node budgets make ``time-out`` a first-class answer,
 matching the paper's Table II where the widest network exhausts its
 budget.  A node LP that fails numerically, or an integral LP point the
 model's feasibility check rejects, ends the search as ``error``: such a
 node is never pruned as if it were infeasible.  With a
 :class:`repro.obs.Tracer` attached the search emits one ``node`` event
-per processed node (depth, branch variable, LP iterations, bound) —
-enough to reconstruct the search tree — guarded by a single ``if`` so
-disabled tracing costs nothing on the hot loop.
+per processed node (depth, branch variable and its name, LP iterations,
+bound) — enough to reconstruct the search tree — guarded by a single
+``if`` so disabled tracing costs nothing on the hot loop.
 """
 
 from __future__ import annotations
@@ -94,79 +99,26 @@ class _Node:
     branch_var: int = dataclasses.field(compare=False, default=-1)
     #: Down (-1) or up (+1) child of the branching.
     branch_dir: int = dataclasses.field(compare=False, default=0)
-    #: Fractional part of the branch column in the parent's LP point.
-    branch_frac: float = dataclasses.field(compare=False, default=0.0)
-    #: Parent LP objective (pseudocost updates measure against it).
-    parent_obj: float = dataclasses.field(
-        compare=False, default=math.nan
-    )
-
-
-class _Pseudocosts:
-    """Per-column objective-degradation estimates, learned online."""
-
-    def __init__(self, n: int) -> None:
-        self.sum_down = np.zeros(n)
-        self.cnt_down = np.zeros(n, dtype=np.int64)
-        self.sum_up = np.zeros(n)
-        self.cnt_up = np.zeros(n, dtype=np.int64)
-
-    def update(
-        self,
-        j: int,
-        direction: int,
-        parent_obj: float,
-        child_obj: float,
-        frac: float,
-    ) -> None:
-        gain = max(child_obj - parent_obj, 0.0)
-        if direction < 0:
-            denom = max(frac, 1e-6)
-            self.sum_down[j] += gain / denom
-            self.cnt_down[j] += 1
-        else:
-            denom = max(1.0 - frac, 1e-6)
-            self.sum_up[j] += gain / denom
-            self.cnt_up[j] += 1
-
-    @staticmethod
-    def _estimates(
-        sums: np.ndarray, counts: np.ndarray, cols: np.ndarray
-    ) -> np.ndarray:
-        """Per-column mean degradation; a column never branched on in
-        this direction gets the mean over the initialised ones (1.0
-        while there are none)."""
-        total = counts.sum()
-        fallback = float(sums.sum() / total) if total else 1.0
-        seen = counts[cols]
-        return np.divide(
-            sums[cols], seen, out=np.full(len(cols), fallback),
-            where=seen > 0,
-        )
-
-    def scores(self, cols: np.ndarray, frac: np.ndarray) -> np.ndarray:
-        """Product score of branching on each of ``cols`` at fractional
-        parts ``frac``."""
-        down = self._estimates(self.sum_down, self.cnt_down, cols) * frac
-        up = self._estimates(self.sum_up, self.cnt_up, cols) * (1.0 - frac)
-        return np.maximum(down, 1e-6) * np.maximum(up, 1e-6)
-
-    def initialised(self) -> bool:
-        return bool(self.cnt_down.sum() or self.cnt_up.sum())
 
 
 def _pick_branch_var(
-    cols: np.ndarray, values: np.ndarray, pseudocosts: _Pseudocosts
+    cols: np.ndarray, values: np.ndarray,
+    scores: Optional[np.ndarray] = None,
 ) -> int:
     """Choose the column to branch on among the fractional integer
-    columns ``cols`` (LP values ``values``); ties go to the first."""
-    frac = values - np.floor(values)
-    if pseudocosts.initialised():
-        scores = pseudocosts.scores(cols, frac)
-    else:
-        # Cold start: the most fractional column (largest distance to
-        # the nearest integer).
-        scores = np.minimum(frac, np.ceil(values) - values)
+    columns ``cols`` (LP values ``values``).
+
+    ``scores`` are the caller's per-column branching scores (an encoded
+    network's neuron scores, :meth:`EncodedNetwork.branch_scores
+    <repro.core.encoder.EncodedNetwork.branch_scores>`): the column with
+    the largest one wins.  Without scores, or when none is positive, the
+    most fractional column wins (largest distance to the nearest
+    integer).  Ties go to the first column.
+    """
+    if scores is None or not (scores > 0.0).any():
+        scores = np.minimum(
+            values - np.floor(values), np.ceil(values) - values
+        )
     return int(cols[np.argmax(scores)])
 
 
@@ -177,10 +129,14 @@ class _Search:
         self, model: Model, options: MILPOptions, start: float,
         tracer=None,
         complete: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+        branch_scores: Optional[
+            Callable[[np.ndarray, np.ndarray], np.ndarray]
+        ] = None,
     ) -> None:
         self.options = options
         self.model = model
         self.complete = complete
+        self.branch_scores = branch_scores
         self.start = start
         #: ``None`` when tracing is off — the hot node loop pays one
         #: ``is not None`` check and nothing else.
@@ -203,9 +159,13 @@ class _Search:
         self.session = scipy_backend.HighsSession(
             self.c, A_ub, b_ub, A_eq, b_eq, bounds
         )
-        self.pseudocosts = _Pseudocosts(self.n)
         self.incumbent_x: Optional[np.ndarray] = None
         self.incumbent_obj = math.inf  # internal minimisation objective
+        #: Smallest bound among nodes pruned against the incumbent.  The
+        #: search prunes a node whose bound is within ``GAP_TOL`` of the
+        #: incumbent, so this can sit below it, and the reported best
+        #: bound has to include it.
+        self.pruned_bound = math.inf
         self.nodes = 0
         self.lp_iterations = 0
         self.counter = itertools.count()
@@ -218,6 +178,14 @@ class _Search:
     # -- helpers -----------------------------------------------------------
     def _timed_out(self) -> bool:
         return time.monotonic() - self.start > self.options.time_limit
+
+    def _pruned(self, bound: float) -> bool:
+        """Whether a node with this bound cannot beat the incumbent by
+        more than ``GAP_TOL``; a pruned bound is kept for the result."""
+        if bound < self.incumbent_obj - GAP_TOL:
+            return False
+        self.pruned_bound = min(self.pruned_bound, bound)
+        return True
 
     def _try_incumbent(self, x: np.ndarray) -> bool:
         """Adopt ``x`` as the incumbent if it is better and feasible;
@@ -292,6 +260,17 @@ class _Search:
         mask = np.abs(values - np.round(values)) > INTEGRALITY_TOL
         return self.int_idx[mask], values[mask]
 
+    def _branch_var(
+        self, x: np.ndarray, cols: np.ndarray, values: np.ndarray
+    ) -> int:
+        """The column to branch on at LP point ``x``, whose fractional
+        integer columns are ``cols`` (values ``values``)."""
+        scores = (
+            None if self.branch_scores is None
+            else self.branch_scores(x, cols)
+        )
+        return _pick_branch_var(cols, values, scores)
+
     def _push_children(self, node: _Node, result: LPResult, j: int) -> None:
         """Branch on column ``j``; dive on the more promising child."""
         xj = float(result.x[j])
@@ -305,7 +284,6 @@ class _Search:
                 node.lb.copy(), down_ub, node.depth + 1,
                 parent=node.tiebreak,
                 branch_var=j, branch_dir=-1,
-                branch_frac=frac, parent_obj=result.objective,
             ))
         up_lb = node.lb.copy()
         up_lb[j] = math.ceil(xj)
@@ -315,7 +293,6 @@ class _Search:
                 up_lb, node.ub.copy(), node.depth + 1,
                 parent=node.tiebreak,
                 branch_var=j, branch_dir=+1,
-                branch_frac=frac, parent_obj=result.objective,
             ))
         if len(children) < 2:
             # A skipped child leaves part of the node's box uncovered.
@@ -352,6 +329,10 @@ class _Search:
             "lp_iterations": result.iterations,
             "status": result.status.value,
         }
+        if node.branch_var >= 0:
+            # The column's name: ``d_<layer>_<index>`` in a network
+            # encoding, so the tree says which neuron it split.
+            attrs["branch"] = self.model.variables[node.branch_var].name
         if result.status is SolveStatus.OPTIMAL:
             attrs["bound"] = float(result.objective)
         self.trace.event("node", **attrs)
@@ -397,7 +378,7 @@ class _Search:
             return self._finish(status, sign, objective_constant,
                                 root.objective)
         self._try_completion(x)
-        j = _pick_branch_var(cols, values, self.pseudocosts)
+        j = self._branch_var(x, cols, values)
         self._push_children(root_node, root, j)
 
         best_open_bound = root.objective
@@ -411,12 +392,12 @@ class _Search:
                 break
             if self.dive_stack:
                 node = self.dive_stack.pop()
-                if node.bound >= self.incumbent_obj - GAP_TOL:
+                if self._pruned(node.bound):
                     continue
             else:
                 node = heapq.heappop(self.heap)
                 best_open_bound = node.bound
-                if node.bound >= self.incumbent_obj - GAP_TOL:
+                if self._pruned(node.bound):
                     # Best-first order: every remaining node is at least
                     # as bad (the dive stack is empty here by construction).
                     best_open_bound = self.incumbent_obj
@@ -436,12 +417,7 @@ class _Search:
                 self.proof_incomplete = True
                 status = SolveStatus.ERROR
                 break
-            if node.branch_var >= 0 and math.isfinite(node.parent_obj):
-                self.pseudocosts.update(
-                    node.branch_var, node.branch_dir,
-                    node.parent_obj, result.objective, node.branch_frac,
-                )
-            if result.objective >= self.incumbent_obj - GAP_TOL:
+            if self._pruned(result.objective):
                 continue
             x = result.x
             assert x is not None
@@ -456,7 +432,7 @@ class _Search:
                     break
                 continue
             self._try_completion(x)
-            j = _pick_branch_var(cols, values, self.pseudocosts)
+            j = self._branch_var(x, cols, values)
             self._push_children(node, result, j)
 
         return self._finish(status, sign, objective_constant,
@@ -490,10 +466,10 @@ class _Search:
                     lp_iterations=self.lp_iterations, wall_time=wall,
                     proof=self._proof_payload(SolveStatus.INFEASIBLE),
                 )
-            best_bound_internal = self.incumbent_obj
+            best_bound_internal = min(self.incumbent_obj, self.pruned_bound)
         else:
             open_bounds = self._open_bounds() + [best_open_bound]
-            best_bound_internal = min(min(open_bounds),
+            best_bound_internal = min(min(open_bounds), self.pruned_bound,
                                       self.incumbent_obj)
         objective = (
             sign * self.incumbent_obj + objective_constant
@@ -518,6 +494,9 @@ def solve_milp(
     options: Optional[MILPOptions] = None,
     tracer=None,
     complete: Optional[Callable[[np.ndarray], np.ndarray]] = None,
+    branch_scores: Optional[
+        Callable[[np.ndarray, np.ndarray], np.ndarray]
+    ] = None,
 ) -> MILPResult:
     """Solve a MILP model; returns the best incumbent and a proven bound.
 
@@ -531,8 +510,20 @@ def solve_milp(
     has to pass :meth:`Model.is_feasible <repro.milp.model.Model.is_feasible>`
     before it becomes the incumbent.  Without it the search has no
     primal heuristic: incumbents come from integral LP points only.
+    ``branch_scores`` maps an LP point and its fractional integer
+    columns to one score per column (for an encoded network,
+    :meth:`EncodedNetwork.branch_scores
+    <repro.core.encoder.EncodedNetwork.branch_scores>`); the search
+    branches on the best-scored column, or on the most fractional one
+    when no score is positive or there is no hook.
+
+    An OPTIMAL result's ``best_bound`` is the incumbent's value, or the
+    best bound among the nodes pruned within ``GAP_TOL`` of it when that
+    is better: the true optimum lies between ``objective`` and
+    ``best_bound``.
     """
     options = options or MILPOptions()
     return _Search(
         model, options, time.monotonic(), tracer=tracer, complete=complete,
+        branch_scores=branch_scores,
     ).run()

@@ -8,6 +8,7 @@ no lazy columns, no hidden rewriting of the rows or bounds.
 
 from __future__ import annotations
 
+import itertools
 import math
 from typing import Dict, List, Optional, Sequence, Tuple
 
@@ -27,6 +28,9 @@ from repro.milp.expr import (
 )
 
 INF = math.inf
+
+#: Row kind codes for :meth:`Model._dense`'s scatter.
+_ROW_KIND = {ConstraintOp.LE: 0, ConstraintOp.GE: 1, ConstraintOp.EQ: 2}
 
 
 class Model:
@@ -200,29 +204,40 @@ class Model:
         if self.sense is Sense.MAXIMIZE:
             c = -c
 
-        ub_rows: List[np.ndarray] = []
-        ub_rhs: List[float] = []
-        eq_rows: List[np.ndarray] = []
-        eq_rhs: List[float] = []
-        for constr in self.constraints:
-            row = np.zeros(n)
-            for idx, coef in constr.expr.coeffs.items():
-                row[idx] = coef
-            rhs = constr.rhs()
-            if constr.op is ConstraintOp.LE:
-                ub_rows.append(row)
-                ub_rhs.append(rhs)
-            elif constr.op is ConstraintOp.GE:
-                ub_rows.append(-row)
-                ub_rhs.append(-rhs)
-            else:
-                eq_rows.append(row)
-                eq_rhs.append(rhs)
-
-        A_ub = np.array(ub_rows) if ub_rows else None
-        b_ub = np.array(ub_rhs) if ub_rhs else None
-        A_eq = np.array(eq_rows) if eq_rows else None
-        b_eq = np.array(eq_rhs) if eq_rhs else None
+        # One scatter of every row's (row, column, coefficient) triplets.
+        # A ``>=`` row is negated into a ``<=`` row, zeros included
+        # (``-0.0``), as negating a dense row does.
+        constraints = self.constraints
+        m = len(constraints)
+        coeffs = [constr.expr.coeffs for constr in constraints]
+        counts = np.fromiter(map(len, coeffs), dtype=np.intp, count=m)
+        cols = np.fromiter(
+            itertools.chain.from_iterable(coeffs),
+            dtype=np.intp, count=int(counts.sum()),
+        )
+        coefs = np.fromiter(
+            itertools.chain.from_iterable(map(dict.values, coeffs)),
+            dtype=float, count=len(cols),
+        )
+        kind = np.array(
+            [_ROW_KIND[constr.op] for constr in constraints], dtype=np.int8
+        )
+        rhs = np.array([constr.rhs() for constr in constraints], dtype=float)
+        is_eq = kind == _ROW_KIND[ConstraintOp.EQ]
+        is_ge = kind == _ROW_KIND[ConstraintOp.GE]
+        n_ub = m - int(is_eq.sum())
+        # Inequality rows first, then equality rows, each in model order.
+        rows = np.where(
+            is_eq, n_ub + np.cumsum(is_eq) - 1, np.cumsum(~is_eq) - 1
+        )
+        sign = np.where(is_ge, -1.0, 1.0)
+        A = np.zeros((m, n))
+        A[rows[is_ge]] = -0.0
+        A[np.repeat(rows, counts), cols] = np.repeat(sign, counts) * coefs
+        b = np.empty(m)
+        b[rows] = sign * rhs
+        A_ub, b_ub = (A[:n_ub], b[:n_ub]) if n_ub else (None, None)
+        A_eq, b_eq = (A[n_ub:], b[n_ub:]) if n_ub < m else (None, None)
         lb = np.array(self.lb, dtype=float)
         ub = np.array(self.ub, dtype=float)
         integer = np.array(self.integer_indices, dtype=np.intp)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import dataclasses
 import json
+import re
 from typing import Any, Dict, Iterable, List, Optional, Tuple
 
 __all__ = [
@@ -31,6 +32,9 @@ __all__ = [
 #: ``split`` the input-region bisection planner that prescreens and
 #: prunes sub-regions before any MILP is built.
 PHASES = ("audit", "bounds", "static", "split", "encode", "solve")
+
+#: The name of a network encoding's phase column: ``d_<layer>_<index>``.
+_PHASE_COLUMN = re.compile(r"d_(\d+)_(\d+)")
 
 
 def _as_record(value: Any) -> Dict[str, Any]:
@@ -87,6 +91,12 @@ class TraceSummary:
     #: ``lp_seconds`` of every ``search_done`` event): what is left of
     #: the ``solve`` phase is model setup and search bookkeeping.
     lp_seconds: float = 0.0
+    #: Branch-and-bound branchings per network layer (hidden layer index
+    #: -> count): each searched parent node whose ``node`` events name a
+    #: ``d_<layer>_<index>`` phase column counts once.
+    branchings_per_layer: Dict[int, int] = dataclasses.field(
+        default_factory=dict
+    )
 
     @property
     def phase_coverage(self) -> float:
@@ -107,6 +117,33 @@ def _cell_label(span: Dict[str, Any]) -> str:
     if network or query:
         return f"({network}, {query})".replace("(, ", "(")
     return span.get("name", "span")
+
+
+def _branchings_per_layer(
+    events: Iterable[Dict[str, Any]],
+) -> Dict[int, int]:
+    """Count branchings by the network layer of the branched neuron.
+
+    A branching shows as the ``node`` events of its children, which
+    share the parent id and name the phase column; one searched child is
+    enough to count it.
+    """
+    seen = set()
+    counts: Dict[int, int] = {}
+    for event in events:
+        attrs = event.get("attrs")
+        if event.get("name") != "node" or not isinstance(attrs, dict):
+            continue
+        match = _PHASE_COLUMN.fullmatch(str(attrs.get("branch", "")))
+        if match is None:
+            continue
+        key = (event.get("span"), attrs.get("parent"))
+        if key in seen:
+            continue
+        seen.add(key)
+        layer = int(match.group(1))
+        counts[layer] = counts.get(layer, 0) + 1
+    return dict(sorted(counts.items()))
 
 
 def summarize_trace(
@@ -170,6 +207,7 @@ def summarize_trace(
             if e.get("name") == "search_done"
             and isinstance(e.get("attrs"), dict)
         ),
+        branchings_per_layer=_branchings_per_layer(events),
     )
 
 
@@ -223,6 +261,11 @@ def render_summary(summary: TraceSummary) -> str:
             f"(LP share {summary.lp_seconds / solve:.0%}); the rest is "
             f"model setup and search bookkeeping"
         )
+    if summary.branchings_per_layer:
+        lines.append("branchings per layer: " + ", ".join(
+            f"layer {layer} {count}"
+            for layer, count in summary.branchings_per_layer.items()
+        ))
     if summary.split_bisections or summary.split_pruned or summary.split_milp:
         lines.append(
             f"region bisection: {summary.split_bisections} bisection(s) "
@@ -284,6 +327,7 @@ def build_search_tree(
                 "from": f"{span}/{parent}",
                 "to": node_id,
                 "branch_var": attrs.get("branch_var", -1),
+                "branch": attrs.get("branch", ""),
                 "branch_dir": attrs.get("branch_dir", 0),
             })
     return {"nodes": nodes, "edges": edges}
@@ -326,10 +370,10 @@ def tree_to_dot(tree: Dict[str, Any]) -> str:
         if edge["from"] not in known:
             continue
         direction = "dn" if edge.get("branch_dir", 0) < 0 else "up"
+        column = edge.get("branch") or f"x{edge.get('branch_var', -1)}"
         lines.append(
             f'  "{edge["from"]}" -> "{edge["to"]}" '
-            f'[label="x{edge.get("branch_var", -1)} {direction}", '
-            "fontsize=8];"
+            f'[label="{column} {direction}", fontsize=8];'
         )
     lines.append("}")
     return "\n".join(lines)

@@ -1,21 +1,18 @@
 """Differential test: branch and bound on HiGHS against brute-force
 enumeration of activation patterns.
 
-The oracle shares no search code with the prover.  It walks the ReLU
-activation patterns of seeded tiny networks layer by layer; each fixed
-prefix is a polytope of inputs on which the network is affine, so one LP
-per prefix (solved by the from-scratch revised simplex in
-``tests/oracles``, not by HiGHS) either shows the prefix empty, pruning
-every extension, or — for a full pattern — gives the exact maximum of
-the output on that piece.  The largest piece maximum is the network's
-maximum over the box.  The search must find the same maximum and the
-same decision verdicts next to it, and a search cut short by its node or
-time budget must say so (NODE_LIMIT / TIMEOUT) instead of claiming a
-proof.
+The oracle (``tests/oracles/patterns.py``) shares no search code with
+the prover.  It walks the ReLU activation patterns of seeded tiny
+networks layer by layer, one LP per pattern prefix, solved by the
+from-scratch revised simplex in ``tests/oracles``, not by HiGHS.  The
+search must find the same maximum and the same decision verdicts next to
+it, the checker must accept every VERIFIED verdict's certificate, and a
+search cut short by its node or time budget must say so (NODE_LIMIT /
+TIMEOUT) instead of claiming a proof.
 """
 
 import functools
-import itertools
+import json
 
 import numpy as np
 import pytest
@@ -25,8 +22,9 @@ from repro.core.properties import InputRegion, OutputObjective, SafetyProperty
 from repro.core.verifier import Verdict, Verifier
 from repro.milp import MILPOptions, SolveStatus, solve_milp
 from repro.nn import FeedForwardNetwork
+from repro.proof.check import check_certificate
 
-from ..oracles.revised_simplex import solve_lp
+from ..oracles.patterns import enumerated_max
 
 SEEDS = range(5)
 
@@ -45,59 +43,23 @@ def _region():
     return InputRegion(np.array([[-1.0, 1.0]] * 3))
 
 
-def _verifier(net, **milp):
+def _verifier(net, certify=False, **milp):
     # Interval bounds and no static prescreen keep enough ambiguous ReLUs
-    # for the search to branch on these small nets.
+    # for the search to branch on these small nets (a certified query
+    # encodes with the symbolic chain's bounds, which the checker
+    # re-derives).
     return Verifier(
         net,
-        EncoderOptions(bound_mode="interval", static_prescreen=False),
+        EncoderOptions(
+            bound_mode="interval", static_prescreen=False, certify=certify,
+        ),
         MILPOptions(**{"time_limit": 60.0, **milp}),
     )
 
 
-def _enumerated_max(net, region, output):
-    """Maximum of ``output`` over ``region`` by activation-pattern
-    enumeration; returns ``(maximum, pattern LPs solved)``."""
-    bounds = [tuple(map(float, row)) for row in region.bounds]
-    dim = len(bounds)
-    best = -np.inf
-    solved = 0
-
-    def descend(depth, affine, offset, rows, rhs):
-        # ``affine @ x + offset`` is the current layer's input on the
-        # polytope ``rows @ x <= rhs`` of inputs sharing the prefix.
-        nonlocal best, solved
-        layer = net.layers[depth]
-        pre_w = affine @ layer.weights  # (dim, fan_out)
-        pre_b = offset @ layer.weights + layer.bias
-        if depth == len(net.layers) - 1:
-            result = solve_lp(-pre_w[:, output], rows, rhs, bounds=bounds)
-            solved += 1
-            assert result.status is SolveStatus.OPTIMAL
-            best = max(best, -result.objective + pre_b[output])
-            return
-        for pattern in itertools.product((0, 1), repeat=layer.fan_out):
-            active = np.array(pattern, dtype=bool)
-            # Active: pre >= 0, i.e. -pre <= 0.  Inactive: pre <= 0.
-            sign = np.where(active, -1.0, 1.0)
-            new_rows = np.vstack([rows, (pre_w * sign).T])
-            new_rhs = np.concatenate([rhs, -pre_b * sign])
-            probe = solve_lp(np.zeros(dim), new_rows, new_rhs, bounds=bounds)
-            solved += 1
-            if probe.status is SolveStatus.INFEASIBLE:
-                continue  # empty prefix: no extension can be reached
-            assert probe.status is SolveStatus.OPTIMAL
-            descend(
-                depth + 1, pre_w * active, pre_b * active, new_rows, new_rhs
-            )
-
-    descend(0, np.eye(dim), np.zeros(dim), np.zeros((0, dim)), np.zeros(0))
-    return best, solved
-
-
 @functools.lru_cache(maxsize=None)
 def _oracle(seed):
-    return _enumerated_max(_net(seed), _region(), 0)
+    return enumerated_max(_net(seed), _region(), 0)
 
 
 @functools.lru_cache(maxsize=None)
@@ -133,6 +95,17 @@ class TestBackendsAgree:
             threshold=_oracle(seed)[0] + delta,
         )
         assert _verifier(_net(seed)).prove(prop).verdict is expected
+        certified = _verifier(_net(seed), certify=True).prove(prop)
+        assert certified.verdict is expected
+        if expected is Verdict.VERIFIED:
+            assert certified.solver != "static"
+            assert certified.certificate is not None
+            # The checker replays the certificate after a JSON round
+            # trip, as ``repro check`` would.
+            report = check_certificate(
+                json.loads(json.dumps(certified.certificate))
+            )
+            assert not report.has_errors, report.errors
 
 
 class TestBudgetExits:

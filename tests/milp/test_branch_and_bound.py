@@ -7,7 +7,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.core.encoder import EncoderOptions
+from repro.core.encoder import (
+    EncoderOptions,
+    attach_objective,
+    encode_network,
+)
 from repro.core.properties import InputRegion, OutputObjective, SafetyProperty
 from repro.core.verifier import Verdict, Verifier
 from repro.milp import (
@@ -20,8 +24,14 @@ from repro.milp import (
     scipy_backend,
     solve_milp,
 )
+from repro.milp.branch_and_bound import _pick_branch_var
 from repro.nn import FeedForwardNetwork
+from repro.nn.layers import DenseLayer
 from repro.obs import RingBufferSink, Tracer
+from repro.tolerances import GAP_TOL
+
+from ..oracles.highs import solve_lp as highs_lp
+from ..oracles.patterns import enumerated_max
 
 
 def knapsack(values, weights, capacity) -> Model:
@@ -221,13 +231,196 @@ class TestWarmStartedSearch:
         capacity = int(sum(weights) // 2)
         return values, weights, capacity
 
-    def test_pseudocost_branching_matches_brute_force(self):
-        rng = np.random.default_rng(21)
-        values, weights, capacity = self._random_knapsack(rng, size=12)
-        res = solve_milp(knapsack(values, weights, capacity))
-        assert res.objective == pytest.approx(
-            brute_force_knapsack(values, weights, capacity)
+    def test_most_fractional_matches_brute_force(self):
+        """A model without branching scores (no hook) branches on the
+        most fractional column."""
+        for seed in (21, 22, 23):
+            rng = np.random.default_rng(seed)
+            values, weights, capacity = self._random_knapsack(rng, size=12)
+            res = solve_milp(knapsack(values, weights, capacity))
+            assert res.status is SolveStatus.OPTIMAL
+            assert res.objective == pytest.approx(
+                brute_force_knapsack(values, weights, capacity)
+            )
+
+
+def _hand_net() -> FeedForwardNetwork:
+    """``y = 2 relu(h0 + 3 h1 - 1)`` with ``h = relu(x)`` on ``[-1, 1]²``.
+
+    With interval bounds and no margin the first layer's neurons have
+    bounds ``[-1, 1]`` (triangle slope 1/2) and the second layer's
+    ``[-1, 3]`` (slope 3/4), so the back-substituted objective
+    coefficients are ``|lambda| = (2 * 3/4 * 1, 2 * 3/4 * 3, 2)
+    = (1.5, 4.5, 2)``.
+    """
+    return FeedForwardNetwork([
+        DenseLayer(np.eye(2), np.zeros(2), "relu"),
+        DenseLayer(np.array([[1.0], [3.0]]), np.array([-1.0]), "relu"),
+        DenseLayer(np.array([[2.0]]), np.zeros(1), "identity"),
+    ])
+
+
+def _hand_encoding():
+    encoded = encode_network(
+        _hand_net(), InputRegion(np.array([[-1.0, 1.0]] * 2)),
+        EncoderOptions(bound_mode="interval", bound_margin=0.0),
+    )
+    attach_objective(encoded, OutputObjective.single(0), maximize=True)
+    return encoded
+
+
+def _hand_point(encoded, gap_h1):
+    """An LP-like point at inputs ``(0.2, 0.1)`` whose first-layer
+    relaxation gaps are 0.6 and ``gap_h1``, the second layer's 0.1, and
+    every phase column is one half."""
+    model = encoded.model
+    x = np.zeros(model.num_vars)
+
+    def put(name, value):
+        x[model.var_by_name(name).index] = value
+
+    put("in0", 0.2)
+    put("in1", 0.1)
+    put("a_0_0", 0.2 + 0.6)
+    put("a_0_1", 0.1 + gap_h1)
+    z_g = (0.2 + 0.6) + 3 * (0.1 + gap_h1) - 1.0
+    put("a_1_0", z_g + 0.1)
+    for name in ("d_0_0", "d_0_1", "d_1_0"):
+        put(name, 0.5)
+    return x
+
+
+class TestNeuronBranching:
+    """The network hook scores a fractional phase column by its neuron's
+    relaxation gap at the LP point times its back-substituted objective
+    coefficient; the search branches on the best score."""
+
+    def test_sensitivity_back_substitutes_through_slopes(self):
+        encoded = _hand_encoding()
+        assert [n.d_col for n in encoded.neurons] == [
+            encoded.model.var_by_name(name).index
+            for name in ("d_0_0", "d_0_1", "d_1_0")
+        ]
+        np.testing.assert_allclose(
+            encoded._sensitivity(), [1.5, 4.5, 2.0], rtol=1e-12
         )
+
+    @pytest.mark.parametrize("gap_h1, winner", [
+        # Gap alone picks h0 and sensitivity alone h1; the product
+        # (0.9, 0.675, 0.2) picks h0 ...
+        (0.15, "d_0_0"),
+        # ... and (0.9, 1.125, 0.2) picks h1, while the gap still
+        # favours h0.
+        (0.25, "d_0_1"),
+    ])
+    def test_product_picks_the_neuron(self, gap_h1, winner):
+        encoded = _hand_encoding()
+        x = _hand_point(encoded, gap_h1)
+        cols = np.array(sorted(n.d_col for n in encoded.neurons))
+        scores = encoded.branch_scores(x, cols)
+        np.testing.assert_allclose(
+            scores, [0.6 * 1.5, gap_h1 * 4.5, 0.1 * 2.0], rtol=1e-9
+        )
+        picked = _pick_branch_var(cols, x[cols], scores)
+        assert encoded.model.variables[picked].name == winner
+
+    def test_sensitivity_follows_the_objective(self):
+        encoded = _hand_encoding()
+        first = encoded._sensitivity()
+        encoded.model.set_objective(
+            -0.5 * encoded.output_exprs[0], sense=Sense.MAXIMIZE
+        )
+        np.testing.assert_allclose(
+            encoded._sensitivity(), first / 2.0, rtol=1e-12
+        )
+
+    def test_no_positive_score_falls_back_to_most_fractional(self):
+        cols = np.array([3, 5, 7])
+        values = np.array([0.1, 0.45, 0.7])
+        for scores in (None, np.zeros(3), np.array([0.0, -1.0, -2.0])):
+            assert _pick_branch_var(cols, values, scores) == 5
+        assert _pick_branch_var(cols, values, np.array([0, 0, 1e-9])) == 7
+        # Ties go to the first column.
+        assert _pick_branch_var(cols, values, np.array([2.0, 1.0, 2.0])) == 3
+
+    def test_zero_scores_search_like_no_hook(self):
+        rng = np.random.default_rng(0)
+        values = rng.integers(5, 60, size=10).tolist()
+        weights = rng.integers(1, 12, size=10).tolist()
+        model = knapsack(values, weights, int(sum(weights) // 2))
+        plain = solve_milp(model)
+        zero = solve_milp(
+            model, branch_scores=lambda x, cols: np.zeros(len(cols))
+        )
+        assert plain.nodes > 0
+        assert (zero.nodes, zero.lp_iterations) == (
+            plain.nodes, plain.lp_iterations
+        )
+        assert zero.objective == plain.objective
+
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hook_and_no_hook_match_brute_force(self, seed):
+        network = FeedForwardNetwork.mlp(
+            2, [5, 5], 1, rng=np.random.default_rng(seed)
+        )
+        region = InputRegion(np.array([[-2.0, 2.0]] * 2))
+        encoded = encode_network(
+            network, region, EncoderOptions(bound_mode="interval")
+        )
+        attach_objective(encoded, OutputObjective.single(0), maximize=True)
+        truth, _ = enumerated_max(network, region, 0, solve_lp=highs_lp)
+        hooked = solve_milp(
+            encoded.model, complete=encoded.complete,
+            branch_scores=encoded.branch_scores,
+        )
+        plain = solve_milp(encoded.model)
+        for res in (hooked, plain):
+            assert res.status is SolveStatus.OPTIMAL
+            assert res.objective == pytest.approx(truth, abs=1e-5)
+            assert res.best_bound >= truth - 1e-9
+
+
+class TestHonestBestBound:
+    """The search prunes a node whose bound is within ``GAP_TOL`` of
+    the incumbent, so an OPTIMAL answer's ``best_bound`` is the best
+    such pruned bound, not the incumbent's value."""
+
+    def test_best_bound_brackets_the_true_maximum(self):
+        network = FeedForwardNetwork.mlp(
+            2, [6, 6], 1, rng=np.random.default_rng(2)
+        )
+        region = InputRegion(np.array([[-2.0, 2.0]] * 2))
+        encoded = encode_network(
+            network, region, EncoderOptions(bound_mode="interval")
+        )
+        attach_objective(encoded, OutputObjective.single(0), maximize=True)
+        truth, _ = enumerated_max(network, region, 0, solve_lp=highs_lp)
+        plain = solve_milp(encoded.model)
+        runs = [
+            solve_milp(encoded.model, complete=encoded.complete),
+            solve_milp(
+                encoded.model, complete=encoded.complete,
+                branch_scores=encoded.branch_scores,
+            ),
+        ]
+        for res in runs:
+            assert res.status is SolveStatus.OPTIMAL
+            # The enumeration and the incumbent evaluate the same piece
+            # by different arithmetic: allow round-off, nothing more.
+            assert res.objective <= truth + 1e-12
+            assert truth <= res.best_bound
+            assert res.best_bound <= res.objective + GAP_TOL
+        # Without completion the incumbent is an LP vertex whose phase
+        # columns are integral only within ``INTEGRALITY_TOL``; on this
+        # net that vertex sits 2e-7 above the network's maximum.
+        assert plain.status is SolveStatus.OPTIMAL
+        assert truth <= plain.best_bound <= plain.objective + GAP_TOL
+        assert plain.objective <= truth + GAP_TOL
+        runs.append(plain)
+        # Every run's bound also covers every point any run accepted, up
+        # to the round-off between two searches' LP solves.
+        best_found = max(res.objective for res in runs)
+        assert all(res.best_bound >= best_found - 1e-12 for res in runs)
 
 
 def _fail_after_root(monkeypatch):

@@ -5,8 +5,18 @@ import math
 import numpy as np
 import pytest
 
+from repro.core.encoder import (
+    EncoderOptions,
+    attach_objective,
+    attach_violation_constraint,
+    encode_network,
+)
+from repro.core.properties import InputRegion, OutputObjective
 from repro.errors import ModelError
 from repro.milp import Model, Sense, VarType
+from repro.nn import FeedForwardNetwork
+
+from ..oracles.dense_rows import dense_rows
 
 
 class TestVariables:
@@ -77,6 +87,81 @@ class TestDenseArrays:
         assert A_ub.shape == (1, 2)
         assert A_eq.shape == (1, 2)
         assert b_eq.tolist() == [1.0]
+
+
+def _encodings():
+    """Twelve network encodings: four shapes (the perfbench ones and a
+    three-output net) under each bound engine, with a ``violation``
+    row, so ``<=`` and negated ``>=`` rows interleave."""
+    shapes = [(2, [6, 6], 1), (2, [4, 4], 1), (4, [16, 16, 16], 1),
+              (6, [8, 8], 3)]
+    for seed, (inputs, hidden, outputs) in enumerate(shapes):
+        network = FeedForwardNetwork.mlp(
+            inputs, hidden, outputs, rng=np.random.default_rng(seed)
+        )
+        region = InputRegion(np.tile([-1.0, 1.5], (inputs, 1)))
+        for mode in ("interval", "symbolic", "lp"):
+            encoded = encode_network(
+                network, region, EncoderOptions(bound_mode=mode)
+            )
+            attach_violation_constraint(
+                encoded, OutputObjective.single(0), 0.25
+            )
+            attach_objective(encoded, OutputObjective.single(0))
+            yield f"{inputs}x{hidden}-{mode}", encoded.model
+
+
+class TestScatterMatchesRowLoop:
+    """The dense view is one scatter over every row's triplets; it must
+    equal the row-by-row build bit for bit (``-0.0`` zeros of negated
+    ``>=`` rows included) and stay read-only."""
+
+    @staticmethod
+    def _same(got, want):
+        if want is None:
+            return got is None
+        return (
+            got.shape == want.shape and got.dtype == want.dtype
+            and got.tobytes() == want.tobytes()
+        )
+
+    def test_encodings(self):
+        models = list(_encodings())
+        assert len(models) == 12
+        for name, model in models:
+            _c, A_ub, b_ub, A_eq, b_eq, _ = model.dense_arrays()
+            for got, want in zip((A_ub, b_ub, A_eq, b_eq), dense_rows(model)):
+                assert self._same(got, want), name
+            assert not A_ub.flags.writeable
+
+    def test_mixed_rows(self):
+        model = Model()
+        x = model.add_var("x")
+        y = model.add_var("y")
+        z = model.add_var("z")
+        model.add_constr(x + 2 * y >= 1)
+        model.add_constr(x - z == 0.5)
+        model.add_constr(0.0 * y + z <= 3)
+        model.add_constr(y + z == 2)
+        got = model.dense_arrays()[1:5]
+        for got_arr, want in zip(got, dense_rows(model)):
+            assert self._same(got_arr, want)
+            assert not got_arr.flags.writeable
+
+    def test_no_rows(self):
+        model = Model()
+        model.add_var("x")
+        assert model.dense_arrays()[1:5] == (None, None, None, None)
+
+    def test_mutation_invalidates(self):
+        model = Model()
+        x = model.add_var("x")
+        model.add_constr(x <= 1)
+        first = model.dense_arrays()[1]
+        model.add_constr(x >= -1)
+        second = model.dense_arrays()[1]
+        assert first.shape == (1, 1) and second.shape == (2, 1)
+        assert self._same(second, dense_rows(model)[0])
 
 
 class TestFeasibility:

@@ -123,6 +123,78 @@ class TestSummarize:
         render_summary(summary)  # must not divide by zero
 
 
+class TestBranchingsPerLayer:
+    def test_counts_each_branching_once_by_layer(self):
+        records = [
+            node_event("s", 0, -1),
+            # Both children of node 0 name the same branching.
+            node_event("s", 1, 0, branch_var=7, branch="d_0_3"),
+            node_event("s", 2, 0, branch_var=7, branch="d_0_3"),
+            node_event("s", 3, 1, branch_var=9, branch="d_1_0"),
+            node_event("s", 4, 2, branch_var=11, branch="d_1_2"),
+            # Another search's tree, and a column that is no neuron.
+            node_event("t", 1, 0, branch_var=7, branch="d_0_3"),
+            node_event("u", 1, 0, branch_var=2, branch="x2"),
+        ]
+        summary = summarize_trace(records)
+        assert summary.branchings_per_layer == {0: 2, 1: 2}
+        assert "branchings per layer: layer 0 2, layer 1 2" in (
+            render_summary(summary)
+        )
+
+    def test_no_line_without_neuron_branchings(self):
+        records = [node_event("s", 0, -1), node_event("s", 1, 0, branch="x2")]
+        summary = summarize_trace(records)
+        assert summary.branchings_per_layer == {}
+        assert "branchings per layer" not in render_summary(summary)
+
+    def test_live_verifier_trace(self):
+        """A traced network search names each branched neuron, and the
+        summary counts one branching per searched parent."""
+        import numpy as np
+
+        from repro.core.encoder import EncoderOptions
+        from repro.core.properties import InputRegion, OutputObjective
+        from repro.core.verifier import Verifier
+        from repro.nn import FeedForwardNetwork
+
+        network = FeedForwardNetwork.mlp(
+            2, [6, 6], 1, rng=np.random.default_rng(2)
+        )
+        sink = RingBufferSink()
+        verifier = Verifier(
+            network, EncoderOptions(bound_mode="interval"),
+            tracer=Tracer([sink]),
+        )
+        result = verifier.maximize(
+            InputRegion(np.array([[-2.0, 2.0]] * 2)),
+            OutputObjective.single(0),
+        )
+        assert result.nodes > 0
+        nodes = [
+            r["attrs"] for r in sink.records
+            if r.get("type") == "event" and r["name"] == "node"
+        ]
+        children = [attrs for attrs in nodes if attrs["parent"] >= 0]
+        assert children
+        for attrs in children:
+            layer, index = map(int, attrs["branch"][2:].split("_"))
+            assert 0 <= layer < 2 and 0 <= index < 6
+        summary = summarize_trace(sink.records)
+        assert sum(summary.branchings_per_layer.values()) == len(
+            {attrs["parent"] for attrs in children}
+        )
+        assert "branchings per layer: layer 0" in render_summary(summary)
+
+    def test_dot_edges_name_the_neuron(self):
+        records = [
+            node_event("s", 0, -1),
+            node_event("s", 1, 0, branch_var=7, branch="d_0_3",
+                       branch_dir=-1),
+        ]
+        assert "d_0_3 dn" in tree_to_dot(build_search_tree(records))
+
+
 class TestLoadTrace:
     def test_skips_blank_and_corrupt_lines(self, tmp_path):
         path = tmp_path / "t.jsonl"

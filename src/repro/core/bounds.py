@@ -6,8 +6,11 @@ pre-activation over the input region.  Two engines are provided:
 * **interval** propagation — cheap, sound, often loose;
 * **LP tightening** — per-neuron LPs over the *relaxed* (triangle) network
   encoding, much tighter; neurons whose relaxed bound already has a fixed
-  sign need no binary variable at all.  One HiGHS model, grown by one
-  layer's columns and rows at a time, serves every probe of a network.
+  sign need no binary variable at all.  Only hidden neurons are probed,
+  since the encoding reads no other bounds.  One HiGHS model on the
+  primal simplex, grown by one layer's columns and rows at a time,
+  serves every probe of a network, and each layer's probes run in an
+  order that keeps consecutive objectives close.
 
 Bound quality is the decisive scalability lever for Table II: every neuron
 proven stably active/inactive removes one binary from the search, and
@@ -160,38 +163,78 @@ def _triangle_rows(
     active = lower >= 0.0
     inactive = (upper <= 0.0) & ~active
     ambiguous = ~(active | inactive)
-    slope = np.zeros(fan_out)
-    slope[ambiguous] = upper[ambiguous] / (
-        upper[ambiguous] - lower[ambiguous]
-    )
-    cases = [active, inactive]
-    row_cases = [active[:, None], inactive[:, None]]
+    slope = upper[ambiguous] / (upper[ambiguous] - lower[ambiguous])
     rows = np.empty((2 * fan_out, width))
     rhs = np.empty(2 * fan_out)
-    rows[0::2] = np.select(row_cases, [a - z, a], z - a)
-    rows[1::2] = np.select(row_cases, [z - a, -a], a - slope[:, None] * z)
-    rhs[0::2] = np.select(cases, [bias, 0.0], -bias)
-    rhs[1::2] = np.select(cases, [-bias, 0.0], slope * (bias - lower))
+    first, second = rows[0::2], rows[1::2]
+    first_rhs, second_rhs = rhs[0::2], rhs[1::2]
+    first[active] = a[active] - z[active]
+    second[active] = z[active] - a[active]
+    first_rhs[active] = bias[active]
+    second_rhs[active] = -bias[active]
+    first[inactive] = a[inactive]
+    second[inactive] = -a[inactive]
+    first_rhs[inactive] = 0.0
+    second_rhs[inactive] = 0.0
+    first[ambiguous] = z[ambiguous] - a[ambiguous]
+    second[ambiguous] = a[ambiguous] - slope[:, None] * z[ambiguous]
+    first_rhs[ambiguous] = -bias[ambiguous]
+    second_rhs[ambiguous] = slope * (bias[ambiguous] - lower[ambiguous])
     return rows, rhs
+
+
+def _probe_order(objectives: np.ndarray) -> np.ndarray:
+    """A warm-start order for one layer's probes.
+
+    ``objectives`` holds one row per probe.  The order starts with the
+    first row; each next one is the remaining row with the largest
+    cosine to the one before it (first on ties, zero rows score 0), so
+    each probe starts from the optimal basis of a similar objective.
+    """
+    norms = np.linalg.norm(objectives, axis=1)
+    unit = objectives / np.where(norms > 0.0, norms, 1.0)[:, None]
+    cosine = unit @ unit.T
+    order = np.empty(len(objectives), dtype=int)
+    order[0] = 0
+    taken = np.zeros(len(objectives), dtype=bool)
+    taken[0] = True
+    for k in range(1, len(objectives)):
+        nxt = int(np.argmax(np.where(taken, -np.inf, cosine[order[k - 1]])))
+        order[k] = nxt
+        taken[nxt] = True
+    return order
 
 
 def lp_tightened_bounds(
     network: FeedForwardNetwork,
     region: InputRegion,
     seed_bounds: Optional[List[LayerBounds]] = None,
+    span=None,
 ) -> List[LayerBounds]:
-    """Tighten bounds with per-neuron LPs over the triangle relaxation.
+    """Tighten hidden-layer bounds with per-neuron LPs over the triangle
+    relaxation.
 
-    Each neuron's pre-activation is minimised and maximised over an LP
-    in the inputs and the relaxed post-ReLU variables of the layers
-    before it, whose triangles use the bounds already tightened.  One
-    :class:`~repro.milp.scipy_backend.HighsSession` serves the whole
+    Each hidden neuron's pre-activation is minimised and maximised over
+    an LP in the inputs and the relaxed post-ReLU variables of the
+    layers before it, whose triangles use the bounds already tightened.
+    One :class:`~repro.milp.scipy_backend.HighsSession` serves the whole
     network: it starts with the input columns and the region's rows,
-    and after each ReLU layer :meth:`~HighsSession.extend` adds that
-    layer's post-activation columns and triangle rows, so every probe
-    warm-starts from the basis the last one left.  On a region without
-    linear constraints layer 0 runs no LP: the extremes of an affine
-    map over a box are its interval image.  The caller's
+    and after each ReLU layer but the last :meth:`~HighsSession.extend`
+    adds that layer's post-activation columns and triangle rows, so
+    every probe warm-starts from the basis the last one left.  A
+    layer's ``2 * fan_out`` probes run in :func:`_probe_order`, each
+    next objective the one closest in direction to the last.  On a
+    region without linear constraints layer 0 runs no LP: the extremes
+    of an affine map over a box are its interval image.
+
+    The output layer is never probed: the encoding, its completion and
+    branching scores and the static prescreen read hidden layers only.
+    It keeps its seed, intersected with the interval image of the
+    tightened last hidden layer (as every deeper layer is, so a neuron
+    whose probe failed still tightens from the layer before it).
+
+    With a ``span`` (a trace span) the session's ``probes``,
+    ``lp_iterations`` and ``lp_seconds`` are set on it.  The caller's
     ``seed_bounds`` list and arrays are left unchanged.
     """
     if not all(
@@ -217,9 +260,12 @@ def lp_tightened_bounds(
         np.array(rows_ub) if rows_ub else None,
         np.array(rhs_ub) if rhs_ub else None,
         bounds=region.bounds,
+        primal=True,
     )
 
-    for li, layer in enumerate(network.layers):
+    probes = iterations = 0
+    hidden = network.layers[:-1]
+    for li, layer in enumerate(hidden):
         seed = bounds[li]
         if li == 0 and not region.constraints:
             box_lo, box_hi = _interval_affine(
@@ -229,26 +275,36 @@ def lp_tightened_bounds(
             new_lo = np.maximum(seed.lower, box_lo)
             new_hi = np.minimum(seed.upper, box_hi)
         else:
-            # The layer's input is the session's last fan_in columns.
-            width = session.num_vars
-            objectives = np.zeros((layer.fan_out, width))
-            objectives[:, width - layer.fan_in:] = layer.weights.T
+            # The layer's input is the session's last fan_in columns;
+            # probe 2j minimises neuron j, probe 2j + 1 maximises it.
+            signed = np.empty((2 * layer.fan_out, layer.fan_in))
+            signed[0::2] = layer.weights.T
+            signed[1::2] = -layer.weights.T
+            objectives = np.zeros((len(signed), session.num_vars))
+            objectives[:, session.num_vars - layer.fan_in:] = signed
             new_lo = seed.lower.copy()
             new_hi = seed.upper.copy()
-            for j, c in enumerate(objectives):
-                base = float(layer.bias[j])
-                res_min = session.solve(c=c)
-                res_max = session.solve(c=-c)
-                if res_min.status is SolveStatus.OPTIMAL:
-                    new_lo[j] = max(new_lo[j], res_min.objective + base)
-                if res_max.status is SolveStatus.OPTIMAL:
-                    new_hi[j] = min(new_hi[j], -res_max.objective + base)
+            for k in _probe_order(signed):
+                result = session.solve(c=objectives[k])
+                probes += 1
+                iterations += result.iterations
+                if result.status is not SolveStatus.OPTIMAL:
+                    continue
+                j = k // 2
+                if k % 2:
+                    new_hi[j] = min(
+                        new_hi[j], layer.bias[j] - result.objective
+                    )
+                else:
+                    new_lo[j] = max(
+                        new_lo[j], result.objective + layer.bias[j]
+                    )
         # Numerical safety: never let tightening cross the bounds.
         _repair_crossed_bounds(new_lo, new_hi, seed.lower, seed.upper)
         bounds[li] = LayerBounds(new_lo, new_hi)
 
-        if layer.activation != "relu":
-            # Linear output layer: nothing downstream to relax.
+        if layer.activation != "relu" or li == len(hidden) - 1:
+            # Nothing later is probed over this layer's relaxation.
             break
         session.extend(
             np.stack(
@@ -259,9 +315,8 @@ def lp_tightened_bounds(
             ),
         )
 
-    # Refresh deeper layers with interval steps from the tightened ones:
-    # a neuron whose LP probe failed still tightens from the layer
-    # before it.
+    # Refresh deeper layers, the output layer included, with interval
+    # steps from the tightened ones.
     for li in range(1, len(network.layers)):
         lo, hi = bounds[li - 1].lower, bounds[li - 1].upper
         if network.layers[li - 1].activation == "relu":
@@ -271,6 +326,11 @@ def lp_tightened_bounds(
         bounds[li] = LayerBounds(
             np.maximum(bounds[li].lower, pre_lo),
             np.minimum(bounds[li].upper, pre_hi),
+        )
+    if span is not None:
+        span.set(
+            probes=probes, lp_iterations=iterations,
+            lp_seconds=session.lp_seconds,
         )
     return bounds
 

@@ -275,7 +275,9 @@ def compute_bounds(
     """Pre-activation bounds with the configured engine.
 
     With a tracer attached the computation is wrapped in a ``bounds``
-    phase span carrying the engine, region and resulting binary count.
+    phase span carrying the engine, region, resulting binary count and
+    the unstable ReLUs per hidden layer (``unstable``), plus the LP
+    engine's probe count, simplex iterations and HiGHS seconds.
     ``seed_bounds`` may carry the region's
     :func:`~repro.analysis.symbolic.symbolic_bounds` when the caller
     already has them (a prescreen did): the symbolic and LP engines
@@ -301,13 +303,20 @@ def compute_bounds(
             bounds = lp_tightened_bounds(
                 network, region,
                 seed_bounds=seed_bounds or symbolic_bounds(network, region),
+                span=span,
             )
         else:
             raise EncodingError(
                 f"unknown bound_mode {options.bound_mode!r} "
                 f"(expected one of {BOUND_MODES})"
             )
-        span.set(binaries_needed=total_ambiguous(bounds, network))
+        span.set(
+            binaries_needed=total_ambiguous(bounds, network),
+            unstable=[
+                layer_bounds.num_ambiguous()
+                for layer_bounds in bounds[:-1]
+            ],
+        )
         return bounds
 
 

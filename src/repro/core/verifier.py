@@ -69,7 +69,9 @@ class VerificationResult:
     """Result of one query.
 
     ``value`` is the proven maximum for max queries (or the best incumbent
-    under a timeout); ``counterexample`` is an input witness, already
+    under a timeout), as the network computes it at the incumbent's
+    input, and ``best_bound`` an upper bound no lower than it;
+    ``counterexample`` is an input witness, already
     validated against the real network; ``network_value`` its replayed
     objective value.
     """
@@ -367,6 +369,10 @@ class Verifier:
             )
         wall = time.monotonic() - start
 
+        # The value reported is the network's own output at the
+        # incumbent's input: the MILP objective can sit above it, by the
+        # slack a phase column integral only within INTEGRALITY_TOL
+        # leaves in the big-M rows.
         if result.status is SolveStatus.OPTIMAL:
             witness, replayed = self._replay(encoded, result.x, objective)
             if abs(replayed - result.objective) > 1e-3:
@@ -377,8 +383,8 @@ class Verifier:
                 )
             return VerificationResult(
                 verdict=Verdict.MAX_FOUND,
-                value=result.objective,
-                best_bound=result.best_bound,
+                value=replayed,
+                best_bound=max(result.best_bound, replayed),
                 counterexample=witness,
                 network_value=replayed,
                 wall_time=wall,
@@ -390,14 +396,16 @@ class Verifier:
         if result.status in (SolveStatus.TIMEOUT, SolveStatus.NODE_LIMIT):
             witness = None
             replayed = math.nan
+            best_bound = result.best_bound
             if result.x is not None:
                 witness, replayed = self._replay(
                     encoded, result.x, objective
                 )
+                best_bound = max(best_bound, replayed)
             return VerificationResult(
                 verdict=Verdict.TIMEOUT,
-                value=result.objective,
-                best_bound=result.best_bound,
+                value=replayed,
+                best_bound=best_bound,
                 counterexample=witness,
                 network_value=replayed,
                 wall_time=wall,

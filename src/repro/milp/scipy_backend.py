@@ -111,6 +111,11 @@ class HighsSession:
     solves the session ran (only the starting basis, hence the speed,
     does).  :attr:`lp_seconds` adds up the wall seconds spent inside
     HiGHS's ``run``, so a caller can tell simplex time from its own.
+
+    HiGHS runs its dual simplex, which suits re-solves after bound
+    edits (branch and bound).  ``primal=True`` selects its primal
+    simplex instead, which suits re-solves that change only the
+    objective (LP bound probes): the last basis stays primal feasible.
     """
 
     def __init__(
@@ -121,6 +126,7 @@ class HighsSession:
         A_eq: Optional[np.ndarray] = None,
         b_eq: Optional[np.ndarray] = None,
         bounds: Optional[Sequence[Tuple[float, float]]] = None,
+        primal: bool = False,
     ) -> None:
         c = np.asarray(c, dtype=float)
         n = c.shape[0]
@@ -169,6 +175,8 @@ class HighsSession:
         lp.a_matrix_.value_ = value
         self._h = _highs._Highs()
         self._h.setOptionValue("output_flag", False)
+        if primal:
+            self._h.setOptionValue("simplex_strategy", 4)
         if self._h.passModel(lp) == _highs.HighsStatus.kError:
             raise ValueError("HiGHS rejected the LP data")
 

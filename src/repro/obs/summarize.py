@@ -91,6 +91,11 @@ class TraceSummary:
     #: ``lp_seconds`` of every ``search_done`` event): what is left of
     #: the ``solve`` phase is model setup and search bookkeeping.
     lp_seconds: float = 0.0
+    #: LP bound tightening, summed over the ``bounds`` spans that carry
+    #: probe counts (the LP engine's): probe LPs solved and seconds
+    #: inside HiGHS.  ``None`` when no such span is in the trace.
+    bound_probes: Optional[int] = None
+    bound_lp_seconds: float = 0.0
     #: Branch-and-bound branchings per network layer (hidden layer index
     #: -> count): each searched parent node whose ``node`` events name a
     #: ``d_<layer>_<index>`` phase column counts once.
@@ -180,6 +185,12 @@ def summarize_trace(
                 span.get("attrs", {}).get("verdict", "?"),
             ))
     cells.sort(key=lambda item: item[1], reverse=True)
+    probed = [
+        span["attrs"] for span in spans
+        if span.get("name") == "bounds"
+        and isinstance(span.get("attrs"), dict)
+        and "probes" in span["attrs"]
+    ]
     split_actions = [
         e.get("attrs", {}).get("action", "")
         for e in events
@@ -206,6 +217,13 @@ def summarize_trace(
             for e in events
             if e.get("name") == "search_done"
             and isinstance(e.get("attrs"), dict)
+        ),
+        bound_probes=(
+            sum(int(attrs["probes"]) for attrs in probed)
+            if probed else None
+        ),
+        bound_lp_seconds=sum(
+            float(attrs.get("lp_seconds", 0.0)) for attrs in probed
         ),
         branchings_per_layer=_branchings_per_layer(events),
     )
@@ -254,6 +272,11 @@ def render_summary(summary: TraceSummary) -> str:
         f"total {summary.total_wall:.3f}s serial-equivalent; phases cover "
         f"{summary.phase_coverage:.0%}"
     )
+    if summary.bound_probes is not None:
+        lines.append(
+            f"bounds: {summary.bound_probes} probe LPs, "
+            f"{summary.bound_lp_seconds:.3f} s in HiGHS"
+        )
     solve = summary.phase_wall.get("solve", 0.0)
     if solve > 0.0:
         lines.append(

@@ -18,6 +18,7 @@ from repro.milp.status import SolveStatus
 from repro.nn import FeedForwardNetwork
 
 from ..oracles import revised_simplex
+from ..oracles.triangle_rows import triangle_rows
 
 
 def unit_region(dim):
@@ -157,9 +158,10 @@ class TestLPTightenedBounds:
 
 class _ColdRevisedSession:
     """Stand-in for ``HighsSession``: every probe is a cold, from-scratch
-    revised-simplex solve of the LP grown so far."""
+    revised-simplex solve of the LP grown so far (so the choice of
+    simplex, ``primal``, does not apply)."""
 
-    def __init__(self, c, A_ub=None, b_ub=None, bounds=None):
+    def __init__(self, c, A_ub=None, b_ub=None, bounds=None, primal=False):
         self.num_vars = len(c)
         self.A_ub = np.zeros((0, self.num_vars)) if A_ub is None else A_ub
         self.b_ub = np.zeros(0) if b_ub is None else b_ub
@@ -267,13 +269,15 @@ class TestSessionTightening:
         if constrained:
             _with_random_constraints(region, np.random.default_rng(1))
         lp_tightened_bounds(net, region)
-        # Two probes per neuron of every LP-bounded layer.
-        assert counting_session.probes == 2 * (5 * constrained + 3 + 2)
+        # Two probes per neuron of every LP-bounded hidden layer; the
+        # output layer is never probed.
+        assert counting_session.probes == 2 * (5 * constrained + 3)
         assert counting_session.built == 1
 
     def test_milp_suite_query_builds_one_session(self, counting_session):
         """A 2-(6,6)-1 net on a box, as the perfbench ``milp`` suite
-        proves: 14 bound LPs, one model for the whole network."""
+        proves: 12 bound LPs (layer 1 only), one model for the whole
+        network."""
         from repro.core.encoder import EncoderOptions, compute_bounds
 
         net = FeedForwardNetwork.mlp(
@@ -281,15 +285,23 @@ class TestSessionTightening:
         )
         region = InputRegion(np.array([[-1.0, 1.0]] * 2))
         compute_bounds(net, region, EncoderOptions(bound_mode="lp"))
-        assert counting_session.probes == 14
+        assert counting_session.probes == 12
         assert counting_session.built == 1
 
     @staticmethod
-    def _failing_session(status, fail_max):
+    def _failing_session(net, status, fail_max):
         """A real session whose min probes (and, with ``fail_max``, max
-        probes) report ``status`` instead of their optimum.  The failed
-        result still carries a slightly-too-good objective, so a caller
-        that read it without checking the status would tighten."""
+        probes) of ``net`` report ``status`` instead of their optimum.
+        The failed result still carries a slightly-too-good objective,
+        so a caller that read it without checking the status would
+        tighten."""
+        # A min probe's objective is a hidden neuron's weight column
+        # over the layer's input columns; a max probe's is its negation.
+        minimised = [
+            column
+            for layer in net.layers[:-1]
+            for column in layer.weights.T
+        ]
 
         class Failing(bounds_mod.HighsSession):
             calls = 0
@@ -297,8 +309,10 @@ class TestSessionTightening:
             def solve(self, c=None, lb=None, ub=None):
                 result = super().solve(c=c, lb=lb, ub=ub)
                 Failing.calls += 1
-                # Probes alternate min, max per neuron.
-                is_min = Failing.calls % 2 == 1
+                is_min = any(
+                    np.array_equal(c[len(c) - len(w):], w)
+                    for w in minimised
+                )
                 if not (is_min or fail_max):
                     return result
                 return LPResult(status, objective=result.objective + 1e-3)
@@ -313,7 +327,7 @@ class TestSessionTightening:
         net = FeedForwardNetwork.mlp(4, [6, 6], 2, rng=np.random.default_rng(5))
         region = unit_region(4)
         seed = interval_bounds(net, region)
-        failing = self._failing_session(status, fail_max=True)
+        failing = self._failing_session(net, status, fail_max=True)
         monkeypatch.setattr(bounds_mod, "HighsSession", failing)
         tight = lp_tightened_bounds(net, region)
         assert failing.calls > 0
@@ -329,7 +343,7 @@ class TestSessionTightening:
         seed = interval_bounds(net, region)
         monkeypatch.setattr(
             bounds_mod, "HighsSession",
-            self._failing_session(SolveStatus.ERROR, fail_max=False),
+            self._failing_session(net, SolveStatus.ERROR, fail_max=False),
         )
         tight = lp_tightened_bounds(net, region)
         for li in (0, 1):
@@ -338,6 +352,162 @@ class TestSessionTightening:
             )
             assert np.all(tight[li].upper <= seed[li].upper)
         assert np.any(tight[1].upper < seed[1].upper - 1e-9)
+
+
+def _cold_probe_bounds(net, region, tight):
+    """Each hidden neuron's LP bounds from its own cold solve.
+
+    Layer ``li``'s LP is built from scratch: the region's box and rows,
+    then every earlier layer's triangle rows
+    (:func:`tests.oracles.triangle_rows.triangle_rows`) over the bounds
+    ``tight`` gives that layer, with post-activation boxes
+    ``[max(l, 0), max(u, 0)]``.
+    """
+    indexed = [c.as_indexed() for c in region.constraints]
+    rows = [np.array([
+        [coeffs.get(i, 0.0) for i in range(region.dim)]
+        for coeffs, _ in indexed
+    ]).reshape(-1, region.dim)]
+    rhs = [np.array([r for _, r in indexed])]
+    box = [tuple(b) for b in region.bounds]
+    result = []
+    for li, layer in enumerate(net.layers[:-1]):
+        width = len(box)
+        lower, upper = np.empty(layer.fan_out), np.empty(layer.fan_out)
+        A_ub = np.vstack([np.pad(r, ((0, 0), (0, width - r.shape[1])))
+                          for r in rows])
+        b_ub = np.concatenate(rhs)
+        for j in range(layer.fan_out):
+            c = np.zeros(width)
+            c[width - layer.fan_in:] = layer.weights[:, j]
+            lo = revised_simplex.solve_lp(c, A_ub, b_ub, bounds=box)
+            hi = revised_simplex.solve_lp(-c, A_ub, b_ub, bounds=box)
+            assert lo.status is hi.status is SolveStatus.OPTIMAL
+            lower[j] = lo.objective + layer.bias[j]
+            upper[j] = -hi.objective + layer.bias[j]
+        result.append((lower, upper))
+        t = tight[li]
+        box += list(zip(np.maximum(t.lower, 0.0), np.maximum(t.upper, 0.0)))
+        layer_rows, layer_rhs = triangle_rows(
+            layer, t.lower, t.upper, width + layer.fan_out
+        )
+        rows.append(layer_rows)
+        rhs.append(layer_rhs)
+    return result
+
+
+class TestHiddenLayersOnly:
+    """LP tightening probes hidden layers only, in warm-start order, and
+    every hidden bound is what independent cold probes find."""
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    @pytest.mark.parametrize("seed", range(3))
+    def test_hidden_bounds_match_independent_cold_probes(
+        self, seed, constrained
+    ):
+        rng = np.random.default_rng(seed)
+        net = FeedForwardNetwork.mlp(3, [5, 5, 4], 2, rng=rng)
+        region = unit_region(3)
+        if constrained:
+            _with_random_constraints(region, rng)
+        tight = lp_tightened_bounds(net, region)
+        seed_bounds = interval_bounds(net, region)
+        cold = _cold_probe_bounds(net, region, tight)
+        for t, s, (lower, upper) in zip(tight, seed_bounds, cold):
+            np.testing.assert_allclose(
+                t.lower, np.maximum(s.lower, lower), rtol=0, atol=1e-9
+            )
+            np.testing.assert_allclose(
+                t.upper, np.minimum(s.upper, upper), rtol=0, atol=1e-9
+            )
+
+    @pytest.mark.parametrize("constrained", [False, True])
+    def test_output_bounds_are_seed_and_interval_step(self, constrained):
+        rng = np.random.default_rng(7)
+        net = FeedForwardNetwork.mlp(3, [5, 5, 4], 2, rng=rng)
+        region = unit_region(3)
+        if constrained:
+            _with_random_constraints(region, rng)
+        seed = interval_bounds(net, region)
+        tight = lp_tightened_bounds(net, region, seed_bounds=seed)
+        last, out = tight[-2], net.layers[-1]
+        step_lo, step_hi = bounds_mod._interval_affine(
+            np.maximum(last.lower, 0.0), np.maximum(last.upper, 0.0),
+            out.weights, out.bias,
+        )
+        np.testing.assert_array_equal(
+            tight[-1].lower, np.maximum(seed[-1].lower, step_lo)
+        )
+        np.testing.assert_array_equal(
+            tight[-1].upper, np.minimum(seed[-1].upper, step_hi)
+        )
+
+    def test_output_bounds_do_not_reach_the_encoding(self):
+        from repro.core.bounds import LayerBounds
+        from repro.core.encoder import encode_network
+
+        net = FeedForwardNetwork.mlp(
+            3, [5, 5], 2, rng=np.random.default_rng(3)
+        )
+        region = unit_region(3)
+        tight = lp_tightened_bounds(net, region)
+        wide = tight[:-1] + [LayerBounds(
+            tight[-1].lower - 100.0, tight[-1].upper + 100.0
+        )]
+        models = [
+            encode_network(net, region, precomputed_bounds=b).model
+            for b in (tight, wide)
+        ]
+        for x, y in zip(*(m.dense_arrays() for m in models)):
+            if isinstance(x, np.ndarray):
+                np.testing.assert_array_equal(x, y)
+            else:
+                assert x == y
+
+    @pytest.mark.parametrize("seed", range(4))
+    def test_triangle_rows_match_select_reference(self, seed):
+        rng = np.random.default_rng(seed)
+        net = FeedForwardNetwork.mlp(4, [9], 1, rng=rng)
+        layer = net.layers[0]
+        # Mix stable active, stable inactive and ambiguous neurons.
+        lower = rng.uniform(-2.0, 1.0, 9)
+        upper = lower + rng.uniform(0.0, 2.0, 9)
+        lower[:2], upper[:2] = (0.0, 0.5), (0.0, 1.5)
+        upper[2] = 0.0
+        for width in (13, 20):
+            got = bounds_mod._triangle_rows(layer, lower, upper, width)
+            want = triangle_rows(layer, lower, upper, width)
+            for g, w in zip(got, want):
+                np.testing.assert_array_equal(g, w)
+                assert np.array_equal(np.signbit(g), np.signbit(w))
+
+    def test_probe_order_follows_the_closest_direction(self):
+        objectives = np.array([
+            [1.0, 0.0], [-1.0, 0.0], [0.0, 1.0], [0.0, -1.0],
+            [1.0, 0.1], [0.0, 0.0],
+        ])
+        # From +e0 to its near twin, on to +e1 (closer than -e1), then
+        # ties at cosine 0 go to the first row; the zero row comes last.
+        np.testing.assert_array_equal(
+            bounds_mod._probe_order(objectives), [0, 4, 2, 1, 3, 5]
+        )
+        np.testing.assert_array_equal(
+            bounds_mod._probe_order(np.zeros((3, 2))), [0, 1, 2]
+        )
+
+    def test_span_carries_probe_counts(self):
+        from repro.obs.trace import Tracer
+
+        net = FeedForwardNetwork.mlp(
+            2, [6, 6], 1, rng=np.random.default_rng([20180701, 0])
+        )
+        region = InputRegion(np.array([[-1.0, 1.0]] * 2))
+        tracer = Tracer()
+        with tracer.span("bounds") as span:
+            lp_tightened_bounds(net, region, span=span)
+        assert span.attrs["probes"] == 12
+        assert span.attrs["lp_iterations"] > 0
+        assert span.attrs["lp_seconds"] > 0.0
 
 
 class TestBoundsCache:

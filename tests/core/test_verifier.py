@@ -94,6 +94,62 @@ class TestMaxQueries:
         assert "infeasible" in result.description
 
 
+class TestReportedValueIsReplayed:
+    """A max query reports the network's own value at its incumbent's
+    input, never the MILP objective, which an incumbent integral only
+    within ``INTEGRALITY_TOL`` can push above what the network reaches.
+    """
+
+    @staticmethod
+    def _lp_vertex_incumbents(monkeypatch, status=None):
+        """Search without completion, so the incumbent is an LP vertex
+        (on this net 2e-7 above the maximum); ``status`` relabels the
+        search's answer."""
+        import dataclasses
+
+        from repro.core import verifier as verifier_mod
+
+        real = verifier_mod.solve_milp
+
+        def solve(model, options, tracer=None, complete=None,
+                  branch_scores=None):
+            result = real(model, options, tracer=tracer,
+                          branch_scores=branch_scores)
+            if status is not None:
+                result = dataclasses.replace(result, status=status)
+            return result
+
+        monkeypatch.setattr(verifier_mod, "solve_milp", solve)
+
+    @pytest.mark.parametrize("status", [None, "timeout"])
+    def test_value_is_the_network_value(self, monkeypatch, status):
+        from repro.milp.status import SolveStatus
+
+        from ..oracles.highs import solve_lp as highs_lp
+        from ..oracles.patterns import enumerated_max
+
+        network = FeedForwardNetwork.mlp(
+            2, [6, 6], 1, rng=np.random.default_rng(2)
+        )
+        region = InputRegion(np.array([[-2.0, 2.0]] * 2))
+        truth, _ = enumerated_max(network, region, 0, solve_lp=highs_lp)
+        self._lp_vertex_incumbents(
+            monkeypatch, status and SolveStatus.TIMEOUT
+        )
+        result = Verifier(
+            network, EncoderOptions(bound_mode="interval"),
+        ).maximize(region, OutputObjective.single(0))
+        assert result.verdict is (
+            Verdict.TIMEOUT if status else Verdict.MAX_FOUND
+        )
+        assert result.value == result.network_value
+        assert result.value == network.forward(result.counterexample)[0][0]
+        # The enumeration and the replay evaluate the same piece by
+        # different arithmetic: allow round-off, nothing more.
+        assert result.value <= truth + 1e-12
+        assert result.best_bound >= result.value
+        assert result.best_bound >= truth - 1e-12
+
 
 class TestDecisionQueries:
     def test_property_above_max_verifies(self, verifier):

@@ -123,6 +123,68 @@ class TestSummarize:
         render_summary(summary)  # must not divide by zero
 
 
+class TestBoundProbes:
+    def test_sums_lp_bound_spans_only(self):
+        records = [
+            span_rec("query", 1.0, span_id="1"),
+            span_rec("bounds", 0.3, parent="1", span_id="2", mode="lp",
+                     probes=12, lp_iterations=50, lp_seconds=0.02),
+            span_rec("bounds", 0.2, parent="1", span_id="3", mode="lp",
+                     probes=24, lp_iterations=90, lp_seconds=0.05),
+            span_rec("bounds", 0.1, parent="1", span_id="4",
+                     mode="interval"),
+        ]
+        summary = summarize_trace(records)
+        assert summary.bound_probes == 36
+        assert abs(summary.bound_lp_seconds - 0.07) < 1e-12
+        assert "bounds: 36 probe LPs, 0.070 s in HiGHS" in (
+            render_summary(summary)
+        )
+
+    def test_no_line_without_lp_bounds(self):
+        records = [
+            span_rec("query", 1.0, span_id="1"),
+            span_rec("bounds", 0.1, parent="1", span_id="2",
+                     mode="interval"),
+        ]
+        summary = summarize_trace(records)
+        assert summary.bound_probes is None
+        assert "probe LPs" not in render_summary(summary)
+
+    def test_live_lp_bounds_trace(self):
+        """A traced LP-bounded query puts the session's probe counts and
+        the unstable ReLUs per hidden layer on its ``bounds`` span."""
+        import numpy as np
+
+        from repro.core.encoder import EncoderOptions
+        from repro.core.properties import InputRegion, OutputObjective
+        from repro.core.verifier import Verifier
+        from repro.nn import FeedForwardNetwork
+
+        network = FeedForwardNetwork.mlp(
+            2, [6, 6], 1, rng=np.random.default_rng([20180701, 0])
+        )
+        sink = RingBufferSink()
+        Verifier(
+            network, EncoderOptions(bound_mode="lp"),
+            tracer=Tracer([sink]),
+        ).maximize(
+            InputRegion(np.array([[-1.0, 1.0]] * 2)),
+            OutputObjective.single(0),
+        )
+        (attrs,) = [
+            r["attrs"] for r in sink.records
+            if r.get("type") == "span" and r["name"] == "bounds"
+        ]
+        assert attrs["probes"] == 12
+        assert attrs["lp_iterations"] > 0 and attrs["lp_seconds"] > 0.0
+        assert len(attrs["unstable"]) == 2
+        assert sum(attrs["unstable"]) == attrs["binaries_needed"]
+        assert "bounds: 12 probe LPs" in render_summary(
+            summarize_trace(sink.records)
+        )
+
+
 class TestBranchingsPerLayer:
     def test_counts_each_branching_once_by_layer(self):
         records = [
